@@ -17,7 +17,7 @@ with kind one of poly, inv, ext, trunc^k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     ConfigError,
@@ -278,12 +278,6 @@ class Element:
         for _ in range(k):
             out = out * self
         return out
-
-    def leading_label(self) -> str:
-        if self.is_zero():
-            return "0"
-        labels = sorted(self.pres.format_monomial(m) for m in self.coeffs)
-        return labels[0]
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -604,11 +598,3 @@ def monomials_in_degree(
     enum_finite(0, degree.m, degree.n)
     results.sort()
     return results
-
-
-def dimensions_over_window(
-    pres: Presentation,
-    degrees: Iterable[SpokeDegree],
-    cap: int | Mapping[str, int] | None = None,
-) -> dict[SpokeDegree, int]:
-    return {d: len(monomials_in_degree(pres, d, cap)) for d in degrees}

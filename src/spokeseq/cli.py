@@ -51,7 +51,6 @@ class RunConfig:
     threads: int = 1
     out: str | None = None
     svg: bool = False
-    seed: int = 0
     extras: dict = field(default_factory=dict)
 
     def validate(self) -> None:
@@ -77,7 +76,6 @@ class RunConfig:
             "beta_prime": self.beta_prime,
             "threads": self.threads,
             "svg": self.svg,
-            "seed": self.seed,
         }
         pairs.update(self.extras)
         return "".join(f"# {k} = {pairs[k]}\n" for k in sorted(pairs))
@@ -155,7 +153,7 @@ def cmd_ext(config: RunConfig) -> int:
     H, M = hopf.truncated_hopf(config.p, config.n, config.beta, config.beta_prime)
     if route == "cobar":
         cx = cobar.build_cobar(H, M, window)
-        table = cobar.ext_dimensions(cx)
+        table = cobar.ext_dimensions(cx, threads=config.threads)
     else:
         table = cobar.resolution_ext_table(H, M, window, threads=config.threads)
     _emit(config, "ext.txt", config.header() + table.format())
@@ -260,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--out", default=None, help="output directory (or $SPOKESEQ_OUT)")
         sp.add_argument("--svg", action="store_true", help="also write SVG charts")
-        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("pi-hfp", help="per-degree dimension tables of the point ring")
     common(sp)
@@ -330,7 +327,6 @@ def main(argv: list[str] | None = None) -> int:
         threads=args.threads,
         out=args.out,
         svg=args.svg,
-        seed=args.seed,
         extras=extras,
     )
     try:

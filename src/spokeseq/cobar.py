@@ -1,21 +1,26 @@
 """Cobar complexes and Ext tables for comodules over Hopf algebras/algebroids.
 
-Two independent computations of the same Ext groups live here.
+Two independent constructions of complexes computing the same Ext groups
+live here.
 
-* build_cobar / ext_dimensions: the literal normalized (reduced) cobar
-  complex M (x) Gbar^(x)s with the alternating-face differential.  Every
-  built slice is validated d o d = 0 on the nose.  Completely general, but
-  the slice dimensions grow like |Gbar|^s once the comodule has monomials
-  in every low-virtual-dimension degree, so it is the small-window oracle.
+* build_cobar: the literal normalized (reduced) cobar complex
+  M (x) Gbar^(x)s with the alternating-face differential.  Completely
+  general, but the slice dimensions grow like |Gbar|^s once the comodule has
+  monomials in every low-virtual-dimension degree, so it is the small-window
+  oracle.
 
-* resolution_ext_table: for a finite primitively generated Hopf algebra
+* build_resolution_complex: for a finite primitively generated Hopf algebra
   (exterior and p-power-truncated polynomial primitives), comodules are
   modules over the dual algebra, a tensor product of one exterior and
   several height-one truncated polynomial lines.  The explicit periodic
   resolution of F_p over each line tensors to a free resolution whose
   cochain complex has one comodule slot per "z^k x_E x'_J" generator
   monomial: polynomially many columns instead of exponentially many.
-  Also validated d o d = 0 and cross-checked against the literal cobar.
+
+Both builders check d o d = 0 on every built slice with validate_dsquare,
+and both ladders go through the one homology pass, ext_dimensions;
+resolution_ext_table is "build, then ext_dimensions".  The two routes share
+no construction code, so their agreement is a cross-check of the Ext tables.
 
 Ext tables are keyed by (cohomological degree s, total degree); the internal
 degree is total + (s, 0).
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import fp
-from .algebra import EXT, INV, TRUNC, Element, Monomial, Presentation, monomials_in_degree
+from .algebra import EXT, INV, TRUNC, Element, Monomial, monomials_in_degree
 from .errors import BookkeepingError, CompositionError, ConfigError, WindowIncompleteError
 from .fp import SparseMatFp
 from .grading import DegreeWindow, SpokeDegree
@@ -96,6 +101,8 @@ def _gamma_bar_candidates(H: HopfAlgebroid, max_m: int) -> list[Monomial]:
 class CobarComplex:
     """Per internal degree, the ladder C^0 -> C^1 -> ... with differentials."""
 
+    route = "cobar"
+
     hopf: HopfAlgebroid
     comodule: Comodule
     window: DegreeWindow
@@ -104,20 +111,13 @@ class CobarComplex:
     diffs: dict[tuple[SpokeDegree, int], SparseMatFp]
     weights: dict[tuple[SpokeDegree, int], list[int]] | None = None
 
-    def basis_labels(self, internal: SpokeDegree, s: int) -> list[str]:
-        return [
-            format_basis_index(self.comodule.module, self.hopf.total, idx)
-            for idx in self.bases.get((internal, s), [])
-        ]
-
-
-def format_basis_index(mpres: Presentation, gpres: Presentation, idx: BasisIndex) -> str:
-    m_mono, word = idx
-    m_label = mpres.format_monomial(m_mono)
-    if not word:
-        return m_label
-    inner = "|".join(gpres.format_monomial(b) for b in word)
-    return f"{m_label}[{inner}]"
+    def basis_label(self, internal: SpokeDegree, s: int, i: int) -> str:
+        m_mono, word = self.bases[(internal, s)][i]
+        m_label = self.comodule.module.format_monomial(m_mono)
+        if not word:
+            return m_label
+        inner = "|".join(self.hopf.total.format_monomial(b) for b in word)
+        return f"{m_label}[{inner}]"
 
 
 def build_cobar(
@@ -126,7 +126,6 @@ def build_cobar(
     window: DegreeWindow,
     s_cap: int | None = None,
     weight_fn: Callable[[Monomial], int] | None = None,
-    validate: bool = True,
 ) -> CobarComplex:
     """Enumerate slices and differentials for all total degrees in the window.
 
@@ -231,22 +230,19 @@ def build_cobar(
             diffs[(internal, s)] = SparseMatFp.from_columns(columns, len(dst), p)
 
     complex_ = CobarComplex(H, comodule, window, s_cap, bases, diffs, weights)
-    if validate:
-        validate_dsquare(complex_)
+    validate_dsquare(complex_)
     if weights is not None:
         _validate_weight_preservation(complex_)
     return complex_
 
 
-def validate_dsquare(cx: CobarComplex) -> None:
+def validate_dsquare(cx: CobarComplex | ResolutionComplex) -> None:
     """Full d o d = 0 check on every composable pair of built differentials."""
     for (internal, s), d_low in cx.diffs.items():
         d_high = cx.diffs.get((internal, s + 1))
-        if d_high is None:
-            continue
-        if not d_high.matmul(d_low).is_zero():
+        if d_high is not None and not d_high.matmul(d_low).is_zero():
             raise CompositionError(
-                f"cobar d^2 != 0 at internal {internal}, s={s}"
+                f"{cx.route} d^2 != 0 at internal {internal}, s={s}"
             )
 
 
@@ -284,41 +280,44 @@ class ExtTable:
         return "\n".join(lines) + "\n"
 
 
-def ext_dimensions(cx: CobarComplex, with_reps: bool = True) -> ExtTable:
-    """Cohomology of the cobar ladders, reported per (s, total degree)."""
-    entries: dict[tuple[int, SpokeDegree], tuple[int, tuple[str, ...]]] = {}
-    M = cx.comodule.module
-    G = cx.hopf.total
-    for total in cx.window.degrees():
+def ext_dimensions(
+    cx: CobarComplex | ResolutionComplex, with_reps: bool = True, threads: int = 1
+) -> ExtTable:
+    """Cohomology of either route's ladders, reported per (s, total degree).
+
+    A representative is labelled by the least basis label in its support.
+    Total degrees are independent and mapped over ``threads`` workers.
+    """
+    # imported here so that importing the package does not load concurrent.futures
+    from .concurrency import deterministic_map
+
+    p = cx.hopf.p
+
+    def column(total: SpokeDegree):
+        col = []
         for s in range(cx.s_cap + 1):
             internal = total + D(s, 0)
             d_out = cx.diffs[(internal, s)]
             if s == 0:
-                d_in = SparseMatFp.zero(d_out.cols, 0, cx.hopf.p)
+                d_in = SparseMatFp.zero(d_out.cols, 0, p)
             else:
                 d_in = cx.diffs[(internal, s - 1)]
             if with_reps:
                 dim, reps = fp.quotient_dimension(d_in, d_out, with_basis=True)
-                basis = cx.bases[(internal, s)]
                 labels = tuple(
-                    _leading_label(vec, basis, M, G) for vec in reps
+                    min(cx.basis_label(internal, s, i) for i, c in enumerate(vec) if c)
+                    for vec in reps
                 )
             else:
                 dim = fp.quotient_dimension(d_in, d_out)
                 labels = ()
             if dim:
-                entries[(s, total)] = (dim, labels)
-    return ExtTable(entries, meta={"route": "cobar"})
+                col.append(((s, total), (dim, labels)))
+        return col
 
-
-def _leading_label(vec, basis, mpres, gpres) -> str:
-    labelled = [
-        (format_basis_index(mpres, gpres, basis[i]), c)
-        for i, c in enumerate(vec)
-        if c
-    ]
-    labelled.sort()
-    return labelled[0][0]
+    columns = deterministic_map(column, cx.window.degrees(), threads)
+    entries = dict(entry for col in columns for entry in col)
+    return ExtTable(entries, meta={"route": cx.route})
 
 
 def ext0_primitives(comodule: Comodule, degrees: Sequence[SpokeDegree]) -> dict[SpokeDegree, int]:
@@ -567,6 +566,8 @@ class DualOperators:
 class ResolutionComplex:
     """Cochain complex Hom(resolution, M): one comodule slot per generator."""
 
+    route = "resolution"
+
     hopf: HopfAlgebroid
     comodule: Comodule
     window: DegreeWindow
@@ -575,18 +576,15 @@ class ResolutionComplex:
     bases: dict[tuple[SpokeDegree, int], list[tuple[Monomial, GenState]]]
     diffs: dict[tuple[SpokeDegree, int], SparseMatFp]
 
-    def basis_labels(self, internal: SpokeDegree, s: int) -> list[str]:
-        out = []
-        for m_mono, state in self.bases.get((internal, s), []):
-            m_label = self.comodule.module.format_monomial(m_mono)
-            g_label = self.gens.label_of(state)
-            if g_label == "1":
-                out.append(m_label)
-            elif m_label == "1":
-                out.append(g_label)
-            else:
-                out.append(f"{m_label}*{g_label}")
-        return out
+    def basis_label(self, internal: SpokeDegree, s: int, i: int) -> str:
+        m_mono, state = self.bases[(internal, s)][i]
+        m_label = self.comodule.module.format_monomial(m_mono)
+        g_label = self.gens.label_of(state)
+        if g_label == "1":
+            return m_label
+        if m_label == "1":
+            return g_label
+        return f"{m_label}*{g_label}"
 
 
 def build_resolution_complex(
@@ -594,7 +592,6 @@ def build_resolution_complex(
     comodule: Comodule,
     window: DegreeWindow,
     s_cap: int | None = None,
-    validate: bool = True,
 ) -> ResolutionComplex:
     s_cap = window.s_max if s_cap is None else s_cap
     gens = resolution_strands(H)
@@ -650,13 +647,7 @@ def build_resolution_complex(
             diffs[(internal, s)] = SparseMatFp.from_columns(columns, len(dst), p)
 
     cx = ResolutionComplex(H, comodule, window, s_cap, gens, bases, diffs)
-    if validate:
-        for (internal, s), d_low in cx.diffs.items():
-            d_high = cx.diffs.get((internal, s + 1))
-            if d_high is not None and not d_high.matmul(d_low).is_zero():
-                raise CompositionError(
-                    f"resolution d^2 != 0 at internal {internal}, s={s}"
-                )
+    validate_dsquare(cx)
     return cx
 
 
@@ -668,41 +659,8 @@ def resolution_ext_table(
     with_reps: bool = True,
     threads: int = 1,
 ) -> ExtTable:
-    from .concurrency import deterministic_map
-
     cx = build_resolution_complex(H, comodule, window, s_cap)
-    s_top = (cx.s_cap if s_cap is None else s_cap) + 1
-
-    def column(total: SpokeDegree):
-        col = []
-        for s in range(s_top):
-            internal = total + D(s, 0)
-            d_out = cx.diffs[(internal, s)]
-            if s == 0:
-                d_in = SparseMatFp.zero(d_out.cols, 0, H.p)
-            else:
-                d_in = cx.diffs[(internal, s - 1)]
-            if with_reps:
-                dim, reps = fp.quotient_dimension(d_in, d_out, with_basis=True)
-                labels = []
-                basis_labels = cx.basis_labels(internal, s)
-                for vec in reps:
-                    terms = sorted(basis_labels[i] for i, c in enumerate(vec) if c)
-                    labels.append(terms[0])
-                labels = tuple(labels)
-            else:
-                dim = fp.quotient_dimension(d_in, d_out)
-                labels = ()
-            if dim:
-                col.append((s, dim, labels))
-        return col
-
-    degrees = window.degrees()
-    entries: dict[tuple[int, SpokeDegree], tuple[int, tuple[str, ...]]] = {}
-    for total, col in zip(degrees, deterministic_map(column, degrees, threads)):
-        for s, dim, labels in col:
-            entries[(s, total)] = (dim, labels)
-    return ExtTable(entries, meta={"route": "resolution"})
+    return ext_dimensions(cx, with_reps, threads)
 
 
 def stabilize_over_n(

@@ -102,11 +102,6 @@ class SparseMatFp:
             out[i][j] = v
         return out
 
-    def transpose(self) -> "SparseMatFp":
-        return SparseMatFp(
-            self.cols, self.rows, self.p, {(j, i): v for (i, j), v in self.entries.items()}
-        )
-
     def matmul(self, other: "SparseMatFp") -> "SparseMatFp":
         if self.cols != other.rows or self.p != other.p:
             raise ConfigError(
@@ -193,31 +188,6 @@ def kernel_basis(mat: SparseMatFp) -> list[Vector]:
     return basis
 
 
-def image_basis(mat: SparseMatFp) -> list[Vector]:
-    """The columns of the matrix at pivot positions (original entries)."""
-    _, pivots = rref(mat.dense(), mat.p)
-    cols = mat.dense()
-    return [tuple(cols[i][j] for i in range(mat.rows)) for j in pivots]
-
-
-def solve(mat: SparseMatFp, b: Sequence[int]) -> Vector | None:
-    """One solution of M x = b, or None; canonical (free variables = 0)."""
-    if len(b) != mat.rows:
-        raise ConfigError(f"rhs length {len(b)} != rows {mat.rows}")
-    p = mat.p
-    aug = mat.dense()
-    for i in range(mat.rows):
-        aug[i].append(b[i] % p)
-    reduced, pivots = rref(aug, p)
-    for i, pc in enumerate(pivots):
-        if pc == mat.cols:
-            return None
-    x = [0] * mat.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = reduced[i][mat.cols]
-    return tuple(x)
-
-
 class Subspace:
     """Row-span in RREF form, supporting membership tests and reduction."""
 
@@ -296,16 +266,13 @@ def quotient_dimension(
     if not d_cycle.matmul(d_boundary).is_zero():
         raise CompositionError("d_cycle o d_boundary != 0")
     kernel = kernel_basis(d_cycle)
-    b_rank = rank(d_boundary)
-    dim = len(kernel) - b_rank
     if not with_basis:
-        return dim
-    image = Subspace(
-        [d_boundary.apply([1 if k == j else 0 for k in range(d_boundary.cols)])
-         for j in range(d_boundary.cols)],
-        d_boundary.rows,
-        d_boundary.p,
-    )
+        return len(kernel) - rank(d_boundary)
+    columns = [[0] * d_boundary.rows for _ in range(d_boundary.cols)]
+    for (i, j), v in d_boundary.entries.items():
+        columns[j][i] = v
+    image = Subspace(columns, d_boundary.rows, d_boundary.p)
+    dim = len(kernel) - image.rank
     reps = quotient_basis(kernel, image, d_cycle.cols, d_cycle.p)
     assert len(reps) == dim
     return dim, reps

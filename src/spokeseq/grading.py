@@ -158,7 +158,3 @@ class DegreeWindow:
         except ValueError as exc:
             raise ConfigError(f"bad window syntax {text!r}: {exc}") from None
         return DegreeWindow(m0, m1, n0, n1, s_max)
-
-
-def enumerate_window(w: DegreeWindow) -> list[SpokeDegree]:
-    return w.degrees()

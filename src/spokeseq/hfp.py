@@ -112,12 +112,6 @@ class NegClass:
 THETA = NegClass(eps=1, j=1, k=1)  # degree (lambda - 2) = (-2, 2)
 
 
-def pos_class_from_monomial(pres: Presentation, mono: Monomial) -> PosClass:
-    return PosClass(
-        a=mono[pres.index["a"]], ul=mono[pres.index["ul"]], us=mono[pres.index["us"]]
-    )
-
-
 def negative_basis_in_degree(d: SpokeDegree) -> list[NegClass]:
     """Solve for (eps, j, k); at most one solution per degree."""
     eps = (d.m + 1) % 2

@@ -341,14 +341,6 @@ class SSPage:
     def dims(self) -> dict[TriDegree, int]:
         return {t: c.dim for t, c in self.cells.items() if c.dim}
 
-    def total_dims_by_s(self) -> dict[tuple[int, SpokeDegree], int]:
-        out: dict[tuple[int, SpokeDegree], int] = {}
-        for tri, cell in self.cells.items():
-            if cell.dim:
-                key = (tri.s, tri.total)
-                out[key] = out.get(key, 0) + cell.dim
-        return out
-
     def format(self) -> str:
         lines = []
         for tri in sorted(
@@ -673,19 +665,8 @@ def _factor_ext_classes(p: int, height_degree: SpokeDegree, s_cap: int):
     return out
 
 
-def _submatrix(mat: SparseMatFp, row_weights, col_ids, f) -> SparseMatFp:
-    rows = [i for i, w in enumerate(row_weights) if w == f]
-    rmap = {i: k for k, i in enumerate(rows)}
-    cmap = {j: k for k, j in enumerate(col_ids)}
-    entries = {
-        (rmap[i], cmap[j]): v
-        for (i, j), v in mat.entries.items()
-        if i in rmap and j in cmap
-    }
-    return SparseMatFp(len(rows), len(col_ids), mat.p, entries)
-
-
-def _submatrix_rows(mat: SparseMatFp, col_ids, row_ids) -> SparseMatFp:
+def _block(mat: SparseMatFp, row_ids, col_ids) -> SparseMatFp:
+    """The submatrix on the given rows and columns, in the given order."""
     rmap = {i: k for k, i in enumerate(row_ids)}
     cmap = {j: k for k, j in enumerate(col_ids)}
     entries = {
@@ -818,25 +799,23 @@ def e0_direct_weighted_ext(
         He0, triv, window, s_cap, weight_fn=lambda m: sum(m)
     )
     out: dict[tuple[int, SpokeDegree, int], int] = {}
+
+    def ids(internal: SpokeDegree, s: int, f: int) -> list[int]:
+        return [i for i, w in enumerate(cx.weights[(internal, s)]) if w == f]
+
     for total in window.degrees():
         for s in range(s_cap + 1):
             internal = total + D(s, 0)
-            d_out = cx.diffs[(internal, s)]
             weights = cx.weights[(internal, s)]
             if not weights:
                 continue
             for f in sorted(set(weights)):
-                cols = [i for i, w in enumerate(weights) if w == f]
-                sub_out = _submatrix(d_out, cx.weights[(internal, s + 1)], cols, f)
+                cols = ids(internal, s, f)
+                sub_out = _block(cx.diffs[(internal, s)], ids(internal, s + 1, f), cols)
                 if s == 0:
                     sub_in = SparseMatFp.zero(len(cols), 0, p)
                 else:
-                    in_cols = [
-                        i
-                        for i, w in enumerate(cx.weights[(internal, s - 1)])
-                        if w == f
-                    ]
-                    sub_in = _submatrix_rows(cx.diffs[(internal, s - 1)], in_cols, cols)
+                    sub_in = _block(cx.diffs[(internal, s - 1)], cols, ids(internal, s - 1, f))
                 dim = fp.quotient_dimension(sub_in, sub_out)
                 if dim:
                     out[(s, internal, f)] = dim

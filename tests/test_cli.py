@@ -102,16 +102,17 @@ def test_svg_output(tmp_path):
 
 
 def test_byte_identical_across_threads(tmp_path):
-    args = ["ext", "--p", "3", "--n", "1", "--window", "-5:3:-5:5", "--s-max", "3"]
-    _, out1 = run_cli(args + ["--threads", "1"])
-    _, out4 = run_cli(args + ["--threads", "4"])
     # thread count is part of the header; compare bodies
     body = lambda t: [l for l in t.splitlines() if not l.startswith("#")]
-    assert body(out1) == body(out4)
-    args = ["check", "--preset", "sthh", "--p", "3", "--window", "-4:4:-5:5"]
-    _, out1 = run_cli(args + ["--threads", "1"])
-    _, out4 = run_cli(args + ["--threads", "4"])
-    assert body(out1) == body(out4)
+    for args in (
+        ["ext", "--p", "3", "--n", "1", "--window", "-5:3:-5:5", "--s-max", "3"],
+        ["ext", "--p", "3", "--n", "1", "--window", "-3:2:-3:3", "--s-max", "2",
+         "--route", "cobar"],
+        ["check", "--preset", "sthh", "--p", "3", "--window", "-4:4:-5:5"],
+    ):
+        _, out1 = run_cli(args + ["--threads", "1"])
+        _, out4 = run_cli(args + ["--threads", "4"])
+        assert body(out1) == body(out4)
 
 
 def test_console_entry_point():

@@ -3,13 +3,16 @@ import pytest
 from spokeseq.algebra import Presentation
 from spokeseq.cobar import (
     build_cobar,
+    build_resolution_complex,
     ext0_primitives,
     ext_dimensions,
     resolution_ext_table,
     resolution_strands,
     stabilize_over_n,
+    validate_dsquare,
 )
-from spokeseq.errors import ConfigError
+from spokeseq.errors import CompositionError, ConfigError
+from spokeseq.fp import SparseMatFp
 from spokeseq.grading import DegreeWindow, SpokeDegree
 from spokeseq.hopf import Comodule, base_comodule, geometric_algebroid, truncated_hopf
 
@@ -162,3 +165,30 @@ def test_resolution_rejects_algebroid():
     H = geometric_algebroid(3)
     with pytest.raises(ConfigError):
         resolution_strands(H)
+
+
+def _corrupt_one_entry(cx):
+    """Add 1 at (i, 0) of some d_low whose successor d_high has a nonzero
+    column i, so d_high o d_low picks up that column."""
+    for (internal, s), d_low in cx.diffs.items():
+        d_high = cx.diffs.get((internal, s + 1))
+        if d_high is None or not d_low.cols or d_high.is_zero():
+            continue
+        i = next(iter(d_high.entries))[1]
+        entries = dict(d_low.entries)
+        entries[(i, 0)] = entries.get((i, 0), 0) + 1
+        cx.diffs[(internal, s)] = SparseMatFp(d_low.rows, d_low.cols, d_low.p, entries)
+        return
+    raise AssertionError("no composable pair with a nonzero d_high")
+
+
+@pytest.mark.parametrize(
+    "build, route", [(build_cobar, "cobar"), (build_resolution_complex, "resolution")]
+)
+def test_validate_dsquare_names_route(build, route):
+    H, M = truncated_hopf(3, 1)
+    cx = build(H, M, DegreeWindow(-1, 1, -2, 2, s_max=2))
+    validate_dsquare(cx)  # the built complex is sound
+    _corrupt_one_entry(cx)
+    with pytest.raises(CompositionError, match=rf"^\[E_DSQUARE\] {route} d\^2 != 0"):
+        validate_dsquare(cx)

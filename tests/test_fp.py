@@ -56,14 +56,6 @@ def test_kernel_trivial():
     assert basis == [(1, 0), (0, 1)]
 
 
-def test_solve():
-    m = SparseMatFp.from_dense([[1, 2], [0, 1]], 5)
-    x = fp.solve(m, [3, 4])
-    assert m.apply(x) == (3, 4)
-    unsolvable = SparseMatFp.from_dense([[1, 0], [2, 0]], 5)
-    assert fp.solve(unsolvable, [1, 1]) is None
-
-
 def test_quotient_dimension_trivial():
     z22 = SparseMatFp.zero(2, 2, 3)
     assert fp.quotient_dimension(z22, z22) == 2
@@ -165,10 +157,26 @@ def test_subspace_reduce():
     assert sub.coordinates((1, 0, 0)) is None
 
 
-@given(random_sparse())
-def test_image_basis_spans_image(mat):
-    basis = fp.image_basis(mat)
-    assert len(basis) == fp.rank(mat)
-    # every image basis vector solves M x = b
-    for vec in basis:
-        assert fp.solve(mat, list(vec)) is not None
+@st.composite
+def composable_pair(draw):
+    """(d_in, d_out) with d_out o d_in = 0: d_in's columns are random
+    combinations of a kernel basis of a random d_out."""
+    d_out = draw(random_sparse())
+    p = d_out.p
+    kernel = fp.kernel_basis(d_out)
+    columns = []
+    for _ in range(draw(st.integers(0, 6))):
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(kernel), max_size=len(kernel)))
+        col = [sum(c * vec[i] for c, vec in zip(coeffs, kernel)) % p for i in range(d_out.cols)]
+        columns.append({i: v for i, v in enumerate(col) if v})
+    return SparseMatFp.from_columns(columns, d_out.cols, p), d_out
+
+
+@given(composable_pair())
+def test_quotient_with_basis_matches_plain(pair):
+    d_in, d_out = pair
+    dim, reps = fp.quotient_dimension(d_in, d_out, with_basis=True)
+    assert dim == fp.quotient_dimension(d_in, d_out)
+    assert len(reps) == dim
+    for vec in reps:
+        assert not any(d_out.apply(vec))

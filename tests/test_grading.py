@@ -6,7 +6,6 @@ from spokeseq.grading import (
     DegreeWindow,
     SpokeDegree,
     TriDegree,
-    enumerate_window,
     is_differential_shift,
 )
 
@@ -66,12 +65,12 @@ def test_differential_shift_predicate():
 
 
 def test_window_enumeration():
-    assert enumerate_window(DegreeWindow(0, 0, 0, 0)) == [SpokeDegree(0, 0)]
+    assert DegreeWindow(0, 0, 0, 0).degrees() == [SpokeDegree(0, 0)]
     w = DegreeWindow(0, 1, -1, 0)
-    pts = enumerate_window(w)
+    pts = w.degrees()
     assert len(pts) == 4
     assert pts == sorted(pts)
-    assert len(enumerate_window(DegreeWindow(-2, 2, -2, 2))) == 25
+    assert len(DegreeWindow(-2, 2, -2, 2).degrees()) == 25
 
 
 def test_empty_window_rejected():

@@ -77,6 +77,8 @@ class Presentation:
         self.kinds = tuple(g.kind for g in self.generators)
         self.bounds = tuple(g.bound for g in self.generators)
         self._ext = tuple(i for i, g in enumerate(self.generators) if g.kind == EXT)
+        # monomials_in_degree answers per (m, n, normalised cap)
+        self._monomial_memo: dict[tuple, tuple[Monomial, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -425,7 +427,7 @@ def monomials_in_degree(
     pres: Presentation,
     degree: SpokeDegree,
     cap: int | Mapping[str, int] | None = None,
-) -> list[Monomial]:
+) -> tuple[Monomial, ...]:
     """All monomials of the given degree, exponent-lex ordered.
 
     Completeness is certified per call.  Exterior and truncated generators
@@ -437,17 +439,45 @@ def monomials_in_degree(
       (at most two, with independent degrees);
     * uncapped polynomial generators are enumerated with budget pruning,
       which requires a positive functional on their degrees that kills the
-      invertible ones.
+      invertible ones.  The last of them is not looped over but solved at
+      the leaf: jointly with the invertible generator by a 2x2 integer
+      (Cramer) solve, or by one division when there is none.  A module of
+      the shape F_p[a, ul^{+-1}]<us> therefore costs O(output) per degree.
 
     A presentation outside those shapes raises WindowIncompleteError rather
     than silently returning a partial basis.
-    """
-    caps: dict[str, int] = {}
-    if isinstance(cap, int):
-        caps = {g.name: cap for g in pres.generators if g.kind == POLY}
-    elif cap:
-        caps = dict(cap)
 
+    Results are memoised on ``pres`` per (degree, normalised cap), and the
+    same tuple is returned to every caller, so it is immutable.  Only
+    complete answers are memoised: a shape that cannot be certified raises
+    on every call.
+    """
+    # the cap, normalised to (polynomial generator index, bound) pairs
+    if cap is None:
+        cap_key: tuple[tuple[int, int], ...] = ()
+    elif isinstance(cap, int):
+        cap_key = tuple((i, cap) for i, kind in enumerate(pres.kinds) if kind == POLY)
+    else:
+        cap_key = tuple(
+            (i, cap[name])
+            for i, name in enumerate(pres.names)
+            if name in cap and pres.kinds[i] == POLY
+        )
+    # dict reads and writes are atomic; two threads that miss on the same
+    # key compute equal tuples, and either may be kept
+    key = (degree.m, degree.n, cap_key)
+    hit = pres._monomial_memo.get(key)
+    if hit is not None:
+        return hit
+    out = pres._monomial_memo[key] = _enumerate(pres, dict(cap_key), degree.m, degree.n)
+    return out
+
+
+def _enumerate(
+    pres: Presentation, caps: Mapping[int, int], m: int, n: int
+) -> tuple[Monomial, ...]:
+    """The monomials of degree m + n@ under ``caps`` ({generator index:
+    bound}), sorted, after checking that the shape enumerates completely."""
     finite: list[tuple[int, range]] = []  # (gen index, exponent range)
     free_poly: list[int] = []
     inv: list[int] = []
@@ -458,8 +488,8 @@ def monomials_in_degree(
             finite.append((i, range(g.bound)))
         elif g.kind == INV:
             inv.append(i)
-        elif g.name in caps:
-            finite.append((i, range(caps[g.name] + 1)))
+        elif i in caps:
+            finite.append((i, range(caps[i] + 1)))
         else:
             free_poly.append(i)
 
@@ -512,67 +542,9 @@ def monomials_in_degree(
             if values[0] < 0:
                 functional = (-functional[0], -functional[1])
 
-    results: list[Monomial] = []
-    exps = [0] * len(pres.generators)
-
-    def solve_leaf(rm: int, rn: int) -> None:
-        if len(inv) == 0:
-            if rm == 0 and rn == 0:
-                results.append(tuple(exps))
-            return
-        if len(inv) == 1:
-            w = pres.degrees[inv[0]]
-            if w.m != 0:
-                if rm % w.m:
-                    return
-                z = rm // w.m
-            else:
-                if rm != 0 or rn % w.n:
-                    return
-                z = rn // w.n
-            if z * w.m == rm and z * w.n == rn:
-                exps[inv[0]] = z
-                results.append(tuple(exps))
-                exps[inv[0]] = 0
-            return
-        w1, w2 = pres.degrees[inv[0]], pres.degrees[inv[1]]
-        det = w1.m * w2.n - w1.n * w2.m
-        z1_num = rm * w2.n - rn * w2.m
-        z2_num = w1.m * rn - w1.n * rm
-        if z1_num % det or z2_num % det:
-            return
-        exps[inv[0]] = z1_num // det
-        exps[inv[1]] = z2_num // det
-        results.append(tuple(exps))
-        exps[inv[0]] = exps[inv[1]] = 0
-
-    def enum_free(idx: int, rm: int, rn: int) -> None:
-        if idx == len(free_order):
-            solve_leaf(rm, rn)
-            return
-        i = free_order[idx]
-        d = pres.degrees[i]
-        if len(inv) == 0:
-            if d.m > 0:
-                ub = rm // d.m
-            else:
-                if rn * d.n < 0:
-                    ub = 0
-                elif d.n != 0:
-                    ub = abs(rn) // abs(d.n)
-                else:  # pragma: no cover - excluded at validation
-                    ub = 0
-        else:
-            lv = functional[0] * d.m + functional[1] * d.n
-            budget = functional[0] * rm + functional[1] * rn
-            ub = budget // lv if budget >= 0 else -1
-        for e in range(max(ub, -1) + 1):
-            exps[i] = e
-            enum_free(idx + 1, rm - e * d.m, rn - e * d.n)
-        exps[i] = 0
-
-    # free gens with larger |m| first prunes fastest
+    # free gens with larger |m| first prunes fastest; the last one is solved
     free_order = sorted(free_poly, key=lambda i: -abs(pres.degrees[i].m))
+    last = free_order.pop() if free_order else None
 
     # with no invertible generators every generator has m >= 0 (validated
     # above for the free ones; enforce for pruning only when true of all)
@@ -580,21 +552,94 @@ def monomials_in_degree(
         pres.degrees[i].m >= 0 for i, _ in finite
     )
 
+    # the recursion below reads generator degrees as plain ints
+    deg = [(d.m, d.n) for d in pres.degrees]
+    finite_steps = [(i, rng, *deg[i]) for i, rng in finite]
+    free_steps = [(i, *deg[i]) for i in free_order]
+    dm, dn = deg[last] if last is not None else (0, 0)
+    wm, wn = deg[inv[0]] if inv else (0, 0)
+    vm, vn = deg[inv[1]] if len(inv) == 2 else (0, 0)
+    # when the leaf solves two generators (last and the invertible one, or
+    # both invertible ones) their degrees are independent, so det != 0; in
+    # the first case det = L(last)
+    det = dm * wn - dn * wm if last is not None else wm * vn - wn * vm
+
+    results: list[Monomial] = []
+    exps = [0] * len(deg)
+
+    # Each leaf solves the remaining degree (rm, rn) in at most two
+    # generators with independent degrees: floor division gives the only
+    # candidate, and substituting it back accepts exactly the integral one.
+    def solve_leaf(rm: int, rn: int) -> None:
+        if last is not None and inv:
+            # e*d + z*w = r, and e = L(r) / L(d) must be a nonnegative integer
+            e = (rm * wn - rn * wm) // det
+            z = (dm * rn - dn * rm) // det
+            if e < 0 or e * dm + z * wm != rm or e * dn + z * wn != rn:
+                return
+            exps[last], exps[inv[0]] = e, z
+        elif last is not None:
+            e = rm // dm if dm else rn // dn  # dm >= 0 and d != 0 (validated)
+            if e < 0 or e * dm != rm or e * dn != rn:
+                return
+            exps[last] = e
+        elif len(inv) == 2:
+            z1 = (rm * vn - rn * vm) // det
+            z2 = (wm * rn - wn * rm) // det
+            if z1 * wm + z2 * vm != rm or z1 * wn + z2 * vn != rn:
+                return
+            exps[inv[0]], exps[inv[1]] = z1, z2
+        elif inv:
+            z = rm // wm if wm else rn // wn
+            if z * wm != rm or z * wn != rn:
+                return
+            exps[inv[0]] = z
+        elif rm or rn:
+            return
+        results.append(tuple(exps))
+        if last is not None:
+            exps[last] = 0
+        for i in inv:
+            exps[i] = 0
+
+    def enum_free(idx: int, rm: int, rn: int) -> None:
+        if idx == len(free_steps):
+            solve_leaf(rm, rn)
+            return
+        i, gm, gn = free_steps[idx]
+        if len(inv) == 0:
+            if gm > 0:
+                ub = rm // gm
+            else:
+                if rn * gn < 0:
+                    ub = 0
+                elif gn != 0:
+                    ub = abs(rn) // abs(gn)
+                else:  # pragma: no cover - excluded at validation
+                    ub = 0
+        else:
+            lv = functional[0] * gm + functional[1] * gn
+            budget = functional[0] * rm + functional[1] * rn
+            ub = budget // lv if budget >= 0 else -1
+        for e in range(max(ub, -1) + 1):
+            exps[i] = e
+            enum_free(idx + 1, rm - e * gm, rn - e * gn)
+        exps[i] = 0
+
     def enum_finite(idx: int, rm: int, rn: int) -> None:
         if can_prune_m and rm < 0:
             return
-        if idx == len(finite):
+        if idx == len(finite_steps):
             enum_free(0, rm, rn)
             return
-        i, rng = finite[idx]
-        d = pres.degrees[i]
+        i, rng, gm, gn = finite_steps[idx]
         for e in rng:
-            if can_prune_m and d.m > 0 and rm - e * d.m < 0:
+            if can_prune_m and gm > 0 and rm - e * gm < 0:
                 break
             exps[i] = e
-            enum_finite(idx + 1, rm - e * d.m, rn - e * d.n)
+            enum_finite(idx + 1, rm - e * gm, rn - e * gn)
         exps[i] = 0
 
-    enum_finite(0, degree.m, degree.n)
+    enum_finite(0, m, n)
     results.sort()
-    return results
+    return tuple(results)

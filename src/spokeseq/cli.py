@@ -145,7 +145,8 @@ def cmd_ext(config: RunConfig) -> int:
     stabilize = config.extras.get("stabilize", False)
     if stabilize:
         table, n_used, flag = cobar.stabilize_over_n(
-            config.p, window, config.n_max, config.beta, config.beta_prime
+            config.p, window, config.n_max, config.beta, config.beta_prime,
+            threads=config.threads,
         )
         header = config.header() + f"# stabilized = {flag} at n = {n_used}\n"
         _emit(config, "ext.txt", header + table.format())

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 from . import fp
 from .algebra import EXT, INV, TRUNC, Element, Monomial, monomials_in_degree
-from .errors import BookkeepingError, CompositionError, ConfigError, WindowIncompleteError
+from .errors import BookkeepingError, ConfigError, WindowIncompleteError
 from .fp import SparseMatFp
 from .grading import DegreeWindow, SpokeDegree
 from .hopf import Comodule, HopfAlgebroid, TensorKey
@@ -240,9 +240,9 @@ def validate_dsquare(cx: CobarComplex | ResolutionComplex) -> None:
     """Full d o d = 0 check on every composable pair of built differentials."""
     for (internal, s), d_low in cx.diffs.items():
         d_high = cx.diffs.get((internal, s + 1))
-        if d_high is not None and not d_high.matmul(d_low).is_zero():
-            raise CompositionError(
-                f"{cx.route} d^2 != 0 at internal {internal}, s={s}"
+        if d_high is not None:
+            fp.check_zero_composite(
+                d_low, d_high, f"{cx.route} d^2 != 0 at internal {internal}, s={s}"
             )
 
 
@@ -670,6 +670,7 @@ def stabilize_over_n(
     beta: int = 1,
     beta_prime: int = 1,
     s_cap: int | None = None,
+    threads: int = 1,
 ):
     """Ext tables over increasing truncation height until two consecutive
     heights agree on the window; returns (table, n, stabilized flag)."""
@@ -678,15 +679,13 @@ def stabilize_over_n(
     if n_max < 2:
         raise ConfigError("stabilization needs n_max >= 2")
     tables = {}
-    previous = None
     for n in range(1, n_max + 1):
         H, M = truncated_hopf(p, n, beta, beta_prime)
-        tables[n] = resolution_ext_table(H, M, window, s_cap)
-        if previous is not None and tables[n].dims() == tables[n - 1].dims():
+        tables[n] = resolution_ext_table(H, M, window, s_cap, threads=threads)
+        if n > 1 and tables[n].dims() == tables[n - 1].dims():
             table = tables[n - 1]
             table.meta.update({"stabilized": True, "n": n - 1})
             return table, n - 1, True
-        previous = tables[n]
     table = tables[n_max]
     table.meta.update({"stabilized": False, "n": n_max})
     return table, n_max, False

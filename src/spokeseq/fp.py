@@ -250,21 +250,30 @@ def quotient_basis(
     return [tuple(row) for row in reduced if any(row)]
 
 
+def check_zero_composite(d_first: SparseMatFp, d_second: SparseMatFp, message: str) -> None:
+    """Raise CompositionError(message) unless d_second o d_first = 0.
+
+    The one d o d = 0 check: a nonzero composite means a differential
+    upstream is wrong.
+    """
+    if not d_second.matmul(d_first).is_zero():
+        raise CompositionError(message)
+
+
 def quotient_dimension(
     d_boundary: SparseMatFp, d_cycle: SparseMatFp, with_basis: bool = False
 ):
     """Homology dimension at the middle of  X --d_boundary--> Y --d_cycle--> Z.
 
-    Raises CompositionError unless d_cycle o d_boundary = 0 (a nonzero
-    composite means a differential upstream is wrong).
+    Requires d_cycle o d_boundary = 0 and does not recompose the pair: the
+    caller has checked it once with check_zero_composite (the Ext builders
+    through cobar.validate_dsquare).
     """
     if d_boundary.rows != d_cycle.cols:
         raise ConfigError(
             f"not composable: boundary lands in dim {d_boundary.rows}, "
             f"cycle starts at dim {d_cycle.cols}"
         )
-    if not d_cycle.matmul(d_boundary).is_zero():
-        raise CompositionError("d_cycle o d_boundary != 0")
     kernel = kernel_basis(d_cycle)
     if not with_basis:
         return len(kernel) - rank(d_boundary)

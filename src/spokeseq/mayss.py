@@ -657,6 +657,10 @@ def _factor_ext_classes(p: int, height_degree: SpokeDegree, s_cap: int):
                         col[row] = (col.get(row, 0) + sign * coeff) % p
                 columns.append({r: v for r, v in col.items() if v})
             mats[s] = SparseMatFp.from_columns(columns, len(dst), p)
+            if s:
+                fp.check_zero_composite(
+                    mats[s - 1], mats[s], f"truncated line d^2 != 0 at k={k}, s={s - 1}"
+                )
         for s in range(s_cap + 1):
             d_in = mats.get(s - 1) or SparseMatFp.zero(len(words[s]), 0, p)
             dim = fp.quotient_dimension(d_in, mats[s])

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -245,6 +247,47 @@ def test_presentation_text_roundtrip():
     assert ring.format() == text
 
 
+def test_repeated_enumeration_is_equal_and_uncorruptible():
+    ring = Presentation(
+        3,
+        [
+            GeneratorSpec("a", D(0, -1), POLY),
+            GeneratorSpec("z", D(0, 1), POLY),
+        ],
+    )
+    first = monomials_in_degree(ring, D(0, 0), cap={"z": 6})
+    assert isinstance(first, tuple) and len(first) == 7
+    with pytest.raises(TypeError):
+        first[0] = (9, 9)
+    assert monomials_in_degree(ring, D(0, 0), cap={"z": 6}) == first
+    # the cap is part of the key; an int cap equals the same per-name caps
+    assert len(monomials_in_degree(ring, D(0, 0), cap={"z": 2})) == 3
+    assert monomials_in_degree(ring, D(0, 0), cap=2) == monomials_in_degree(
+        ring, D(0, 0), cap={"a": 2, "z": 2}
+    )
+    # an incomplete shape is refused again, not answered from the memo
+    for _ in range(2):
+        with pytest.raises(WindowIncompleteError):
+            monomials_in_degree(ring, D(0, 0))
+
+
+def test_presentations_do_not_share_enumeration_results():
+    def ring(a_degree):
+        return Presentation(
+            3,
+            [
+                GeneratorSpec("a", a_degree, POLY),
+                GeneratorSpec("ul", D(2, -2), INV),
+            ],
+        )
+
+    thin, thick = ring(D(0, -1)), ring(D(0, -2))
+    assert [thin.format_monomial(m) for m in monomials_in_degree(thin, D(0, -2))] == ["a^2"]
+    assert [thick.format_monomial(m) for m in monomials_in_degree(thick, D(0, -2))] == ["a"]
+    assert monomials_in_degree(thick, D(0, -1)) == ()
+    assert [thin.format_monomial(m) for m in monomials_in_degree(thin, D(0, -1))] == ["a"]
+
+
 @given(st.integers(-8, 8), st.integers(-8, 8))
 def test_enumeration_completeness_inverted_module(m, n):
     # coefficient-module shape: one invertible generator plus an unbounded
@@ -290,3 +333,114 @@ def test_enumeration_completeness_positive_cone(m, n):
                     brute.append((a_exp, ul_exp, us_exp))
     got = monomials_in_degree(ring, target)
     assert sorted(got) == sorted(brute)
+
+
+def _oracle_monomials(pres, target, caps):
+    """Brute force over exponent boxes that provably hold every solution.
+
+    For the shapes the enumerator accepts, a functional that is positive on
+    the free polynomial degrees bounds their exponents, so the box of
+    non-invertible exponents is finite.  Invertible exponents are bounded
+    by the largest remainder (|det| >= 1) and walked in their own box,
+    joined with the first box on degree.
+    """
+    gens = pres.generators
+    inv = [i for i, g in enumerate(gens) if g.kind == INV]
+    ranges = {}
+    free = []
+    for i, g in enumerate(gens):
+        if g.kind == EXT:
+            ranges[i] = range(2)
+        elif g.kind == TRUNC:
+            ranges[i] = range(g.bound)
+        elif g.kind == POLY and g.name in caps:
+            ranges[i] = range(caps[g.name] + 1)
+        elif g.kind == POLY:
+            free.append(i)
+    finite_degrees = [D(0, 0)]
+    for i, rng in ranges.items():
+        finite_degrees = [f + gens[i].degree * e for f in finite_degrees for e in rng]
+
+    if inv:
+        w = gens[inv[0]].degree
+        lin = lambda d: w.n * d.m - w.m * d.n  # vanishes on w
+        sign = 1 if all(lin(gens[i].degree) > 0 for i in free) else -1
+        budget = max(sign * lin(target - f) for f in finite_degrees)
+        for i in free:
+            ranges[i] = range(max(budget // (sign * lin(gens[i].degree)) + 1, 0))
+    else:
+        # free degrees have m >= 0, and those with m = 0 share the sign of n
+        positive_m = [i for i in free if gens[i].degree.m > 0]
+        m_budget = max(target.m - f.m for f in finite_degrees)
+        for i in positive_m:
+            ranges[i] = range(max(m_budget // gens[i].degree.m + 1, 0))
+        n_budget = abs(target.n) + max(abs(f.n) for f in finite_degrees) + sum(
+            len(ranges[i]) * abs(gens[i].degree.n) for i in positive_m
+        )
+        for i in free:
+            if gens[i].degree.m == 0:
+                ranges[i] = range(n_budget // abs(gens[i].degree.n) + 1)
+
+    order = sorted(ranges)
+    by_degree = {}
+    for combo in itertools.product(*(ranges[i] for i in order)):
+        deg = D(0, 0)
+        for i, e in zip(order, combo):
+            deg = deg + gens[i].degree * e
+        by_degree.setdefault(deg, []).append(combo)
+    widest = max([max(abs(g.degree.m), abs(g.degree.n)) for g in gens if g.kind == INV] or [1])
+    reach = widest * max([abs((target - d).m) + abs((target - d).n) for d in by_degree] or [0])
+    out = []
+    for zs in itertools.product(range(-reach, reach + 1), repeat=len(inv)):
+        deg = D(0, 0)
+        for i, z in zip(inv, zs):
+            deg = deg + gens[i].degree * z
+        for combo in by_degree.get(target - deg, ()):
+            mono = [0] * len(gens)
+            for i, e in zip(order + inv, combo + zs):
+                mono[i] = e
+            out.append(tuple(mono))
+    return sorted(out)
+
+
+@st.composite
+def small_presentations(draw):
+    """A random small presentation with 0, 1 or 2 invertible generators,
+    and a cap: none, an int, or per name."""
+    n_inv = draw(st.integers(0, 2))
+    even_m = st.sampled_from([-2, 0, 2])
+    small_n = st.integers(-2, 2)
+    specs = [(INV, draw(even_m), draw(small_n), None) for _ in range(n_inv)]
+    for _ in range(draw(st.integers(0, 2))):
+        specs.append((EXT, draw(st.sampled_from([-1, 1])), draw(small_n), None))
+    if draw(st.booleans()):
+        specs.append((TRUNC, draw(even_m), draw(small_n), draw(st.integers(1, 3))))
+    for _ in range(draw(st.integers(0 if n_inv else 1, 2))):
+        specs.append((POLY, draw(st.sampled_from([0, 2])), draw(small_n), None))
+    specs = draw(st.permutations([s for s in specs if (s[1], s[2]) != (0, 0)]))
+    gens = [
+        GeneratorSpec(f"g{k}", D(m, n), kind, bound)
+        for k, (kind, m, n, bound) in enumerate(specs)
+    ]
+    poly = [g.name for g in gens if g.kind == POLY]
+    caps = [st.none(), st.integers(0, 3)]
+    if poly:
+        caps.append(st.dictionaries(st.sampled_from(poly), st.integers(0, 3)))
+    return Presentation(3, gens), draw(st.one_of(caps))
+
+
+@given(small_presentations(), st.integers(-4, 4), st.integers(-4, 4))
+def test_enumeration_matches_brute_force_oracle(pres_cap, m, n):
+    pres, cap = pres_cap
+    target = D(m, n)
+    try:
+        got = monomials_in_degree(pres, target, cap)
+    except WindowIncompleteError:
+        with pytest.raises(WindowIncompleteError):  # refused on every call
+            monomials_in_degree(pres, target, cap)
+        return
+    if isinstance(cap, int):
+        caps = {g.name: cap for g in pres.generators if g.kind == POLY}
+    else:
+        caps = dict(cap or {})
+    assert list(got) == _oracle_monomials(pres, target, caps)

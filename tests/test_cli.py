@@ -108,6 +108,8 @@ def test_byte_identical_across_threads(tmp_path):
         ["ext", "--p", "3", "--n", "1", "--window", "-5:3:-5:5", "--s-max", "3"],
         ["ext", "--p", "3", "--n", "1", "--window", "-3:2:-3:3", "--s-max", "2",
          "--route", "cobar"],
+        ["ext", "--p", "3", "--stabilize", "--n-max", "2", "--window", "-3:2:-3:3",
+         "--s-max", "2"],
         ["check", "--preset", "sthh", "--p", "3", "--window", "-4:4:-5:5"],
     ):
         _, out1 = run_cli(args + ["--threads", "1"])

@@ -60,9 +60,15 @@ def test_quotient_dimension_trivial():
     z22 = SparseMatFp.zero(2, 2, 3)
     assert fp.quotient_dimension(z22, z22) == 2
     ident = SparseMatFp.identity(2, 3)
-    with pytest.raises(CompositionError):
-        fp.quotient_dimension(ident, ident)
     assert fp.quotient_dimension(ident, z22) == 0
+
+
+def test_check_zero_composite():
+    z22 = SparseMatFp.zero(2, 2, 3)
+    ident = SparseMatFp.identity(2, 3)
+    fp.check_zero_composite(ident, z22, "unused")
+    with pytest.raises(CompositionError, match=r"^\[E_DSQUARE\] named pair$"):
+        fp.check_zero_composite(ident, ident, "named pair")
 
 
 def test_quotient_with_basis():

@@ -463,8 +463,6 @@ def monomials_in_degree(
             for i, name in enumerate(pres.names)
             if name in cap and pres.kinds[i] == POLY
         )
-    # dict reads and writes are atomic; two threads that miss on the same
-    # key compute equal tuples, and either may be kept
     key = (degree.m, degree.n, cap_key)
     hit = pres._monomial_memo.get(key)
     if hit is not None:

@@ -1,9 +1,11 @@
 """Command-line driver.
 
-Subcommands: pi-hfp, ext, may, segal, mk, check.  Every report starts with a
-config header (one ``# key = value`` line per setting) so runs are
-reproducible from their own output; reports are byte-identical for identical
-configs regardless of thread count.
+Subcommands: pi-hfp, ext, may, segal, mk, check.  Each accepts exactly the
+flags it reads (``COMMANDS``); any other flag, a value of the wrong type or
+an unknown choice is a configuration error.  Every report starts with a
+config header (one ``# key = value`` line per accepted setting except
+``--out``) so runs are reproducible from their own output; reports are
+byte-identical for identical configs.
 
 Exit codes: 0 success; 1 a verdict or check failed; 2 configuration error;
 3 window error; 4 internal consistency error (failed d-square, homogeneity
@@ -15,17 +17,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import charts, cobar, hfp, hopf, mayss
-from .errors import (
-    CompositionError,
-    ConfigError,
-    EngineError,
-    HomogeneityError,
-    BookkeepingError,
-    WindowError,
-)
+from .errors import ConfigError, EngineError, WindowError
 from .fp import check_odd_prime
 from .grading import DegreeWindow
 
@@ -40,6 +35,9 @@ STANDARD_WINDOW = "-6:6:-8:8"
 
 @dataclass
 class RunConfig:
+    """One run's settings; those its subcommand does not accept keep their
+    defaults."""
+
     command: str
     p: int = 3
     n: int = 1
@@ -48,37 +46,27 @@ class RunConfig:
     s_max: int = 6
     beta: int = 1
     beta_prime: int = 1
-    threads: int = 1
+    variant: str = "full"
+    route: str = "resolution"
+    stabilize: bool = False
+    disable_d1: bool = False
+    k_max: int = 12
+    preset: str = "sthh"
     out: str | None = None
     svg: bool = False
-    extras: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         check_odd_prime(self.p)
         if self.beta % self.p == 0 or self.beta_prime % self.p == 0:
             raise ConfigError("beta and beta-prime must be units")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         DegreeWindow.parse(self.window, self.s_max)
 
     def degree_window(self) -> DegreeWindow:
         return DegreeWindow.parse(self.window, self.s_max)
 
     def header(self) -> str:
-        pairs = {
-            "command": self.command,
-            "p": self.p,
-            "n": self.n,
-            "n_max": self.n_max,
-            "window": self.window,
-            "s_max": self.s_max,
-            "beta": self.beta,
-            "beta_prime": self.beta_prime,
-            "threads": self.threads,
-            "svg": self.svg,
-        }
-        pairs.update(self.extras)
-        return "".join(f"# {k} = {pairs[k]}\n" for k in sorted(pairs))
+        keys = ["command"] + [k for k in COMMANDS[self.command][2] if k != "out"]
+        return "".join(f"# {k} = {getattr(self, k)}\n" for k in sorted(keys))
 
 
 def parse_report(text: str) -> tuple[dict[str, str], list[list[str]]]:
@@ -122,7 +110,7 @@ def _emit_svg(config: RunConfig, name: str, doc: charts.ChartDoc) -> None:
 
 
 def cmd_pi_hfp(config: RunConfig) -> int:
-    variant = hfp.HfpVariant(config.extras.get("variant", "full"))
+    variant = hfp.HfpVariant(config.variant)
     window = config.degree_window()
     lines = [config.header()]
     table = {}
@@ -141,22 +129,18 @@ def cmd_pi_hfp(config: RunConfig) -> int:
 
 def cmd_ext(config: RunConfig) -> int:
     window = config.degree_window()
-    route = config.extras.get("route", "resolution")
-    stabilize = config.extras.get("stabilize", False)
-    if stabilize:
+    if config.stabilize:
         table, n_used, flag = cobar.stabilize_over_n(
-            config.p, window, config.n_max, config.beta, config.beta_prime,
-            threads=config.threads,
+            config.p, window, config.n_max, config.beta, config.beta_prime
         )
         header = config.header() + f"# stabilized = {flag} at n = {n_used}\n"
         _emit(config, "ext.txt", header + table.format())
         return EXIT_OK if flag else EXIT_FAIL
     H, M = hopf.truncated_hopf(config.p, config.n, config.beta, config.beta_prime)
-    if route == "cobar":
-        cx = cobar.build_cobar(H, M, window)
-        table = cobar.ext_dimensions(cx, threads=config.threads)
+    if config.route == "cobar":
+        table = cobar.ext_dimensions(cobar.build_cobar(H, M, window))
     else:
-        table = cobar.resolution_ext_table(H, M, window, threads=config.threads)
+        table = cobar.resolution_ext_table(H, M, window)
     _emit(config, "ext.txt", config.header() + table.format())
     return EXIT_OK
 
@@ -191,17 +175,16 @@ def cmd_segal(config: RunConfig) -> int:
         window.s_max,
         config.beta,
         config.beta_prime,
-        disable_d1=bool(config.extras.get("disable_d1")),
+        disable_d1=config.disable_d1,
     )
     _emit(config, "segal.txt", config.header() + report.format())
     return EXIT_OK if report.verdict else EXIT_FAIL
 
 
 def cmd_mk(config: RunConfig) -> int:
-    k_max = int(config.extras.get("k_max", 12))
     lines = [config.header(), "k | formula | oracle | match\n"]
     all_ok = True
-    for k in range(k_max + 1):
+    for k in range(config.k_max + 1):
         formula = hopf.m_k_formula(config.p, k)
         oracle = hopf.m_k_oracle(config.p, k)
         ok = formula == oracle
@@ -212,7 +195,7 @@ def cmd_mk(config: RunConfig) -> int:
 
 
 def cmd_check(config: RunConfig) -> int:
-    preset = config.extras.get("preset", "sthh")
+    preset = config.preset
     window = config.degree_window()
     if preset == "sthh":
         H = hopf.descent_algebroid(config.p, config.beta, config.beta_prime)
@@ -226,122 +209,109 @@ def cmd_check(config: RunConfig) -> int:
         )
     else:
         raise ConfigError(f"unknown preset {preset!r}")
-    report = hopf.check_axioms(H, window, comodule, threads=config.threads)
+    report = hopf.check_axioms(H, window, comodule)
     _emit(config, "check.txt", config.header() + report.format())
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
+# subcommand: (handler, help, the settings it reads, each one a flag)
 COMMANDS = {
-    "pi-hfp": cmd_pi_hfp,
-    "ext": cmd_ext,
-    "may": cmd_may,
-    "segal": cmd_segal,
-    "mk": cmd_mk,
-    "check": cmd_check,
+    "pi-hfp": (
+        cmd_pi_hfp,
+        "per-degree dimension tables of the point ring",
+        ("p", "window", "variant", "out", "svg"),
+    ),
+    "ext": (
+        cmd_ext,
+        "Ext table of the truncated Hopf algebra",
+        ("p", "n", "n_max", "window", "s_max", "beta", "beta_prime", "route", "stabilize", "out"),
+    ),
+    "may": (
+        cmd_may,
+        "spectral-sequence pages and charts",
+        ("p", "n", "window", "s_max", "beta", "beta_prime", "out", "svg"),
+    ),
+    "segal": (
+        cmd_segal,
+        "full pipeline and completeness verdict",
+        ("p", "n_max", "window", "s_max", "beta", "beta_prime", "disable_d1", "out"),
+    ),
+    "mk": (cmd_mk, "free-summand table: formula vs rank oracle", ("p", "k_max", "out")),
+    "check": (
+        cmd_check,
+        "axiom suite for a structure preset",
+        ("p", "n", "window", "beta", "beta_prime", "preset", "out"),
+    ),
+}
+
+# argparse keywords per setting; defaults are RunConfig's
+FLAGS = {
+    "p": {"type": int, "help": "odd prime"},
+    "n": {"type": int, "help": "truncation height"},
+    "n_max": {"type": int, "help": "largest truncation height"},
+    "window": {"help": "degree window m0:m1:n0:n1"},
+    "s_max": {"type": int, "help": "cohomological degree cap"},
+    "beta": {"type": int, "help": "unit in the right unit of ul"},
+    "beta_prime": {"type": int, "help": "unit in the right unit of us"},
+    "variant": {"choices": [v.value for v in hfp.HfpVariant]},
+    "route": {"choices": ["resolution", "cobar"]},
+    "stabilize": {"action": "store_true", "help": "stabilize over n"},
+    "disable_d1": {
+        "action": "store_true",
+        "help": "negative control: skip the first differential",
+    },
+    "k_max": {"type": int},
+    "preset": {"choices": ["sthh", "geometric", "truncated"]},
+    "out": {"help": "output directory (or $SPOKESEQ_OUT)"},
+    "svg": {"action": "store_true", "help": "also write SVG charts"},
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a window value that starts with a dash (--window -12:2:-14:14)
+    and reports bad arguments as a ConfigError instead of exiting."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        glued: list[str] = []
+        for arg in sys.argv[1:] if args is None else args:
+            if glued and glued[-1] == "--window":
+                glued[-1] += "=" + arg
+            else:
+                glued.append(arg)
+        return super().parse_known_args(glued, namespace)
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spokeseq",
         description="Exact spectral-sequence calculator for spoke-graded rings over F_p",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--p", type=int, default=3, help="odd prime")
-        sp.add_argument("--n", type=int, default=1, help="truncation height")
-        sp.add_argument("--n-max", type=int, default=3, dest="n_max")
-        sp.add_argument("--window", default=STANDARD_WINDOW, help="m0:m1:n0:n1")
-        sp.add_argument("--s-max", type=int, default=6, dest="s_max")
-        sp.add_argument("--beta", type=int, default=1)
-        sp.add_argument("--beta-prime", type=int, default=1, dest="beta_prime")
-        sp.add_argument("--threads", type=int, default=1)
-        sp.add_argument("--out", default=None, help="output directory (or $SPOKESEQ_OUT)")
-        sp.add_argument("--svg", action="store_true", help="also write SVG charts")
-
-    sp = sub.add_parser("pi-hfp", help="per-degree dimension tables of the point ring")
-    common(sp)
-    sp.add_argument(
-        "--variant",
-        default="full",
-        choices=[v.value for v in hfp.HfpVariant],
-    )
-
-    sp = sub.add_parser("ext", help="Ext table of the truncated Hopf algebra")
-    common(sp)
-    sp.add_argument("--route", default="resolution", choices=["resolution", "cobar"])
-    sp.add_argument("--stabilize", action="store_true", help="stabilize over n")
-
-    sp = sub.add_parser("may", help="spectral-sequence pages and charts")
-    common(sp)
-
-    sp = sub.add_parser("segal", help="full pipeline and completeness verdict")
-    common(sp)
-    sp.add_argument(
-        "--disable-d1",
-        action="store_true",
-        dest="disable_d1",
-        help="negative control: skip the first differential",
-    )
-
-    sp = sub.add_parser("mk", help="free-summand table: formula vs rank oracle")
-    common(sp)
-    sp.add_argument("--k-max", type=int, default=12, dest="k_max")
-
-    sp = sub.add_parser("check", help="axiom suite for a structure preset")
-    common(sp)
-    sp.add_argument("--preset", default="sthh", choices=["sthh", "geometric", "truncated"])
+    for command, (_, help_text, settings) in COMMANDS.items():
+        # a flag not given is absent from the parsed namespace; no abbreviations,
+        # so that segal's --n-max does not take --n
+        sp = sub.add_parser(
+            command, help=help_text, argument_default=argparse.SUPPRESS, allow_abbrev=False
+        )
+        for key in settings:
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, **FLAGS[key])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    # window values like -12:2:-14:14 start with a dash; glue them to the flag
-    glued: list[str] = []
-    skip = False
-    for i, arg in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if arg == "--window" and i + 1 < len(argv):
-            glued.append(f"--window={argv[i + 1]}")
-            skip = True
-        else:
-            glued.append(arg)
-    args = parser.parse_args(glued)
-    extras = {}
-    for key in ("variant", "route", "stabilize", "disable_d1", "k_max", "preset"):
-        if hasattr(args, key):
-            extras[key] = getattr(args, key)
-    config = RunConfig(
-        command=args.command,
-        p=args.p,
-        n=args.n,
-        n_max=args.n_max,
-        window=args.window,
-        s_max=args.s_max,
-        beta=args.beta,
-        beta_prime=args.beta_prime,
-        threads=args.threads,
-        out=args.out,
-        svg=args.svg,
-        extras=extras,
-    )
     try:
+        config = RunConfig(**vars(build_parser().parse_args(argv)))
         config.validate()
-        return COMMANDS[args.command](config)
+        return COMMANDS[config.command][0](config)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
     except WindowError as exc:
         print(exc, file=sys.stderr)
         return EXIT_WINDOW
-    except (CompositionError, HomogeneityError, BookkeepingError) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_INTERNAL
     except EngineError as exc:
         print(exc, file=sys.stderr)
         return EXIT_INTERNAL

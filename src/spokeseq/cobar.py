@@ -33,6 +33,7 @@ from typing import Callable, Sequence
 
 from . import fp
 from .algebra import EXT, INV, TRUNC, Element, Monomial, monomials_in_degree
+from .concurrency import deterministic_map
 from .errors import BookkeepingError, ConfigError, WindowIncompleteError
 from .fp import SparseMatFp
 from .grading import DegreeWindow, SpokeDegree
@@ -280,17 +281,12 @@ class ExtTable:
         return "\n".join(lines) + "\n"
 
 
-def ext_dimensions(
-    cx: CobarComplex | ResolutionComplex, with_reps: bool = True, threads: int = 1
-) -> ExtTable:
+def ext_dimensions(cx: CobarComplex | ResolutionComplex, with_reps: bool = True) -> ExtTable:
     """Cohomology of either route's ladders, reported per (s, total degree).
 
     A representative is labelled by the least basis label in its support.
-    Total degrees are independent and mapped over ``threads`` workers.
+    Each total degree is one independent column, mapped in window order.
     """
-    # imported here so that importing the package does not load concurrent.futures
-    from .concurrency import deterministic_map
-
     p = cx.hopf.p
 
     def column(total: SpokeDegree):
@@ -315,7 +311,7 @@ def ext_dimensions(
                 col.append(((s, total), (dim, labels)))
         return col
 
-    columns = deterministic_map(column, cx.window.degrees(), threads)
+    columns = deterministic_map(column, cx.window.degrees())
     entries = dict(entry for col in columns for entry in col)
     return ExtTable(entries, meta={"route": cx.route})
 
@@ -365,7 +361,6 @@ class Strand:
     kind: str
     pi: Monomial
     degree: SpokeDegree  # degree of pi
-    weight: int  # filtration weight of pi
     label: str
     prime_label: str = ""
     height: int = 0  # p for y-strands
@@ -375,9 +370,9 @@ class Strand:
 
     def state_f(self, comp) -> int:
         if self.kind == "e":
-            return comp * self.weight
+            return comp
         eps, j = comp
-        return (eps + j * self.height) * self.weight
+        return eps + j * self.height
 
     def state_degree(self, comp) -> SpokeDegree:
         if self.kind == "e":
@@ -481,9 +476,7 @@ def _p_power_height(bound: int, p: int) -> int:
     return n
 
 
-def resolution_strands(
-    H: HopfAlgebroid, weight_fn: Callable[[Monomial], int] | None = None
-) -> ResolutionGens:
+def resolution_strands(H: HopfAlgebroid) -> ResolutionGens:
     """Strand data for a finite primitively generated Hopf algebra.
 
     Exterior primitives give z-lines; a truncated polynomial primitive of
@@ -505,20 +498,17 @@ def resolution_strands(
             raise ConfigError(f"generator {g.name} is not primitive")
         if g.kind == EXT:
             label = "z" if e_count == 0 else f"z{e_count}"
-            w = weight_fn(mono) if weight_fn else 1
-            strands.append(Strand("e", mono, g.degree, w, label))
+            strands.append(Strand("e", mono, g.degree, label))
             e_count += 1
         elif g.kind == TRUNC:
             height = _p_power_height(g.bound, p)
             for t in range(height):
                 pim = H.total.monomial(**{g.name: p**t})
-                w = weight_fn(pim) if weight_fn else 1
                 strands.append(
                     Strand(
                         "y",
                         pim,
                         g.degree * (p**t),
-                        w,
                         f"x{y_count}",
                         f"xp{y_count}",
                         height=p,
@@ -657,10 +647,9 @@ def resolution_ext_table(
     window: DegreeWindow,
     s_cap: int | None = None,
     with_reps: bool = True,
-    threads: int = 1,
 ) -> ExtTable:
     cx = build_resolution_complex(H, comodule, window, s_cap)
-    return ext_dimensions(cx, with_reps, threads)
+    return ext_dimensions(cx, with_reps)
 
 
 def stabilize_over_n(
@@ -670,7 +659,6 @@ def stabilize_over_n(
     beta: int = 1,
     beta_prime: int = 1,
     s_cap: int | None = None,
-    threads: int = 1,
 ):
     """Ext tables over increasing truncation height until two consecutive
     heights agree on the window; returns (table, n, stabilized flag)."""
@@ -681,7 +669,7 @@ def stabilize_over_n(
     tables = {}
     for n in range(1, n_max + 1):
         H, M = truncated_hopf(p, n, beta, beta_prime)
-        tables[n] = resolution_ext_table(H, M, window, s_cap, threads=threads)
+        tables[n] = resolution_ext_table(H, M, window, s_cap)
         if n > 1 and tables[n].dims() == tables[n - 1].dims():
             table = tables[n - 1]
             table.meta.update({"stabilized": True, "n": n - 1})

@@ -1,21 +1,19 @@
-"""Deterministic work distribution.
+"""The one map over independent per-degree work items.
 
-Per-degree computations are independent; running them on a thread pool must
-give byte-identical results to the sequential run, so work items are mapped
-in order and results reassembled positionally.
+Per-degree computations (the columns of an Ext table, the degrees of the
+axiom suite) are independent; ``deterministic_map`` applies the function to
+each item in order and returns the results positionally.  Keeping it a named
+function gives the per-degree loops one place where a span recorder (see
+``perfbench/tracer.py``) can time them and count their items.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-def deterministic_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> list[R]:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def deterministic_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+    return [fn(item) for item in items]

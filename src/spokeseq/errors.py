@@ -53,12 +53,6 @@ class CompositionError(EngineError):
     code = "E_DSQUARE"
 
 
-class AxiomError(EngineError):
-    """A Hopf-algebroid or comodule axiom fails on a basis element."""
-
-    code = "E_AXIOM"
-
-
 class BookkeepingError(EngineError):
     """Spectral-sequence dimension bookkeeping is inconsistent."""
 

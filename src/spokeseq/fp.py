@@ -1,10 +1,9 @@
 """Exact sparse linear algebra over a prime field F_p.
 
 All arithmetic is integer arithmetic mod p; nothing in the engine touches
-floating point.  Matrices are immutable after construction and safe to share
-across threads.  Elimination uses the first nonzero pivot in (row, col)
-order, so every basis the module returns is canonical: independent of entry
-insertion order and of thread count.
+floating point.  Matrices are immutable after construction.  Elimination
+uses the first nonzero pivot in (row, col) order, so every basis the module
+returns is canonical: independent of entry insertion order.
 """
 
 from __future__ import annotations

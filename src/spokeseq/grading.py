@@ -71,11 +71,6 @@ class SpokeDegree:
         return self.format()
 
 
-ZERO = SpokeDegree(0, 0)
-SPOKE = SpokeDegree(0, 1)
-PLANE = SpokeDegree(0, 2)
-
-
 @dataclass(frozen=True, order=True)
 class TriDegree:
     """(total degree, cohomological degree s, filtration f).

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 from .algebra import EXT, INV, POLY, GeneratorSpec, Monomial, Presentation, monomials_in_degree
 from .errors import ConfigError
@@ -42,7 +43,10 @@ def positive_cone(p: int, a_kind: str = POLY, ul_kind: str = POLY) -> Presentati
     )
 
 
+@cache
 def variant_presentation(p: int, variant: HfpVariant) -> Presentation:
+    """The positive-cone presentation of a variant, built once per (p, variant)
+    so that every degree of a table shares its enumerator memo."""
     if variant in (HfpVariant.FULL, HfpVariant.A_FREE, HfpVariant.SPOKE_SUSPENSION):
         return positive_cone(p)
     if variant == HfpVariant.A_INVERTED:

@@ -33,6 +33,7 @@ from .algebra import (
     RingContext,
     monomials_in_degree,
 )
+from .concurrency import deterministic_map
 from .errors import ConfigError, InvertibilityError
 from .fp import SparseMatFp, check_odd_prime
 from .grading import DegreeWindow, SpokeDegree
@@ -618,13 +619,10 @@ def check_axioms(
     H: HopfAlgebroid,
     window: DegreeWindow,
     comodule: Comodule | None = None,
-    threads: int = 1,
 ) -> AxiomReport:
     """Verify counit, coassociativity and comodule axioms on every basis
-    monomial whose degree lies in the window.  Per-degree work is
-    independent; results are merged in degree order."""
-    from .concurrency import deterministic_map
-
+    monomial whose degree lies in the window.  Each degree is checked
+    independently, and failures are listed in window order."""
     counit_unit = AxiomCheck("counit-of-units")
     counit_cop = AxiomCheck("counit-coproduct")
     coassoc = AxiomCheck("coassociativity")
@@ -643,7 +641,7 @@ def check_axioms(
                 fails.append(f"eps o eta on {H.base.format_monomial(mono)}")
         return count, fails
 
-    for count, fails in deterministic_map(base_degree, degrees, threads):
+    for count, fails in deterministic_map(base_degree, degrees):
         counit_unit.checked += count
         counit_unit.failures.extend(fails)
 
@@ -663,7 +661,7 @@ def check_axioms(
                 co_fails.append(f"coassoc on {H.total.format_monomial(mono)}")
         return count, cu_fails, co_fails
 
-    for count, cu_fails, co_fails in deterministic_map(total_degree, degrees, threads):
+    for count, cu_fails, co_fails in deterministic_map(total_degree, degrees):
         counit_cop.checked += count
         coassoc.checked += count
         counit_cop.failures.extend(cu_fails)
@@ -690,9 +688,7 @@ def check_axioms(
                     co_fails.append(f"coassoc on {M.format_monomial(mono)}")
             return count, cu_fails, co_fails
 
-        for count, cu_fails, co_fails in deterministic_map(
-            module_degree, degrees, threads
-        ):
+        for count, cu_fails, co_fails in deterministic_map(module_degree, degrees):
             com_counit.checked += count
             com_coassoc.checked += count
             com_counit.failures.extend(cu_fails)

@@ -258,15 +258,9 @@ def test_criterion_8_robustness():
         ok = False
         print("  generator-order-dependent ext dimensions")
 
-    # thread-count invariance, byte identical
-    t4 = resolution_ext_table(H1, M1, w, threads=4)
-    if t1.format() != t4.format():
-        ok = False
-        print("  thread-dependent ext report")
-
     # negative control: disabling the first differential flips the verdict
     control = segal_pipeline(3, 3, SEGAL_WINDOW, disable_d1=True)
     if control.verdict:
         ok = False
         print("  negative control failed to flip the verdict")
-    report(8, "unit/order/thread robustness and negative control", ok)
+    report(8, "unit/order robustness and negative control", ok)

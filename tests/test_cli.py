@@ -1,14 +1,17 @@
+import io
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
+from spokeseq import cli, hfp
 from spokeseq.cli import main
+from spokeseq.errors import ConfigError
 
 
 def run_cli(args, tmp_path=None):
     """Invoke main() in-process, capturing stdout."""
-    import io
-    from contextlib import redirect_stdout
-
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(args)
@@ -81,6 +84,8 @@ def test_report_headers_embed_config():
     code, out = run_cli(["mk", "--p", "5", "--k-max", "3"])
     assert code == 0
     assert "# p = 5" in out and "# command = mk" in out
+    # one line per accepted setting except --out
+    assert set(cli.parse_report(out)[0]) == {"command", "k_max", "p"}
 
 
 def test_svg_output(tmp_path):
@@ -101,9 +106,11 @@ def test_svg_output(tmp_path):
     assert "<line" in empty and "<circle" not in empty
 
 
-def test_byte_identical_across_threads(tmp_path):
-    # thread count is part of the header; compare bodies
-    body = lambda t: [l for l in t.splitlines() if not l.startswith("#")]
+def test_byte_identical_on_repeat():
+    # pi-hfp's second run answers from the enumerator memo of the presentation
+    # its first run built; the others check that nothing else a run leaves
+    # behind in the interpreter changes the next one
+    hfp.variant_presentation.cache_clear()
     for args in (
         ["ext", "--p", "3", "--n", "1", "--window", "-5:3:-5:5", "--s-max", "3"],
         ["ext", "--p", "3", "--n", "1", "--window", "-3:2:-3:3", "--s-max", "2",
@@ -111,10 +118,75 @@ def test_byte_identical_across_threads(tmp_path):
         ["ext", "--p", "3", "--stabilize", "--n-max", "2", "--window", "-3:2:-3:3",
          "--s-max", "2"],
         ["check", "--preset", "sthh", "--p", "3", "--window", "-4:4:-5:5"],
+        ["pi-hfp", "--p", "5", "--window", "-4:4:-5:5"],
     ):
-        _, out1 = run_cli(args + ["--threads", "1"])
-        _, out4 = run_cli(args + ["--threads", "4"])
-        assert body(out1) == body(out4)
+        first = run_cli(args)
+        assert first[0] == 0
+        assert run_cli(args) == first
+
+
+# the settings each subcommand reads, so the flags it must accept
+ACCEPTED = {
+    "pi-hfp": {"p", "window", "variant", "out", "svg"},
+    "ext": {"p", "n", "n_max", "window", "s_max", "beta", "beta_prime", "route",
+            "stabilize", "out"},
+    "may": {"p", "n", "window", "s_max", "beta", "beta_prime", "out", "svg"},
+    "segal": {"p", "n_max", "window", "s_max", "beta", "beta_prime", "disable_d1", "out"},
+    "mk": {"p", "k_max", "out"},
+    "check": {"p", "n", "window", "beta", "beta_prime", "preset", "out"},
+}
+# a valid value per flag (None: a switch); threads was a flag of every command
+VALUES = {
+    "p": "3", "n": "2", "n_max": "2", "window": "-1:1:-1:1", "s_max": "2",
+    "beta": "2", "beta_prime": "2", "variant": "a_free", "route": "cobar",
+    "stabilize": None, "disable_d1": None, "k_max": "2", "preset": "geometric",
+    "out": "reports", "svg": None, "threads": "2",
+}
+
+
+def flag_argv(key):
+    value = VALUES[key]
+    return ["--" + key.replace("_", "-")] + ([] if value is None else [value])
+
+
+def test_each_command_accepts_exactly_the_flags_it_reads():
+    accepted = {}
+    for command in cli.COMMANDS:
+        accepted[command] = set()
+        for key in VALUES:
+            try:
+                cli.build_parser().parse_args([command] + flag_argv(key))
+            except ConfigError:
+                continue
+            accepted[command].add(key)
+    assert accepted == ACCEPTED
+    assert sum(map(len, accepted.values())) == 41
+
+
+REJECTED = [
+    [command] + flag_argv(key)
+    for command in ACCEPTED
+    for key in VALUES
+    if key not in ACCEPTED[command]
+] + [
+    ["ext", "--p", "x"],
+    ["mk", "--k-max", "2.5"],
+    ["ext", "--route", "bogus"],
+    ["check", "--preset", "bogus"],
+    ["ext", "--p"],
+    ["bogus"],
+    [],
+]
+
+
+@pytest.mark.parametrize("args", REJECTED, ids=lambda args: " ".join(args) or "no-arguments")
+def test_rejected_arguments_are_coded_config_errors(args):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(args)
+    assert code == 2 and out == ""
+    assert err.getvalue().startswith("[E_CONFIG] ")
+    assert "usage:" not in err.getvalue()
 
 
 def test_console_entry_point():

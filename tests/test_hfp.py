@@ -121,3 +121,10 @@ def test_afree_matches_monomial_count_window():
             assert hfp.dimension(3, HfpVariant.A_FREE, d) == len(
                 monomials_in_degree(pres, d)
             )
+
+
+def test_variant_presentation_built_once():
+    # every degree of a pi-hfp table then shares one enumerator memo
+    full = hfp.variant_presentation(3, HfpVariant.FULL)
+    assert hfp.variant_presentation(3, HfpVariant.FULL) is full
+    assert hfp.variant_presentation(5, HfpVariant.FULL) is not full

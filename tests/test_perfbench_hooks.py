@@ -1,0 +1,38 @@
+"""The traced benchmark (perfbench/tracer.py) wraps spokeseq functions and
+methods by name from outside the package; deleting or renaming one of them
+breaks it.  Install its recorder in a fresh interpreter, so the wrapping
+stays out of this process, and answer one small query under it."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import spokeseq.cli as cli
+import tracer
+
+rec = tracer.Recorder()
+tracer.install(rec)
+code = cli.main(["ext", "--p", "3", "--n", "1", "--window", "-1:0:-1:0", "--s-max", "1"])
+print(json.dumps({"code": code, **rec.summary()}))
+"""
+
+
+def test_tracer_installs_on_the_package():
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "perfbench")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert summary["code"] == 0
+    for name in ("cli.emit", "cobar.ext_dimensions", "concurrency.deterministic_map"):
+        assert summary["spans"][name]["calls"] > 0, name
+    assert summary["counters"]["concurrency.deterministic_map.items"] > 0

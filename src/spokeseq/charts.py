@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import BookkeepingError
 from .grading import DegreeWindow, SpokeDegree, TriDegree
 
 CELL = 28  # pixels per lattice step
@@ -52,9 +53,8 @@ def chart_from_page(page, s_cap: int | None = None) -> ChartDoc:
 def add_differential_arrows(doc: ChartDoc, page, diff_fn) -> None:
     """Arrows wherever the given monomial-level differential is nonzero on a
     surviving representative."""
-    from .mayss import _shift, _vector
+    from .mayss import _image, _shift
 
-    p = page.e1.p
     for tri in sorted(
         page.cells, key=lambda t: (t.total.m, t.total.n, t.s, t.f)
     ):
@@ -65,18 +65,16 @@ def add_differential_arrows(doc: ChartDoc, page, diff_fn) -> None:
         tcell = page.cells.get(target)
         if tcell is None:
             continue
-        hit = False
         for rep in cell.reps:
-            img: dict = {}
-            for mono, c in rep.items():
-                for tgt, c2 in diff_fn(page.e1, mono).items():
-                    img[tgt] = (img.get(tgt, 0) + c * c2) % p
-            vec = _vector({k: v for k, v in img.items() if v}, tcell.monomials, p)
+            vec = _image(page.e1, diff_fn, cell, rep, tcell)
+            if vec is None:
+                raise BookkeepingError(
+                    f"add_differential_arrows r={page.r} at {tri.format()}: differential "
+                    f"image is not homogeneous for its target cell {target.format()}"
+                )
             if any(tcell.dead.reduce(vec)):
-                hit = True
+                doc.arrows.append((tri, target, page.r))
                 break
-        if hit:
-            doc.arrows.append((tri, target, page.r))
 
 
 def _xy(doc: ChartDoc, total: SpokeDegree) -> tuple[int, int]:

@@ -2,10 +2,11 @@
 
 Subcommands: pi-hfp, ext, may, segal, mk, check.  Each accepts exactly the
 flags it reads (``COMMANDS``); any other flag, a value of the wrong type or
-an unknown choice is a configuration error.  Every report starts with a
-config header (one ``# key = value`` line per accepted setting except
-``--out``) so runs are reproducible from their own output; reports are
-byte-identical for identical configs.
+an unknown choice is a configuration error, and so is a flag given to a
+path of its command that does not read it (``PATH_IGNORES``).  Every report
+starts with a config header (one ``# key = value`` line per accepted
+setting except ``--out``) so runs are reproducible from their own output;
+reports are byte-identical for identical configs.
 
 Exit codes: 0 success; 1 a verdict or check failed; 2 configuration error;
 3 window error; 4 internal consistency error (failed d-square, homogeneity
@@ -244,6 +245,26 @@ COMMANDS = {
     ),
 }
 
+# flags a command accepts but one of its paths does not read:
+# (command, setting, value, the path's name) -> flags refused when given
+PATH_IGNORES = {
+    ("ext", "stabilize", True, "ext --stabilize"): ("n", "route"),
+    ("ext", "stabilize", False, "ext without --stabilize"): ("n_max",),
+    ("check", "preset", "geometric", "check --preset geometric"): ("n", "beta", "beta_prime"),
+    ("check", "preset", "sthh", "check --preset sthh"): ("n",),
+}
+
+
+def _refuse_ignored_flags(config: RunConfig, given) -> None:
+    """Refuse a flag given explicitly to a path of its command that ignores
+    it; flags left at their defaults are not refused."""
+    for (command, key, value, path), ignored in PATH_IGNORES.items():
+        if config.command == command and getattr(config, key) == value:
+            for flag in ignored:
+                if flag in given:
+                    raise ConfigError(f"{path} does not read --{flag.replace('_', '-')}")
+
+
 # argparse keywords per setting; defaults are RunConfig's
 FLAGS = {
     "p": {"type": int, "help": "odd prime"},
@@ -303,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        config = RunConfig(**vars(build_parser().parse_args(argv)))
+        given = vars(build_parser().parse_args(argv))
+        config = RunConfig(**given)
+        _refuse_ignored_flags(config, given)
         config.validate()
         return COMMANDS[config.command][0](config)
     except ConfigError as exc:

@@ -31,6 +31,7 @@ failures raise instead of passing silently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from . import fp
@@ -46,7 +47,7 @@ from .algebra import (
 )
 from .cobar import ExtTable, build_cobar, resolution_ext_table
 from .errors import BookkeepingError, ConfigError, WindowError
-from .fp import SparseMatFp, Subspace, check_odd_prime, quotient_basis
+from .fp import SparseMatFp, Subspace, Vector, check_odd_prime, quotient_basis
 from .grading import DegreeWindow, SpokeDegree, TriDegree
 from .hopf import Comodule, HopfAlgebroid, truncated_hopf
 
@@ -59,7 +60,12 @@ D = SpokeDegree
 
 @dataclass
 class MayE1:
-    """Closed-form first page presentation plus (s, f) bookkeeping."""
+    """Closed-form first page presentation plus (s, f) bookkeeping.
+
+    The positions of a, ul, us, z, x_t and xp_t in a monomial, and the
+    powers p^t and beta^(p^t), are read once from the presentation, so the
+    monomial differentials look nothing up by name.
+    """
 
     p: int
     n: int
@@ -68,10 +74,24 @@ class MayE1:
     pres: Presentation
     s_deg: tuple[int, ...]
     f_deg: tuple[int, ...]
+    a_pos: int = field(init=False, repr=False)
+    ul_pos: int = field(init=False, repr=False)
+    us_pos: int = field(init=False, repr=False)
+    z_pos: int = field(init=False, repr=False)
+    x_pos: tuple[int, ...] = field(init=False, repr=False)
+    xp_pos: tuple[int, ...] = field(init=False, repr=False)
+    p_pows: tuple[int, ...] = field(init=False, repr=False)
+    beta_pows: tuple[int, ...] = field(init=False, repr=False)
 
-    @property
-    def idx(self):
-        return self.pres.index
+    def __post_init__(self):
+        idx = self.pres.index
+        self.a_pos, self.ul_pos, self.us_pos, self.z_pos = (
+            idx["a"], idx["ul"], idx["us"], idx["z"]
+        )
+        self.x_pos = tuple(idx[f"x{t}"] for t in range(self.n))
+        self.xp_pos = tuple(idx[f"xp{t}"] for t in range(self.n))
+        self.p_pows = tuple(self.p**t for t in range(self.n + 1))
+        self.beta_pows = tuple(pow(self.beta, q, self.p) for q in self.p_pows[:-1])
 
     def s_of(self, mono: Monomial) -> int:
         return sum(e * s for e, s in zip(mono, self.s_deg))
@@ -117,74 +137,74 @@ def e1_monomials(
     The generator part (everything except a, ul, us) is enumerated once; for
     each total degree the coefficient part a^alpha ul^l us^eps is pinned:
     eps by the parity of the remaining integer degree, l by the remaining
-    integer degree, alpha = -virtual_dim(remainder) >= 0.
+    integer degree, alpha = -virtual_dim(remainder) >= 0.  Degrees are added
+    as plain (m, n) ints; each tri-degree key is built once, at the end.
     """
     p, n = e1.p, e1.n
     pres = e1.pres
     ngen = len(pres)
-    idx = pres.index
 
-    gen_parts: list[tuple[Monomial, SpokeDegree, int, int]] = []
+    # (monomial, m, n, s, f) of every generator part within the s budget
+    gen_parts: list[tuple[Monomial, int, int, int, int]] = []
 
-    def rec_xp(t, acc_mono, acc_deg, acc_s, acc_f):
+    def rec_xp(t, acc_mono, acc_m, acc_n, acc_s, acc_f):
         if t == n:
-            gen_parts.append((tuple(acc_mono), acc_deg, acc_s, acc_f))
+            gen_parts.append((tuple(acc_mono), acc_m, acc_n, acc_s, acc_f))
             return
-        i = idx[f"xp{t}"]
+        i = e1.xp_pos[t]
         d = pres.degrees[i]
         j = 0
         while acc_s + 2 * j <= s_cap:
             acc_mono[i] = j
-            rec_xp(t + 1, acc_mono, acc_deg + d * j, acc_s + 2 * j, acc_f + p * j)
+            rec_xp(t + 1, acc_mono, acc_m + d.m * j, acc_n + d.n * j, acc_s + 2 * j, acc_f + p * j)
             j += 1
         acc_mono[i] = 0
 
-    def rec_x(t, acc_mono, acc_deg, acc_s, acc_f):
+    def rec_x(t, acc_mono, acc_m, acc_n, acc_s, acc_f):
         if t == n:
-            rec_xp(0, acc_mono, acc_deg, acc_s, acc_f)
+            rec_xp(0, acc_mono, acc_m, acc_n, acc_s, acc_f)
             return
-        i = idx[f"x{t}"]
+        i = e1.x_pos[t]
         d = pres.degrees[i]
         for e in (0, 1):
             if acc_s + e > s_cap:
                 break
             acc_mono[i] = e
-            rec_x(t + 1, acc_mono, acc_deg + d * e, acc_s + e, acc_f + e)
+            rec_x(t + 1, acc_mono, acc_m + d.m * e, acc_n + d.n * e, acc_s + e, acc_f + e)
         acc_mono[i] = 0
 
-    z_i = idx["z"]
+    z_i = e1.z_pos
     z_deg = pres.degrees[z_i]
     base = [0] * ngen
     for k in range(s_cap + 1):
         base[z_i] = k
-        rec_x(0, base, z_deg * k, k, k)
+        rec_x(0, base, z_deg.m * k, z_deg.n * k, k, k)
     base[z_i] = 0
 
-    a_i, ul_i, us_i = idx["a"], idx["ul"], idx["us"]
-    out: dict[TriDegree, list[Monomial]] = {}
+    a_i, ul_i, us_i = e1.a_pos, e1.ul_pos, e1.us_pos
+    by_key: dict[tuple[int, int, int, int], list[Monomial]] = {}
     for total in window.degrees():
-        for g_mono, g_deg, g_s, g_f in gen_parts:
-            if g_s > s_cap:
+        tm, tn = total.m, total.n
+        for g_mono, g_m, g_n, g_s, g_f in gen_parts:
+            # total degrees are additive, and the coefficient part has s = 0;
+            # a^alpha ul^l us^eps has degree (eps+2l, -alpha-eps-2l)
+            rem_m = tm - g_m
+            a_exp = -(rem_m + tn - g_n)
+            if a_exp < 0:
                 continue
-            # total degrees are additive, and the coefficient part has s = 0
-            rem = total - g_deg
             for eps in (0, 1):
-                m_left = rem.m - eps
+                m_left = rem_m - eps
                 if m_left % 2:
-                    continue
-                l = m_left // 2
-                # a^alpha ul^l us^eps has degree (eps+2l, -alpha-eps-2l)
-                a_exp = -(rem.m + rem.n)
-                if a_exp < 0:
                     continue
                 mono = list(g_mono)
                 mono[a_i] = a_exp
-                mono[ul_i] = l
+                mono[ul_i] = m_left // 2
                 mono[us_i] = eps
-                tri = TriDegree(total, g_s, g_f)
-                out.setdefault(tri, []).append(tuple(mono))
-    for tri in out:
-        out[tri].sort()
+                by_key.setdefault((tm, tn, g_s, g_f), []).append(tuple(mono))
+    out: dict[TriDegree, list[Monomial]] = {}
+    for (m, nn, s, f), monos in by_key.items():
+        monos.sort()
+        out[TriDegree(D(m, nn), s, f)] = monos
     return out
 
 
@@ -196,31 +216,34 @@ def _digit(l: int, p: int, t: int) -> int:
 
 def d1_monomial(e1: MayE1, mono: Monomial) -> dict[Monomial, int]:
     """Page-1 differential on a monomial, as a dict of target monomials."""
-    p, n = e1.p, e1.n
-    idx = e1.idx
+    p = e1.p
+    a_i, ul_i, us_i = e1.a_pos, e1.ul_pos, e1.us_pos
     out: dict[Monomial, int] = {}
-    eps = mono[idx["us"]]
-    if eps:
+    eps = mono[us_i]
+    if eps and e1.beta_prime:  # may_e1 reduces beta' mod p
         tgt = list(mono)
-        tgt[idx["us"]] = 0
-        tgt[idx["a"]] += 2
-        tgt[idx["z"]] += 1
-        out[tuple(tgt)] = e1.beta_prime % p
-    l = mono[idx["ul"]]
-    x_present = [t for t in range(n) if mono[idx[f"x{t}"]]]
-    for t in range(n):
-        digit = _digit(l, p, t)
-        if not digit or mono[idx[f"x{t}"]]:
+        tgt[us_i] = 0
+        tgt[a_i] += 2
+        tgt[e1.z_pos] += 1
+        out[tuple(tgt)] = e1.beta_prime
+    l = mono[ul_i]
+    # Koszul sign past us and the x_t' with t' < t
+    sign = -1 if eps else 1
+    p_pows = e1.p_pows
+    for t, x_i in enumerate(e1.x_pos):
+        if mono[x_i]:
+            sign = -sign
             continue
-        sign = -1 if (eps + sum(1 for tp in x_present if tp < t)) % 2 else 1
-        coeff = digit * pow(e1.beta, p**t, p) * sign
+        digit = (l % p_pows[t + 1]) // p_pows[t]
+        coeff = digit * e1.beta_pows[t] * sign % p
+        if not coeff:
+            continue
         tgt = list(mono)
-        tgt[idx["ul"]] = l - p**t
-        tgt[idx["a"]] += 2 * p ** (t + 1)
-        tgt[idx[f"x{t}"]] = 1
-        key = tuple(tgt)
-        out[key] = (out.get(key, 0) + coeff) % p
-    return {k: v % p for k, v in out.items() if v % p}
+        tgt[ul_i] = l - p_pows[t]
+        tgt[a_i] += 2 * p_pows[t + 1]
+        tgt[x_i] = 1
+        out[tuple(tgt)] = coeff
+    return out
 
 
 def d_pminus1_monomial(e1: MayE1, mono: Monomial) -> dict[Monomial, int]:
@@ -234,25 +257,25 @@ def d_pminus1_monomial(e1: MayE1, mono: Monomial) -> dict[Monomial, int]:
     mod p^(t+1) this is the familiar rule that one ul^((p-1)p^t) block is
     traded for a^(2p(p-1)p^t) xp_t.
     """
-    p, n = e1.p, e1.n
-    idx = e1.idx
+    p = e1.p
+    a_i, ul_i = e1.a_pos, e1.ul_pos
     out: dict[Monomial, int] = {}
-    eps = mono[idx["us"]]
-    l = mono[idx["ul"]]
-    x_present = [t for t in range(n) if mono[idx[f"x{t}"]]]
-    for t in x_present:
-        if _digit(l, p, t) != p - 1:
+    l = mono[ul_i]
+    # Koszul sign past us and the x_t' with t' < t
+    sign = -1 if mono[e1.us_pos] else 1
+    p_pows = e1.p_pows
+    for t, x_i in enumerate(e1.x_pos):
+        if not mono[x_i]:
             continue
-        sign = -1 if (eps + sum(1 for tp in x_present if tp < t)) % 2 else 1
-        coeff = (-sign) % p  # Wilson: (p-1)! = -1
-        tgt = list(mono)
-        tgt[idx[f"x{t}"]] = 0
-        tgt[idx[f"xp{t}"]] += 1
-        tgt[idx["a"]] += 2 * p * (p - 1) * p**t
-        tgt[idx["ul"]] = l - (p - 1) * p**t
-        key = tuple(tgt)
-        out[key] = (out.get(key, 0) + coeff) % p
-    return {k: v % p for k, v in out.items() if v % p}
+        if (l % p_pows[t + 1]) // p_pows[t] == p - 1:
+            tgt = list(mono)
+            tgt[x_i] = 0
+            tgt[e1.xp_pos[t]] += 1
+            tgt[a_i] += 2 * p * (p - 1) * p_pows[t]
+            tgt[ul_i] = l - (p - 1) * p_pows[t]
+            out[tuple(tgt)] = -sign % p  # Wilson: (p-1)! = -1
+        sign = -sign
+    return out
 
 
 def d1_monomial_reference(e1: MayE1, mono: Monomial) -> dict[Monomial, int]:
@@ -306,23 +329,56 @@ def d1_monomial_reference(e1: MayE1, mono: Monomial) -> dict[Monomial, int]:
 # pages
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class PageCell:
+    """One tri-degree of a page, in the flat coordinates of its first-page
+    monomials.
+
+    ``monomials`` and ``index`` (monomial -> position) are built once by
+    page_one and shared by every later page of the cell.  ``reps`` and the
+    rows of ``dead`` are vectors in those coordinates; the representatives
+    are canonical RREF rows, reduced modulo the dead subspace.  ``labels``
+    (the least monomial name of each representative, sorted) is formatted
+    on first read, so a page that is never printed formats nothing.
+    """
+
     monomials: list[Monomial]
-    reps: list[dict[Monomial, int]]
+    index: dict[Monomial, int]
+    reps: list[Vector]
     dead: Subspace
-    labels: tuple[str, ...]
-    _rep_sub: Subspace | None = field(default=None, repr=False, compare=False)
+    pres: Presentation
+    _pivots: list[int] | None = None
+    _labels: tuple[str, ...] | None = None
 
     @property
     def dim(self) -> int:
         return len(self.reps)
 
-    def rep_subspace(self, p: int) -> Subspace:
-        if self._rep_sub is None:
-            rows = [_vector(rep, self.monomials, p) for rep in self.reps]
-            self._rep_sub = Subspace(rows, len(self.monomials), p)
-        return self._rep_sub
+    @property
+    def labels(self) -> tuple[str, ...]:
+        if self._labels is None:
+            self._labels = tuple(
+                sorted(_leading_label(self.pres, self.monomials, rep) for rep in self.reps)
+            )
+        return self._labels
+
+    def coordinates(self, residue: Vector, p: int) -> list[int] | None:
+        """Coefficients of a dead-reduced vector on the representatives, or
+        None when it is not in their span.  The representatives are RREF
+        rows, so each coefficient is the vector's entry at that row's pivot."""
+        if len(self.reps) == len(self.monomials):
+            # full rank: the RREF rows are the unit vectors
+            return list(residue)
+        if self._pivots is None:
+            self._pivots = [next(j for j, v in enumerate(rep) if v) for rep in self.reps]
+        coeffs = [residue[j] for j in self._pivots]
+        rest = list(residue)
+        for c, rep in zip(coeffs, self.reps):
+            if c:
+                for j, v in enumerate(rep):
+                    if v:
+                        rest[j] = (rest[j] - c * v) % p
+        return None if any(rest) else coeffs
 
 
 @dataclass
@@ -354,17 +410,9 @@ class SSPage:
         return "\n".join(lines) + "\n"
 
 
-def _vector(rep: dict[Monomial, int], monomials: list[Monomial], p: int):
-    index = {m: i for i, m in enumerate(monomials)}
-    out = [0] * len(monomials)
-    for m, c in rep.items():
-        pos = index.get(m)
-        if pos is None:
-            raise BookkeepingError(
-                "differential image is not homogeneous for its target cell"
-            )
-        out[pos] = c % p
-    return out
+@functools.cache
+def _unit_vectors(size: int) -> tuple[Vector, ...]:
+    return tuple(tuple(int(i == j) for i in range(size)) for j in range(size))
 
 
 def page_one(
@@ -374,14 +422,41 @@ def page_one(
     table = e1_monomials(e1, window, s_cap)
     cells = {}
     for tri, monos in table.items():
-        reps = [{m: 1} for m in monos]
-        labels = tuple(sorted(e1.pres.format_monomial(m) for m in monos))
-        cells[tri] = PageCell(monos, reps, Subspace([], len(monos), e1.p), labels)
+        size = len(monos)
+        cells[tri] = PageCell(
+            monos,
+            {m: i for i, m in enumerate(monos)},
+            list(_unit_vectors(size)),
+            Subspace([], size, e1.p),
+            e1.pres,
+        )
     return SSPage(1, e1, window, s_cap, cells, (window.m_min, window.m_max))
 
 
 def _shift(tri: TriDegree, r: int) -> TriDegree:
-    return TriDegree(tri.total - D(1, 0), tri.s + 1, tri.f + r)
+    total = tri.total
+    return TriDegree(D(total.m - 1, total.n), tri.s + 1, tri.f + r)
+
+
+def _image(
+    e1: MayE1, diff_fn, cell: PageCell, rep: Vector, tcell: PageCell
+) -> list[int] | None:
+    """diff_fn applied to a representative, in the target cell's
+    coordinates; None when the image has a monomial outside that cell."""
+    p = e1.p
+    index = tcell.index
+    out = [0] * len(tcell.monomials)
+    stray: dict[Monomial, int] = {}
+    for mono, c in zip(cell.monomials, rep):
+        if not c:
+            continue
+        for tgt, c2 in diff_fn(e1, mono).items():
+            pos = index.get(tgt)
+            if pos is None:
+                stray[tgt] = (stray.get(tgt, 0) + c * c2) % p
+            else:
+                out[pos] = (out[pos] + c * c2) % p
+    return None if any(stray.values()) else out
 
 
 def turn_page(page: SSPage, diff_fn, new_r: int) -> SSPage:
@@ -393,92 +468,85 @@ def turn_page(page: SSPage, diff_fn, new_r: int) -> SSPage:
     vectors; that follows from the graded parts of the square-zero identity
     (d1 o d2 + d2 o d1 = 0, property-tested at the monomial level), and any
     image failing to be a surviving class raises a bookkeeping error here.
+
+    A cell with no differential out of it and nothing new killed in it is
+    carried over as it is: its kernel is the whole page and its dead
+    subspace does not change, so recomputing would return the same RREF rows.
     """
     e1 = page.e1
     p = e1.p
     r = page.r
+    cells = page.cells
 
-    def apply_fn(rep: dict[Monomial, int]) -> dict[Monomial, int]:
-        out: dict[Monomial, int] = {}
-        for mono, c in rep.items():
-            for tgt, c2 in diff_fn(e1, mono).items():
-                out[tgt] = (out.get(tgt, 0) + c * c2) % p
-        return {k: v for k, v in out.items() if v}
-
-    # matrices of the differential in page coordinates; images landing
-    # outside the computed window are dropped, which is exactly why the
-    # reliable m-range shrinks by one per applied differential
-    out_matrices: dict[TriDegree, SparseMatFp] = {}
-    images_at: dict[TriDegree, list[dict[Monomial, int]]] = {}
-    for tri, cell in page.cells.items():
+    # matrices of the differential in page coordinates, kept only where
+    # nonzero, and the dead-reduced images each target gains, both keyed by
+    # cell (an identity hash); images landing outside the computed window
+    # are dropped, which is exactly why the reliable m-range shrinks by one
+    # per applied differential
+    out_columns: dict[PageCell, tuple[list[dict[int, int]], int]] = {}
+    boundaries: dict[PageCell, list[Vector]] = {}
+    for tri, cell in cells.items():
+        if not cell.reps:
+            continue
         target = _shift(tri, r)
-        tcell = page.cells.get(target)
+        tcell = cells.get(target)
+        if tcell is None:
+            continue
         columns = []
+        images = []
         for rep in cell.reps:
-            if tcell is None:
+            vec = _image(e1, diff_fn, cell, rep, tcell)
+            if vec is None:
+                raise BookkeepingError(
+                    f"turn_page r={r} at {tri.format()}: differential image is "
+                    f"not homogeneous for its target cell {target.format()}"
+                )
+            residue = tcell.dead.reduce(vec)
+            if not any(residue):
                 columns.append({})
                 continue
-            img = apply_fn(rep)
-            vec = _vector(img, tcell.monomials, p)
-            residue = tcell.dead.reduce(vec)
-            col = _express(tcell, residue, p, tri)
-            columns.append(col)
-            if img:
-                images_at.setdefault(target, []).append(
-                    {m: c for m, c in zip(tcell.monomials, vec) if c}
+            coords = tcell.coordinates(residue, p)
+            if coords is None:
+                raise BookkeepingError(
+                    f"turn_page r={r} at {tri.format()}: differential image is "
+                    f"not a surviving class at {target.format()}"
                 )
-        rows = tcell.dim if tcell else 0
-        out_matrices[tri] = SparseMatFp.from_columns(columns, rows, p)
+            columns.append({i: c for i, c in enumerate(coords) if c})
+            images.append(residue)
+        if images:
+            out_columns[cell] = (columns, tcell.dim)
+            boundaries.setdefault(tcell, []).extend(images)
 
     new_cells: dict[TriDegree, PageCell] = {}
+    for tri, cell in cells.items():
+        out = out_columns.get(cell)
+        incoming = boundaries.get(cell)
+        if out is None and incoming is None:
+            new_cells[tri] = cell
+            continue
+        size = len(cell.monomials)
+        dead = Subspace(cell.dead.rows + incoming, size, p) if incoming else cell.dead
+        if out is None:
+            cycles = cell.reps
+        else:
+            columns, rows = out
+            cycles = []
+            for kvec in fp.kernel_basis(SparseMatFp.from_columns(columns, rows, p)):
+                acc = [0] * size
+                for c, rep in zip(kvec, cell.reps):
+                    if c:
+                        for i, v in enumerate(rep):
+                            if v:
+                                acc[i] = (acc[i] + c * v) % p
+                cycles.append(acc)
+        reps = quotient_basis(cycles, dead, size, p)
+        new_cells[tri] = PageCell(cell.monomials, cell.index, reps, dead, cell.pres)
     lo, hi = page.reliable_m
-    for tri, cell in page.cells.items():
-        mat_out = out_matrices[tri]
-        kernel = fp.kernel_basis(mat_out)
-        cycles = []
-        for kvec in kernel:
-            acc: dict[Monomial, int] = {}
-            for j, c in enumerate(kvec):
-                if c:
-                    for m, c2 in cell.reps[j].items():
-                        acc[m] = (acc.get(m, 0) + c * c2) % p
-            cycles.append(
-                _vector({k: v for k, v in acc.items() if v}, cell.monomials, p)
-            )
-        boundary_vecs = [
-            _vector(img, cell.monomials, p) for img in images_at.get(tri, [])
-        ]
-        new_dead = Subspace(
-            [list(row) for row in cell.dead.rows] + boundary_vecs,
-            len(cell.monomials),
-            p,
-        )
-        new_reps_vecs = quotient_basis(cycles, new_dead, len(cell.monomials), p)
-        reps = [
-            {m: c for m, c in zip(cell.monomials, vec) if c} for vec in new_reps_vecs
-        ]
-        labels = tuple(
-            sorted(_leading_label(e1.pres, rep) for rep in reps)
-        )
-        new_cells[tri] = PageCell(cell.monomials, reps, new_dead, labels)
     return SSPage(new_r, e1, page.window, page.s_cap, new_cells, (lo + 1, hi - 1))
 
 
-def _express(tcell: PageCell, residue, p: int, where) -> dict[int, int]:
-    """Coordinates of a dead-reduced vector on the cell's representatives."""
-    if not any(residue):
-        return {}
-    coords = tcell.rep_subspace(p).coordinates(residue)
-    if coords is None:
-        raise BookkeepingError(
-            f"differential image is not a surviving class at {where}"
-        )
-    # representatives are themselves echelon rows, so these are coordinates
-    return {i: c for i, c in enumerate(coords) if c}
-
-
-def _leading_label(pres: Presentation, rep: dict[Monomial, int]) -> str:
-    return sorted(pres.format_monomial(m) for m in rep)[0]
+def _leading_label(pres: Presentation, monomials: list[Monomial], rep: Vector) -> str:
+    return min(pres.format_monomial(m) for m, c in zip(monomials, rep) if c)
 
 
 def copy_page(page: SSPage, new_r: int) -> SSPage:
@@ -876,33 +944,36 @@ def a_shift_rank(page: SSPage, tri: TriDegree, steps: int) -> int | None:
     cell = page.cells.get(tri)
     if cell is None or not cell.dim:
         return 0
-    p = page.e1.p
-    a_i = page.e1.idx["a"]
-    reps = [dict(rep) for rep in cell.reps]
+    a_i = page.e1.a_pos
+    vecs = cell.reps
     current = tri
     for _ in range(steps):
-        target = TriDegree(current.total - D(0, 1), current.s, current.f)
+        target = TriDegree(D(current.total.m, current.total.n - 1), current.s, current.f)
         tcell = page.cells.get(target)
         if tcell is None:
             return None
+        # position of a * monomial in the target cell
+        positions = []
+        for mono in cell.monomials:
+            lifted = list(mono)
+            lifted[a_i] += 1
+            positions.append(tcell.index.get(tuple(lifted)))
         shifted = []
-        for rep in reps:
-            acc: dict[Monomial, int] = {}
-            for mono, c in rep.items():
-                lifted = list(mono)
-                lifted[a_i] += 1
-                acc[tuple(lifted)] = c
-            vec = _vector(acc, tcell.monomials, p)
-            shifted.append(tcell.dead.reduce(vec))
-        reps = [
-            {m: c for m, c in zip(tcell.monomials, vec) if c} for vec in shifted
-        ]
-        current = target
-        if not any(rep for rep in reps):
+        for vec in vecs:
+            out = [0] * len(tcell.monomials)
+            for pos, c in zip(positions, vec):
+                if c:
+                    if pos is None:
+                        raise BookkeepingError(
+                            f"a_shift_rank at {current.format()}: a-multiple is "
+                            f"not homogeneous for its target cell {target.format()}"
+                        )
+                    out[pos] = c
+            shifted.append(tcell.dead.reduce(out))
+        vecs, cell, current = shifted, tcell, target
+        if not any(any(v) for v in vecs):
             return 0
-    tcell = page.cells[current]
-    vecs = [_vector(rep, tcell.monomials, p) for rep in reps]
-    reduced, pivots = fp.rref([list(v) for v in vecs], p)
+    _, pivots = fp.rref([list(v) for v in vecs], page.e1.p)
     return len(pivots)
 
 

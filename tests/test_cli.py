@@ -189,6 +189,44 @@ def test_rejected_arguments_are_coded_config_errors(args):
     assert "usage:" not in err.getvalue()
 
 
+# a flag given to a path of its command that does not read it
+IGNORED_ON_PATH = [
+    (["ext", "--p", "3", "--stabilize", "--n", "2"], "--n"),
+    (["ext", "--p", "3", "--stabilize", "--route", "cobar"], "--route"),
+    (["ext", "--p", "3", "--n-max", "2"], "--n-max"),
+    (["check", "--preset", "geometric", "--p", "3", "--n", "2"], "--n"),
+    (["check", "--preset", "geometric", "--p", "3", "--beta", "2"], "--beta"),
+    (["check", "--preset", "geometric", "--p", "3", "--beta-prime", "2"], "--beta-prime"),
+    (["check", "--preset", "sthh", "--p", "3", "--n", "2"], "--n"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, flag", IGNORED_ON_PATH, ids=[" ".join(args) for args, _ in IGNORED_ON_PATH]
+)
+def test_flags_a_path_ignores_are_coded_config_errors(args, flag):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(args)
+    assert code == 2 and out == ""
+    assert err.getvalue().startswith("[E_CONFIG] ")
+    assert err.getvalue().rstrip().endswith(f"does not read {flag}")
+
+
+def test_flags_a_path_reads_are_accepted():
+    # the same flags on the paths that read them, and the ignored ones left
+    # at their defaults
+    for args in (
+        ["check", "--preset", "truncated", "--p", "3", "--n", "1", "--beta", "2",
+         "--window", "-1:1:-1:1"],
+        ["check", "--preset", "sthh", "--p", "3", "--beta", "2", "--window", "-1:1:-1:1"],
+        ["ext", "--p", "3", "--n", "1", "--route", "cobar", "--window", "0:0:0:0",
+         "--s-max", "1"],
+    ):
+        code, _ = run_cli(args)
+        assert code == 0, args
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "spokeseq.cli", "mk", "--p", "3", "--k-max", "2"],

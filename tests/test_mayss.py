@@ -1,8 +1,13 @@
+import hashlib
+import io
+from contextlib import redirect_stdout
+
 import pytest
 from hypothesis import given, strategies as st
 
-from spokeseq.algebra import monomials_in_degree
-from spokeseq.errors import CompositionError, WindowError
+from spokeseq.algebra import Presentation, monomials_in_degree
+from spokeseq.cli import main
+from spokeseq.errors import BookkeepingError, CompositionError, WindowError
 from spokeseq.grading import DegreeWindow, SpokeDegree, TriDegree
 from spokeseq.hopf import truncated_hopf
 from spokeseq.mayss import (
@@ -20,6 +25,7 @@ from spokeseq.mayss import (
     may_e1,
     may_filtration_weight,
     segal_pipeline,
+    turn_page,
 )
 
 D = SpokeDegree
@@ -339,3 +345,63 @@ def test_d2_squares_to_zero(pair):
         for tgt, c2 in d_pminus1_monomial(e1, mid).items():
             acc[tgt] = (acc.get(tgt, 0) + c * c2) % 3
     assert not any(acc.values())
+
+
+def test_turn_page_refuses_image_outside_target_cell():
+    # d(us) must land in 0-1@|1|1; a^3 z has total degree 0-2@
+    page1 = compute_pages(3, 1, DegreeWindow(-2, 1, -2, 2, s_max=1))[1]
+    pres = page1.e1.pres
+    us, stray = pres.monomial(us=1), pres.monomial(a=3, z=1)
+    with pytest.raises(
+        BookkeepingError,
+        match=r"^\[E_BOOKKEEPING\] turn_page r=1 at 1-1@\|0\|0: differential image is "
+        r"not homogeneous for its target cell 0-1@\|1\|1$",
+    ):
+        turn_page(page1, lambda _e1, mono: {stray: 1} if mono == us else {}, 2)
+
+
+def test_turn_page_refuses_image_that_is_not_a_surviving_class():
+    # z survives to page 2; a^16 ul^-3 us xp0 is in the right cell for a
+    # page-2 differential out of z, but it is no d1-cycle and nothing has
+    # died there, so its residue is neither dead nor a representative
+    pages = compute_pages(3, 1, DegreeWindow(-2, 1, -2, 2, s_max=1))
+    pres = pages[1].e1.pres
+    z, target = pres.monomial(z=1), pres.monomial(a=16, ul=-3, us=1, xp0=1)
+    assert pages[2].dim(TriDegree(D(0, 1), 1, 1)) == 1
+    with pytest.raises(
+        BookkeepingError,
+        match=r"^\[E_BOOKKEEPING\] turn_page r=2 at 0\+1@\|1\|1: differential image is "
+        r"not a surviving class at -1\+1@\|2\|3$",
+    ):
+        turn_page(pages[2], lambda _e1, mono: {target: 1} if mono == z else {}, 3)
+
+
+# SHA-256 of the report bodies (every line not starting with '#'); these
+# pages carry representatives with several monomials
+PAGE_REPORT_DIGESTS = {
+    "may --p 3 --n 2 --window -4:1:-6:6 --s-max 3":
+        "c18305975e5ac8fb5d9a2885e59333d99dbdeffc8047c334ded52f87c8305f46",
+    "may --p 5 --n 1 --window -4:1:-6:6 --s-max 3":
+        "223ecf86818a7b408cc0581b209a4b61adcfb36f22493a027aaa052278333c2d",
+}
+
+
+@pytest.mark.parametrize("query", sorted(PAGE_REPORT_DIGESTS))
+def test_page_reports_match_recorded_digests(query):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(query.split()) == 0
+    body = "".join(
+        line for line in buf.getvalue().splitlines(keepends=True) if not line.startswith("#")
+    )
+    assert hashlib.sha256(body.encode()).hexdigest() == PAGE_REPORT_DIGESTS[query]
+
+
+def test_segal_formats_no_monomial(monkeypatch):
+    # labels are formatted only when a page is printed, and segal prints none
+    def refuse(self, mono):
+        raise AssertionError("segal formatted a monomial")
+
+    monkeypatch.setattr(Presentation, "format_monomial", refuse)
+    report = segal_pipeline(3, 2, DegreeWindow(-1, 0, -2, 2, s_max=2))
+    assert report.survivor_tables

@@ -1,7 +1,8 @@
 """The traced benchmark (perfbench/tracer.py) wraps spokeseq functions and
 methods by name from outside the package; deleting or renaming one of them
 breaks it.  Install its recorder in a fresh interpreter, so the wrapping
-stays out of this process, and answer one small query under it."""
+stays out of this process, and answer a small Ext query and a small segal
+query under it."""
 
 import json
 import subprocess
@@ -18,8 +19,11 @@ import tracer
 
 rec = tracer.Recorder()
 tracer.install(rec)
-code = cli.main(["ext", "--p", "3", "--n", "1", "--window", "-1:0:-1:0", "--s-max", "1"])
-print(json.dumps({"code": code, **rec.summary()}))
+codes = [
+    cli.main(["ext", "--p", "3", "--n", "1", "--window", "-1:0:-1:0", "--s-max", "1"]),
+    cli.main(["segal", "--p", "3", "--n-max", "2", "--window", "-1:0:-2:2", "--s-max", "2"]),
+]
+print(json.dumps({"codes": codes, **rec.summary()}))
 """
 
 
@@ -32,7 +36,16 @@ def test_tracer_installs_on_the_package():
     )
     assert proc.returncode == 0, proc.stderr
     summary = json.loads(proc.stdout.splitlines()[-1])
-    assert summary["code"] == 0
-    for name in ("cli.emit", "cobar.ext_dimensions", "concurrency.deterministic_map"):
+    assert summary["codes"] == [0, 0]
+    for name in (
+        "cli.emit",
+        "cobar.ext_dimensions",
+        "concurrency.deterministic_map",
+        # the page engine; turn_page's span is named from its new_r argument
+        "mayss.page_one",
+        "mayss.e1_monomials",
+        "mayss.turn_page.d1",
+        "mayss.turn_page.dpm1",
+    ):
         assert summary["spans"][name]["calls"] > 0, name
     assert summary["counters"]["concurrency.deterministic_map.items"] > 0

@@ -6,12 +6,6 @@ exponent tuples over that list; elements are homogeneous F_p-linear
 combinations of monomials.  Exterior generators sit in odd integer degree
 (odd m), everything else in even m, and the commutation sign of two
 monomials only counts transpositions of exterior factors.
-
-Presentation text format, one generator per line::
-
-    name : degree : kind[^bound]      e.g.  Nm : 2+4@ : trunc^27
-
-with kind one of poly, inv, ext, trunc^k.
 """
 
 from __future__ import annotations
@@ -153,33 +147,6 @@ class Presentation:
                 parts.append(f"{name}^{e}")
         return "*".join(parts) if parts else "1"
 
-    def format(self) -> str:
-        lines = []
-        for g in self.generators:
-            kind = f"trunc^{g.bound}" if g.kind == TRUNC else g.kind
-            lines.append(f"{g.name} : {g.degree.format()} : {kind}")
-        return "\n".join(lines) + "\n"
-
-
-def parse_presentation(text: str, p: int) -> Presentation:
-    gens = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [part.strip() for part in line.split(":")]
-        if len(parts) != 3:
-            raise ConfigError(f"line {lineno}: expected 'name : degree : kind'")
-        name, deg_text, kind_text = parts
-        degree = SpokeDegree.parse(deg_text)
-        if kind_text.startswith("trunc^"):
-            gens.append(GeneratorSpec(name, degree, TRUNC, int(kind_text[6:])))
-        elif kind_text in (POLY, INV, EXT):
-            gens.append(GeneratorSpec(name, degree, kind_text))
-        else:
-            raise ConfigError(f"line {lineno}: unknown kind {kind_text!r}")
-    return Presentation(p, gens)
-
 
 class Element:
     """Homogeneous linear combination of monomials of one presentation.
@@ -243,9 +210,6 @@ class Element:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self):
-        return hash(tuple(self.coeffs.items()))
-
     def __add__(self, other: "Element") -> "Element":
         if self.is_zero():
             return other
@@ -255,9 +219,6 @@ class Element:
         for mono, c in other.coeffs.items():
             acc[mono] = acc.get(mono, 0) + c
         return Element(self.pres, acc)
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + other.scale(-1)
 
     def scale(self, c: int) -> "Element":
         return Element(self.pres, {m: v * c for m, v in self.coeffs.items()})
@@ -273,14 +234,6 @@ class Element:
                 acc[mono] = (acc.get(mono, 0) + sign * ca * cb) % p
         return Element(self.pres, acc)
 
-    def __pow__(self, k: int) -> "Element":
-        if k < 0:
-            return invert(self) ** (-k)
-        out = Element.one(self.pres)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "0"
@@ -291,45 +244,43 @@ class Element:
         return " + ".join(parts)
 
 
-def invert(elt: Element) -> Element:
-    """Inverse of a unit: one invertible-monomial term plus nilpotent terms.
+def invert(ctx, elt):
+    """Inverse of a unit of ``ctx``: one invertible term plus nilpotent terms.
 
-    Writes elt = c*u + nu with u an invertible monomial and inverts by the
-    geometric series, which must terminate (nu nilpotent via truncation or
-    exterior relations).
+    ``ctx`` is an element-algebra context (one, mul, add, scale) whose
+    ``unit_inverse(key, c)`` returns the inverse of the term c*key, or None
+    when key is not invertible.  Writing elt = c*u + nu, the inverse is
+    u_inv * sum_k (-nu*u_inv)^k, and the series must terminate (nu
+    nilpotent via truncation or exterior relations).
     """
-    pres = elt.pres
-    units = [(m, c) for m, c in elt.coeffs.items() if pres.is_unit_monomial(m)]
-    if len(units) != 1:
+    inverses = [
+        inv
+        for inv in (ctx.unit_inverse(key, c) for key, c in elt.coeffs.items())
+        if inv is not None
+    ]
+    if len(inverses) != 1:
         raise InvertibilityError(
-            f"element {elt!r} has {len(units)} invertible terms; need exactly 1"
+            f"element {elt!r} has {len(inverses)} invertible terms; need exactly 1"
         )
-    (u_mono, c) = units[0]
-    u_inv = Element.from_monomial(
-        pres, tuple(-e for e in u_mono), pow(c, pres.p - 2, pres.p)
-    )
-    nu = Element(pres, {m: v for m, v in elt.coeffs.items() if m != u_mono})
-    if nu.is_zero():
-        return u_inv
-    # 1/(c*u + nu) = u_inv * sum_k (-nu*u_inv)^k
-    step = (nu * u_inv).scale(-1)
-    total = Element.one(pres)
-    power = Element.one(pres)
+    (u_inv,) = inverses
+    # step = 1 - elt*u_inv = -nu*u_inv
+    step = ctx.add(ctx.one(), ctx.scale(ctx.mul(elt, u_inv), -1))
+    total = power = ctx.one()
     for _ in range(10_000):
-        power = power * step
+        power = ctx.mul(power, step)
         if power.is_zero():
-            return u_inv * total
-        total = total + power
+            return ctx.mul(u_inv, total)
+        total = ctx.add(total, power)
     raise InvertibilityError(f"geometric series for {elt!r} does not terminate")
 
 
 class GradedMap:
     """Multiplicative map defined on generators; target is any element algebra.
 
-    The target context must provide one(), mul(), invert() and elements with
-    a ``degree`` attribute.  Every generator image must be homogeneous of the
-    generator's own degree; this check is what catches wrong structure-map
-    exponents immediately.
+    The target context must provide one(), mul(), add(), scale() and
+    unit_inverse() (see invert), and elements with a ``degree`` attribute.
+    Every generator image must be homogeneous of the generator's own degree;
+    this check is what catches wrong structure-map exponents immediately.
     """
 
     def __init__(self, source: Presentation, target_ctx, images: Mapping[str, object]):
@@ -356,7 +307,7 @@ class GradedMap:
             return cached
         ctx = self.target_ctx
         if e < 0:
-            base = self._generator_power(name, -1) if e != -1 else ctx.invert(self.images[name])
+            base = self._generator_power(name, -1) if e != -1 else invert(ctx, self.images[name])
             if e == -1:
                 out = base
             else:
@@ -415,8 +366,10 @@ class RingContext:
     def scale(self, a, c):
         return a.scale(c)
 
-    def invert(self, a):
-        return invert(a)
+    def unit_inverse(self, mono: Monomial, c: int) -> Element | None:
+        if not self.pres.is_unit_monomial(mono):
+            return None
+        return Element(self.pres, {tuple(-e for e in mono): pow(c, self.p - 2, self.p)})
 
 
 # ---------------------------------------------------------------------------

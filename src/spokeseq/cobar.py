@@ -37,7 +37,7 @@ from .concurrency import deterministic_map
 from .errors import BookkeepingError, ConfigError, WindowIncompleteError
 from .fp import SparseMatFp
 from .grading import DegreeWindow, SpokeDegree
-from .hopf import Comodule, HopfAlgebroid, TensorKey
+from .hopf import Comodule, HopfAlgebroid, TensorKey, truncated_hopf
 
 D = SpokeDegree
 
@@ -368,12 +368,6 @@ class Strand:
     def state_s(self, comp) -> int:
         return comp if self.kind == "e" else comp[0] + 2 * comp[1]
 
-    def state_f(self, comp) -> int:
-        if self.kind == "e":
-            return comp
-        eps, j = comp
-        return eps + j * self.height
-
     def state_degree(self, comp) -> SpokeDegree:
         if self.kind == "e":
             return self.degree * comp
@@ -403,9 +397,6 @@ class ResolutionGens:
 
     def s_of(self, state: GenState) -> int:
         return sum(st.state_s(c) for st, c in zip(self.strands, state))
-
-    def f_of(self, state: GenState) -> int:
-        return sum(st.state_f(c) for st, c in zip(self.strands, state))
 
     def degree_of(self, state: GenState) -> SpokeDegree:
         total = D(0, 0)
@@ -662,8 +653,6 @@ def stabilize_over_n(
 ):
     """Ext tables over increasing truncation height until two consecutive
     heights agree on the window; returns (table, n, stabilized flag)."""
-    from .hopf import truncated_hopf
-
     if n_max < 2:
         raise ConfigError("stabilization needs n_max >= 2")
     tables = {}

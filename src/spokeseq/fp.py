@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CompositionError, ConfigError
+from .errors import BookkeepingError, CompositionError, ConfigError
 
 Vector = tuple[int, ...]
 
@@ -62,22 +62,6 @@ class SparseMatFp:
         return SparseMatFp(rows, cols, p, {})
 
     @staticmethod
-    def identity(n: int, p: int) -> "SparseMatFp":
-        return SparseMatFp(n, n, p, {(i, i): 1 for i in range(n)})
-
-    @staticmethod
-    def from_dense(data: Sequence[Sequence[int]], p: int) -> "SparseMatFp":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        entries = {
-            (i, j): v % p
-            for i, row in enumerate(data)
-            for j, v in enumerate(row)
-            if v % p
-        }
-        return SparseMatFp(rows, cols, p, entries)
-
-    @staticmethod
     def from_columns(
         columns: Sequence[Mapping[int, int]], rows: int, p: int
     ) -> "SparseMatFp":
@@ -118,15 +102,6 @@ class SparseMatFp:
                 for j, w in by_col.get(k, ()):
                     acc[(i, j)] = (acc.get((i, j), 0) + v * w) % self.p
         return SparseMatFp(self.rows, other.cols, self.p, acc)
-
-    def apply(self, vec: Sequence[int]) -> Vector:
-        if len(vec) != self.cols:
-            raise ConfigError(f"vector length {len(vec)} != cols {self.cols}")
-        out = [0] * self.rows
-        for (i, j), v in self.entries.items():
-            if vec[j]:
-                out[i] = (out[i] + v * vec[j]) % self.p
-        return tuple(out)
 
 
 def rref(rows_data: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
@@ -282,5 +257,10 @@ def quotient_dimension(
     image = Subspace(columns, d_boundary.rows, d_boundary.p)
     dim = len(kernel) - image.rank
     reps = quotient_basis(kernel, image, d_cycle.cols, d_cycle.p)
-    assert len(reps) == dim
+    if len(reps) != dim:
+        raise BookkeepingError(
+            f"quotient_dimension: {len(reps)} representatives for homology of "
+            f"dimension {dim} between a {d_boundary.rows}x{d_boundary.cols} boundary "
+            f"and a {d_cycle.rows}x{d_cycle.cols} cycle matrix"
+        )
     return dim, reps

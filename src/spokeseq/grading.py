@@ -37,9 +37,6 @@ class SpokeDegree:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SpokeDegree":
-        return SpokeDegree(-self.m, -self.n)
-
     @property
     def virtual_dim(self) -> int:
         """Underlying (virtual) dimension m + n; a group homomorphism to Z."""
@@ -77,16 +74,12 @@ class TriDegree:
 
     The internal degree is total + (s, 0); differentials of every complex in
     the engine preserve it, so a page-r differential moves (total, s, f) by
-    exactly (-(1,0), +1, +r).
+    exactly (-(1,0), +1, +r), the rule of mayss._shift.
     """
 
     total: SpokeDegree
     s: int
     f: int
-
-    @property
-    def internal(self) -> SpokeDegree:
-        return self.total + SpokeDegree(self.s, 0)
 
     def format(self) -> str:
         return f"{self.total.format()}|{self.s}|{self.f}"
@@ -97,18 +90,6 @@ class TriDegree:
         if len(parts) != 3:
             raise ConfigError(f"bad tri-degree syntax {text!r}; expected 'm+n@|s|f'")
         return TriDegree(SpokeDegree.parse(parts[0]), int(parts[1]), int(parts[2]))
-
-    def __str__(self) -> str:
-        return self.format()
-
-
-def is_differential_shift(source: TriDegree, target: TriDegree, r: int) -> bool:
-    """True iff target - source is the page-r differential shift."""
-    return (
-        target.total == source.total - SpokeDegree(1, 0)
-        and target.s == source.s + 1
-        and target.f == source.f + r
-    )
 
 
 @dataclass(frozen=True)

@@ -68,16 +68,6 @@ class PosClass:
     def degree(self) -> SpokeDegree:
         return D(0, -1) * self.a + D(2, -2) * self.ul + D(1, -1) * self.us
 
-    def label(self) -> str:
-        parts = []
-        if self.a:
-            parts.append("a" if self.a == 1 else f"a^{self.a}")
-        if self.ul:
-            parts.append("ul" if self.ul == 1 else f"ul^{self.ul}")
-        if self.us:
-            parts.append("us")
-        return "*".join(parts) if parts else "1"
-
 
 @dataclass(frozen=True, order=True)
 class NegClass:
@@ -148,10 +138,6 @@ def basis_in_degree(p: int, variant: HfpVariant, d: SpokeDegree) -> list[str]:
     return labels
 
 
-def dimension(p: int, variant: HfpVariant, d: SpokeDegree) -> int:
-    return len(basis_in_degree(p, variant, d))
-
-
 def multiply_full(x, y):
     """Product of two full-variant classes; returns a class or None (= zero).
 
@@ -180,29 +166,3 @@ def a_torsion_order(neg: NegClass) -> int:
         current = multiply_full(PosClass(1, 0, 0), current)
         t += 1
     return t
-
-
-def variant_map(p: int, source: HfpVariant, target: HfpVariant, x):
-    """Localization / completion maps on basis classes.
-
-    Supported pairs: full -> a_free (kills the negative cone),
-    a_free -> a_inverted and a_inverted -> a_completed_inverted (inclusions).
-    """
-    pair = (source, target)
-    if pair == (HfpVariant.FULL, HfpVariant.A_FREE):
-        if isinstance(x, NegClass):
-            return None
-        return x
-    if pair in (
-        (HfpVariant.A_FREE, HfpVariant.A_INVERTED),
-        (HfpVariant.A_INVERTED, HfpVariant.A_COMPLETED_INVERTED),
-    ):
-        if not isinstance(x, PosClass):
-            raise ConfigError(f"{source.value} element expected, got {x!r}")
-        return x
-    raise ConfigError(f"unsupported variant map {source.value} -> {target.value}")
-
-
-def kappa_class() -> PosClass:
-    """kappa = a * us, the degree (1,-2) exterior class of the plane."""
-    return PosClass(a=1, ul=0, us=1)

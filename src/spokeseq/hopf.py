@@ -34,7 +34,7 @@ from .algebra import (
     monomials_in_degree,
 )
 from .concurrency import deterministic_map
-from .errors import ConfigError, InvertibilityError
+from .errors import ConfigError, HomogeneityError
 from .fp import SparseMatFp, check_odd_prime
 from .grading import DegreeWindow, SpokeDegree
 
@@ -60,21 +60,12 @@ class TensorElement:
             if self.degree is None:
                 self.degree = d
             elif d != self.degree:
-                from .errors import HomogeneityError
-
                 raise HomogeneityError(f"mixing tensor degrees {self.degree} and {d}")
             clean[key] = c
         self.coeffs = dict(sorted(clean.items()))
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorElement)
-            and self.ctx is other.ctx
-            and self.coeffs == other.coeffs
-        )
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -215,33 +206,11 @@ class TensorContext:
                 raw[key] = raw.get(key, 0) + sign * ca * cb
         return self.element(raw)
 
-    def invert(self, a: TensorElement) -> TensorElement:
-        units = [
-            (key, c)
-            for key, c in a.coeffs.items()
-            if all(
-                pres.is_unit_monomial(m) for pres, m in zip(self.slots, key)
-            )
-        ]
-        if len(units) != 1:
-            raise InvertibilityError(
-                f"tensor element {a!r} has {len(units)} invertible terms; need 1"
-            )
-        key, c = units[0]
+    def unit_inverse(self, key: TensorKey, c: int) -> TensorElement | None:
+        if not all(pres.is_unit_monomial(m) for pres, m in zip(self.slots, key)):
+            return None
         inv_key = tuple(tuple(-e for e in m) for m in key)
-        u_inv = TensorElement(self, {inv_key: pow(c, self.p - 2, self.p)})
-        nu = TensorElement(self, {k: v for k, v in a.coeffs.items() if k != key})
-        if nu.is_zero():
-            return u_inv
-        step = self.scale(self.mul(nu, u_inv), -1)
-        total = self.one()
-        power = self.one()
-        for _ in range(10_000):
-            power = self.mul(power, step)
-            if power.is_zero():
-                return self.mul(u_inv, total)
-            total = self.add(total, power)
-        raise InvertibilityError("tensor geometric series does not terminate")
+        return TensorElement(self, {inv_key: pow(c, self.p - 2, self.p)})
 
 
 @dataclass

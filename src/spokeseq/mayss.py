@@ -32,6 +32,7 @@ failures raise instead of passing silently.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 from . import fp
@@ -44,12 +45,19 @@ from .algebra import (
     Monomial,
     Presentation,
     TRUNC,
+    monomials_in_degree,
 )
 from .cobar import ExtTable, build_cobar, resolution_ext_table
 from .errors import BookkeepingError, ConfigError, WindowError
 from .fp import SparseMatFp, Subspace, Vector, check_odd_prime, quotient_basis
 from .grading import DegreeWindow, SpokeDegree, TriDegree
-from .hopf import Comodule, HopfAlgebroid, truncated_hopf
+from .hopf import (
+    Comodule,
+    HopfAlgebroid,
+    _build_algebroid,
+    apply_coproduct_at,
+    truncated_hopf,
+)
 
 D = SpokeDegree
 
@@ -283,14 +291,12 @@ def d1_monomial_reference(e1: MayE1, mono: Monomial) -> dict[Monomial, int]:
     oracle for d1_monomial's hand-rolled signs."""
     p, n = e1.p, e1.n
     pres = e1.pres
-    idx = pres.index
     total = Element.zero(pres)
-    names = list(pres.names)
-    for pos, name in enumerate(names):
+    for pos, name in enumerate(pres.names):
         e = mono[pos]
         if not e:
             continue
-        if name == "us":
+        if name == "us":  # exterior, so e = 1
             image = Element.from_monomial(
                 pres, pres.monomial(a=2, z=1), e1.beta_prime
             )
@@ -306,22 +312,13 @@ def d1_monomial_reference(e1: MayE1, mono: Monomial) -> dict[Monomial, int]:
                     )
         else:
             continue
-        left_exps = [0] * len(names)
-        right_exps = [0] * len(names)
-        for j in range(len(names)):
-            if j < pos:
-                left_exps[j] = mono[j]
-            elif j > pos:
-                right_exps[j] = mono[j]
-        left = Element.from_monomial(pres, tuple(left_exps))
-        right = Element.from_monomial(pres, tuple(right_exps))
-        sign = -1 if pres.parity_of(tuple(left_exps)) else 1
-        if name == "ul":
-            term = (left * image * right).scale(sign)
-        else:
-            # d(us^e) with e = 1
-            term = (left * image * right).scale(sign)
-        total = total + term
+        # d(left * g^e * right) picks up the sign of left's exterior part
+        left_exps = mono[:pos] + (0,) * (len(mono) - pos)
+        right_exps = (0,) * (pos + 1) + mono[pos + 1 :]
+        left = Element.from_monomial(pres, left_exps)
+        right = Element.from_monomial(pres, right_exps)
+        sign = -1 if pres.parity_of(left_exps) else 1
+        total = total + (left * image * right).scale(sign)
     return dict(total.coeffs)
 
 
@@ -389,13 +386,6 @@ class SSPage:
     s_cap: int
     cells: dict[TriDegree, PageCell]
     reliable_m: tuple[int, int]
-
-    def dim(self, tri: TriDegree) -> int:
-        cell = self.cells.get(tri)
-        return cell.dim if cell else 0
-
-    def dims(self) -> dict[TriDegree, int]:
-        return {t: c.dim for t, c in self.cells.items() if c.dim}
 
     def format(self) -> str:
         lines = []
@@ -591,8 +581,6 @@ def may_filtration_weight(H: HopfAlgebroid, mono: Monomial, cap: int = 64) -> in
     """Smallest s with the (s+1)-fold reduced coproduct of the monomial zero,
     computed from the definition (kernel of iterated coproducts followed by
     projection to the coideal in every slot)."""
-    from .hopf import apply_coproduct_at
-
     if not any(mono):
         return 0
     elt = H.tensor_power_of((H.total,)).element({(mono,): 1})
@@ -620,8 +608,6 @@ def e0_hopf(p: int, n: int) -> HopfAlgebroid:
     """Associated graded of the coideal filtration: the tensor product of the
     digit Hopf algebras, one height-one truncated line per p-power digit of
     the norm class plus the exterior line."""
-    from .hopf import _build_algebroid
-
     check_odd_prime(p)
     base = Presentation(p, [])
     gens = []
@@ -652,8 +638,6 @@ def associated_graded_check(p: int, n: int, degrees) -> tuple[bool, list[str]]:
     per-(degree, weight) dimensions match the associated-graded presentation."""
     H, _ = truncated_hopf(p, n)
     He0 = e0_hopf(p, n)
-    from .algebra import monomials_in_degree
-
     failures = []
     for d in degrees:
         histogram: dict[int, int] = {}
@@ -701,8 +685,6 @@ def _factor_ext_classes(p: int, height_degree: SpokeDegree, s_cap: int):
     exterior x / polynomial x' answer; it is plain row reduction on the
     binomial-coefficient splitting differential.
     """
-    import math
-
     out = []
     for k in range(0, (s_cap + 1) * (p - 1) + 1):
         words = {s: _truncated_line_words(k, s, p) for s in range(s_cap + 2)}

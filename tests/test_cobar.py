@@ -16,6 +16,8 @@ from spokeseq.fp import SparseMatFp
 from spokeseq.grading import DegreeWindow, SpokeDegree
 from spokeseq.hopf import Comodule, base_comodule, geometric_algebroid, truncated_hopf
 
+from sparse_helpers import apply
+
 D = SpokeDegree
 
 
@@ -82,7 +84,7 @@ def test_geometric_cobar_d0():
     basis1 = cx.bases[(internal, 1)]
     y_col = basis0.index((H.base.monomial(y=1), ()))
     d0 = cx.diffs[(internal, 0)]
-    image = d0.apply([1 if i == y_col else 0 for i in range(len(basis0))])
+    image = apply(d0, [1 if i == y_col else 0 for i in range(len(basis0))])
     assert any(image)
     yb_row = basis1.index((H.base.unit_monomial(), (H.total.monomial(yb=1),)))
     assert image[yb_row] % 3 != 0

@@ -1,8 +1,6 @@
-import pytest
 from hypothesis import given, strategies as st
 
 from spokeseq import hfp
-from spokeseq.errors import ConfigError
 from spokeseq.grading import SpokeDegree
 from spokeseq.hfp import THETA, HfpVariant, NegClass, PosClass
 
@@ -48,8 +46,8 @@ def test_negative_solver_matches_brute_force(m, n):
 @given(st.integers(-8, 8), st.integers(-8, 8))
 def test_full_dimension_is_pos_plus_neg(m, n):
     d = D(m, n)
-    full = hfp.dimension(3, HfpVariant.FULL, d)
-    pos = hfp.dimension(3, HfpVariant.A_FREE, d)
+    full = len(hfp.basis_in_degree(3, HfpVariant.FULL, d))
+    pos = len(hfp.basis_in_degree(3, HfpVariant.A_FREE, d))
     neg = len(hfp.negative_basis_in_degree(d))
     assert full == pos + neg
     assert neg <= 1
@@ -70,7 +68,7 @@ def test_multiply_positive():
     us = PosClass(0, 0, 1)
     assert hfp.multiply_full(us, us) is None
     kappa = hfp.multiply_full(PosClass(1, 0, 0), us)
-    assert kappa == hfp.kappa_class()
+    assert kappa == PosClass(a=1, ul=0, us=1)
     assert kappa.degree == D(1, -2)  # 1 - lambda
 
 
@@ -96,16 +94,6 @@ def test_fraction_product_degree_additivity(pa, pu, pe, eps, j, k):
         assert prod.degree == g.degree + x.degree
 
 
-def test_variant_maps():
-    neg = NegClass(0, 1, 1)
-    assert hfp.variant_map(3, HfpVariant.FULL, HfpVariant.A_FREE, neg) is None
-    us = PosClass(0, 0, 1)
-    assert hfp.variant_map(3, HfpVariant.FULL, HfpVariant.A_FREE, us) == us
-    assert hfp.variant_map(3, HfpVariant.A_FREE, HfpVariant.A_INVERTED, us) == us
-    with pytest.raises(ConfigError):
-        hfp.variant_map(3, HfpVariant.FULL, HfpVariant.A_COMPLETED_INVERTED, us)
-
-
 def test_completed_variant_unique_basis():
     labels = hfp.basis_in_degree(3, HfpVariant.A_COMPLETED_INVERTED, D(1, 5))
     assert labels == ["a^-6*us"]
@@ -118,7 +106,7 @@ def test_afree_matches_monomial_count_window():
     for m in range(-4, 5):
         for n in range(-5, 5):
             d = D(m, n)
-            assert hfp.dimension(3, HfpVariant.A_FREE, d) == len(
+            assert len(hfp.basis_in_degree(3, HfpVariant.A_FREE, d)) == len(
                 monomials_in_degree(pres, d)
             )
 

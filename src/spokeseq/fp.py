@@ -146,14 +146,19 @@ def rank(mat: SparseMatFp) -> int:
 
 def kernel_basis(mat: SparseMatFp) -> list[Vector]:
     """Canonical null-space basis: one vector per free column, RREF-derived."""
-    reduced, pivots = rref(mat.dense(), mat.p)
-    p = mat.p
+    return null_space(mat.dense(), mat.cols, mat.p)
+
+
+def null_space(rows_data: list[list[int]], ncols: int, p: int) -> list[Vector]:
+    """kernel_basis of the dense matrix with the given rows (entries in
+    0..p-1, ncols columns); the rows are reduced in place."""
+    reduced, pivots = rref(rows_data, p)
     pivot_set = set(pivots)
     basis: list[Vector] = []
-    for j in range(mat.cols):
+    for j in range(ncols):
         if j in pivot_set:
             continue
-        vec = [0] * mat.cols
+        vec = [0] * ncols
         vec[j] = 1
         for i, pc in enumerate(pivots):
             if reduced[i][j]:
@@ -214,9 +219,13 @@ def quotient_basis(
     """Canonical representatives of span(cycles) / boundaries.
 
     Reduce each cycle vector modulo the boundary subspace, then echelonize
-    the residues; the nonzero RREF rows are the representatives.
+    the residues; the nonzero RREF rows are the representatives.  Cycle
+    entries are in 0..p-1, so an empty boundary subspace reduces nothing.
     """
-    residues = [list(boundaries.reduce(v)) for v in cycles]
+    if boundaries.rank:
+        residues = [list(boundaries.reduce(v)) for v in cycles]
+    else:
+        residues = [list(v) for v in cycles]
     residues = [v for v in residues if any(v)]
     if not residues:
         return []

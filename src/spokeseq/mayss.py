@@ -27,6 +27,14 @@ only has components of filtration shift 1 and p-1; differentials of every
 other page vanish identically in this model, and the cross-check against
 the direct Ext computation certifies convergence.  Dimension bookkeeping
 failures raise instead of passing silently.
+
+Both differentials commute with multiplication by a, which moves (m, n) to
+(m, n-1) and keeps s and f.  The page engine groups cells into a-columns
+(m, s, f).  A cell that lists exactly a times the monomials of the cell one
+step up in n shares that cell's page data, in the same coordinates, for as
+long as its differential's source and target do too; so each run of such
+cells is computed once, at its head, and an a-tower does work only where a
+run ends (turn_page, a_shift_rank).
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from . import fp
 from .algebra import (
@@ -331,25 +340,38 @@ class PageCell:
     """One tri-degree of a page, in the flat coordinates of its first-page
     monomials.
 
-    ``monomials`` and ``index`` (monomial -> position) are built once by
-    page_one and shared by every later page of the cell.  ``reps`` and the
-    rows of ``dead`` are vectors in those coordinates; the representatives
-    are canonical RREF rows, reduced modulo the dead subspace.  ``labels``
-    (the least monomial name of each representative, sorted) is formatted
-    on first read, so a page that is never printed formats nothing.
+    ``monomials`` are built once by page_one and kept by every later page of
+    the cell; ``index`` (monomial -> position) is built on first use.
+    ``reps`` and the rows of ``dead`` are vectors in those coordinates; the
+    representatives are canonical RREF rows, reduced modulo the dead
+    subspace, and ``pivots`` holds their pivot columns.  ``labels`` (the
+    least monomial name of each representative, sorted) is formatted on
+    first read, so a page that is never printed formats nothing.
+
+    A ``shared`` cell lists exactly a times the monomials of the cell one
+    step up in n, and on this page holds the same ``reps``, ``dead`` and
+    ``pivots`` objects as that cell: multiplication by a is the identity on
+    coordinates between them.
     """
 
     monomials: list[Monomial]
-    index: dict[Monomial, int]
     reps: list[Vector]
     dead: Subspace
+    pivots: Sequence[int]
     pres: Presentation
-    _pivots: list[int] | None = None
+    shared: bool = False
+    _index: dict[Monomial, int] | None = None
     _labels: tuple[str, ...] | None = None
 
     @property
     def dim(self) -> int:
         return len(self.reps)
+
+    @property
+    def index(self) -> dict[Monomial, int]:
+        if self._index is None:
+            self._index = {m: i for i, m in enumerate(self.monomials)}
+        return self._index
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -359,6 +381,12 @@ class PageCell:
             )
         return self._labels
 
+    def with_data(
+        self, reps: list[Vector], dead: Subspace, pivots: Sequence[int], shared: bool
+    ) -> "PageCell":
+        """The same tri-degree on a later page, keeping monomials and index."""
+        return PageCell(self.monomials, reps, dead, pivots, self.pres, shared, self._index)
+
     def coordinates(self, residue: Vector, p: int) -> list[int] | None:
         """Coefficients of a dead-reduced vector on the representatives, or
         None when it is not in their span.  The representatives are RREF
@@ -366,9 +394,7 @@ class PageCell:
         if len(self.reps) == len(self.monomials):
             # full rank: the RREF rows are the unit vectors
             return list(residue)
-        if self._pivots is None:
-            self._pivots = [next(j for j, v in enumerate(rep) if v) for rep in self.reps]
-        coeffs = [residue[j] for j in self._pivots]
+        coeffs = [residue[j] for j in self.pivots]
         rest = list(residue)
         for c, rep in zip(coeffs, self.reps):
             if c:
@@ -378,21 +404,37 @@ class PageCell:
         return None if any(rest) else coeffs
 
 
+# an a-column is keyed (m, s, f) and lists its cells by n, top row first:
+# entry k is the cell at n = window.n_max - k, or None
+ColumnKey = tuple[int, int, int]
+Column = list[PageCell | None]
+
+
 @dataclass
 class SSPage:
     r: int
     e1: MayE1
     window: DegreeWindow
     s_cap: int
-    cells: dict[TriDegree, PageCell]
+    columns: dict[ColumnKey, Column]
+    # the tri-degree at each column entry; one object for every page of a run
+    tris: dict[ColumnKey, list[TriDegree | None]]
     reliable_m: tuple[int, int]
+
+    @functools.cached_property
+    def cells(self) -> dict[TriDegree, PageCell]:
+        return {
+            tri: cell
+            for key, col in self.columns.items()
+            for tri, cell in zip(self.tris[key], col)
+            if cell is not None
+        }
 
     def format(self) -> str:
         lines = []
-        for tri in sorted(
-            self.cells, key=lambda t: (t.total.m, t.total.n, t.s, t.f)
-        ):
-            cell = self.cells[tri]
+        cells = self.cells
+        for tri in sorted(cells, key=lambda t: (t.total.m, t.total.n, t.s, t.f)):
+            cell = cells[tri]
             if cell.dim:
                 lines.append(
                     f"{self.r} | {tri.format()} | {cell.dim} | {' '.join(cell.labels)}"
@@ -405,22 +447,45 @@ def _unit_vectors(size: int) -> tuple[Vector, ...]:
     return tuple(tuple(int(i == j) for i in range(size)) for j in range(size))
 
 
+def _is_a_translate(lower: list[Monomial], upper: list[Monomial], a_i: int) -> bool:
+    """Whether lower lists exactly a times the monomials of upper, in order."""
+    return len(lower) == len(upper) and lower == [
+        up[:a_i] + (up[a_i] + 1,) + up[a_i + 1 :] for up in upper
+    ]
+
+
 def page_one(
     e1: MayE1, window: DegreeWindow, s_cap: int | None = None
 ) -> SSPage:
     s_cap = window.s_max if s_cap is None else s_cap
     table = e1_monomials(e1, window, s_cap)
-    cells = {}
-    for tri, monos in table.items():
-        size = len(monos)
-        cells[tri] = PageCell(
-            monos,
-            {m: i for i, m in enumerate(monos)},
-            list(_unit_vectors(size)),
-            Subspace([], size, e1.p),
-            e1.pres,
-        )
-    return SSPage(1, e1, window, s_cap, cells, (window.m_min, window.m_max))
+    height = window.n_max - window.n_min + 1
+    tris: dict[ColumnKey, list[TriDegree | None]] = {}
+    for tri in table:
+        key = (tri.total.m, tri.s, tri.f)
+        slots = tris.get(key)
+        if slots is None:
+            slots = tris[key] = [None] * height
+        slots[window.n_max - tri.total.n] = tri
+    columns: dict[ColumnKey, Column] = {}
+    for key, slots in tris.items():
+        col = columns[key] = [None] * height
+        upper = None
+        for k, tri in enumerate(slots):
+            if tri is None:
+                upper = None
+                continue
+            monos = table[tri]
+            if upper is not None and _is_a_translate(monos, upper.monomials, e1.a_pos):
+                cell = PageCell(
+                    monos, upper.reps, upper.dead, upper.pivots, e1.pres, shared=True
+                )
+            else:
+                size = len(monos)
+                reps = list(_unit_vectors(size))
+                cell = PageCell(monos, reps, Subspace([], size, e1.p), range(size), e1.pres)
+            col[k] = upper = cell
+    return SSPage(1, e1, window, s_cap, columns, tris, (window.m_min, window.m_max))
 
 
 def _shift(tri: TriDegree, r: int) -> TriDegree:
@@ -449,15 +514,97 @@ def _image(
     return None if any(stray.values()) else out
 
 
+def _same_as_upper(col: Column | None, k: int) -> bool:
+    """Whether entry k of an a-column (k >= 1) is shared, or absent together
+    with the entry above it; an absent column counts as absent entries."""
+    if col is None:
+        return True
+    cell = col[k]
+    return cell.shared if cell is not None else col[k - 1] is None
+
+
+def _pivots(reps: list[Vector]) -> list[int]:
+    return [next(j for j, v in enumerate(rep) if v) for rep in reps]
+
+
+def _differential_out(
+    e1: MayE1,
+    diff_fn,
+    cell: PageCell,
+    tcell: PageCell,
+    r: int,
+    tri: TriDegree,
+    target: TriDegree,
+) -> tuple[list[list[int]], list[Vector]] | None:
+    """(cycles, images) of the differential out of one cell: the cycles are
+    in the cell's monomial coordinates, the images are the nonzero
+    dead-reduced images in the target's; None when every image is zero."""
+    p = e1.p
+    dead = tcell.dead
+    coords = []
+    images = []
+    for rep in cell.reps:
+        vec = _image(e1, diff_fn, cell, rep, tcell)
+        if vec is None:
+            raise BookkeepingError(
+                f"turn_page r={r} at {tri.format()}: differential image is "
+                f"not homogeneous for its target cell {target.format()}"
+            )
+        # _image reduces mod p, so an empty dead subspace reduces nothing
+        residue = dead.reduce(vec) if dead.rank else vec
+        if not any(residue):
+            coords.append(None)
+            continue
+        c = tcell.coordinates(residue, p)
+        if c is None:
+            raise BookkeepingError(
+                f"turn_page r={r} at {tri.format()}: differential image is "
+                f"not a surviving class at {target.format()}"
+            )
+        coords.append(c)
+        images.append(residue)
+    if not images:
+        return None
+    zero = [0] * tcell.dim
+    matrix = [list(row) for row in zip(*(zero if c is None else c for c in coords))]
+    size = len(cell.monomials)
+    cycles = []
+    for kvec in fp.null_space(matrix, len(cell.reps), p):
+        acc = [0] * size
+        for c, rep in zip(kvec, cell.reps):
+            if c:
+                for i, v in enumerate(rep):
+                    if v:
+                        acc[i] = (acc[i] + c * v) % p
+        cycles.append(acc)
+    return cycles, images
+
+
 def turn_page(page: SSPage, diff_fn, new_r: int) -> SSPage:
     """Homology of the page under the monomial-level differential diff_fn,
     which acts on representatives; the result is the next page with
     representatives still expressed in first-page monomial coordinates.
 
+    diff_fn must commute with multiplication by a: on a * mono it must
+    return a times each target of mono, with the same coefficients (both
+    digit rules add a fixed amount to the a-exponent; property-tested).
+    The engine relies on it to compute each a-column's data once.
+
     Well-definedness on classes needs diff_fn to map dead vectors to dead
     vectors; that follows from the graded parts of the square-zero identity
     (d1 o d2 + d2 o d1 = 0, property-tested at the monomial level), and any
     image failing to be a surviving class raises a bookkeeping error here.
+
+    Differentials keep n, so each a-column (m, s, f) is walked from the top
+    n down, and a cell's target and source are the entries at the same
+    index of the columns (m-1, s+1, f+r) and (m+1, s-1, f-r).  A shared cell
+    whose target is shared, or absent together with the target's upper
+    neighbour, has the same differential out of it as that neighbour, and
+    reuses its cycles and images.  It stays shared on the next page when its
+    source passes the same test: its homology is then its upper neighbour's,
+    in the same coordinates.  Only the other cells, the heads, compute
+    images, kernels and quotients, and run the bookkeeping checks; the top
+    cell of a run of shared cells is always a head.
 
     A cell with no differential out of it and nothing new killed in it is
     carried over as it is: its kernel is the whole page and its dead
@@ -466,73 +613,64 @@ def turn_page(page: SSPage, diff_fn, new_r: int) -> SSPage:
     e1 = page.e1
     p = e1.p
     r = page.r
-    cells = page.cells
+    columns = page.columns
+    tris = page.tris
 
-    # matrices of the differential in page coordinates, kept only where
-    # nonzero, and the dead-reduced images each target gains, both keyed by
-    # cell (an identity hash); images landing outside the computed window
-    # are dropped, which is exactly why the reliable m-range shrinks by one
-    # per applied differential
-    out_columns: dict[PageCell, tuple[list[dict[int, int]], int]] = {}
-    boundaries: dict[PageCell, list[Vector]] = {}
-    for tri, cell in cells.items():
-        if not cell.reps:
+    # (cycles, images) out of every cell, or None where nothing nonzero
+    # leaves it; images landing outside the computed window are dropped,
+    # which is exactly why the reliable m-range shrinks by one per applied
+    # differential
+    outs: dict[ColumnKey, list] = {}
+    for key, col in columns.items():
+        m, s, f = key
+        tkey = (m - 1, s + 1, f + r)
+        tcol = columns.get(tkey)
+        if tcol is None:
             continue
-        target = _shift(tri, r)
-        tcell = cells.get(target)
-        if tcell is None:
-            continue
-        columns = []
-        images = []
-        for rep in cell.reps:
-            vec = _image(e1, diff_fn, cell, rep, tcell)
-            if vec is None:
-                raise BookkeepingError(
-                    f"turn_page r={r} at {tri.format()}: differential image is "
-                    f"not homogeneous for its target cell {target.format()}"
-                )
-            residue = tcell.dead.reduce(vec)
-            if not any(residue):
-                columns.append({})
+        out_col = outs[key] = [None] * len(col)
+        for k, cell in enumerate(col):
+            if cell is None or not cell.reps:
                 continue
-            coords = tcell.coordinates(residue, p)
-            if coords is None:
-                raise BookkeepingError(
-                    f"turn_page r={r} at {tri.format()}: differential image is "
-                    f"not a surviving class at {target.format()}"
+            if cell.shared and _same_as_upper(tcol, k):
+                out_col[k] = out_col[k - 1]
+            elif tcol[k] is not None:
+                out_col[k] = _differential_out(
+                    e1, diff_fn, cell, tcol[k], r, tris[key][k], tris[tkey][k]
                 )
-            columns.append({i: c for i, c in enumerate(coords) if c})
-            images.append(residue)
-        if images:
-            out_columns[cell] = (columns, tcell.dim)
-            boundaries.setdefault(tcell, []).extend(images)
 
-    new_cells: dict[TriDegree, PageCell] = {}
-    for tri, cell in cells.items():
-        out = out_columns.get(cell)
-        incoming = boundaries.get(cell)
-        if out is None and incoming is None:
-            new_cells[tri] = cell
-            continue
-        size = len(cell.monomials)
-        dead = Subspace(cell.dead.rows + incoming, size, p) if incoming else cell.dead
-        if out is None:
-            cycles = cell.reps
-        else:
-            columns, rows = out
-            cycles = []
-            for kvec in fp.kernel_basis(SparseMatFp.from_columns(columns, rows, p)):
-                acc = [0] * size
-                for c, rep in zip(kvec, cell.reps):
-                    if c:
-                        for i, v in enumerate(rep):
-                            if v:
-                                acc[i] = (acc[i] + c * v) % p
-                cycles.append(acc)
-        reps = quotient_basis(cycles, dead, size, p)
-        new_cells[tri] = PageCell(cell.monomials, cell.index, reps, dead, cell.pres)
+    new_columns: dict[ColumnKey, Column] = {}
+    for key, col in columns.items():
+        m, s, f = key
+        out_col = outs.get(key)
+        skey = (m + 1, s - 1, f - r)
+        in_col = outs.get(skey)
+        tcol = columns.get((m - 1, s + 1, f + r))
+        scol = columns.get(skey)
+        new_col = new_columns[key] = [None] * len(col)
+        for k, cell in enumerate(col):
+            if cell is None:
+                continue
+            if cell.shared and _same_as_upper(tcol, k) and _same_as_upper(scol, k):
+                upper = new_col[k - 1]
+                if upper.reps is cell.reps and upper.dead is cell.dead:
+                    new_col[k] = cell
+                else:
+                    new_col[k] = cell.with_data(upper.reps, upper.dead, upper.pivots, True)
+                continue
+            out = out_col[k] if out_col else None
+            incoming = in_col[k] if in_col else None
+            if out is None and incoming is None:
+                if cell.shared:  # unchanged, but its upper neighbour changed
+                    cell = cell.with_data(cell.reps, cell.dead, cell.pivots, False)
+                new_col[k] = cell
+                continue
+            size = len(cell.monomials)
+            dead = Subspace(cell.dead.rows + incoming[1], size, p) if incoming else cell.dead
+            cycles = out[0] if out else cell.reps
+            reps = quotient_basis(cycles, dead, size, p)
+            new_col[k] = cell.with_data(reps, dead, _pivots(reps), False)
     lo, hi = page.reliable_m
-    return SSPage(new_r, e1, page.window, page.s_cap, new_cells, (lo + 1, hi - 1))
+    return SSPage(new_r, e1, page.window, page.s_cap, new_columns, tris, (lo + 1, hi - 1))
 
 
 def _leading_label(pres: Presentation, monomials: list[Monomial], rep: Vector) -> str:
@@ -541,7 +679,7 @@ def _leading_label(pres: Presentation, monomials: list[Monomial], rep: Vector) -
 
 def copy_page(page: SSPage, new_r: int) -> SSPage:
     return SSPage(
-        new_r, page.e1, page.window, page.s_cap, page.cells, page.reliable_m
+        new_r, page.e1, page.window, page.s_cap, page.columns, page.tris, page.reliable_m
     )
 
 
@@ -922,39 +1060,49 @@ def negative_pattern_check(
 
 def a_shift_rank(page: SSPage, tri: TriDegree, steps: int) -> int | None:
     """Rank of multiplication by a^steps out of the given cell, computed on
-    representatives; None when the tower leaves the computed window."""
-    cell = page.cells.get(tri)
+    representatives; None when the tower leaves the computed window.
+
+    The tower walks down the cell's a-column.  A step into a shared cell
+    changes nothing: a is the identity on coordinates there and the dead
+    subspace is the same, so only steps into head cells do work."""
+    total = tri.total
+    key = (total.m, tri.s, tri.f)
+    col = page.columns.get(key)
+    k = page.window.n_max - total.n
+    cell = col[k] if col is not None and 0 <= k < len(col) else None
     if cell is None or not cell.dim:
         return 0
     a_i = page.e1.a_pos
     vecs = cell.reps
-    current = tri
     for _ in range(steps):
-        target = TriDegree(D(current.total.m, current.total.n - 1), current.s, current.f)
-        tcell = page.cells.get(target)
+        k += 1
+        tcell = col[k] if k < len(col) else None
         if tcell is None:
             return None
-        # position of a * monomial in the target cell
-        positions = []
-        for mono in cell.monomials:
-            lifted = list(mono)
-            lifted[a_i] += 1
-            positions.append(tcell.index.get(tuple(lifted)))
-        shifted = []
-        for vec in vecs:
-            out = [0] * len(tcell.monomials)
-            for pos, c in zip(positions, vec):
-                if c:
-                    if pos is None:
-                        raise BookkeepingError(
-                            f"a_shift_rank at {current.format()}: a-multiple is "
-                            f"not homogeneous for its target cell {target.format()}"
-                        )
-                    out[pos] = c
-            shifted.append(tcell.dead.reduce(out))
-        vecs, cell, current = shifted, tcell, target
-        if not any(any(v) for v in vecs):
-            return 0
+        if not tcell.shared:
+            # position of a * monomial in the target cell
+            positions = []
+            for mono in cell.monomials:
+                lifted = list(mono)
+                lifted[a_i] += 1
+                positions.append(tcell.index.get(tuple(lifted)))
+            shifted = []
+            for vec in vecs:
+                out = [0] * len(tcell.monomials)
+                for pos, c in zip(positions, vec):
+                    if c:
+                        if pos is None:
+                            raise BookkeepingError(
+                                f"a_shift_rank at {page.tris[key][k - 1].format()}: "
+                                f"a-multiple is not homogeneous for its target cell "
+                                f"{page.tris[key][k].format()}"
+                            )
+                        out[pos] = c
+                shifted.append(tcell.dead.reduce(out))
+            vecs = shifted
+            if not any(any(v) for v in vecs):
+                return 0
+        cell = tcell
     _, pivots = fp.rref([list(v) for v in vecs], page.e1.p)
     return len(pivots)
 

@@ -47,8 +47,8 @@ def report(criterion, name, ok, elapsed=None, budget=None):
         assert elapsed < budget, f"criterion {criterion} exceeded {budget}s ({elapsed:.1f}s)"
 
 
-def test_criterion_1_segal_verdict():
-    # the stated command line, end to end
+def segal_headline(p):
+    """The stated command line at prime p, end to end: (ok, elapsed)."""
     import io
     from contextlib import redirect_stdout
 
@@ -57,7 +57,7 @@ def test_criterion_1_segal_verdict():
     start = time.monotonic()
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = main(["segal", "--p", "3", "--n-max", "3", "--window", "-12:2:-14:14"])
+        code = main(["segal", "--p", str(p), "--n-max", "3", "--window", "-12:2:-14:14"])
     elapsed = time.monotonic() - start
     out = buf.getvalue()
     ok = code == 0 and "verdict: true" in out and "stabilized at n=2" in out
@@ -74,7 +74,11 @@ def test_criterion_1_segal_verdict():
         for nn in range(SEGAL_WINDOW.n_min, 0)
     }
     expected[f"pos {TriDegree(D(0, 0), 0, 0).format()}"] = 1
-    ok = ok and final == expected
+    return ok and final == expected, elapsed
+
+
+def test_criterion_1_segal_verdict():
+    ok, elapsed = segal_headline(3)
     report(1, "completeness verdict p=3", ok, elapsed, 60)
 
 
@@ -264,3 +268,9 @@ def test_criterion_8_robustness():
         ok = False
         print("  negative control failed to flip the verdict")
     report(8, "unit/order robustness and negative control", ok)
+
+
+def test_criterion_9_segal_verdict_p5():
+    # the paper's claim holds at every odd prime; the headline at p = 5
+    ok, elapsed = segal_headline(5)
+    report(9, "completeness verdict p=5", ok, elapsed, 60)

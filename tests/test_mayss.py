@@ -5,6 +5,7 @@ from contextlib import redirect_stdout
 import pytest
 from hypothesis import given, strategies as st
 
+from spokeseq import mayss
 from spokeseq.algebra import Presentation, monomials_in_degree
 from spokeseq.cli import main
 from spokeseq.errors import BookkeepingError, CompositionError, WindowError
@@ -24,6 +25,7 @@ from spokeseq.mayss import (
     einfty_vs_ext,
     may_e1,
     may_filtration_weight,
+    page_one,
     segal_pipeline,
     turn_page,
 )
@@ -82,7 +84,7 @@ def random_e1_monomial(draw, p=3, n=2):
     e1 = may_e1(p, n)
     kw = {
         "a": draw(st.integers(0, 3)),
-        "ul": draw(st.integers(-9, 9)),
+        "ul": draw(st.integers(-(p**n), p**n)),
         "us": draw(st.integers(0, 1)),
         "z": draw(st.integers(0, 2)),
     }
@@ -139,6 +141,60 @@ def test_d2_tridegree_shift(pair):
         assert e1.pres.degree_of(tgt) == src_total - D(1, 0)
         assert e1.s_of(tgt) == e1.s_of(mono) + 1
         assert e1.f_of(tgt) == e1.f_of(mono) + (p - 1)
+
+
+def times_a(e1, mono):
+    a_i = e1.a_pos
+    return mono[:a_i] + (mono[a_i] + 1,) + mono[a_i + 1 :]
+
+
+@pytest.mark.parametrize("rule", [d1_monomial, d_pminus1_monomial])
+@given(st.sampled_from([3, 5, 7]).flatmap(lambda p: random_e1_monomial(p=p)))
+def test_differentials_commute_with_a(rule, pair):
+    # turn_page computes each a-column once on the strength of this: the
+    # rule on a * mono is a times the rule on mono, coefficient by coefficient
+    e1, mono = pair
+    want = {times_a(e1, tgt): c for tgt, c in rule(e1, mono).items()}
+    assert rule(e1, times_a(e1, mono)) == want
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 1)])
+def test_shared_cells_equal_computed_cells(p, n):
+    # differentials keep n, so raising n_max changes no cell of the smaller
+    # window; its top row is computed there and shared in the taller one
+    window = DegreeWindow(-5, 2, -6, 3, s_max=3)
+    taller = DegreeWindow(-5, 2, -6, 5, s_max=3)
+    small = compute_pages(p, n, window)
+    large = compute_pages(p, n, taller)
+    assert small.keys() == large.keys()
+    for r in small:
+        cells = small[r].cells
+        assert cells.keys() == {t for t in large[r].cells if window.contains(t.total)}
+        top = [tri for tri in cells if tri.total.n == window.n_max]
+        assert not any(cells[tri].shared for tri in top)
+        shared_top = [tri for tri in top if large[r].cells[tri].shared]
+        assert shared_top, r
+        if r > 1:
+            # some of them hold classes that a differential changed
+            assert any(large[r].cells[tri].dead.rows for tri in shared_top), r
+        for tri, cell in cells.items():
+            other = large[r].cells[tri]
+            assert cell.reps == other.reps and cell.dead.rows == other.dead.rows, (r, tri)
+
+
+def test_page_one_shares_only_exact_translates(monkeypatch):
+    # sharing is decided by comparing monomial lists, never assumed: a cell
+    # listing as many monomials as a times its upper neighbour, one of them
+    # foreign, is a head
+    e1 = may_e1(3, 1)
+    window = DegreeWindow(-3, 1, -4, 4, s_max=2)
+    table = e1_monomials(e1, window, 2)
+    tri = next(t for t, c in page_one(e1, window, 2).cells.items() if c.shared)
+    foreign = list(table[tri][-1])
+    foreign[e1.a_pos] += 7
+    forged = {**table, tri: table[tri][:-1] + [tuple(foreign)]}
+    monkeypatch.setattr(mayss, "e1_monomials", lambda *args: forged)
+    assert not page_one(e1, window, 2).cells[tri].shared
 
 
 def e2_negative_model(total, s_cap):

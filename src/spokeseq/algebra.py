@@ -71,8 +71,8 @@ class Presentation:
         self.kinds = tuple(g.kind for g in self.generators)
         self.bounds = tuple(g.bound for g in self.generators)
         self._ext = tuple(i for i, g in enumerate(self.generators) if g.kind == EXT)
-        # monomials_in_degree answers per (m, n, normalised cap)
-        self._monomial_memo: dict[tuple, tuple[Monomial, ...]] = {}
+        # monomials_in_degree answers per (m, n)
+        self._monomial_memo: dict[tuple[int, int], tuple[Monomial, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -190,9 +190,9 @@ class Element:
         return Element(pres, {pres.unit_monomial(): 1})
 
     @staticmethod
-    def from_monomial(pres: Presentation, mono: Monomial, coeff: int = 1) -> "Element":
+    def from_monomial(pres: Presentation, mono: Monomial) -> "Element":
         pres.check_monomial(mono)
-        return Element(pres, {mono: coeff})
+        return Element(pres, {mono: 1})
 
     @staticmethod
     def generator(pres: Presentation, name: str) -> "Element":
@@ -376,22 +376,17 @@ class RingContext:
 # per-degree monomial enumeration
 
 
-def monomials_in_degree(
-    pres: Presentation,
-    degree: SpokeDegree,
-    cap: int | Mapping[str, int] | None = None,
-) -> tuple[Monomial, ...]:
+def monomials_in_degree(pres: Presentation, degree: SpokeDegree) -> tuple[Monomial, ...]:
     """All monomials of the given degree, exponent-lex ordered.
 
     Completeness is certified per call.  Exterior and truncated generators
-    have finite exponent ranges; ``cap`` may impose extra bounds on
-    polynomial generators (int for all, or per-name mapping).  What remains
-    must be solvable exactly:
+    have finite exponent ranges (a polynomial generator that needs a bound
+    is declared truncated).  What remains must be solvable exactly:
 
     * invertible generators are solved by linear algebra at the leaves
       (at most two, with independent degrees);
-    * uncapped polynomial generators are enumerated with budget pruning,
-      which requires a positive functional on their degrees that kills the
+    * polynomial generators are enumerated with budget pruning, which
+      requires a positive functional on their degrees that kills the
       invertible ones.  The last of them is not looped over but solved at
       the leaf: jointly with the invertible generator by a 2x2 integer
       (Cramer) solve, or by one division when there is none.  A module of
@@ -400,35 +395,21 @@ def monomials_in_degree(
     A presentation outside those shapes raises WindowIncompleteError rather
     than silently returning a partial basis.
 
-    Results are memoised on ``pres`` per (degree, normalised cap), and the
-    same tuple is returned to every caller, so it is immutable.  Only
-    complete answers are memoised: a shape that cannot be certified raises
-    on every call.
+    Results are memoised on ``pres`` per degree, and the same tuple is
+    returned to every caller, so it is immutable.  Only complete answers are
+    memoised: a shape that cannot be certified raises on every call.
     """
-    # the cap, normalised to (polynomial generator index, bound) pairs
-    if cap is None:
-        cap_key: tuple[tuple[int, int], ...] = ()
-    elif isinstance(cap, int):
-        cap_key = tuple((i, cap) for i, kind in enumerate(pres.kinds) if kind == POLY)
-    else:
-        cap_key = tuple(
-            (i, cap[name])
-            for i, name in enumerate(pres.names)
-            if name in cap and pres.kinds[i] == POLY
-        )
-    key = (degree.m, degree.n, cap_key)
+    key = (degree.m, degree.n)
     hit = pres._monomial_memo.get(key)
     if hit is not None:
         return hit
-    out = pres._monomial_memo[key] = _enumerate(pres, dict(cap_key), degree.m, degree.n)
+    out = pres._monomial_memo[key] = _enumerate(pres, degree.m, degree.n)
     return out
 
 
-def _enumerate(
-    pres: Presentation, caps: Mapping[int, int], m: int, n: int
-) -> tuple[Monomial, ...]:
-    """The monomials of degree m + n@ under ``caps`` ({generator index:
-    bound}), sorted, after checking that the shape enumerates completely."""
+def _enumerate(pres: Presentation, m: int, n: int) -> tuple[Monomial, ...]:
+    """The monomials of degree m + n@, sorted, after checking that the shape
+    enumerates completely."""
     finite: list[tuple[int, range]] = []  # (gen index, exponent range)
     free_poly: list[int] = []
     inv: list[int] = []
@@ -439,8 +420,6 @@ def _enumerate(
             finite.append((i, range(g.bound)))
         elif g.kind == INV:
             inv.append(i)
-        elif i in caps:
-            finite.append((i, range(caps[i] + 1)))
         else:
             free_poly.append(i)
 
@@ -452,7 +431,7 @@ def _enumerate(
             raise WindowIncompleteError("invertible generators with dependent degrees")
         if free_poly:
             raise WindowIncompleteError(
-                "uncapped polynomial generators alongside a rank-2 invertible lattice"
+                "polynomial generators alongside a rank-2 invertible lattice"
             )
 
     # Functional L with L(invertible degrees) = 0, used to bound free

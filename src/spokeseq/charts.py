@@ -35,15 +35,15 @@ def chart_from_dimension_table(
     return doc
 
 
-def chart_from_page(page, s_cap: int | None = None) -> ChartDoc:
-    """Dots for every surviving class of a spectral-sequence page."""
-    s_cap = page.s_cap if s_cap is None else s_cap
+def chart_from_page(page, s_max: int) -> ChartDoc:
+    """Dots for every surviving class of a spectral-sequence page with
+    s <= s_max."""
     doc = ChartDoc(f"page {page.r}", page.window)
     for tri in sorted(
         page.cells, key=lambda t: (t.total.m, t.total.n, t.s, t.f)
     ):
         cell = page.cells[tri]
-        if tri.s > s_cap:
+        if tri.s > s_max:
             continue
         for label in cell.labels:
             doc.dots.append((tri, label))

@@ -60,6 +60,8 @@ class RunConfig:
         check_odd_prime(self.p)
         if self.beta % self.p == 0 or self.beta_prime % self.p == 0:
             raise ConfigError("beta and beta-prime must be units")
+        if self.k_max < 0:
+            raise ConfigError(f"k_max must be >= 0, got {self.k_max}")
         DegreeWindow.parse(self.window, self.s_max)
 
     def degree_window(self) -> DegreeWindow:
@@ -148,9 +150,7 @@ def cmd_ext(config: RunConfig) -> int:
 
 def cmd_may(config: RunConfig) -> int:
     window = config.degree_window()
-    pages = mayss.compute_pages(
-        config.p, config.n, window, window.s_max, config.beta, config.beta_prime
-    )
+    pages = mayss.compute_pages(config.p, config.n, window, config.beta, config.beta_prime)
     text = [config.header()]
     for r in sorted(pages):
         page = pages[r]
@@ -173,7 +173,6 @@ def cmd_segal(config: RunConfig) -> int:
         config.p,
         config.n_max,
         window,
-        window.s_max,
         config.beta,
         config.beta_prime,
         disable_d1=config.disable_d1,

@@ -17,8 +17,10 @@ live here.
   cochain complex has one comodule slot per "z^k x_E x'_J" generator
   monomial: polynomially many columns instead of exponentially many.
 
-Both builders check d o d = 0 on every built slice with validate_dsquare,
-and both ladders go through the one homology pass, ext_dimensions;
+Both builders read the cohomological cap from the window (slices run to
+window.s_max + 1), check d o d = 0 on every built slice with
+validate_dsquare, and send their ladders through the one homology pass,
+ext_dimensions, which always labels each class by a representative;
 resolution_ext_table is "build, then ext_dimensions".  The two routes share
 no construction code, so their agreement is a cross-check of the Ext tables.
 
@@ -28,8 +30,8 @@ degree is total + (s, 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from . import fp
 from .algebra import EXT, INV, TRUNC, Element, Monomial, monomials_in_degree
@@ -107,10 +109,8 @@ class CobarComplex:
     hopf: HopfAlgebroid
     comodule: Comodule
     window: DegreeWindow
-    s_cap: int
     bases: dict[tuple[SpokeDegree, int], list[BasisIndex]]
     diffs: dict[tuple[SpokeDegree, int], SparseMatFp]
-    weights: dict[tuple[SpokeDegree, int], list[int]] | None = None
 
     def basis_label(self, internal: SpokeDegree, s: int, i: int) -> str:
         m_mono, word = self.bases[(internal, s)][i]
@@ -121,27 +121,19 @@ class CobarComplex:
         return f"{m_label}[{inner}]"
 
 
-def build_cobar(
-    H: HopfAlgebroid,
-    comodule: Comodule,
-    window: DegreeWindow,
-    s_cap: int | None = None,
-    weight_fn: Callable[[Monomial], int] | None = None,
-) -> CobarComplex:
+def build_cobar(H: HopfAlgebroid, comodule: Comodule, window: DegreeWindow) -> CobarComplex:
     """Enumerate slices and differentials for all total degrees in the window.
 
     Homology at cohomological degree s needs C^(s+1), so slices run to
-    window.s_max + 1.  weight_fn assigns a filtration weight to coideal
-    monomials; when given, it must be preserved by the differential (checked)
-    and per-weight homology becomes available.
+    window.s_max + 1.
     """
-    s_cap = window.s_max if s_cap is None else s_cap
+    s_max = window.s_max
     M = comodule.module
     total = H.total
 
     internals: set[SpokeDegree] = set()
     for d in window.degrees():
-        for s in range(s_cap + 1):
+        for s in range(s_max + 1):
             internals.add(d + D(s, 0))
     max_m = max(i.m for i in internals)
 
@@ -184,20 +176,13 @@ def build_cobar(
         return out
 
     for internal in sorted(internals, key=lambda d: (d.m, d.n)):
-        for s in range(s_cap + 2):
+        for s in range(s_max + 2):
             bases[(internal, s)] = enumerate_slice(internal, s)
-
-    weights = None
-    if weight_fn is not None:
-        weights = {
-            key: [sum(weight_fn(b) for b in word) for (_, word) in basis]
-            for key, basis in bases.items()
-        }
 
     diffs: dict[tuple[SpokeDegree, int], SparseMatFp] = {}
     p = H.p
     for internal in sorted(internals, key=lambda d: (d.m, d.n)):
-        for s in range(s_cap + 1):
+        for s in range(s_max + 1):
             src = bases[(internal, s)]
             dst = bases[(internal, s + 1)]
             dst_index = {idx: i for i, idx in enumerate(dst)}
@@ -230,10 +215,8 @@ def build_cobar(
                 columns.append(col)
             diffs[(internal, s)] = SparseMatFp.from_columns(columns, len(dst), p)
 
-    complex_ = CobarComplex(H, comodule, window, s_cap, bases, diffs, weights)
+    complex_ = CobarComplex(H, comodule, window, bases, diffs)
     validate_dsquare(complex_)
-    if weights is not None:
-        _validate_weight_preservation(complex_)
     return complex_
 
 
@@ -247,23 +230,11 @@ def validate_dsquare(cx: CobarComplex | ResolutionComplex) -> None:
             )
 
 
-def _validate_weight_preservation(cx: CobarComplex) -> None:
-    for (internal, s), mat in cx.diffs.items():
-        src_w = cx.weights[(internal, s)]
-        dst_w = cx.weights[(internal, s + 1)]
-        for (i, j), _ in mat.entries.items():
-            if dst_w[i] != src_w[j]:
-                raise BookkeepingError(
-                    f"filtration weight not preserved at {internal}, s={s}"
-                )
-
-
 @dataclass
 class ExtTable:
     """(s, total degree) -> (dimension, representative labels)."""
 
     entries: dict[tuple[int, SpokeDegree], tuple[int, tuple[str, ...]]]
-    meta: dict = field(default_factory=dict)
 
     def dim(self, s: int, total: SpokeDegree) -> int:
         return self.entries.get((s, total), (0, ()))[0]
@@ -281,7 +252,7 @@ class ExtTable:
         return "\n".join(lines) + "\n"
 
 
-def ext_dimensions(cx: CobarComplex | ResolutionComplex, with_reps: bool = True) -> ExtTable:
+def ext_dimensions(cx: CobarComplex | ResolutionComplex) -> ExtTable:
     """Cohomology of either route's ladders, reported per (s, total degree).
 
     A representative is labelled by the least basis label in its support.
@@ -291,29 +262,25 @@ def ext_dimensions(cx: CobarComplex | ResolutionComplex, with_reps: bool = True)
 
     def column(total: SpokeDegree):
         col = []
-        for s in range(cx.s_cap + 1):
+        for s in range(cx.window.s_max + 1):
             internal = total + D(s, 0)
             d_out = cx.diffs[(internal, s)]
             if s == 0:
                 d_in = SparseMatFp.zero(d_out.cols, 0, p)
             else:
                 d_in = cx.diffs[(internal, s - 1)]
-            if with_reps:
-                dim, reps = fp.quotient_dimension(d_in, d_out, with_basis=True)
+            dim, reps = fp.quotient_dimension(d_in, d_out)
+            if dim:
                 labels = tuple(
                     min(cx.basis_label(internal, s, i) for i, c in enumerate(vec) if c)
                     for vec in reps
                 )
-            else:
-                dim = fp.quotient_dimension(d_in, d_out)
-                labels = ()
-            if dim:
                 col.append(((s, total), (dim, labels)))
         return col
 
     columns = deterministic_map(column, cx.window.degrees())
     entries = dict(entry for col in columns for entry in col)
-    return ExtTable(entries, meta={"route": cx.route})
+    return ExtTable(entries)
 
 
 def ext0_primitives(comodule: Comodule, degrees: Sequence[SpokeDegree]) -> dict[SpokeDegree, int]:
@@ -552,7 +519,6 @@ class ResolutionComplex:
     hopf: HopfAlgebroid
     comodule: Comodule
     window: DegreeWindow
-    s_cap: int
     gens: ResolutionGens
     bases: dict[tuple[SpokeDegree, int], list[tuple[Monomial, GenState]]]
     diffs: dict[tuple[SpokeDegree, int], SparseMatFp]
@@ -569,30 +535,27 @@ class ResolutionComplex:
 
 
 def build_resolution_complex(
-    H: HopfAlgebroid,
-    comodule: Comodule,
-    window: DegreeWindow,
-    s_cap: int | None = None,
+    H: HopfAlgebroid, comodule: Comodule, window: DegreeWindow
 ) -> ResolutionComplex:
-    s_cap = window.s_max if s_cap is None else s_cap
+    s_max = window.s_max
     gens = resolution_strands(H)
     M = comodule.module
     ops = DualOperators(comodule)
     p = H.p
 
-    states = gens.enumerate(s_cap + 1)
+    states = gens.enumerate(s_max + 1)
     by_s: dict[int, list[GenState]] = {}
     for st in states:
         by_s.setdefault(gens.s_of(st), []).append(st)
 
     internals: set[SpokeDegree] = set()
     for d in window.degrees():
-        for s in range(s_cap + 1):
+        for s in range(s_max + 1):
             internals.add(d + D(s, 0))
 
     bases: dict[tuple[SpokeDegree, int], list[tuple[Monomial, GenState]]] = {}
     for internal in sorted(internals, key=lambda d: (d.m, d.n)):
-        for s in range(s_cap + 2):
+        for s in range(s_max + 2):
             basis = []
             for state in by_s.get(s, []):
                 rem = internal - gens.degree_of(state)
@@ -603,7 +566,7 @@ def build_resolution_complex(
 
     diffs: dict[tuple[SpokeDegree, int], SparseMatFp] = {}
     for internal in sorted(internals, key=lambda d: (d.m, d.n)):
-        for s in range(s_cap + 1):
+        for s in range(s_max + 1):
             src = bases[(internal, s)]
             dst = bases[(internal, s + 1)]
             dst_index = {idx: i for i, idx in enumerate(dst)}
@@ -627,42 +590,34 @@ def build_resolution_complex(
                 columns.append({k: v for k, v in col.items() if v})
             diffs[(internal, s)] = SparseMatFp.from_columns(columns, len(dst), p)
 
-    cx = ResolutionComplex(H, comodule, window, s_cap, gens, bases, diffs)
+    cx = ResolutionComplex(H, comodule, window, gens, bases, diffs)
     validate_dsquare(cx)
     return cx
 
 
 def resolution_ext_table(
-    H: HopfAlgebroid,
-    comodule: Comodule,
-    window: DegreeWindow,
-    s_cap: int | None = None,
-    with_reps: bool = True,
+    H: HopfAlgebroid, comodule: Comodule, window: DegreeWindow
 ) -> ExtTable:
-    cx = build_resolution_complex(H, comodule, window, s_cap)
-    return ext_dimensions(cx, with_reps)
+    return ext_dimensions(build_resolution_complex(H, comodule, window))
+
+
+def check_stabilization_heights(n_max: int) -> None:
+    """Stabilization compares consecutive truncation heights 1..n_max, so
+    it needs at least two of them."""
+    if n_max < 2:
+        raise ConfigError("stabilization needs n_max >= 2")
 
 
 def stabilize_over_n(
-    p: int,
-    window: DegreeWindow,
-    n_max: int,
-    beta: int = 1,
-    beta_prime: int = 1,
-    s_cap: int | None = None,
+    p: int, window: DegreeWindow, n_max: int, beta: int = 1, beta_prime: int = 1
 ):
     """Ext tables over increasing truncation height until two consecutive
     heights agree on the window; returns (table, n, stabilized flag)."""
-    if n_max < 2:
-        raise ConfigError("stabilization needs n_max >= 2")
+    check_stabilization_heights(n_max)
     tables = {}
     for n in range(1, n_max + 1):
         H, M = truncated_hopf(p, n, beta, beta_prime)
-        tables[n] = resolution_ext_table(H, M, window, s_cap)
+        tables[n] = resolution_ext_table(H, M, window)
         if n > 1 and tables[n].dims() == tables[n - 1].dims():
-            table = tables[n - 1]
-            table.meta.update({"stabilized": True, "n": n - 1})
-            return table, n - 1, True
-    table = tables[n_max]
-    table.meta.update({"stabilized": False, "n": n_max})
-    return table, n_max, False
+            return tables[n - 1], n - 1, True
+    return tables[n_max], n_max, False

@@ -244,13 +244,16 @@ def check_zero_composite(d_first: SparseMatFp, d_second: SparseMatFp, message: s
 
 
 def quotient_dimension(
-    d_boundary: SparseMatFp, d_cycle: SparseMatFp, with_basis: bool = False
-):
-    """Homology dimension at the middle of  X --d_boundary--> Y --d_cycle--> Z.
+    d_boundary: SparseMatFp, d_cycle: SparseMatFp
+) -> tuple[int, list[Vector]]:
+    """(dim, reps): the homology at the middle of
+    X --d_boundary--> Y --d_cycle--> Z and canonical representatives of it.
 
-    Requires d_cycle o d_boundary = 0 and does not recompose the pair: the
-    caller has checked it once with check_zero_composite (the Ext builders
-    through cobar.validate_dsquare).
+    The representatives are quotient_basis of the kernel of d_cycle modulo
+    the image of d_boundary; a count that disagrees with the rank formula is
+    a BookkeepingError.  Requires d_cycle o d_boundary = 0 and does not
+    recompose the pair: the caller has checked it once with
+    check_zero_composite (the Ext builders through cobar.validate_dsquare).
     """
     if d_boundary.rows != d_cycle.cols:
         raise ConfigError(
@@ -258,8 +261,6 @@ def quotient_dimension(
             f"cycle starts at dim {d_cycle.cols}"
         )
     kernel = kernel_basis(d_cycle)
-    if not with_basis:
-        return len(kernel) - rank(d_boundary)
     columns = [[0] * d_boundary.rows for _ in range(d_boundary.cols)]
     for (i, j), v in d_boundary.entries.items():
         columns[j][i] = v

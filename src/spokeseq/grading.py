@@ -125,7 +125,7 @@ class DegreeWindow:
         return f"{self.m_min}:{self.m_max}:{self.n_min}:{self.n_max}"
 
     @staticmethod
-    def parse(text: str, s_max: int = 6) -> "DegreeWindow":
+    def parse(text: str, s_max: int) -> "DegreeWindow":
         parts = text.strip().split(":")
         if len(parts) != 4:
             raise ConfigError(f"bad window syntax {text!r}; expected 'm0:m1:n0:n1'")

@@ -86,7 +86,7 @@ class TensorContext:
         self,
         slots: Sequence[Presentation],
         base: Presentation,
-        push_left: Callable[[int, Monomial], "Element | None"] | None = None,
+        push_left: Callable[[int, Monomial], "Element | None"],
     ):
         if not slots:
             raise ConfigError("tensor context needs at least one slot")
@@ -240,6 +240,8 @@ class HopfAlgebroid:
         )
         self.eta_R = GradedMap(self.base, RingContext(self.total), self.eta_R_images)
         self.epsilon = GradedMap(self.total, RingContext(self.base), self.epsilon_images)
+        # tensor_power_of answers per tuple of slot presentations
+        self._tensor_cache: dict[tuple[int, ...], TensorContext] = {}
         self.tensor_square = self.tensor_power_of([self.total, self.total])
         # delta images are raw {key: coeff} dicts; they need the tensor
         # context above, so the map is built last
@@ -258,12 +260,8 @@ class HopfAlgebroid:
         return len(self.base) == 0
 
     def tensor_power_of(self, slots: Sequence[Presentation]) -> TensorContext:
-        cache = getattr(self, "_tensor_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_tensor_cache", cache)
         key = tuple(id(s) for s in slots)
-        ctx = cache.get(key)
+        ctx = self._tensor_cache.get(key)
         if ctx is not None:
             return ctx
 
@@ -277,8 +275,7 @@ class HopfAlgebroid:
                 pres, _translate_monomial(self.base, base_mono, pres)
             )
 
-        ctx = TensorContext(slots, self.base, push)
-        cache[key] = ctx
+        ctx = self._tensor_cache[key] = TensorContext(slots, self.base, push)
         return ctx
 
 
@@ -444,20 +441,14 @@ def descent_algebroid(p: int, beta: int = 1, beta_prime: int = 1) -> HopfAlgebro
         "Nm": {(m("Nm"), unit): 1, (unit, m("Nm")): 1},
         "mu": {(m("mu"), unit): 1, (unit, m("mu")): 1},
     }
-    return _build_algebroid(
-        p, base, total, eta_R, epsilon, delta, "descent", beta, beta_prime
-    )
-
-
-def _build_algebroid(p, base, total, eta_R, epsilon, delta_raw, name, beta, beta_prime):
     return HopfAlgebroid(
         p=p,
         base=base,
         total=total,
         eta_R_images=eta_R,
         epsilon_images=epsilon,
-        delta_images=delta_raw,
-        name=name,
+        delta_images=delta,
+        name="descent",
         beta=beta,
         beta_prime=beta_prime,
     )
@@ -488,7 +479,17 @@ def truncated_hopf(
         "mu": {(m("mu"), unit): 1, (unit, m("mu")): 1},
     }
     epsilon = {"Nm": Element.zero(base), "mu": Element.zero(base)}
-    H = _build_algebroid(p, base, total, {}, epsilon, delta, f"truncated(n={n})", beta, beta_prime)
+    H = HopfAlgebroid(
+        p=p,
+        base=base,
+        total=total,
+        eta_R_images={},
+        epsilon_images=epsilon,
+        delta_images=delta,
+        name=f"truncated(n={n})",
+        beta=beta,
+        beta_prime=beta_prime,
+    )
 
     module = Presentation(
         p,
@@ -540,7 +541,15 @@ def geometric_algebroid(p: int) -> HopfAlgebroid:
         "yb": {(unit, m("yb")): 1},
         "xb": {(unit, m("xb")): 1},
     }
-    return _build_algebroid(p, base, total, eta_R, epsilon, delta, "geometric", 1, 1)
+    return HopfAlgebroid(
+        p=p,
+        base=base,
+        total=total,
+        eta_R_images=eta_R,
+        epsilon_images=epsilon,
+        delta_images=delta,
+        name="geometric",
+    )
 
 
 def base_comodule(H: HopfAlgebroid) -> Comodule:
@@ -584,18 +593,16 @@ class AxiomReport:
         return "\n".join(lines) + "\n"
 
 
-def check_axioms(
-    H: HopfAlgebroid,
-    window: DegreeWindow,
-    comodule: Comodule | None = None,
-) -> AxiomReport:
+def check_axioms(H: HopfAlgebroid, window: DegreeWindow, comodule: Comodule) -> AxiomReport:
     """Verify counit, coassociativity and comodule axioms on every basis
     monomial whose degree lies in the window.  Each degree is checked
     independently, and failures are listed in window order."""
     counit_unit = AxiomCheck("counit-of-units")
     counit_cop = AxiomCheck("counit-coproduct")
     coassoc = AxiomCheck("coassociativity")
-    checks = [counit_unit, counit_cop, coassoc]
+    com_counit = AxiomCheck("comodule-counit")
+    com_coassoc = AxiomCheck("comodule-coassociativity")
+    checks = [counit_unit, counit_cop, coassoc, com_counit, com_coassoc]
 
     degrees = window.degrees()
 
@@ -636,32 +643,28 @@ def check_axioms(
         counit_cop.failures.extend(cu_fails)
         coassoc.failures.extend(co_fails)
 
-    if comodule is not None:
-        com_counit = AxiomCheck("comodule-counit")
-        com_coassoc = AxiomCheck("comodule-coassociativity")
-        checks += [com_counit, com_coassoc]
-        M = comodule.module
+    M = comodule.module
 
-        def module_degree(d):
-            count, cu_fails, co_fails = 0, [], []
-            for mono in monomials_in_degree(M, d):
-                x = Element.from_monomial(M, mono)
-                px = comodule.psi.apply(x)
-                count += 1
-                back = tensor_to_element(apply_counit_at(H, px, 1))
-                if back != x:
-                    cu_fails.append(f"counit on {M.format_monomial(mono)}")
-                left = apply_coproduct_at(H, px, 0, coaction=comodule.psi)
-                right = apply_coproduct_at(H, px, 1)
-                if left.coeffs != right.coeffs:
-                    co_fails.append(f"coassoc on {M.format_monomial(mono)}")
-            return count, cu_fails, co_fails
+    def module_degree(d):
+        count, cu_fails, co_fails = 0, [], []
+        for mono in monomials_in_degree(M, d):
+            x = Element.from_monomial(M, mono)
+            px = comodule.psi.apply(x)
+            count += 1
+            back = tensor_to_element(apply_counit_at(H, px, 1))
+            if back != x:
+                cu_fails.append(f"counit on {M.format_monomial(mono)}")
+            left = apply_coproduct_at(H, px, 0, coaction=comodule.psi)
+            right = apply_coproduct_at(H, px, 1)
+            if left.coeffs != right.coeffs:
+                co_fails.append(f"coassoc on {M.format_monomial(mono)}")
+        return count, cu_fails, co_fails
 
-        for count, cu_fails, co_fails in deterministic_map(module_degree, degrees):
-            com_counit.checked += count
-            com_coassoc.checked += count
-            com_counit.failures.extend(cu_fails)
-            com_coassoc.failures.extend(co_fails)
+    for count, cu_fails, co_fails in deterministic_map(module_degree, degrees):
+        com_counit.checked += count
+        com_coassoc.checked += count
+        com_counit.failures.extend(cu_fails)
+        com_coassoc.failures.extend(co_fails)
     return AxiomReport(checks)
 
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from . import fp
@@ -56,17 +56,11 @@ from .algebra import (
     TRUNC,
     monomials_in_degree,
 )
-from .cobar import ExtTable, build_cobar, resolution_ext_table
+from .cobar import ExtTable, build_cobar, check_stabilization_heights, resolution_ext_table
 from .errors import BookkeepingError, ConfigError, WindowError
 from .fp import SparseMatFp, Subspace, Vector, check_odd_prime, quotient_basis
 from .grading import DegreeWindow, SpokeDegree, TriDegree
-from .hopf import (
-    Comodule,
-    HopfAlgebroid,
-    _build_algebroid,
-    apply_coproduct_at,
-    truncated_hopf,
-)
+from .hopf import Comodule, HopfAlgebroid, apply_coproduct_at, truncated_hopf
 
 D = SpokeDegree
 
@@ -306,18 +300,17 @@ def d1_monomial_reference(e1: MayE1, mono: Monomial) -> dict[Monomial, int]:
         if not e:
             continue
         if name == "us":  # exterior, so e = 1
-            image = Element.from_monomial(
-                pres, pres.monomial(a=2, z=1), e1.beta_prime
-            )
+            image = Element.from_monomial(pres, pres.monomial(a=2, z=1)).scale(e1.beta_prime)
         elif name == "ul":
             image = Element.zero(pres)
             for t in range(n):
                 digit = _digit(e, p, t)
                 if digit:
-                    image = image + Element.from_monomial(
-                        pres,
-                        pres.monomial(**{"ul": e - p**t, "a": 2 * p ** (t + 1), f"x{t}": 1}),
-                        digit * pow(e1.beta, p**t, p),
+                    target = pres.monomial(
+                        **{"ul": e - p**t, "a": 2 * p ** (t + 1), f"x{t}": 1}
+                    )
+                    image = image + Element.from_monomial(pres, target).scale(
+                        digit * pow(e1.beta, p**t, p)
                     )
         else:
             continue
@@ -415,7 +408,6 @@ class SSPage:
     r: int
     e1: MayE1
     window: DegreeWindow
-    s_cap: int
     columns: dict[ColumnKey, Column]
     # the tri-degree at each column entry; one object for every page of a run
     tris: dict[ColumnKey, list[TriDegree | None]]
@@ -454,11 +446,8 @@ def _is_a_translate(lower: list[Monomial], upper: list[Monomial], a_i: int) -> b
     ]
 
 
-def page_one(
-    e1: MayE1, window: DegreeWindow, s_cap: int | None = None
-) -> SSPage:
-    s_cap = window.s_max if s_cap is None else s_cap
-    table = e1_monomials(e1, window, s_cap)
+def page_one(e1: MayE1, window: DegreeWindow) -> SSPage:
+    table = e1_monomials(e1, window, window.s_max)
     height = window.n_max - window.n_min + 1
     tris: dict[ColumnKey, list[TriDegree | None]] = {}
     for tri in table:
@@ -485,7 +474,7 @@ def page_one(
                 reps = list(_unit_vectors(size))
                 cell = PageCell(monos, reps, Subspace([], size, e1.p), range(size), e1.pres)
             col[k] = upper = cell
-    return SSPage(1, e1, window, s_cap, columns, tris, (window.m_min, window.m_max))
+    return SSPage(1, e1, window, columns, tris, (window.m_min, window.m_max))
 
 
 def _shift(tri: TriDegree, r: int) -> TriDegree:
@@ -670,7 +659,7 @@ def turn_page(page: SSPage, diff_fn, new_r: int) -> SSPage:
             reps = quotient_basis(cycles, dead, size, p)
             new_col[k] = cell.with_data(reps, dead, _pivots(reps), False)
     lo, hi = page.reliable_m
-    return SSPage(new_r, e1, page.window, page.s_cap, new_columns, tris, (lo + 1, hi - 1))
+    return SSPage(new_r, e1, page.window, new_columns, tris, (lo + 1, hi - 1))
 
 
 def _leading_label(pres: Presentation, monomials: list[Monomial], rep: Vector) -> str:
@@ -678,24 +667,23 @@ def _leading_label(pres: Presentation, monomials: list[Monomial], rep: Vector) -
 
 
 def copy_page(page: SSPage, new_r: int) -> SSPage:
-    return SSPage(
-        new_r, page.e1, page.window, page.s_cap, page.columns, page.tris, page.reliable_m
-    )
+    return SSPage(new_r, page.e1, page.window, page.columns, page.tris, page.reliable_m)
 
 
 def compute_pages(
     p: int,
     n: int,
     window: DegreeWindow,
-    s_cap: int | None = None,
     beta: int = 1,
     beta_prime: int = 1,
     disable_d1: bool = False,
 ) -> dict[int, SSPage]:
-    """E_1, E_2 (after d_1), intermediate copies, and E_p (after d_(p-1))."""
+    """E_1, E_2 (after d_1), intermediate copies, and E_p (after d_(p-1)).
+
+    The pages are computed two s-rows above window.s_max, and their window
+    says so."""
     e1 = may_e1(p, n, beta, beta_prime)
-    s_internal = (window.s_max if s_cap is None else s_cap) + 2
-    page1 = page_one(e1, window, s_internal)
+    page1 = page_one(e1, replace(window, s_max=window.s_max + 2))
     pages = {1: page1}
     if disable_d1:
         # negative control: run the same machinery with a zero differential
@@ -764,7 +752,15 @@ def e0_hopf(p: int, n: int) -> HopfAlgebroid:
         mono = total.monomial(**{g.name: 1})
         delta[g.name] = {(mono, unit): 1, (unit, mono): 1}
         epsilon[g.name] = Element.zero(base)
-    return _build_algebroid(p, base, total, {}, epsilon, delta, f"e0(n={n})", 1, 1)
+    return HopfAlgebroid(
+        p=p,
+        base=base,
+        total=total,
+        eta_R_images={},
+        epsilon_images=epsilon,
+        delta_images=delta,
+        name=f"e0(n={n})",
+    )
 
 
 def e0_weight(pres: Presentation, mono: Monomial) -> int:
@@ -851,7 +847,7 @@ def _factor_ext_classes(p: int, height_degree: SpokeDegree, s_cap: int):
                 )
         for s in range(s_cap + 1):
             d_in = mats.get(s - 1) or SparseMatFp.zero(len(words[s]), 0, p)
-            dim = fp.quotient_dimension(d_in, mats[s])
+            dim, _ = fp.quotient_dimension(d_in, mats[s])
             if dim:
                 out.append((s, height_degree * k, k, dim))
     return out
@@ -903,16 +899,13 @@ def closed_form_counts(
     }
 
 
-def e1_vs_associated_graded(
-    p: int, n: int, window: DegreeWindow, s_cap: int | None = None
-) -> tuple[bool, list[str]]:
+def e1_vs_associated_graded(p: int, n: int, window: DegreeWindow) -> tuple[bool, list[str]]:
     """Closed-form first-page monomial counts against the cohomology of the
     associated graded, convolved with the coefficient module, tri-degree by
     tri-degree over the window."""
-    s_cap = window.s_max if s_cap is None else s_cap
     e1 = may_e1(p, n)
-    closed = closed_form_counts(e1, window, s_cap)
-    graded = associated_graded_ext_classes(p, n, s_cap)
+    closed = closed_form_counts(e1, window, window.s_max)
+    graded = associated_graded_ext_classes(p, n, window.s_max)
 
     # coefficient module F_p[a, ul^{+-1}]<us> has one monomial in every
     # degree of virtual dimension <= 0 and none elsewhere
@@ -942,7 +935,6 @@ def einfty_vs_ext(
     p: int,
     n: int,
     window: DegreeWindow,
-    s_cap: int | None = None,
     beta: int = 1,
     beta_prime: int = 1,
 ) -> tuple[bool, list[str], SSPage, ExtTable]:
@@ -950,18 +942,15 @@ def einfty_vs_ext(
     Ext table of the truncated Hopf algebra, on the full requested window
     (pages are computed on an m-expanded window so every requested cell is
     reliable)."""
-    s_cap = window.s_max if s_cap is None else s_cap
-    expanded = DegreeWindow(
-        window.m_min - 2, window.m_max + 2, window.n_min, window.n_max, s_cap
-    )
-    pages = compute_pages(p, n, expanded, s_cap, beta, beta_prime)
+    expanded = replace(window, m_min=window.m_min - 2, m_max=window.m_max + 2)
+    pages = compute_pages(p, n, expanded, beta, beta_prime)
     last = pages[p]
     H, M = truncated_hopf(p, n, beta, beta_prime)
-    table = resolution_ext_table(H, M, window, s_cap, with_reps=False)
+    table = resolution_ext_table(H, M, window)
 
     page_totals: dict[tuple[int, SpokeDegree], int] = {}
     for tri, cell in last.cells.items():
-        if cell.dim and window.contains(tri.total) and tri.s <= s_cap:
+        if cell.dim and window.contains(tri.total) and tri.s <= window.s_max:
             key = (tri.s, tri.total)
             page_totals[key] = page_totals.get(key, 0) + cell.dim
 
@@ -978,37 +967,48 @@ def einfty_vs_ext(
 
 
 def e0_direct_weighted_ext(
-    p: int, n: int, window: DegreeWindow, s_cap: int | None = None
+    p: int, n: int, window: DegreeWindow
 ) -> dict[tuple[int, SpokeDegree, int], int]:
     """Small-window cross-check: the full multi-line cobar of the associated
     graded with trivial coefficients, homology split by filtration weight.
     Exponential in s, so only for modest windows; its agreement with
-    associated_graded_ext_classes certifies the tensor assembly."""
-    s_cap = window.s_max if s_cap is None else s_cap
+    associated_graded_ext_classes certifies the tensor assembly.
+
+    A bar word weighs the sum of its letters' e0_weight; the differential
+    must preserve it, entry by entry, or the split is meaningless."""
     He0 = e0_hopf(p, n)
     triv = Comodule(He0, Presentation(p, []), {})
-    cx = build_cobar(
-        He0, triv, window, s_cap, weight_fn=lambda m: sum(m)
-    )
+    cx = build_cobar(He0, triv, window)
+    weights = {
+        key: [sum(e0_weight(He0.total, b) for b in word) for _, word in basis]
+        for key, basis in cx.bases.items()
+    }
+    for (internal, s), mat in cx.diffs.items():
+        src_w, dst_w = weights[(internal, s)], weights[(internal, s + 1)]
+        for i, j in mat.entries:
+            if dst_w[i] != src_w[j]:
+                raise BookkeepingError(
+                    f"filtration weight not preserved at {internal}, s={s}"
+                )
     out: dict[tuple[int, SpokeDegree, int], int] = {}
 
     def ids(internal: SpokeDegree, s: int, f: int) -> list[int]:
-        return [i for i, w in enumerate(cx.weights[(internal, s)]) if w == f]
+        return [i for i, w in enumerate(weights[(internal, s)]) if w == f]
 
     for total in window.degrees():
-        for s in range(s_cap + 1):
+        for s in range(window.s_max + 1):
             internal = total + D(s, 0)
-            weights = cx.weights[(internal, s)]
-            if not weights:
+            slice_weights = weights[(internal, s)]
+            if not slice_weights:
                 continue
-            for f in sorted(set(weights)):
+            for f in sorted(set(slice_weights)):
                 cols = ids(internal, s, f)
                 sub_out = _block(cx.diffs[(internal, s)], ids(internal, s + 1, f), cols)
                 if s == 0:
                     sub_in = SparseMatFp.zero(len(cols), 0, p)
                 else:
                     sub_in = _block(cx.diffs[(internal, s - 1)], cols, ids(internal, s - 1, f))
-                dim = fp.quotient_dimension(sub_in, sub_out)
+                dim, _ = fp.quotient_dimension(sub_in, sub_out)
                 if dim:
                     out[(s, internal, f)] = dim
     return out
@@ -1112,7 +1112,6 @@ class SegalReport:
     p: int
     n_max: int
     window: DegreeWindow
-    s_cap: int
     beta: int
     beta_prime: int
     pattern_ok: dict[int, bool]
@@ -1127,7 +1126,7 @@ class SegalReport:
 
     def format(self) -> str:
         lines = [
-            f"window {self.window.format()} s<={self.s_cap} reliable m [{self.reliable_m[0]},{self.reliable_m[1]}] tower margin {self.tower_margin}",
+            f"window {self.window.format()} s<={self.window.s_max} reliable m [{self.reliable_m[0]},{self.reliable_m[1]}] tower margin {self.tower_margin}",
         ]
         for n in sorted(self.survivor_tables):
             ok = "ok" if self.pattern_ok[n] else "MISMATCH"
@@ -1188,7 +1187,6 @@ def segal_pipeline(
     p: int,
     n_max: int,
     window: DegreeWindow,
-    s_cap: int | None = None,
     beta: int = 1,
     beta_prime: int = 1,
     disable_d1: bool = False,
@@ -1197,22 +1195,20 @@ def segal_pipeline(
     over the height, and the Borel-completeness verdict: survivors are one
     a-power line in integer degree 0 and cohomological degree 0."""
     check_odd_prime(p)
-    s_cap = window.s_max if s_cap is None else s_cap
+    check_stabilization_heights(n_max)
     if window.n_min + window.m_max > -1:
         raise WindowError(
             "window too small to decide survivors: need n_min + m_max <= -1"
         )
-    expanded = DegreeWindow(
-        window.m_min - 2, window.m_max + 2, window.n_min, window.n_max, s_cap
-    )
+    expanded = replace(window, m_min=window.m_min - 2, m_max=window.m_max + 2)
     pattern_ok: dict[int, bool] = {}
     pattern_failures: dict[int, list[str]] = {}
     tables: dict[int, dict[str, int]] = {}
     reliable = (window.m_min, window.m_max)
     for n in range(1, n_max + 1):
-        pages = compute_pages(p, n, expanded, s_cap, beta, beta_prime, disable_d1)
+        pages = compute_pages(p, n, expanded, beta, beta_prime, disable_d1)
         tables[n], pattern_ok[n], pattern_failures[n] = survivor_table(
-            pages, p, n, s_cap
+            pages, p, n, window.s_max
         )
         reliable = pages[p].reliable_m
     stabilized_at = None
@@ -1247,7 +1243,6 @@ def segal_pipeline(
         p=p,
         n_max=n_max,
         window=window,
-        s_cap=s_cap,
         beta=beta,
         beta_prime=beta_prime,
         pattern_ok=pattern_ok,

@@ -18,7 +18,13 @@ from spokeseq.algebra import (
 from spokeseq.cobar import resolution_ext_table
 from spokeseq.grading import DegreeWindow, SpokeDegree, TriDegree
 from spokeseq.hfp import HfpVariant, NegClass
-from spokeseq.hopf import Comodule, check_axioms, descent_algebroid, truncated_hopf
+from spokeseq.hopf import (
+    Comodule,
+    HopfAlgebroid,
+    check_axioms,
+    descent_algebroid,
+    truncated_hopf,
+)
 from spokeseq.mayss import (
     compute_pages,
     e1_vs_associated_graded,
@@ -111,7 +117,7 @@ def test_criterion_4_ep_negative_pattern():
         SEGAL_WINDOW.m_min - 2, SEGAL_WINDOW.m_max + 2,
         SEGAL_WINDOW.n_min, SEGAL_WINDOW.n_max, SEGAL_WINDOW.s_max,
     )
-    pages = compute_pages(3, 1, expanded, SEGAL_WINDOW.s_max)
+    pages = compute_pages(3, 1, expanded)
     last = pages[3]
     by_total = {}
     for tri, cell in last.cells.items():
@@ -233,18 +239,21 @@ def test_criterion_8_robustness():
             GeneratorSpec("Nm", D(2, 4), TRUNC, 3),
         ],
     )
-    from spokeseq.hopf import _build_algebroid
-
     unit = reordered_total.unit_monomial()
     mono = lambda name: reordered_total.monomial(**{name: 1})
-    H3 = _build_algebroid(
-        p, Presentation(p, []), reordered_total, {},
-        {"Nm": Element.zero(Presentation(p, [])), "mu": Element.zero(Presentation(p, []))},
-        {
+    H3 = HopfAlgebroid(
+        p=p,
+        base=Presentation(p, []),
+        total=reordered_total,
+        eta_R_images={},
+        epsilon_images={
+            "Nm": Element.zero(Presentation(p, [])), "mu": Element.zero(Presentation(p, []))
+        },
+        delta_images={
             "Nm": {(mono("Nm"), unit): 1, (unit, mono("Nm")): 1},
             "mu": {(mono("mu"), unit): 1, (unit, mono("mu")): 1},
         },
-        "reordered", 1, 1,
+        name="reordered",
     )
     module = M1.module
     mm = lambda **kw: module.monomial(**kw)
@@ -257,7 +266,7 @@ def test_criterion_8_robustness():
             "us": {(mm(us=1), unit): 1, (mm(a=2), mono("mu")): 1},
         },
     )
-    t3 = resolution_ext_table(H3, M3, w, with_reps=False)
+    t3 = resolution_ext_table(H3, M3, w)
     if t1.dims() != t3.dims():
         ok = False
         print("  generator-order-dependent ext dimensions")

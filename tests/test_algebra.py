@@ -235,32 +235,40 @@ def test_window_incompleteness_detected():
     )
     with pytest.raises(WindowIncompleteError):
         monomials_in_degree(ring, D(0, 0))
-    # capping one of them restores completeness
-    assert len(monomials_in_degree(ring, D(0, 0), cap={"z": 6})) == 7
+    # bounding one of them, by declaring it truncated, restores completeness
+    assert len(monomials_in_degree(bounded_z_ring(7), D(0, 0))) == 7
+
+
+def bounded_z_ring(bound):
+    return Presentation(
+        3,
+        [
+            GeneratorSpec("a", D(0, -1), POLY),
+            GeneratorSpec("z", D(0, 1), TRUNC, bound),
+        ],
+    )
 
 
 def test_repeated_enumeration_is_equal_and_uncorruptible():
-    ring = Presentation(
+    ring = bounded_z_ring(7)
+    first = monomials_in_degree(ring, D(0, 0))
+    assert isinstance(first, tuple) and len(first) == 7
+    with pytest.raises(TypeError):
+        first[0] = (9, 9)
+    assert monomials_in_degree(ring, D(0, 0)) == first
+    # the degree is the key
+    assert len(monomials_in_degree(ring, D(0, 2))) == 5
+    # an incomplete shape is refused again, not answered from the memo
+    unbounded = Presentation(
         3,
         [
             GeneratorSpec("a", D(0, -1), POLY),
             GeneratorSpec("z", D(0, 1), POLY),
         ],
     )
-    first = monomials_in_degree(ring, D(0, 0), cap={"z": 6})
-    assert isinstance(first, tuple) and len(first) == 7
-    with pytest.raises(TypeError):
-        first[0] = (9, 9)
-    assert monomials_in_degree(ring, D(0, 0), cap={"z": 6}) == first
-    # the cap is part of the key; an int cap equals the same per-name caps
-    assert len(monomials_in_degree(ring, D(0, 0), cap={"z": 2})) == 3
-    assert monomials_in_degree(ring, D(0, 0), cap=2) == monomials_in_degree(
-        ring, D(0, 0), cap={"a": 2, "z": 2}
-    )
-    # an incomplete shape is refused again, not answered from the memo
     for _ in range(2):
         with pytest.raises(WindowIncompleteError):
-            monomials_in_degree(ring, D(0, 0))
+            monomials_in_degree(unbounded, D(0, 0))
 
 
 def test_presentations_do_not_share_enumeration_results():
@@ -327,7 +335,7 @@ def test_enumeration_completeness_positive_cone(m, n):
     assert sorted(got) == sorted(brute)
 
 
-def _oracle_monomials(pres, target, caps):
+def _oracle_monomials(pres, target):
     """Brute force over exponent boxes that provably hold every solution.
 
     For the shapes the enumerator accepts, a functional that is positive on
@@ -345,8 +353,6 @@ def _oracle_monomials(pres, target, caps):
             ranges[i] = range(2)
         elif g.kind == TRUNC:
             ranges[i] = range(g.bound)
-        elif g.kind == POLY and g.name in caps:
-            ranges[i] = range(caps[g.name] + 1)
         elif g.kind == POLY:
             free.append(i)
     finite_degrees = [D(0, 0)]
@@ -397,8 +403,9 @@ def _oracle_monomials(pres, target, caps):
 
 @st.composite
 def small_presentations(draw):
-    """A random small presentation with 0, 1 or 2 invertible generators,
-    and a cap: none, an int, or per name."""
+    """A random small presentation with 0, 1 or 2 invertible generators;
+    any polynomial generator may carry an exponent bound, which declares it
+    truncated."""
     n_inv = draw(st.integers(0, 2))
     even_m = st.sampled_from([-2, 0, 2])
     small_n = st.integers(-2, 2)
@@ -410,29 +417,21 @@ def small_presentations(draw):
     for _ in range(draw(st.integers(0 if n_inv else 1, 2))):
         specs.append((POLY, draw(st.sampled_from([0, 2])), draw(small_n), None))
     specs = draw(st.permutations([s for s in specs if (s[1], s[2]) != (0, 0)]))
-    gens = [
-        GeneratorSpec(f"g{k}", D(m, n), kind, bound)
-        for k, (kind, m, n, bound) in enumerate(specs)
-    ]
-    poly = [g.name for g in gens if g.kind == POLY]
-    caps = [st.none(), st.integers(0, 3)]
-    if poly:
-        caps.append(st.dictionaries(st.sampled_from(poly), st.integers(0, 3)))
-    return Presentation(3, gens), draw(st.one_of(caps))
+    gens = []
+    for k, (kind, m, n, bound) in enumerate(specs):
+        if kind == POLY and draw(st.booleans()):
+            kind, bound = TRUNC, draw(st.integers(1, 4))
+        gens.append(GeneratorSpec(f"g{k}", D(m, n), kind, bound))
+    return Presentation(3, gens)
 
 
 @given(small_presentations(), st.integers(-4, 4), st.integers(-4, 4))
-def test_enumeration_matches_brute_force_oracle(pres_cap, m, n):
-    pres, cap = pres_cap
+def test_enumeration_matches_brute_force_oracle(pres, m, n):
     target = D(m, n)
     try:
-        got = monomials_in_degree(pres, target, cap)
+        got = monomials_in_degree(pres, target)
     except WindowIncompleteError:
         with pytest.raises(WindowIncompleteError):  # refused on every call
-            monomials_in_degree(pres, target, cap)
+            monomials_in_degree(pres, target)
         return
-    if isinstance(cap, int):
-        caps = {g.name: cap for g in pres.generators if g.kind == POLY}
-    else:
-        caps = dict(cap or {})
-    assert list(got) == _oracle_monomials(pres, target, caps)
+    assert list(got) == _oracle_monomials(pres, target)

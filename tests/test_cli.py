@@ -176,6 +176,12 @@ REJECTED = [
     ["ext", "--p"],
     ["bogus"],
     [],
+    # values a command cannot use: stabilization compares consecutive heights
+    ["segal", "--p", "3", "--n-max", "1"],
+    ["segal", "--p", "3", "--n-max", "0"],
+    ["segal", "--p", "3", "--n-max", "-2"],
+    ["ext", "--p", "3", "--stabilize", "--n-max", "1"],
+    ["mk", "--p", "3", "--k-max", "-1"],
 ]
 
 

@@ -108,24 +108,24 @@ def test_resolution_strands_shape():
 def test_resolution_matches_cobar_gamma1():
     H, M = truncated_hopf(3, 1)
     w = DegreeWindow(-3, 2, -4, 4, s_max=3)
-    direct = ext_dimensions(build_cobar(H, M, w), with_reps=False)
-    small = resolution_ext_table(H, M, w, with_reps=False)
+    direct = ext_dimensions(build_cobar(H, M, w))
+    small = resolution_ext_table(H, M, w)
     assert direct.dims() == small.dims()
 
 
 def test_resolution_matches_cobar_gamma2():
     H, M = truncated_hopf(3, 2)
     w = DegreeWindow(-2, 2, -2, 2, s_max=2)
-    direct = ext_dimensions(build_cobar(H, M, w), with_reps=False)
-    small = resolution_ext_table(H, M, w, with_reps=False)
+    direct = ext_dimensions(build_cobar(H, M, w))
+    small = resolution_ext_table(H, M, w)
     assert direct.dims() == small.dims()
 
 
 def test_resolution_matches_cobar_gamma1_p5():
     H, M = truncated_hopf(5, 1)
     w = DegreeWindow(-2, 1, -2, 2, s_max=2)
-    direct = ext_dimensions(build_cobar(H, M, w), with_reps=False)
-    small = resolution_ext_table(H, M, w, with_reps=False)
+    direct = ext_dimensions(build_cobar(H, M, w))
+    small = resolution_ext_table(H, M, w)
     assert direct.dims() == small.dims()
 
 
@@ -133,8 +133,8 @@ def test_resolution_beta_independent_dims():
     H1, M1 = truncated_hopf(3, 1, beta=1)
     H2, M2 = truncated_hopf(3, 1, beta=2, beta_prime=2)
     w = DegreeWindow(-4, 2, -5, 5, s_max=3)
-    t1 = resolution_ext_table(H1, M1, w, with_reps=False)
-    t2 = resolution_ext_table(H2, M2, w, with_reps=False)
+    t1 = resolution_ext_table(H1, M1, w)
+    t2 = resolution_ext_table(H2, M2, w)
     assert t1.dims() == t2.dims()
 
 

@@ -60,9 +60,9 @@ def test_kernel_trivial():
 
 def test_quotient_dimension_trivial():
     z22 = SparseMatFp.zero(2, 2, 3)
-    assert fp.quotient_dimension(z22, z22) == 2
+    assert fp.quotient_dimension(z22, z22) == (2, [(1, 0), (0, 1)])
     ident = identity(2, 3)
-    assert fp.quotient_dimension(ident, z22) == 0
+    assert fp.quotient_dimension(ident, z22) == (0, [])
 
 
 def test_check_zero_composite():
@@ -77,9 +77,9 @@ def test_quotient_with_basis():
     # 0 -> F_3^2 --[1 0;0 0]--> F_3^2: homology = ker / im, dim 1
     d_boundary = from_dense([[1, 0], [0, 0]], 3)
     d_cycle = from_dense([[0, 0], [0, 1]], 3)
-    dim, reps = fp.quotient_dimension(d_boundary, d_cycle, with_basis=True)
+    dim, reps = fp.quotient_dimension(d_boundary, d_cycle)
     assert dim == 0 and reps == []
-    dim, reps = fp.quotient_dimension(d_boundary, SparseMatFp.zero(2, 2, 3), True)
+    dim, reps = fp.quotient_dimension(d_boundary, SparseMatFp.zero(2, 2, 3))
     assert dim == 1 and reps == [(0, 1)]
 
 
@@ -91,7 +91,7 @@ def test_quotient_with_basis_refuses_a_lost_representative(monkeypatch):
     d_boundary = SparseMatFp.zero(3, 0, 3)
     d_cycle = SparseMatFp.zero(1, 3, 3)
     with pytest.raises(BookkeepingError, match=r"^\[E_BOOKKEEPING\] .*3x0 .* 1x3"):
-        fp.quotient_dimension(d_boundary, d_cycle, with_basis=True)
+        fp.quotient_dimension(d_boundary, d_cycle)
 
 
 @st.composite
@@ -192,10 +192,15 @@ def composable_pair(draw):
 
 
 @given(composable_pair())
-def test_quotient_with_basis_matches_plain(pair):
+def test_quotient_reps_match_rank_formula(pair):
+    # dim = dim ker d_out - rank d_in, and the representatives are cycles
+    # that stay independent modulo the boundaries
     d_in, d_out = pair
-    dim, reps = fp.quotient_dimension(d_in, d_out, with_basis=True)
-    assert dim == fp.quotient_dimension(d_in, d_out)
+    dim, reps = fp.quotient_dimension(d_in, d_out)
+    assert dim == len(fp.kernel_basis(d_out)) - fp.rank(d_in)
     assert len(reps) == dim
     for vec in reps:
         assert not any(apply(d_out, vec))
+    boundaries = [list(col) for col in zip(*d_in.dense())]
+    span = Subspace(boundaries + [list(v) for v in reps], d_in.rows, d_in.p)
+    assert span.rank == fp.rank(d_in) + dim

@@ -72,4 +72,4 @@ def test_empty_window_rejected():
     with pytest.raises(WindowError):
         DegreeWindow(1, 0, 0, 0)
     with pytest.raises(ConfigError):
-        DegreeWindow.parse("1:2:3")
+        DegreeWindow.parse("1:2:3", 6)

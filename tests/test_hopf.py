@@ -67,7 +67,7 @@ def test_descent_axioms_window():
 
 def test_descent_axioms_p5_small_window():
     H = descent_algebroid(5)
-    report = check_axioms(H, DegreeWindow(-4, 4, -5, 5))
+    report = check_axioms(H, DegreeWindow(-4, 4, -5, 5), comodule=base_comodule(H))
     assert report.ok, report.format()
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spokeseq import mayss
-from spokeseq.algebra import Presentation, monomials_in_degree
+from spokeseq.algebra import TRUNC, GeneratorSpec, Presentation, monomials_in_degree
 from spokeseq.cli import main
 from spokeseq.errors import BookkeepingError, CompositionError, WindowError
 from spokeseq.grading import DegreeWindow, SpokeDegree, TriDegree
@@ -189,12 +189,12 @@ def test_page_one_shares_only_exact_translates(monkeypatch):
     e1 = may_e1(3, 1)
     window = DegreeWindow(-3, 1, -4, 4, s_max=2)
     table = e1_monomials(e1, window, 2)
-    tri = next(t for t, c in page_one(e1, window, 2).cells.items() if c.shared)
+    tri = next(t for t, c in page_one(e1, window).cells.items() if c.shared)
     foreign = list(table[tri][-1])
     foreign[e1.a_pos] += 7
     forged = {**table, tri: table[tri][:-1] + [tuple(foreign)]}
     monkeypatch.setattr(mayss, "e1_monomials", lambda *args: forged)
-    assert not page_one(e1, window, 2).cells[tri].shared
+    assert not page_one(e1, window).cells[tri].shared
 
 
 def e2_negative_model(total, s_cap):
@@ -228,7 +228,7 @@ def collect_cells(page, total, s_cap):
 
 def test_e2_e3_negative_region_closed_forms():
     w = DegreeWindow(-8, 4, -10, 10, s_max=4)
-    pages = compute_pages(3, 1, w, s_cap=4)
+    pages = compute_pages(3, 1, w)
     p2, p3 = pages[2], pages[3]
     for m in range(p2.reliable_m[0], p2.reliable_m[1] + 1):
         for n in range(-10, 11):
@@ -299,18 +299,36 @@ def test_kuenneth_assembly_matches_direct_e0_cobar():
             assert direct.get((s, internal, f), 0) == dim, (s, internal, f)
 
 
+def test_e0_weight_preservation_is_checked(monkeypatch):
+    # the split by filtration weight needs a weight the differential keeps;
+    # the sum of squared exponents is not one (nu0^2 -> 2 nu0|nu0)
+    window = DegreeWindow(0, 4, 0, 8, s_max=1)
+    assert e0_direct_weighted_ext(3, 1, window)
+    monkeypatch.setattr(mayss, "e0_weight", lambda pres, mono: sum(e * e for e in mono))
+    with pytest.raises(BookkeepingError, match="filtration weight not preserved"):
+        e0_direct_weighted_ext(3, 1, window)
+
+
 @pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (5, 1)])
 def test_e1_pinned_coefficients_match_enumerator(p, n):
     # e1_monomials pins the coefficient part a^alpha ul^l us^eps in closed
     # form; the general enumerator over the whole first-page presentation,
-    # with z and xp_t capped by the s budget, must give the same cells
+    # with z and xp_t declared truncated at the s budget, must give the same
+    # cells
     e1 = may_e1(p, n)
     s_cap = 4
     window = DegreeWindow(-5, 3, -6, 6, s_max=s_cap)
-    caps = {"z": s_cap, **{f"xp{t}": s_cap // 2 for t in range(n)}}
+    bounds = {"z": s_cap + 1, **{f"xp{t}": s_cap // 2 + 1 for t in range(n)}}
+    bounded = Presentation(
+        p,
+        [
+            GeneratorSpec(g.name, g.degree, TRUNC, bounds[g.name]) if g.name in bounds else g
+            for g in e1.pres.generators
+        ],
+    )
     expected = {}
     for total in window.degrees():
-        for mono in monomials_in_degree(e1.pres, total, caps):
+        for mono in monomials_in_degree(bounded, total):
             if e1.s_of(mono) <= s_cap:
                 tri = TriDegree(total, e1.s_of(mono), e1.f_of(mono))
                 expected.setdefault(tri, []).append(mono)

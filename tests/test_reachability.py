@@ -14,14 +14,25 @@ have been entered, or be listed in ``KEPT`` with the reason it stays:
 
 The rule is strict both ways: a ``KEPT`` entry that no longer exists, or
 that the queries do reach, fails too.
+
+``test_every_default_is_set_by_a_query_or_kept`` applies the same rule to
+defaulted parameters: every parameter with a default, of a function the
+queries reach, must receive a value other than its default in at least one
+call, or be listed in ``DEFAULTS_KEPT`` with the library signature it
+mirrors.  A default that no command ever changes is a constant.
 """
 
+import argparse
 import ast
 import contextlib
+import importlib
+import inspect
 import io
 import os
 import sys
 from pathlib import Path
+
+import pytest
 
 import spokeseq
 import spokeseq.cli as cli
@@ -55,7 +66,6 @@ KEPT = {
     "mayss.e0_direct_weighted_ext": KUENNETH,
     "mayss.e0_direct_weighted_ext.ids": KUENNETH,
     "mayss._block": KUENNETH,
-    "cobar._validate_weight_preservation": KUENNETH,
     # the filtration weights against base-p digit sums
     "mayss.associated_graded_check": GRADED_DIMS,
     "mayss.e0_hopf": GRADED_DIMS,
@@ -86,12 +96,20 @@ KEPT = {
     "hopf.TensorElement.__repr__": "public API",
 }
 
+# defaulted parameters that no query sets: each one is a parameter of an
+# override and keeps the default of the library method it overrides
+DEFAULTS_KEPT = {
+    # argparse calls parse_known_args with namespace=None
+    "cli._Parser.parse_known_args.namespace": argparse.ArgumentParser.parse_known_args,
+}
+
 WINDOW = "-2:1:-2:2"
 
 
 def queries(out_dir):
     """(argv, expected exit status) pairs, all small."""
     tiny = ["--window", "-1:0:-1:0", "--s-max", "1"]
+    units = ["--beta", "2", "--beta-prime", "2"]
     segal = ["segal", "--p", "3", "--n-max", "2", "--window", "-1:0:-2:2", "--s-max", "2"]
     return [
         (["pi-hfp", "--p", "3", "--variant", "full", "--window", WINDOW, "--svg", "--out", out_dir], 0),
@@ -99,16 +117,16 @@ def queries(out_dir):
         (["pi-hfp", "--p", "3", "--variant", "a_inverted", "--window", WINDOW], 0),
         (["pi-hfp", "--p", "3", "--variant", "a_completed_inverted", "--window", WINDOW], 0),
         (["pi-hfp", "--p", "3", "--variant", "spoke_suspension", "--window", WINDOW], 0),
-        (["ext", "--p", "3", "--n", "1", *tiny], 0),
+        (["ext", "--p", "3", "--n", "1", *tiny, *units], 0),
         (["ext", "--p", "3", "--n", "1", "--route", "cobar", *tiny], 0),
-        (["ext", "--p", "3", "--stabilize", "--n-max", "2", *tiny], 0),
+        (["ext", "--p", "3", "--stabilize", "--n-max", "2", *tiny, *units], 0),
         (["may", "--p", "3", "--n", "1", "--window", WINDOW, "--s-max", "2", "--svg", "--out", out_dir], 0),
         # p = 5 has an intermediate page, copied from E_2
         (["may", "--p", "5", "--n", "1", "--window", "-1:0:-1:1", "--s-max", "1"], 0),
-        (segal, 0),
+        (segal + units, 0),
         (segal + ["--disable-d1"], 1),
         (["mk", "--p", "3", "--k-max", "4"], 0),
-        (["check", "--preset", "sthh", "--p", "3", "--window", "-1:1:-1:1"], 0),
+        (["check", "--preset", "sthh", "--p", "3", "--window", "-1:1:-1:1", *units], 0),
         (["check", "--preset", "geometric", "--p", "3", "--window", "0:2:0:0"], 0),
         (["check", "--preset", "truncated", "--p", "3", "--n", "1", "--window", "-1:1:-1:1"], 0),
         (["ext", "--p", "x"], cli.EXIT_CONFIG),
@@ -136,44 +154,97 @@ def package_functions():
     return out
 
 
-def reached_functions(tmp_path, monkeypatch):
-    """Names of the package functions the queries enter."""
-    monkeypatch.delenv("SPOKESEQ_OUT", raising=False)
+def defaulted_parameters():
+    """{(file, first line): [(parameter, dotted name, default)]} of every
+    package function with a defaulted parameter; the defaults are read from
+    the live objects."""
+    out = {}
+    for (path, line), name in package_functions().items():
+        obj = importlib.import_module(f"spokeseq.{name.split('.')[0]}")
+        try:
+            for attr in name.split(".")[1:]:
+                obj = getattr(obj, attr)
+        except AttributeError:  # a nested function
+            continue
+        if not callable(obj):  # a property
+            continue
+        params = [
+            (param.name, f"{name}.{param.name}", param.default)
+            for param in inspect.signature(obj).parameters.values()
+            if param.default is not inspect.Parameter.empty
+        ]
+        if params:
+            out[(path, line)] = params
+    return out
+
+
+def _is_default(value, default) -> bool:
+    return value is default or (type(value) is type(default) and value == default)
+
+
+@pytest.fixture(scope="module")
+def query_trace(tmp_path_factory):
+    """(names of the package functions the queries enter, dotted names of
+    the defaulted parameters some call gave another value)."""
+    out_dir = str(tmp_path_factory.mktemp("reports"))
     # per-process caches would let an earlier test answer for these queries
     for name, module in list(sys.modules.items()):
         if name.startswith("spokeseq"):
             for value in vars(module).values():
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()
+    functions = package_functions()
+    watched = defaulted_parameters()
     entered = set()
+    set_params = set()
+
+    real_paths = {}  # resolved once per file: the profiler sees every call
 
     def profile(frame, event, arg):
         if event == "call":
-            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+            code = frame.f_code
+            path = real_paths.get(code.co_filename)
+            if path is None:
+                path = real_paths[code.co_filename] = os.path.realpath(code.co_filename)
+            key = (path, code.co_firstlineno)
+            entered.add(key)
+            for param, dotted, default in watched.get(key, ()):
+                if not _is_default(frame.f_locals[param], default):
+                    set_params.add(dotted)
 
     statuses = []
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        for argv, _ in queries(str(tmp_path)):
-            sys.setprofile(profile)
-            try:
-                statuses.append(cli.main(argv))
-            finally:
-                sys.setprofile(None)
-    assert statuses == [want for _, want in queries(str(tmp_path))]
-    functions = package_functions()
-    return {
-        functions[(os.path.realpath(path), line)]
-        for path, line in entered
-        if (os.path.realpath(path), line) in functions
-    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("SPOKESEQ_OUT", raising=False)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for argv, _ in queries(out_dir):
+                sys.setprofile(profile)
+                try:
+                    statuses.append(cli.main(argv))
+                finally:
+                    sys.setprofile(None)
+    assert statuses == [want for _, want in queries(out_dir)]
+    return {functions[key] for key in entered if key in functions}, set_params
 
 
-def test_every_function_is_run_by_a_command_or_kept(tmp_path, monkeypatch):
+def test_every_function_is_run_by_a_command_or_kept(query_trace):
     defined = set(package_functions().values())
-    reached = reached_functions(tmp_path, monkeypatch)
+    reached, _ = query_trace
     assert sorted(defined - reached - set(KEPT)) == [], "reached by no command and not KEPT"
     assert sorted(set(KEPT) - defined) == [], "KEPT names that no longer exist"
     assert sorted(set(KEPT) & reached) == [], "KEPT names that a command reaches"
+
+
+def test_every_default_is_set_by_a_query_or_kept(query_trace):
+    reached, set_params = query_trace
+    checked = {
+        dotted
+        for params in defaulted_parameters().values()
+        for _, dotted, _ in params
+        if dotted.rsplit(".", 1)[0] in reached
+    }
+    assert sorted(checked - set_params - set(DEFAULTS_KEPT)) == [], "defaults no query changes"
+    assert sorted(set(DEFAULTS_KEPT) - checked) == [], "DEFAULTS_KEPT names not reached"
+    assert sorted(set(DEFAULTS_KEPT) & set_params) == [], "DEFAULTS_KEPT names a query sets"
 
 
 def test_every_kept_reason_is_checkable():
@@ -184,6 +255,14 @@ def test_every_kept_reason_is_checkable():
         elif reason != "public API":
             module, test = reason.split("::")
             assert f"def {test}(" in (ROOT / "tests" / f"{module}.py").read_text(), name
+    defaults = {
+        dotted: default
+        for params in defaulted_parameters().values()
+        for _, dotted, default in params
+    }
+    for name, base in DEFAULTS_KEPT.items():
+        param = name.rsplit(".", 1)[1]
+        assert inspect.signature(base).parameters[param].default == defaults[name], name
 
 
 def test_engine_has_no_assert_statements():

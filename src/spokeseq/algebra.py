@@ -6,6 +6,12 @@ exponent tuples over that list; elements are homogeneous F_p-linear
 combinations of monomials.  Exterior generators sit in odd integer degree
 (odd m), everything else in even m, and the commutation sign of two
 monomials only counts transpositions of exterior factors.
+
+``Element`` works over any ring of hashable monomial keys that provides
+``p``, ``degree_of``, ``unit_monomial``, ``is_unit_monomial``,
+``unit_inverse``, ``mul_monomials`` and ``format_monomial``: a
+``Presentation``, or a tensor power (``hopf.TensorContext``) whose keys are
+tuples of slot monomials.
 """
 
 from __future__ import annotations
@@ -119,6 +125,10 @@ class Presentation:
         """True iff the monomial is invertible (only inv generators occur)."""
         return all(e == 0 or k == INV for e, k in zip(mono, self.kinds))
 
+    def unit_inverse(self, mono: Monomial) -> Monomial:
+        """The inverse of an invertible monomial."""
+        return tuple(-e for e in mono)
+
     def mul_monomials(self, a: Monomial, b: Monomial) -> tuple[Monomial | None, int]:
         """(product, sign); product None when it vanishes (ext square, trunc overflow)."""
         out = []
@@ -149,26 +159,28 @@ class Presentation:
 
 
 class Element:
-    """Homogeneous linear combination of monomials of one presentation.
+    """Homogeneous linear combination of monomials of one ring.
 
-    ``degree`` is None exactly for the zero element.  Inhomogeneous sums are
-    rejected at construction: every object in this engine is graded, and a
-    degree mismatch always means a structural bug upstream.
+    The ring is a ``Presentation`` or a ``hopf.TensorContext`` (see the
+    module docstring).  ``degree`` is None exactly for the zero element.
+    Inhomogeneous sums are rejected at construction: every object in this
+    engine is graded, and a degree mismatch always means a structural bug
+    upstream.
     """
 
-    __slots__ = ("pres", "degree", "coeffs")
+    __slots__ = ("ring", "degree", "coeffs")
 
-    def __init__(self, pres: Presentation, coeffs: Mapping[Monomial, int]):
-        self.pres = pres
+    def __init__(self, ring, coeffs: Mapping):
+        self.ring = ring
         self.degree = None
         self.coeffs = {}
-        clean: dict[Monomial, int] = {}
+        clean = {}
         degree: SpokeDegree | None = None
         for mono, c in coeffs.items():
-            c %= pres.p
+            c %= ring.p
             if not c:
                 continue
-            d = pres.degree_of(mono)
+            d = ring.degree_of(mono)
             if degree is None:
                 degree = d
             elif d != degree:
@@ -182,12 +194,12 @@ class Element:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(pres: Presentation) -> "Element":
-        return Element(pres, {})
+    def zero(ring) -> "Element":
+        return Element(ring, {})
 
     @staticmethod
-    def one(pres: Presentation) -> "Element":
-        return Element(pres, {pres.unit_monomial(): 1})
+    def one(ring) -> "Element":
+        return Element(ring, {ring.unit_monomial(): 1})
 
     @staticmethod
     def from_monomial(pres: Presentation, mono: Monomial) -> "Element":
@@ -206,7 +218,7 @@ class Element:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Element)
-            and self.pres is other.pres
+            and self.ring is other.ring
             and self.coeffs == other.coeffs
         )
 
@@ -218,74 +230,72 @@ class Element:
         acc = dict(self.coeffs)
         for mono, c in other.coeffs.items():
             acc[mono] = acc.get(mono, 0) + c
-        return Element(self.pres, acc)
+        return Element(self.ring, acc)
 
     def scale(self, c: int) -> "Element":
-        return Element(self.pres, {m: v * c for m, v in self.coeffs.items()})
+        return Element(self.ring, {m: v * c for m, v in self.coeffs.items()})
 
     def __mul__(self, other: "Element") -> "Element":
-        acc: dict[Monomial, int] = {}
-        p = self.pres.p
+        acc = {}
+        ring = self.ring
+        p = ring.p
         for ma, ca in self.coeffs.items():
             for mb, cb in other.coeffs.items():
-                mono, sign = self.pres.mul_monomials(ma, mb)
+                mono, sign = ring.mul_monomials(ma, mb)
                 if mono is None:
                     continue
                 acc[mono] = (acc.get(mono, 0) + sign * ca * cb) % p
-        return Element(self.pres, acc)
+        return Element(ring, acc)
 
     def __repr__(self) -> str:
         if self.is_zero():
             return "0"
         parts = []
         for mono, c in self.coeffs.items():
-            label = self.pres.format_monomial(mono)
+            label = self.ring.format_monomial(mono)
             parts.append(label if c == 1 else f"{c}*{label}")
         return " + ".join(parts)
 
 
-def invert(ctx, elt):
-    """Inverse of a unit of ``ctx``: one invertible term plus nilpotent terms.
+def invert(elt: Element) -> Element:
+    """Inverse of a unit: one invertible term plus nilpotent terms.
 
-    ``ctx`` is an element-algebra context (one, mul, add, scale) whose
-    ``unit_inverse(key, c)`` returns the inverse of the term c*key, or None
-    when key is not invertible.  Writing elt = c*u + nu, the inverse is
-    u_inv * sum_k (-nu*u_inv)^k, and the series must terminate (nu
-    nilpotent via truncation or exterior relations).
+    Writing elt = c*u + nu with u the one monomial the ring calls a unit,
+    the inverse is u_inv * sum_k (-nu*u_inv)^k, and the series must
+    terminate (nu nilpotent via truncation or exterior relations).
     """
-    inverses = [
-        inv
-        for inv in (ctx.unit_inverse(key, c) for key, c in elt.coeffs.items())
-        if inv is not None
-    ]
-    if len(inverses) != 1:
+    ring = elt.ring
+    units = [(mono, c) for mono, c in elt.coeffs.items() if ring.is_unit_monomial(mono)]
+    if len(units) != 1:
         raise InvertibilityError(
-            f"element {elt!r} has {len(inverses)} invertible terms; need exactly 1"
+            f"element {elt!r} has {len(units)} invertible terms; need exactly 1"
         )
-    (u_inv,) = inverses
+    ((mono, c),) = units
+    u_inv = Element(ring, {ring.unit_inverse(mono): pow(c, ring.p - 2, ring.p)})
+    one = Element.one(ring)
     # step = 1 - elt*u_inv = -nu*u_inv
-    step = ctx.add(ctx.one(), ctx.scale(ctx.mul(elt, u_inv), -1))
-    total = power = ctx.one()
+    step = one + (elt * u_inv).scale(-1)
+    total = power = one
     for _ in range(10_000):
-        power = ctx.mul(power, step)
+        power = power * step
         if power.is_zero():
-            return ctx.mul(u_inv, total)
-        total = ctx.add(total, power)
+            return u_inv * total
+        total = total + power
     raise InvertibilityError(f"geometric series for {elt!r} does not terminate")
 
 
 class GradedMap:
-    """Multiplicative map defined on generators; target is any element algebra.
+    """Multiplicative map from a presentation to a ring, given on generators.
 
-    The target context must provide one(), mul(), add(), scale() and
-    unit_inverse() (see invert), and elements with a ``degree`` attribute.
-    Every generator image must be homogeneous of the generator's own degree;
-    this check is what catches wrong structure-map exponents immediately.
+    The target is a ``Presentation`` or a ``hopf.TensorContext``, and the
+    images are ``Element``s of it.  Every generator image must be
+    homogeneous of the generator's own degree; this check is what catches
+    wrong structure-map exponents immediately.
     """
 
-    def __init__(self, source: Presentation, target_ctx, images: Mapping[str, object]):
+    def __init__(self, source: Presentation, target, images: Mapping[str, Element]):
         self.source = source
-        self.target_ctx = target_ctx
+        self.target = target
         self.images = dict(images)
         for name in source.names:
             if name not in self.images:
@@ -297,79 +307,47 @@ class GradedMap:
                 raise HomogeneityError(
                     f"image of {name} has degree {got}, generator has {want}"
                 )
-        self._pow_cache: dict[tuple[str, int], object] = {}
-        self._mono_cache: dict[Monomial, object] = {}
+        self._pow_cache: dict[tuple[str, int], Element] = {}
+        self._mono_cache: dict[Monomial, Element] = {}
 
-    def _generator_power(self, name: str, e: int):
+    def _generator_power(self, name: str, e: int) -> Element:
+        """The e-th power of a generator's image by repeated squaring; a
+        negative power squares the one inverse of the image."""
         key = (name, e)
         cached = self._pow_cache.get(key)
         if cached is not None:
             return cached
-        ctx = self.target_ctx
-        if e < 0:
-            base = self._generator_power(name, -1) if e != -1 else invert(ctx, self.images[name])
-            if e == -1:
-                out = base
-            else:
-                out = ctx.mul(self._generator_power(name, e + 1), self._generator_power(name, -1))
-        elif e == 0:
-            out = ctx.one()
+        if e == 0:
+            out = Element.one(self.target)
         elif e == 1:
             out = self.images[name]
+        elif e == -1:
+            out = invert(self.images[name])
         else:
-            half = self._generator_power(name, e // 2)
-            out = ctx.mul(half, half)
+            sign = 1 if e > 0 else -1
+            half = self._generator_power(name, sign * (abs(e) // 2))
+            out = half * half
             if e & 1:
-                out = ctx.mul(out, self.images[name])
+                out = out * self._generator_power(name, sign)
         self._pow_cache[key] = out
         return out
 
-    def apply_monomial(self, mono: Monomial):
+    def apply_monomial(self, mono: Monomial) -> Element:
         cached = self._mono_cache.get(mono)
         if cached is not None:
             return cached
-        ctx = self.target_ctx
-        out = ctx.one()
+        out = Element.one(self.target)
         for name, e in zip(self.source.names, mono):
             if e:
-                out = ctx.mul(out, self._generator_power(name, e))
+                out = out * self._generator_power(name, e)
         self._mono_cache[mono] = out
         return out
 
-    def apply(self, elt: Element):
-        ctx = self.target_ctx
-        out = ctx.zero()
+    def apply(self, elt: Element) -> Element:
+        out = Element.zero(self.target)
         for mono, c in elt.coeffs.items():
-            out = ctx.add(out, ctx.scale(self.apply_monomial(mono), c))
+            out = out + self.apply_monomial(mono).scale(c)
         return out
-
-
-class RingContext:
-    """Element-algebra interface for a plain presentation."""
-
-    def __init__(self, pres: Presentation):
-        self.pres = pres
-        self.p = pres.p
-
-    def one(self):
-        return Element.one(self.pres)
-
-    def zero(self):
-        return Element.zero(self.pres)
-
-    def mul(self, a, b):
-        return a * b
-
-    def add(self, a, b):
-        return a + b
-
-    def scale(self, a, c):
-        return a.scale(c)
-
-    def unit_inverse(self, mono: Monomial, c: int) -> Element | None:
-        if not self.pres.is_unit_monomial(mono):
-            return None
-        return Element(self.pres, {tuple(-e for e in mono): pow(c, self.p - 2, self.p)})
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 An algebroid is (A, G, eta_L, eta_R, Delta, epsilon) with A and G generator
 presentations, eta_L the inclusion of a name-prefix, and the other structure
-maps multiplicative maps given on generators.  Tensor powers over A are kept
-in a canonical form: slot 0 holds an arbitrary monomial, later slots hold
+maps multiplicative maps given on generators.  A tensor power over A is a
+``TensorContext``: a ring whose monomial keys are tuples of slot monomials,
+so its elements are plain ``algebra.Element``s.  Keys are kept in a
+canonical form: slot 0 holds an arbitrary monomial, later slots hold
 monomials in the non-base generators only, and base material appearing in a
 later slot is pushed one slot left through eta_R (the defining relation
-x*a (x) y = x (x) a*y of the tensor product over A).
+x*a (x) y = x (x) a*y of the tensor product over A).  ``element`` brings raw
+keys to that form; a product of canonical keys is canonical already.
 
 The module also houses the Weyl-action matrix on the degree-2 generators of
 the underlying ring and the free-summand count m_k, with both the binomial
@@ -30,11 +33,10 @@ from .algebra import (
     GradedMap,
     Monomial,
     Presentation,
-    RingContext,
     monomials_in_degree,
 )
 from .concurrency import deterministic_map
-from .errors import ConfigError, HomogeneityError
+from .errors import ConfigError
 from .fp import SparseMatFp, check_odd_prime
 from .grading import DegreeWindow, SpokeDegree
 
@@ -43,57 +45,26 @@ D = SpokeDegree
 TensorKey = tuple[Monomial, ...]
 
 
-class TensorElement:
-    """Homogeneous element of a tensor power, in canonical slot form."""
-
-    __slots__ = ("ctx", "degree", "coeffs")
-
-    def __init__(self, ctx: "TensorContext", coeffs: Mapping[TensorKey, int]):
-        self.ctx = ctx
-        self.degree = None
-        clean: dict[TensorKey, int] = {}
-        for key, c in coeffs.items():
-            c %= ctx.p
-            if not c:
-                continue
-            d = ctx.degree_of(key)
-            if self.degree is None:
-                self.degree = d
-            elif d != self.degree:
-                raise HomogeneityError(f"mixing tensor degrees {self.degree} and {d}")
-            clean[key] = c
-        self.coeffs = dict(sorted(clean.items()))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for key, c in self.coeffs.items():
-            label = " (x) ".join(
-                pres.format_monomial(m) for pres, m in zip(self.ctx.slots, key)
-            )
-            parts.append(f"{c}*[{label}]")
-        return " + ".join(parts)
-
-
 class TensorContext:
-    """k-fold tensor product of presentations over the algebroid base."""
+    """k-fold tensor product of presentations over the algebroid base.
+
+    A ring for ``algebra.Element`` with keys in canonical slot form.
+    ``push_left(j, base_mono)`` is the right action of a base monomial on
+    slot j, as an element of that slot's presentation.
+    """
 
     def __init__(
         self,
         slots: Sequence[Presentation],
         base: Presentation,
-        push_left: Callable[[int, Monomial], "Element | None"],
+        push_left: Callable[[int, Monomial], Element],
     ):
         if not slots:
             raise ConfigError("tensor context needs at least one slot")
         self.slots = tuple(slots)
         self.base = base
         self.p = slots[0].p
-        self._push_left = push_left
+        self.push_left = push_left
         # positions of base generators inside each slot presentation
         self._base_positions = []
         for pres in self.slots:
@@ -103,13 +74,47 @@ class TensorContext:
                     pos[name] = pres.index[name]
             self._base_positions.append(pos)
 
-    # -- canonical form ------------------------------------------------------
+    # -- ring interface of algebra.Element ----------------------------------
 
     def degree_of(self, key: TensorKey) -> SpokeDegree:
         total = D(0, 0)
         for pres, mono in zip(self.slots, key):
             total = total + pres.degree_of(mono)
         return total
+
+    def unit_monomial(self) -> TensorKey:
+        return tuple(pres.unit_monomial() for pres in self.slots)
+
+    def is_unit_monomial(self, key: TensorKey) -> bool:
+        return all(pres.is_unit_monomial(m) for pres, m in zip(self.slots, key))
+
+    def unit_inverse(self, key: TensorKey) -> TensorKey:
+        return tuple(pres.unit_inverse(m) for pres, m in zip(self.slots, key))
+
+    def mul_monomials(self, ka: TensorKey, kb: TensorKey) -> tuple[TensorKey | None, int]:
+        """Slot-wise product, with the sign of moving each factor of kb left
+        past the later factors of ka; None when a slot product vanishes."""
+        sign = 1
+        parity_a = 0  # parity of ka's factors after the current slot
+        for pres, ma, mb in zip(reversed(self.slots), reversed(ka), reversed(kb)):
+            if parity_a and pres.parity_of(mb):
+                sign = -sign
+            parity_a ^= pres.parity_of(ma)
+        parts = []
+        for pres, ma, mb in zip(self.slots, ka, kb):
+            prod, s = pres.mul_monomials(ma, mb)
+            if prod is None:
+                return None, 0
+            sign *= s
+            parts.append(prod)
+        return tuple(parts), sign
+
+    def format_monomial(self, key: TensorKey) -> str:
+        return "[" + " (x) ".join(
+            pres.format_monomial(m) for pres, m in zip(self.slots, key)
+        ) + "]"
+
+    # -- canonical form ------------------------------------------------------
 
     def _split_base(self, slot: int, mono: Monomial):
         """Split slot monomial into (base monomial, residue) or None if pure."""
@@ -127,10 +132,10 @@ class TensorContext:
             return None
         return tuple(base_exps), tuple(residue)
 
-    def _normalize(self, raw: Mapping[TensorKey, int]) -> dict[TensorKey, int]:
+    def _normalize(self, raw: Mapping[TensorKey, int]) -> Mapping[TensorKey, int]:
         if not self.base.names:
             # Hopf algebra over F_p: nothing to push, already canonical
-            return {k: c % self.p for k, c in raw.items() if c % self.p}
+            return raw
         out: dict[TensorKey, int] = {}
         stack = [(key, c) for key, c in raw.items()]
         while stack:
@@ -142,8 +147,8 @@ class TensorContext:
                 if split is None:
                     continue
                 base_mono, residue = split
-                image = self._push_left(j - 1, base_mono)
-                if image is None or image.is_zero():
+                image = self.push_left(j - 1, base_mono)
+                if image.is_zero():
                     break
                 for tgt_mono, c2 in image.coeffs.items():
                     prod, sign = self.slots[j - 1].mul_monomials(key[j - 1], tgt_mono)
@@ -154,63 +159,10 @@ class TensorContext:
                 break
             else:
                 out[key] = (out.get(key, 0) + c) % self.p
-        return {k: v for k, v in out.items() if v}
+        return out
 
-    def element(self, raw: Mapping[TensorKey, int]) -> TensorElement:
-        return TensorElement(self, self._normalize(raw))
-
-    # -- algebra-context protocol ---------------------------------------------
-
-    def one(self) -> TensorElement:
-        key = tuple(pres.unit_monomial() for pres in self.slots)
-        return TensorElement(self, {key: 1})
-
-    def zero(self) -> TensorElement:
-        return TensorElement(self, {})
-
-    def add(self, a: TensorElement, b: TensorElement) -> TensorElement:
-        acc = dict(a.coeffs)
-        for k, c in b.coeffs.items():
-            acc[k] = acc.get(k, 0) + c
-        return TensorElement(self, {k: v % self.p for k, v in acc.items() if v % self.p})
-
-    def scale(self, a: TensorElement, c: int) -> TensorElement:
-        return TensorElement(self, {k: v * c for k, v in a.coeffs.items()})
-
-    def mul(self, a: TensorElement, b: TensorElement) -> TensorElement:
-        raw: dict[TensorKey, int] = {}
-        for ka, ca in a.coeffs.items():
-            pa = [pres.parity_of(m) for pres, m in zip(self.slots, ka)]
-            for kb, cb in b.coeffs.items():
-                pb = [pres.parity_of(m) for pres, m in zip(self.slots, kb)]
-                # move each factor of b left past the later factors of a
-                sign = 1
-                cross = 0
-                for i in range(len(self.slots)):
-                    for j in range(i + 1, len(self.slots)):
-                        cross += pb[i] * pa[j]
-                if cross & 1:
-                    sign = -sign
-                key_parts = []
-                dead = False
-                for slot, (ma, mb) in enumerate(zip(ka, kb)):
-                    prod, s = self.slots[slot].mul_monomials(ma, mb)
-                    if prod is None:
-                        dead = True
-                        break
-                    sign *= s
-                    key_parts.append(prod)
-                if dead:
-                    continue
-                key = tuple(key_parts)
-                raw[key] = raw.get(key, 0) + sign * ca * cb
-        return self.element(raw)
-
-    def unit_inverse(self, key: TensorKey, c: int) -> TensorElement | None:
-        if not all(pres.is_unit_monomial(m) for pres, m in zip(self.slots, key)):
-            return None
-        inv_key = tuple(tuple(-e for e in m) for m in key)
-        return TensorElement(self, {inv_key: pow(c, self.p - 2, self.p)})
+    def element(self, raw: Mapping[TensorKey, int]) -> Element:
+        return Element(self, self._normalize(raw))
 
 
 @dataclass
@@ -222,7 +174,7 @@ class HopfAlgebroid:
     total: Presentation
     eta_R_images: Mapping[str, Element]
     epsilon_images: Mapping[str, Element]
-    delta_images: Mapping[str, TensorElement] = field(repr=False)
+    delta_images: Mapping[str, Mapping[TensorKey, int]] = field(repr=False)
     name: str = "algebroid"
     beta: int = 1
     beta_prime: int = 1
@@ -235,11 +187,11 @@ class HopfAlgebroid:
                 raise ConfigError(f"generator {bn} changes degree between base and total")
         self.eta_L = GradedMap(
             self.base,
-            RingContext(self.total),
+            self.total,
             {n: Element.generator(self.total, n) for n in self.base.names},
         )
-        self.eta_R = GradedMap(self.base, RingContext(self.total), self.eta_R_images)
-        self.epsilon = GradedMap(self.total, RingContext(self.base), self.epsilon_images)
+        self.eta_R = GradedMap(self.base, self.total, self.eta_R_images)
+        self.epsilon = GradedMap(self.total, self.base, self.epsilon_images)
         # tensor_power_of answers per tuple of slot presentations
         self._tensor_cache: dict[tuple[int, ...], TensorContext] = {}
         self.tensor_square = self.tensor_power_of([self.total, self.total])
@@ -312,12 +264,12 @@ class Comodule:
 
 
 def apply_coproduct_at(
-    H: HopfAlgebroid, elt: TensorElement, slot: int, coaction: GradedMap | None = None
-) -> TensorElement:
+    H: HopfAlgebroid, elt: Element, slot: int, coaction: GradedMap | None = None
+) -> Element:
     """Insert Delta (or a comodule coaction at slot 0) at the given slot."""
-    ctx = elt.ctx
+    ctx = elt.ring
     gmap = coaction if coaction is not None else H.delta
-    out_slots = ctx.slots[:slot] + tuple(gmap.target_ctx.slots) + ctx.slots[slot + 1 :]
+    out_slots = ctx.slots[:slot] + gmap.target.slots + ctx.slots[slot + 1 :]
     out_ctx = H.tensor_power_of(out_slots)
     raw: dict[TensorKey, int] = {}
     for key, c in elt.coeffs.items():
@@ -328,16 +280,14 @@ def apply_coproduct_at(
     return out_ctx.element(raw)
 
 
-def apply_counit_at(H: HopfAlgebroid, elt: TensorElement, slot: int) -> TensorElement:
+def apply_counit_at(H: HopfAlgebroid, elt: Element, slot: int) -> Element:
     """Contract the given slot with epsilon, multiplying into a neighbour."""
-    ctx = elt.ctx
+    ctx = elt.ring
     out_slots = ctx.slots[:slot] + ctx.slots[slot + 1 :]
     out_ctx = H.tensor_power_of(out_slots)
     raw: dict[TensorKey, int] = {}
     for key, c in elt.coeffs.items():
-        scalar = H.epsilon.apply(Element.from_monomial(ctx.slots[slot], key[slot]))
-        if scalar.is_zero():
-            continue
+        scalar = H.epsilon.apply_monomial(key[slot])
         if slot == 0:
             # (eps (x) id): a (x) g -> eta_L(a) * g
             target_pres = ctx.slots[1]
@@ -352,12 +302,7 @@ def apply_counit_at(H: HopfAlgebroid, elt: TensorElement, slot: int) -> TensorEl
             # (id (x) eps): g (x) a -> g * (right action of a)
             target_pres = ctx.slots[slot - 1]
             for amono, c2 in scalar.coeffs.items():
-                if slot - 1 >= 1 or target_pres is H.total:
-                    img = H.eta_R.apply_monomial(amono)
-                else:
-                    img = Element.from_monomial(
-                        target_pres, _translate_monomial(H.base, amono, target_pres)
-                    )
+                img = ctx.push_left(slot - 1, amono)
                 for tmono, c3 in img.coeffs.items():
                     prod, sign = target_pres.mul_monomials(key[slot - 1], tmono)
                     if prod is None:
@@ -367,9 +312,9 @@ def apply_counit_at(H: HopfAlgebroid, elt: TensorElement, slot: int) -> TensorEl
     return out_ctx.element(raw)
 
 
-def tensor_to_element(elt: TensorElement) -> Element:
+def tensor_to_element(elt: Element) -> Element:
     """Collapse an arity-1 tensor to a plain ring element."""
-    pres = elt.ctx.slots[0]
+    pres = elt.ring.slots[0]
     return Element(pres, {key[0]: c for key, c in elt.coeffs.items()})
 
 

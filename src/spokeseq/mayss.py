@@ -711,7 +711,7 @@ def may_filtration_weight(H: HopfAlgebroid, mono: Monomial, cap: int = 64) -> in
         return 0
     elt = H.tensor_power_of((H.total,)).element({(mono,): 1})
     for s in range(1, cap + 1):
-        elt = apply_coproduct_at(H, elt, len(elt.ctx.slots) - 1)
+        elt = apply_coproduct_at(H, elt, len(elt.ring.slots) - 1)
         reduced = {
             key: c
             for key, c in elt.coeffs.items()

@@ -65,6 +65,16 @@ def test_bad_window_syntax():
     assert code == 2
 
 
+def test_large_negative_exponent_is_computed():
+    # psi(ul^-1050) squares the one inverse of psi(ul); l = -1050 is 0 mod 3,
+    # so the class is primitive
+    code, out = run_cli(
+        ["ext", "--p", "3", "--n", "1", "--window", "-2100:-2100:2100:2100", "--s-max", "0"]
+    )
+    assert code == 0
+    assert "0 | -2100+2100@ | 1 | ul^-1050" in out.splitlines()
+
+
 def test_segal_negative_window_parsing_and_files(tmp_path):
     out_dir = tmp_path / "runs"
     code, out = run_cli(

@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from spokeseq.algebra import Element
+from spokeseq.algebra import Element, monomials_in_degree
 from spokeseq.errors import ConfigError
 from spokeseq.grading import DegreeWindow, SpokeDegree
 from spokeseq.hopf import (
@@ -155,6 +157,57 @@ def test_eta_r_mod_coideal_equals_eta_l():
         img = H.eta_R.apply(Element.generator(H.base, name))
         linear = {m: c for m, c in img.coeffs.items() if not m[nm_i] and not m[mu_i]}
         assert linear == H.eta_L.apply(Element.generator(H.base, name)).coeffs
+
+
+def _slotwise_product(ctx, ka, kb):
+    """The raw product of two tensor keys: slot by slot, with the sign of
+    moving each factor of kb left past the later factors of ka."""
+    cross = sum(
+        ctx.slots[i].parity_of(kb[i]) * ctx.slots[j].parity_of(ka[j])
+        for i in range(len(ka))
+        for j in range(i + 1, len(ka))
+    )
+    sign = -1 if cross & 1 else 1
+    parts = []
+    for pres, ma, mb in zip(ctx.slots, ka, kb):
+        prod, s = pres.mul_monomials(ma, mb)
+        if prod is None:
+            return {}
+        parts.append(prod)
+        sign *= s
+    return {tuple(parts): sign}
+
+
+def _canonical_keys(H, ctx, degrees):
+    """Tensor keys whose slots are drawn from monomials_in_degree, with no
+    base generator after slot 0."""
+    per_slot = []
+    for i, pres in enumerate(ctx.slots):
+        monos = [m for d in degrees for m in monomials_in_degree(pres, d)]
+        if i:
+            base = [pres.index[n] for n in H.base.names if n in pres.index]
+            monos = [m for m in monos if not any(m[k] for k in base)]
+        per_slot.append(monos)
+    return list(itertools.product(*per_slot))
+
+
+def test_tensor_products_of_canonical_keys_need_no_normalisation():
+    descent = descent_algebroid(3)
+    geometric = geometric_algebroid(3)
+    H, comodule = truncated_hopf(3, 1)
+    small = [D(0, 0), D(0, -1), D(1, -1), D(1, 1), D(2, -2), D(2, 4)]
+    cases = [
+        (descent, descent.tensor_square, small),
+        (geometric, geometric.tensor_square, [D(0, 0), D(1, 0), D(2, 0)]),
+        (H, comodule.tensor, [D(0, 0), D(0, -1), D(1, -1), D(-2, 2), D(1, 1), D(2, 4)]),
+        (H, H.tensor_power_of([H.total] * 3), [D(0, 0), D(1, 1), D(2, 4)]),
+    ]
+    for alg, ctx, degrees in cases:
+        keys = _canonical_keys(alg, ctx, degrees)
+        assert any(k[0] != ctx.slots[0].unit_monomial() for k in keys)
+        for ka, kb in itertools.product(keys, repeat=2):
+            product = Element(ctx, {ka: 1}) * Element(ctx, {kb: 1})
+            assert product == ctx.element(_slotwise_product(ctx, ka, kb)), (ka, kb)
 
 
 def test_weyl_order():

@@ -84,8 +84,6 @@ KEPT = {
     "hfp.a_torsion_order": "test_acceptance::test_criterion_7_point_ring_dimensions",
     "hfp.PosClass.degree": "test_hfp::test_fraction_product_degree_additivity",
     "hfp.NegClass.degree": "test_hfp::test_negative_solver_matches_brute_force",
-    # the shared geometric-series inverse on a plain ring
-    "algebra.RingContext.unit_inverse": "test_algebra::test_geometric_series_inverse",
     "fp.Subspace.contains": "perfbench hook",
     "fp.Subspace.coordinates": "perfbench hook",
     # reading reports back, and the reprs error messages print
@@ -93,7 +91,7 @@ KEPT = {
     "grading.SpokeDegree.parse": "public API",
     "grading.TriDegree.parse": "public API",
     "algebra.Element.__repr__": "public API",
-    "hopf.TensorElement.__repr__": "public API",
+    "hopf.TensorContext.format_monomial": "public API",
 }
 
 # defaulted parameters that no query sets: each one is a parameter of an

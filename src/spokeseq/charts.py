@@ -2,14 +2,15 @@
 
 The x-axis is the integer degree m, the y-axis the spoke weight n.  Output is
 a deterministic byte stream for a fixed input: element order, coordinate
-arithmetic and formatting are all integer-based.
+arithmetic and formatting are all integer-based.  A May chart evaluates
+nothing: its dots are the page's classes and its arrows the ones that
+mayss.turn_page recorded when it turned the page.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BookkeepingError
 from .grading import DegreeWindow, SpokeDegree, TriDegree
 
 CELL = 28  # pixels per lattice step
@@ -39,42 +40,23 @@ def chart_from_page(page, s_max: int) -> ChartDoc:
     """Dots for every surviving class of a spectral-sequence page with
     s <= s_max."""
     doc = ChartDoc(f"page {page.r}", page.window)
-    for tri in sorted(
-        page.cells, key=lambda t: (t.total.m, t.total.n, t.s, t.f)
-    ):
-        cell = page.cells[tri]
-        if tri.s > s_max:
-            continue
-        for label in cell.labels:
-            doc.dots.append((tri, label))
+    for tri, cell in page.cells.items():
+        if tri.s <= s_max:
+            for label in cell.labels:
+                doc.dots.append((tri, label))
     return doc
 
 
-def add_differential_arrows(doc: ChartDoc, page, diff_fn) -> None:
-    """Arrows wherever the given monomial-level differential is nonzero on a
-    surviving representative."""
-    from .mayss import _image, _shift
-
-    for tri in sorted(
-        page.cells, key=lambda t: (t.total.m, t.total.n, t.s, t.f)
-    ):
-        cell = page.cells[tri]
-        if not cell.dim:
-            continue
-        target = _shift(tri, page.r)
-        tcell = page.cells.get(target)
-        if tcell is None:
-            continue
-        for rep in cell.reps:
-            vec = _image(page.e1, diff_fn, cell, rep, tcell)
-            if vec is None:
-                raise BookkeepingError(
-                    f"add_differential_arrows r={page.r} at {tri.format()}: differential "
-                    f"image is not homogeneous for its target cell {target.format()}"
-                )
-            if any(tcell.dead.reduce(vec)):
-                doc.arrows.append((tri, target, page.r))
-                break
+def add_differential_arrows(doc: ChartDoc, turned) -> None:
+    """Arrows for the differential of the charted page, read from the page
+    it turned into: one out of each drawn cell the differential is nonzero
+    on."""
+    r = turned.r - 1
+    targets = dict(turned.arrows)
+    for tri in dict.fromkeys(tri for tri, _ in doc.dots):
+        target = targets.get(tri)
+        if target is not None:
+            doc.arrows.append((tri, target, r))
 
 
 def _xy(doc: ChartDoc, total: SpokeDegree) -> tuple[int, int]:

@@ -157,10 +157,9 @@ def cmd_may(config: RunConfig) -> int:
         text.append(f"# page {r} reliable m [{page.reliable_m[0]},{page.reliable_m[1]}]\n")
         text.append(page.format())
     _emit(config, "may.txt", "".join(text))
-    for r, diff in ((1, mayss.d1_monomial), (config.p - 1, mayss.d_pminus1_monomial)):
-        page = pages[r]
-        doc = charts.chart_from_page(page, window.s_max)
-        charts.add_differential_arrows(doc, page, diff)
+    for r in (1, config.p - 1):
+        doc = charts.chart_from_page(pages[r], window.s_max)
+        charts.add_differential_arrows(doc, pages[r + 1])
         _emit_svg(config, f"may-page{r}.svg", doc)
     doc = charts.chart_from_page(pages[config.p], window.s_max)
     _emit_svg(config, f"may-page{config.p}.svg", doc)

@@ -74,7 +74,8 @@ class TriDegree:
 
     The internal degree is total + (s, 0); differentials of every complex in
     the engine preserve it, so a page-r differential moves (total, s, f) by
-    exactly (-(1,0), +1, +r), the rule of mayss._shift.
+    exactly (-(1,0), +1, +r): mayss.turn_page looks for its target cell
+    there, and the arrows it records obey this rule.
     """
 
     total: SpokeDegree

@@ -333,8 +333,9 @@ class PageCell:
     """One tri-degree of a page, in the flat coordinates of its first-page
     monomials.
 
-    ``monomials`` are built once by page_one and kept by every later page of
-    the cell; ``index`` (monomial -> position) is built on first use.
+    ``tri`` and ``monomials`` are set once by page_one and kept by every
+    later page of the cell; ``index`` (monomial -> position) is built on
+    first use.
     ``reps`` and the rows of ``dead`` are vectors in those coordinates; the
     representatives are canonical RREF rows, reduced modulo the dead
     subspace, and ``pivots`` holds their pivot columns.  ``labels`` (the
@@ -347,6 +348,7 @@ class PageCell:
     coordinates between them.
     """
 
+    tri: TriDegree
     monomials: list[Monomial]
     reps: list[Vector]
     dead: Subspace
@@ -377,8 +379,11 @@ class PageCell:
     def with_data(
         self, reps: list[Vector], dead: Subspace, pivots: Sequence[int], shared: bool
     ) -> "PageCell":
-        """The same tri-degree on a later page, keeping monomials and index."""
-        return PageCell(self.monomials, reps, dead, pivots, self.pres, shared, self._index)
+        """The same cell on a later page, keeping tri-degree, monomials and
+        index."""
+        return PageCell(
+            self.tri, self.monomials, reps, dead, pivots, self.pres, shared, self._index
+        )
 
     def coordinates(self, residue: Vector, p: int) -> list[int] | None:
         """Coefficients of a dead-reduced vector on the representatives, or
@@ -405,28 +410,28 @@ Column = list[PageCell | None]
 
 @dataclass
 class SSPage:
+    """Page r: its cells in a-columns, the m-range not yet eroded by the
+    window edge, and ``arrows``, the differential that produced the page:
+    the (source, target) tri-degrees of every cell of page r-1 on which it
+    was nonzero (none on the first page and on the copied pages)."""
+
     r: int
     e1: MayE1
     window: DegreeWindow
     columns: dict[ColumnKey, Column]
-    # the tri-degree at each column entry; one object for every page of a run
-    tris: dict[ColumnKey, list[TriDegree | None]]
     reliable_m: tuple[int, int]
+    arrows: list[tuple[TriDegree, TriDegree]]
 
     @functools.cached_property
     def cells(self) -> dict[TriDegree, PageCell]:
-        return {
-            tri: cell
-            for key, col in self.columns.items()
-            for tri, cell in zip(self.tris[key], col)
-            if cell is not None
-        }
+        """Every cell by tri-degree, in report order (m, n, s, f)."""
+        cells = [cell for col in self.columns.values() for cell in col if cell is not None]
+        cells.sort(key=lambda c: (c.tri.total.m, c.tri.total.n, c.tri.s, c.tri.f))
+        return {cell.tri: cell for cell in cells}
 
     def format(self) -> str:
         lines = []
-        cells = self.cells
-        for tri in sorted(cells, key=lambda t: (t.total.m, t.total.n, t.s, t.f)):
-            cell = cells[tri]
+        for tri, cell in self.cells.items():
             if cell.dim:
                 lines.append(
                     f"{self.r} | {tri.format()} | {cell.dim} | {' '.join(cell.labels)}"
@@ -449,37 +454,32 @@ def _is_a_translate(lower: list[Monomial], upper: list[Monomial], a_i: int) -> b
 def page_one(e1: MayE1, window: DegreeWindow) -> SSPage:
     table = e1_monomials(e1, window, window.s_max)
     height = window.n_max - window.n_min + 1
-    tris: dict[ColumnKey, list[TriDegree | None]] = {}
+    slots: dict[ColumnKey, list[TriDegree | None]] = {}
     for tri in table:
         key = (tri.total.m, tri.s, tri.f)
-        slots = tris.get(key)
-        if slots is None:
-            slots = tris[key] = [None] * height
-        slots[window.n_max - tri.total.n] = tri
+        col_tris = slots.get(key)
+        if col_tris is None:
+            col_tris = slots[key] = [None] * height
+        col_tris[window.n_max - tri.total.n] = tri
     columns: dict[ColumnKey, Column] = {}
-    for key, slots in tris.items():
+    for key, col_tris in slots.items():
         col = columns[key] = [None] * height
         upper = None
-        for k, tri in enumerate(slots):
+        for k, tri in enumerate(col_tris):
             if tri is None:
                 upper = None
                 continue
             monos = table[tri]
             if upper is not None and _is_a_translate(monos, upper.monomials, e1.a_pos):
                 cell = PageCell(
-                    monos, upper.reps, upper.dead, upper.pivots, e1.pres, shared=True
+                    tri, monos, upper.reps, upper.dead, upper.pivots, e1.pres, shared=True
                 )
             else:
                 size = len(monos)
                 reps = list(_unit_vectors(size))
-                cell = PageCell(monos, reps, Subspace([], size, e1.p), range(size), e1.pres)
+                cell = PageCell(tri, monos, reps, Subspace([], size, e1.p), range(size), e1.pres)
             col[k] = upper = cell
-    return SSPage(1, e1, window, columns, tris, (window.m_min, window.m_max))
-
-
-def _shift(tri: TriDegree, r: int) -> TriDegree:
-    total = tri.total
-    return TriDegree(D(total.m - 1, total.n), tri.s + 1, tri.f + r)
+    return SSPage(1, e1, window, columns, (window.m_min, window.m_max), [])
 
 
 def _image(
@@ -517,13 +517,7 @@ def _pivots(reps: list[Vector]) -> list[int]:
 
 
 def _differential_out(
-    e1: MayE1,
-    diff_fn,
-    cell: PageCell,
-    tcell: PageCell,
-    r: int,
-    tri: TriDegree,
-    target: TriDegree,
+    e1: MayE1, diff_fn, cell: PageCell, tcell: PageCell, r: int
 ) -> tuple[list[list[int]], list[Vector]] | None:
     """(cycles, images) of the differential out of one cell: the cycles are
     in the cell's monomial coordinates, the images are the nonzero
@@ -536,8 +530,8 @@ def _differential_out(
         vec = _image(e1, diff_fn, cell, rep, tcell)
         if vec is None:
             raise BookkeepingError(
-                f"turn_page r={r} at {tri.format()}: differential image is "
-                f"not homogeneous for its target cell {target.format()}"
+                f"turn_page r={r} at {cell.tri.format()}: differential image is "
+                f"not homogeneous for its target cell {tcell.tri.format()}"
             )
         # _image reduces mod p, so an empty dead subspace reduces nothing
         residue = dead.reduce(vec) if dead.rank else vec
@@ -547,8 +541,8 @@ def _differential_out(
         c = tcell.coordinates(residue, p)
         if c is None:
             raise BookkeepingError(
-                f"turn_page r={r} at {tri.format()}: differential image is "
-                f"not a surviving class at {target.format()}"
+                f"turn_page r={r} at {cell.tri.format()}: differential image is "
+                f"not a surviving class at {tcell.tri.format()}"
             )
         coords.append(c)
         images.append(residue)
@@ -572,7 +566,9 @@ def _differential_out(
 def turn_page(page: SSPage, diff_fn, new_r: int) -> SSPage:
     """Homology of the page under the monomial-level differential diff_fn,
     which acts on representatives; the result is the next page with
-    representatives still expressed in first-page monomial coordinates.
+    representatives still expressed in first-page monomial coordinates, and
+    its ``arrows`` list every cell the differential is nonzero on, shared
+    cells included, with its target.
 
     diff_fn must commute with multiplication by a: on a * mono it must
     return a times each target of mono, with the same coefficients (both
@@ -603,17 +599,16 @@ def turn_page(page: SSPage, diff_fn, new_r: int) -> SSPage:
     p = e1.p
     r = page.r
     columns = page.columns
-    tris = page.tris
 
     # (cycles, images) out of every cell, or None where nothing nonzero
     # leaves it; images landing outside the computed window are dropped,
     # which is exactly why the reliable m-range shrinks by one per applied
     # differential
     outs: dict[ColumnKey, list] = {}
+    arrows: list[tuple[TriDegree, TriDegree]] = []
     for key, col in columns.items():
         m, s, f = key
-        tkey = (m - 1, s + 1, f + r)
-        tcol = columns.get(tkey)
+        tcol = columns.get((m - 1, s + 1, f + r))
         if tcol is None:
             continue
         out_col = outs[key] = [None] * len(col)
@@ -621,11 +616,14 @@ def turn_page(page: SSPage, diff_fn, new_r: int) -> SSPage:
             if cell is None or not cell.reps:
                 continue
             if cell.shared and _same_as_upper(tcol, k):
-                out_col[k] = out_col[k - 1]
+                out = out_col[k - 1]
             elif tcol[k] is not None:
-                out_col[k] = _differential_out(
-                    e1, diff_fn, cell, tcol[k], r, tris[key][k], tris[tkey][k]
-                )
+                out = _differential_out(e1, diff_fn, cell, tcol[k], r)
+            else:
+                continue
+            if out is not None:
+                out_col[k] = out
+                arrows.append((cell.tri, tcol[k].tri))
 
     new_columns: dict[ColumnKey, Column] = {}
     for key, col in columns.items():
@@ -659,7 +657,7 @@ def turn_page(page: SSPage, diff_fn, new_r: int) -> SSPage:
             reps = quotient_basis(cycles, dead, size, p)
             new_col[k] = cell.with_data(reps, dead, _pivots(reps), False)
     lo, hi = page.reliable_m
-    return SSPage(new_r, e1, page.window, new_columns, tris, (lo + 1, hi - 1))
+    return SSPage(new_r, e1, page.window, new_columns, (lo + 1, hi - 1), arrows)
 
 
 def _leading_label(pres: Presentation, monomials: list[Monomial], rep: Vector) -> str:
@@ -667,7 +665,7 @@ def _leading_label(pres: Presentation, monomials: list[Monomial], rep: Vector) -
 
 
 def copy_page(page: SSPage, new_r: int) -> SSPage:
-    return SSPage(new_r, page.e1, page.window, page.columns, page.tris, page.reliable_m)
+    return SSPage(new_r, page.e1, page.window, page.columns, page.reliable_m, [])
 
 
 def compute_pages(
@@ -1026,11 +1024,10 @@ def free_pattern_dim(p: int, n: int, tri: TriDegree) -> int:
     return 1 if total.m % (2 * p**n) == 0 else 0
 
 
-def negative_pattern_check(
-    page: SSPage, p: int, n: int, s_cap: int
-) -> tuple[bool, list[str]]:
+def negative_pattern_check(page: SSPage, s_cap: int) -> tuple[bool, list[str]]:
     """Every cell of the last page in virtual degrees < 0 inside the reliable
     range must match the free-pattern model exactly."""
+    p, n = page.e1.p, page.e1.n
     lo, hi = page.reliable_m
     failures = []
     w = page.window
@@ -1050,10 +1047,8 @@ def negative_pattern_check(
                 else {}
             )
             if seen != want:
-                got = {
-                    t.format(): d
-                    for t, d in sorted(seen.items(), key=lambda kv: (kv[0].s, kv[0].f))
-                }
+                # the cells come in report order, so seen is sorted by (s, f)
+                got = {t.format(): d for t, d in seen.items()}
                 failures.append(f"{total.format()}: page {got}, model {len(want)} cell(s)")
     return not failures, failures
 
@@ -1093,9 +1088,9 @@ def a_shift_rank(page: SSPage, tri: TriDegree, steps: int) -> int | None:
                     if c:
                         if pos is None:
                             raise BookkeepingError(
-                                f"a_shift_rank at {page.tris[key][k - 1].format()}: "
+                                f"a_shift_rank at {cell.tri.format()}: "
                                 f"a-multiple is not homogeneous for its target cell "
-                                f"{page.tris[key][k].format()}"
+                                f"{tcell.tri.format()}"
                             )
                         out[pos] = c
                 shifted.append(tcell.dead.reduce(out))
@@ -1109,13 +1104,8 @@ def a_shift_rank(page: SSPage, tri: TriDegree, steps: int) -> int | None:
 
 @dataclass
 class SegalReport:
-    p: int
-    n_max: int
     window: DegreeWindow
-    beta: int
-    beta_prime: int
     pattern_ok: dict[int, bool]
-    pattern_failures: dict[int, list[str]]
     survivor_tables: dict[int, dict[str, int]]
     stabilized_at: int | None
     stabilized: bool
@@ -1144,9 +1134,7 @@ class SegalReport:
         return "\n".join(lines) + "\n"
 
 
-def survivor_table(
-    pages: dict[int, SSPage], p: int, n: int, s_cap: int
-) -> tuple[dict[str, int], bool, list[str]]:
+def survivor_table(last: SSPage, s_cap: int) -> tuple[dict[str, int], bool, list[str]]:
     """Desk-scale a-inversion of the last page.
 
     Negative virtual degrees are compared against the free model (where
@@ -1155,14 +1143,11 @@ def survivor_table(
     when a long enough a-power lands them nonzero in that verified region.
     Returns ({cell label: dim}, pattern ok, failure lines).
     """
-    last = pages[p]
-    window = last.window
-    ok, failures = negative_pattern_check(last, p, n, s_cap)
+    p, n = last.e1.p, last.e1.n
+    ok, failures = negative_pattern_check(last, s_cap)
     table: dict[str, int] = {}
     lo, hi = last.reliable_m
-    for tri, cell in sorted(
-        last.cells.items(), key=lambda kv: (kv[0].total.m, kv[0].total.n, kv[0].s, kv[0].f)
-    ):
+    for tri, cell in last.cells.items():
         if not cell.dim or tri.s > s_cap:
             continue
         total = tri.total
@@ -1208,7 +1193,7 @@ def segal_pipeline(
     for n in range(1, n_max + 1):
         pages = compute_pages(p, n, expanded, beta, beta_prime, disable_d1)
         tables[n], pattern_ok[n], pattern_failures[n] = survivor_table(
-            pages, p, n, window.s_max
+            pages[p], window.s_max
         )
         reliable = pages[p].reliable_m
     stabilized_at = None
@@ -1236,17 +1221,14 @@ def segal_pipeline(
             if missing:
                 notes.append(f"missing a-line cells: {', '.join(missing[:6])}")
             if not pattern_ok[stabilized_at]:
-                notes.append("negative-cone pattern mismatch")
+                notes.append(
+                    f"negative-cone pattern mismatch at {pattern_failures[stabilized_at][0]}"
+                )
     else:
         notes.append("survivor tables kept changing with the truncation height")
     return SegalReport(
-        p=p,
-        n_max=n_max,
         window=window,
-        beta=beta,
-        beta_prime=beta_prime,
         pattern_ok=pattern_ok,
-        pattern_failures=pattern_failures,
         survivor_tables=tables,
         stabilized_at=stabilized_at,
         stabilized=stabilized,

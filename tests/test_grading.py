@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from spokeseq.errors import ConfigError, WindowError
 from spokeseq.grading import DegreeWindow, SpokeDegree, TriDegree
-from spokeseq.mayss import _shift
 
 degrees = st.builds(
     SpokeDegree, st.integers(-50, 50), st.integers(-50, 50)
@@ -50,13 +49,6 @@ def test_tridegree_roundtrip():
     t = TriDegree(SpokeDegree(5, 0), 1, 1)
     assert t.format() == "5+0@|1|1"
     assert TriDegree.parse("5+0@|1|1") == t
-
-
-def test_differential_shift_predicate():
-    # the one page-r target rule, shared by the page engine and the charts
-    src = TriDegree(SpokeDegree(5, 0), 1, 1)
-    assert _shift(src, 2) == TriDegree(SpokeDegree(4, 0), 2, 3)
-    assert _shift(src, 1) == TriDegree(SpokeDegree(4, 0), 2, 2)
 
 
 def test_window_enumeration():

@@ -1,11 +1,12 @@
 import hashlib
 import io
+import re
 from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, strategies as st
 
-from spokeseq import mayss
+from spokeseq import charts, mayss
 from spokeseq.algebra import TRUNC, GeneratorSpec, Presentation, monomials_in_degree
 from spokeseq.cli import main
 from spokeseq.errors import BookkeepingError, CompositionError, WindowError
@@ -197,6 +198,74 @@ def test_page_one_shares_only_exact_translates(monkeypatch):
     assert not page_one(e1, window).cells[tri].shared
 
 
+def direct_arrows(page, diff_fn):
+    """The differential's arrows on a page by evaluating diff_fn on every
+    representative: (source, target) wherever a dead-reduced image is
+    nonzero."""
+    out = set()
+    for tri, cell in page.cells.items():
+        if not cell.dim:
+            continue
+        total = tri.total
+        target = TriDegree(D(total.m - 1, total.n), tri.s + 1, tri.f + page.r)
+        tcell = page.cells.get(target)
+        if tcell is None:
+            continue
+        for rep in cell.reps:
+            vec = mayss._image(page.e1, diff_fn, cell, rep, tcell)
+            assert vec is not None, tri
+            if any(tcell.dead.reduce(vec)):
+                out.add((tri, target))
+                break
+    return out
+
+
+ARROW_CASES = [
+    pytest.param(3, 1, DegreeWindow(-3, 2, -3, 3, s_max=2), id="p3-n1"),
+    pytest.param(3, 2, DegreeWindow(-4, 2, -6, 6, s_max=2), id="p3-n2"),
+    pytest.param(5, 1, DegreeWindow(-5, 3, -6, 6, s_max=2), id="p5-n1"),
+]
+
+
+@pytest.mark.parametrize("p, n, window", ARROW_CASES)
+def test_recorded_arrows_match_direct_evaluation(p, n, window):
+    # turn_page decides each a-column once, at its head cells; the arrows it
+    # records, shared cells included, are where the differential is nonzero
+    # on some representative
+    pages = compute_pages(p, n, window)
+    for r, diff_fn in ((1, d1_monomial), (p - 1, d_pminus1_monomial)):
+        arrows = pages[r + 1].arrows
+        assert arrows, r
+        assert any(pages[r].cells[src].shared for src, _ in arrows), r
+        assert len(set(arrows)) == len(arrows), r
+        assert set(arrows) == direct_arrows(pages[r], diff_fn), r
+        for src, dst in arrows:
+            total = src.total
+            assert dst == TriDegree(D(total.m - 1, total.n), src.s + 1, src.f + r)
+    # the first page and the copied pages come from no differential
+    assert not any(pages[r].arrows for r in range(1, p) if r != 2)
+
+
+@pytest.mark.parametrize("p, n, window", ARROW_CASES)
+def test_chart_arrows_start_at_drawn_classes(p, n, window):
+    # the pages run two s-rows above the cap; arrows out of those rows, whose
+    # classes are not drawn, are not drawn either
+    pages = compute_pages(p, n, window)
+    hidden = 0
+    for r in (1, p - 1):
+        doc = charts.chart_from_page(pages[r], window.s_max)
+        charts.add_differential_arrows(doc, pages[r + 1])
+        drawn = list(dict.fromkeys(tri for tri, _ in doc.dots))
+        recorded = dict(pages[r + 1].arrows)
+        assert doc.arrows, r
+        assert [(src, dst) for src, dst, _ in doc.arrows] == [
+            (tri, recorded[tri]) for tri in drawn if tri in recorded
+        ]
+        assert {arrow_r for _, _, arrow_r in doc.arrows} == {r}
+        hidden += len(recorded) - len(doc.arrows)
+    assert hidden
+
+
 def e2_negative_model(total, s_cap):
     """F_3[a, ul^{+-3}, xp0]<ul^2 x0> in virtual dimension < 0, n = 1."""
     out = {}
@@ -379,6 +448,14 @@ def test_segal_p5_true():
 def test_segal_negative_control():
     report = segal_pipeline(3, 3, DegreeWindow(-8, 1, -10, 10, s_max=4), disable_d1=True)
     assert not report.verdict
+    # tables that stabilize with a mismatching negative cone: the note names
+    # the first degree that fails the free-pattern model
+    report = segal_pipeline(3, 2, DegreeWindow(-1, 0, -2, 2, s_max=2), disable_d1=True)
+    assert report.stabilized and not report.verdict
+    assert any(
+        re.fullmatch(r"negative-cone pattern mismatch at -?\d+[+-]\d+@: page \{.+\}, model \d cell\(s\)", note)
+        for note in report.notes
+    ), report.notes
 
 
 def test_segal_window_too_small():

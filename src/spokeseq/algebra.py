@@ -311,15 +311,13 @@ class GradedMap:
         self._mono_cache: dict[Monomial, Element] = {}
 
     def _generator_power(self, name: str, e: int) -> Element:
-        """The e-th power of a generator's image by repeated squaring; a
-        negative power squares the one inverse of the image."""
+        """The e-th power (e != 0) of a generator's image by repeated
+        squaring; a negative power squares the one inverse of the image."""
         key = (name, e)
         cached = self._pow_cache.get(key)
         if cached is not None:
             return cached
-        if e == 0:
-            out = Element.one(self.target)
-        elif e == 1:
+        if e == 1:
             out = self.images[name]
         elif e == -1:
             out = invert(self.images[name])

@@ -3,8 +3,8 @@
 The x-axis is the integer degree m, the y-axis the spoke weight n.  Output is
 a deterministic byte stream for a fixed input: element order, coordinate
 arithmetic and formatting are all integer-based.  A May chart evaluates
-nothing: its dots are the page's classes and its arrows the ones that
-mayss.turn_page recorded when it turned the page.
+nothing: its dots are the page's classes and its arrows the ones between
+drawn classes that mayss.turn_page recorded when it turned the page.
 """
 
 from __future__ import annotations
@@ -50,12 +50,13 @@ def chart_from_page(page, s_max: int) -> ChartDoc:
 def add_differential_arrows(doc: ChartDoc, turned) -> None:
     """Arrows for the differential of the charted page, read from the page
     it turned into: one out of each drawn cell the differential is nonzero
-    on."""
+    on, when its target cell is drawn too."""
     r = turned.r - 1
     targets = dict(turned.arrows)
-    for tri in dict.fromkeys(tri for tri, _ in doc.dots):
+    drawn = dict.fromkeys(tri for tri, _ in doc.dots)
+    for tri in drawn:
         target = targets.get(tri)
-        if target is not None:
+        if target in drawn:
             doc.arrows.append((tri, target, r))
 
 

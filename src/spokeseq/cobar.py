@@ -232,7 +232,8 @@ def validate_dsquare(cx: CobarComplex | ResolutionComplex) -> None:
 
 @dataclass
 class ExtTable:
-    """(s, total degree) -> (dimension, representative labels)."""
+    """(s, total degree) -> (dimension, representative labels), for the
+    nonzero dimensions only."""
 
     entries: dict[tuple[int, SpokeDegree], tuple[int, tuple[str, ...]]]
 
@@ -240,14 +241,12 @@ class ExtTable:
         return self.entries.get((s, total), (0, ()))[0]
 
     def dims(self) -> dict[tuple[int, SpokeDegree], int]:
-        return {k: v[0] for k, v in self.entries.items() if v[0]}
+        return {k: v[0] for k, v in self.entries.items()}
 
     def format(self) -> str:
         lines = []
         for (s, total) in sorted(self.entries, key=lambda k: (k[0], k[1].m, k[1].n)):
             dim, labels = self.entries[(s, total)]
-            if not dim:
-                continue
             lines.append(f"{s} | {total.format()} | {dim} | {' '.join(labels)}")
         return "\n".join(lines) + "\n"
 

@@ -168,20 +168,21 @@ def null_space(rows_data: list[list[int]], ncols: int, p: int) -> list[Vector]:
 
 
 class Subspace:
-    """Row-span in RREF form, supporting membership tests and reduction."""
+    """Row-span in RREF form: ``rows`` are its canonical RREF rows and
+    ``pivots`` their pivot columns.  Supports reduction, membership tests and
+    coordinates on the rows."""
 
     def __init__(self, vectors: Iterable[Sequence[int]], dim: int, p: int):
         self.dim = dim
         self.p = p
-        data = [list(v) for v in vectors]
-        for v in data:
+        data = []
+        for v in vectors:
             if len(v) != dim:
                 raise ConfigError("subspace vector has wrong length")
+            if any(v):  # zero rows add nothing to the span
+                data.append(list(v))
         self.rows, self.pivots = rref(data, p) if data else ([], [])
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+        self.rank = len(self.pivots)
 
     def reduce(self, vec: Sequence[int]) -> Vector:
         """Canonical residue of vec modulo the subspace."""
@@ -198,8 +199,12 @@ class Subspace:
         return not any(self.reduce(vec))
 
     def coordinates(self, vec: Sequence[int]) -> Vector | None:
-        """Coefficients of vec on the RREF basis rows, or None."""
+        """Coefficients of vec on the RREF basis rows, or None when vec is
+        not in the span."""
         out = [v % self.p for v in vec]
+        if self.rank == self.dim:
+            # full rank: the RREF rows are the unit vectors
+            return tuple(out)
         coeffs = []
         for row, pc in zip(self.rows, self.pivots):
             f = out[pc]
@@ -215,22 +220,15 @@ class Subspace:
 
 def quotient_basis(
     cycles: Iterable[Sequence[int]], boundaries: Subspace, dim: int, p: int
-) -> list[Vector]:
-    """Canonical representatives of span(cycles) / boundaries.
-
-    Reduce each cycle vector modulo the boundary subspace, then echelonize
-    the residues; the nonzero RREF rows are the representatives.  Cycle
-    entries are in 0..p-1, so an empty boundary subspace reduces nothing.
+) -> Subspace:
+    """span(cycles) / boundaries, as the subspace spanned by the cycles
+    reduced modulo the boundaries: its canonical RREF rows are the
+    representatives.  Cycle entries are in 0..p-1, so an empty boundary
+    subspace reduces nothing.
     """
     if boundaries.rank:
-        residues = [list(boundaries.reduce(v)) for v in cycles]
-    else:
-        residues = [list(v) for v in cycles]
-    residues = [v for v in residues if any(v)]
-    if not residues:
-        return []
-    reduced, _ = rref(residues, p)
-    return [tuple(row) for row in reduced if any(row)]
+        cycles = [boundaries.reduce(v) for v in cycles]
+    return Subspace(cycles, dim, p)
 
 
 def check_zero_composite(d_first: SparseMatFp, d_second: SparseMatFp, message: str) -> None:
@@ -249,10 +247,10 @@ def quotient_dimension(
     """(dim, reps): the homology at the middle of
     X --d_boundary--> Y --d_cycle--> Z and canonical representatives of it.
 
-    The representatives are quotient_basis of the kernel of d_cycle modulo
-    the image of d_boundary; a count that disagrees with the rank formula is
-    a BookkeepingError.  Requires d_cycle o d_boundary = 0 and does not
-    recompose the pair: the caller has checked it once with
+    The representatives are the rows of quotient_basis of the kernel of
+    d_cycle modulo the image of d_boundary; a count that disagrees with the
+    rank formula is a BookkeepingError.  Requires d_cycle o d_boundary = 0
+    and does not recompose the pair: the caller has checked it once with
     check_zero_composite (the Ext builders through cobar.validate_dsquare).
     """
     if d_boundary.rows != d_cycle.cols:
@@ -267,10 +265,10 @@ def quotient_dimension(
     image = Subspace(columns, d_boundary.rows, d_boundary.p)
     dim = len(kernel) - image.rank
     reps = quotient_basis(kernel, image, d_cycle.cols, d_cycle.p)
-    if len(reps) != dim:
+    if reps.rank != dim:
         raise BookkeepingError(
-            f"quotient_dimension: {len(reps)} representatives for homology of "
+            f"quotient_dimension: {reps.rank} representatives for homology of "
             f"dimension {dim} between a {d_boundary.rows}x{d_boundary.cols} boundary "
             f"and a {d_cycle.rows}x{d_cycle.cols} cycle matrix"
         )
-    return dim, reps
+    return dim, [tuple(row) for row in reps.rows]

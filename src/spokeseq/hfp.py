@@ -33,6 +33,9 @@ class HfpVariant(Enum):
 
 
 def positive_cone(p: int, a_kind: str = POLY, ul_kind: str = POLY) -> Presentation:
+    """The coefficient generators a, ul, us, in this order; every ring built
+    on them (the descent algebroid, the truncated Hopf algebra's comodule,
+    the first May page) starts with this presentation's generators."""
     return Presentation(
         p,
         [

@@ -39,6 +39,7 @@ from .concurrency import deterministic_map
 from .errors import ConfigError
 from .fp import SparseMatFp, check_odd_prime
 from .grading import DegreeWindow, SpokeDegree
+from .hfp import positive_cone
 
 D = SpokeDegree
 
@@ -175,9 +176,6 @@ class HopfAlgebroid:
     eta_R_images: Mapping[str, Element]
     epsilon_images: Mapping[str, Element]
     delta_images: Mapping[str, Mapping[TensorKey, int]] = field(repr=False)
-    name: str = "algebroid"
-    beta: int = 1
-    beta_prime: int = 1
 
     def __post_init__(self):
         if self.total.names[: len(self.base)] != self.base.names:
@@ -326,9 +324,7 @@ def descent_total_ring(p: int) -> Presentation:
     return Presentation(
         p,
         [
-            GeneratorSpec("a", D(0, -1), POLY),
-            GeneratorSpec("ul", D(2, -2), POLY),
-            GeneratorSpec("us", D(1, -1), EXT),
+            *positive_cone(p).generators,
             GeneratorSpec("Nm", D(2, 2 * (p - 1)), POLY),
             GeneratorSpec("mu", D(1, 1), EXT),
         ],
@@ -351,14 +347,7 @@ def descent_algebroid(p: int, beta: int = 1, beta_prime: int = 1) -> HopfAlgebro
     check_odd_prime(p)
     beta = _check_unit(p, beta, "beta")
     beta_prime = _check_unit(p, beta_prime, "beta_prime")
-    base = Presentation(
-        p,
-        [
-            GeneratorSpec("a", D(0, -1), POLY),
-            GeneratorSpec("ul", D(2, -2), POLY),
-            GeneratorSpec("us", D(1, -1), EXT),
-        ],
-    )
+    base = positive_cone(p)
     total = descent_total_ring(p)
     gen = lambda n: Element.generator(total, n)
     mono = lambda **kw: Element.from_monomial(total, total.monomial(**kw))
@@ -393,9 +382,6 @@ def descent_algebroid(p: int, beta: int = 1, beta_prime: int = 1) -> HopfAlgebro
         eta_R_images=eta_R,
         epsilon_images=epsilon,
         delta_images=delta,
-        name="descent",
-        beta=beta,
-        beta_prime=beta_prime,
     )
 
 
@@ -431,19 +417,9 @@ def truncated_hopf(
         eta_R_images={},
         epsilon_images=epsilon,
         delta_images=delta,
-        name=f"truncated(n={n})",
-        beta=beta,
-        beta_prime=beta_prime,
     )
 
-    module = Presentation(
-        p,
-        [
-            GeneratorSpec("a", D(0, -1), POLY),
-            GeneratorSpec("ul", D(2, -2), INV),
-            GeneratorSpec("us", D(1, -1), EXT),
-        ],
-    )
+    module = positive_cone(p, ul_kind=INV)
     mm = lambda **kw: module.monomial(**kw)
     psi = {
         "a": {(mm(a=1), unit): 1},
@@ -493,7 +469,6 @@ def geometric_algebroid(p: int) -> HopfAlgebroid:
         eta_R_images=eta_R,
         epsilon_images=epsilon,
         delta_images=delta,
-        name="geometric",
     )
 
 

@@ -42,7 +42,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 from . import fp
 from .algebra import (
@@ -60,6 +59,7 @@ from .cobar import ExtTable, build_cobar, check_stabilization_heights, resolutio
 from .errors import BookkeepingError, ConfigError, WindowError
 from .fp import SparseMatFp, Subspace, Vector, check_odd_prime, quotient_basis
 from .grading import DegreeWindow, SpokeDegree, TriDegree
+from .hfp import positive_cone
 from .hopf import Comodule, HopfAlgebroid, apply_coproduct_at, truncated_hopf
 
 D = SpokeDegree
@@ -115,12 +115,7 @@ def may_e1(p: int, n: int, beta: int = 1, beta_prime: int = 1) -> MayE1:
     check_odd_prime(p)
     if n < 1:
         raise ConfigError(f"need n >= 1, got {n}")
-    gens = [
-        GeneratorSpec("a", D(0, -1), POLY),
-        GeneratorSpec("ul", D(2, -2), INV),
-        GeneratorSpec("us", D(1, -1), EXT),
-        GeneratorSpec("z", D(0, 1), POLY),
-    ]
+    gens = [*positive_cone(p, ul_kind=INV).generators, GeneratorSpec("z", D(0, 1), POLY)]
     s_deg = [0, 0, 0, 1]
     f_deg = [0, 0, 0, 1]
     for t in range(n):
@@ -336,23 +331,23 @@ class PageCell:
     ``tri`` and ``monomials`` are set once by page_one and kept by every
     later page of the cell; ``index`` (monomial -> position) is built on
     first use.
-    ``reps`` and the rows of ``dead`` are vectors in those coordinates; the
-    representatives are canonical RREF rows, reduced modulo the dead
-    subspace, and ``pivots`` holds their pivot columns.  ``labels`` (the
-    least monomial name of each representative, sorted) is formatted on
-    first read, so a page that is never printed formats nothing.
+    ``reps`` and ``dead`` are subspaces in those coordinates: the rows of
+    ``reps`` are the representatives, canonical RREF rows reduced modulo
+    ``dead``, so a class's coordinates are ``reps.coordinates`` of its
+    dead-reduced vector.  ``labels`` (the least monomial name of each
+    representative, sorted) is formatted on first read, so a page that is
+    never printed formats nothing.
 
     A ``shared`` cell lists exactly a times the monomials of the cell one
-    step up in n, and on this page holds the same ``reps``, ``dead`` and
-    ``pivots`` objects as that cell: multiplication by a is the identity on
+    step up in n, and on this page holds the same ``reps`` and ``dead``
+    objects as that cell: multiplication by a is the identity on
     coordinates between them.
     """
 
     tri: TriDegree
     monomials: list[Monomial]
-    reps: list[Vector]
+    reps: Subspace
     dead: Subspace
-    pivots: Sequence[int]
     pres: Presentation
     shared: bool = False
     _index: dict[Monomial, int] | None = None
@@ -360,7 +355,7 @@ class PageCell:
 
     @property
     def dim(self) -> int:
-        return len(self.reps)
+        return self.reps.rank
 
     @property
     def index(self) -> dict[Monomial, int]:
@@ -372,34 +367,16 @@ class PageCell:
     def labels(self) -> tuple[str, ...]:
         if self._labels is None:
             self._labels = tuple(
-                sorted(_leading_label(self.pres, self.monomials, rep) for rep in self.reps)
+                sorted(
+                    _leading_label(self.pres, self.monomials, rep) for rep in self.reps.rows
+                )
             )
         return self._labels
 
-    def with_data(
-        self, reps: list[Vector], dead: Subspace, pivots: Sequence[int], shared: bool
-    ) -> "PageCell":
+    def with_data(self, reps: Subspace, dead: Subspace, shared: bool) -> "PageCell":
         """The same cell on a later page, keeping tri-degree, monomials and
         index."""
-        return PageCell(
-            self.tri, self.monomials, reps, dead, pivots, self.pres, shared, self._index
-        )
-
-    def coordinates(self, residue: Vector, p: int) -> list[int] | None:
-        """Coefficients of a dead-reduced vector on the representatives, or
-        None when it is not in their span.  The representatives are RREF
-        rows, so each coefficient is the vector's entry at that row's pivot."""
-        if len(self.reps) == len(self.monomials):
-            # full rank: the RREF rows are the unit vectors
-            return list(residue)
-        coeffs = [residue[j] for j in self.pivots]
-        rest = list(residue)
-        for c, rep in zip(coeffs, self.reps):
-            if c:
-                for j, v in enumerate(rep):
-                    if v:
-                        rest[j] = (rest[j] - c * v) % p
-        return None if any(rest) else coeffs
+        return PageCell(self.tri, self.monomials, reps, dead, self.pres, shared, self._index)
 
 
 # an a-column is keyed (m, s, f) and lists its cells by n, top row first:
@@ -440,8 +417,8 @@ class SSPage:
 
 
 @functools.cache
-def _unit_vectors(size: int) -> tuple[Vector, ...]:
-    return tuple(tuple(int(i == j) for i in range(size)) for j in range(size))
+def _whole_space(size: int, p: int) -> Subspace:
+    return Subspace([[int(i == j) for i in range(size)] for j in range(size)], size, p)
 
 
 def _is_a_translate(lower: list[Monomial], upper: list[Monomial], a_i: int) -> bool:
@@ -471,13 +448,12 @@ def page_one(e1: MayE1, window: DegreeWindow) -> SSPage:
                 continue
             monos = table[tri]
             if upper is not None and _is_a_translate(monos, upper.monomials, e1.a_pos):
-                cell = PageCell(
-                    tri, monos, upper.reps, upper.dead, upper.pivots, e1.pres, shared=True
-                )
+                cell = PageCell(tri, monos, upper.reps, upper.dead, e1.pres, shared=True)
             else:
                 size = len(monos)
-                reps = list(_unit_vectors(size))
-                cell = PageCell(tri, monos, reps, Subspace([], size, e1.p), range(size), e1.pres)
+                cell = PageCell(
+                    tri, monos, _whole_space(size, e1.p), Subspace([], size, e1.p), e1.pres
+                )
             col[k] = upper = cell
     return SSPage(1, e1, window, columns, (window.m_min, window.m_max), [])
 
@@ -512,10 +488,6 @@ def _same_as_upper(col: Column | None, k: int) -> bool:
     return cell.shared if cell is not None else col[k - 1] is None
 
 
-def _pivots(reps: list[Vector]) -> list[int]:
-    return [next(j for j, v in enumerate(rep) if v) for rep in reps]
-
-
 def _differential_out(
     e1: MayE1, diff_fn, cell: PageCell, tcell: PageCell, r: int
 ) -> tuple[list[list[int]], list[Vector]] | None:
@@ -526,7 +498,7 @@ def _differential_out(
     dead = tcell.dead
     coords = []
     images = []
-    for rep in cell.reps:
+    for rep in cell.reps.rows:
         vec = _image(e1, diff_fn, cell, rep, tcell)
         if vec is None:
             raise BookkeepingError(
@@ -538,7 +510,7 @@ def _differential_out(
         if not any(residue):
             coords.append(None)
             continue
-        c = tcell.coordinates(residue, p)
+        c = tcell.reps.coordinates(residue)
         if c is None:
             raise BookkeepingError(
                 f"turn_page r={r} at {cell.tri.format()}: differential image is "
@@ -552,9 +524,9 @@ def _differential_out(
     matrix = [list(row) for row in zip(*(zero if c is None else c for c in coords))]
     size = len(cell.monomials)
     cycles = []
-    for kvec in fp.null_space(matrix, len(cell.reps), p):
+    for kvec in fp.null_space(matrix, cell.dim, p):
         acc = [0] * size
-        for c, rep in zip(kvec, cell.reps):
+        for c, rep in zip(kvec, cell.reps.rows):
             if c:
                 for i, v in enumerate(rep):
                     if v:
@@ -613,7 +585,7 @@ def turn_page(page: SSPage, diff_fn, new_r: int) -> SSPage:
             continue
         out_col = outs[key] = [None] * len(col)
         for k, cell in enumerate(col):
-            if cell is None or not cell.reps:
+            if cell is None or not cell.dim:
                 continue
             if cell.shared and _same_as_upper(tcol, k):
                 out = out_col[k - 1]
@@ -642,20 +614,19 @@ def turn_page(page: SSPage, diff_fn, new_r: int) -> SSPage:
                 if upper.reps is cell.reps and upper.dead is cell.dead:
                     new_col[k] = cell
                 else:
-                    new_col[k] = cell.with_data(upper.reps, upper.dead, upper.pivots, True)
+                    new_col[k] = cell.with_data(upper.reps, upper.dead, True)
                 continue
             out = out_col[k] if out_col else None
             incoming = in_col[k] if in_col else None
             if out is None and incoming is None:
                 if cell.shared:  # unchanged, but its upper neighbour changed
-                    cell = cell.with_data(cell.reps, cell.dead, cell.pivots, False)
+                    cell = cell.with_data(cell.reps, cell.dead, False)
                 new_col[k] = cell
                 continue
             size = len(cell.monomials)
             dead = Subspace(cell.dead.rows + incoming[1], size, p) if incoming else cell.dead
-            cycles = out[0] if out else cell.reps
-            reps = quotient_basis(cycles, dead, size, p)
-            new_col[k] = cell.with_data(reps, dead, _pivots(reps), False)
+            cycles = out[0] if out else cell.reps.rows
+            new_col[k] = cell.with_data(quotient_basis(cycles, dead, size, p), dead, False)
     lo, hi = page.reliable_m
     return SSPage(new_r, e1, page.window, new_columns, (lo + 1, hi - 1), arrows)
 
@@ -757,7 +728,6 @@ def e0_hopf(p: int, n: int) -> HopfAlgebroid:
         eta_R_images={},
         epsilon_images=epsilon,
         delta_images=delta,
-        name=f"e0(n={n})",
     )
 
 
@@ -1068,7 +1038,7 @@ def a_shift_rank(page: SSPage, tri: TriDegree, steps: int) -> int | None:
     if cell is None or not cell.dim:
         return 0
     a_i = page.e1.a_pos
-    vecs = cell.reps
+    vecs = cell.reps.rows
     for _ in range(steps):
         k += 1
         tcell = col[k] if k < len(col) else None
@@ -1098,8 +1068,7 @@ def a_shift_rank(page: SSPage, tri: TriDegree, steps: int) -> int | None:
             if not any(any(v) for v in vecs):
                 return 0
         cell = tcell
-    _, pivots = fp.rref([list(v) for v in vecs], page.e1.p)
-    return len(pivots)
+    return Subspace(vecs, len(cell.monomials), page.e1.p).rank
 
 
 @dataclass

@@ -254,7 +254,6 @@ def test_criterion_8_robustness():
             "Nm": {(mono("Nm"), unit): 1, (unit, mono("Nm")): 1},
             "mu": {(mono("mu"), unit): 1, (unit, mono("mu")): 1},
         },
-        name="reordered",
     )
     module = M1.module
     mm = lambda **kw: module.monomial(**kw)

@@ -87,7 +87,11 @@ def test_quotient_with_basis_refuses_a_lost_representative(monkeypatch):
     # a representative dropped on the way is a coded error naming both
     # matrix shapes, not an assert that python -O strips
     real = fp.quotient_basis
-    monkeypatch.setattr(fp, "quotient_basis", lambda *args: real(*args)[1:])
+
+    def lose_first(cycles, boundaries, dim, p):
+        return Subspace(real(cycles, boundaries, dim, p).rows[1:], dim, p)
+
+    monkeypatch.setattr(fp, "quotient_basis", lose_first)
     d_boundary = SparseMatFp.zero(3, 0, 3)
     d_cycle = SparseMatFp.zero(1, 3, 3)
     with pytest.raises(BookkeepingError, match=r"^\[E_BOOKKEEPING\] .*3x0 .* 1x3"):
@@ -174,6 +178,39 @@ def test_subspace_reduce():
     assert sub.reduce((0, 1, 0)) == (0, 1, 0) or sub.reduce((0, 1, 0)) != (0, 0, 0)
     assert sub.coordinates((1, 1, 2)) == (1, 2)
     assert sub.coordinates((1, 0, 0)) is None
+
+
+@st.composite
+def subspace_and_vector(draw):
+    """(subspace, vector) at p = 3, 5, 7: half the subspaces are the whole
+    space, and half the vectors are combinations of the spanning vectors;
+    entries run outside 0..p-1."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    dim = draw(st.integers(1, 6))
+    entry = st.integers(-2 * p, 2 * p)
+    vectors = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), max_size=dim + 1))
+    if draw(st.booleans()):
+        vectors += [[int(i == j) for i in range(dim)] for j in range(dim)]
+    if vectors and draw(st.booleans()):
+        coeffs = draw(st.lists(entry, min_size=len(vectors), max_size=len(vectors)))
+        vec = [sum(c * v[j] for c, v in zip(coeffs, vectors)) for j in range(dim)]
+    else:
+        vec = draw(st.lists(entry, min_size=dim, max_size=dim))
+    return Subspace(vectors, dim, p), vec
+
+
+@given(subspace_and_vector())
+def test_subspace_coordinates(case):
+    # None exactly when the vector leaves a residue; otherwise the
+    # coefficients, in 0..p-1, times the RREF rows give the vector back mod p
+    sub, vec = case
+    coords = sub.coordinates(vec)
+    assert (coords is None) == any(sub.reduce(vec))
+    if coords is not None:
+        assert len(coords) == sub.rank
+        assert all(0 <= c < sub.p for c in coords)
+        back = [sum(c * row[j] for c, row in zip(coords, sub.rows)) % sub.p for j in range(sub.dim)]
+        assert back == [v % sub.p for v in vec]
 
 
 @st.composite

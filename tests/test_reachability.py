@@ -85,7 +85,6 @@ KEPT = {
     "hfp.PosClass.degree": "test_hfp::test_fraction_product_degree_additivity",
     "hfp.NegClass.degree": "test_hfp::test_negative_solver_matches_brute_force",
     "fp.Subspace.contains": "perfbench hook",
-    "fp.Subspace.coordinates": "perfbench hook",
     # reading reports back, and the reprs error messages print
     "cli.parse_report": "public API",
     "grading.SpokeDegree.parse": "public API",

@@ -31,10 +31,11 @@ degree is total + (s, 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul, sub
 from typing import Sequence
 
 from . import fp
-from .algebra import EXT, INV, TRUNC, Element, Monomial, monomials_in_degree
+from .algebra import EXT, INV, POLY, TRUNC, Element, Monomial, monomials_in_degree
 from .concurrency import deterministic_map
 from .errors import BookkeepingError, ConfigError, WindowIncompleteError
 from .fp import SparseMatFp
@@ -405,21 +406,21 @@ class ResolutionGens:
         states.sort(key=lambda st: (self.s_of(st), st))
         return states
 
-    def steps(self, state: GenState):
-        """(strand index, new state, fold) per strand able to move up."""
+    def moves(self, state: GenState) -> list[tuple[Monomial, GenState, int, int]]:
+        """(pi, new state, fold, sign) per strand able to move up; the sign
+        is the parity of the cohomological degree left of the strand."""
         out = []
+        prefix = 0
         for i, (st, c) in enumerate(zip(self.strands, state)):
             if st.kind == "e":
-                new = state[:i] + (c + 1,) + state[i + 1 :]
-                out.append((i, new, 1))
+                new_c, fold = c + 1, 1
+            elif c[0] == 0:
+                new_c, fold = (1, c[1]), 1
             else:
-                eps, j = c
-                if eps == 0:
-                    new = state[:i] + ((1, j),) + state[i + 1 :]
-                    out.append((i, new, 1))
-                else:
-                    new = state[:i] + ((0, j + 1),) + state[i + 1 :]
-                    out.append((i, new, st.height - 1))
+                new_c, fold = (0, c[1] + 1), st.height - 1
+            new = state[:i] + (new_c,) + state[i + 1 :]
+            out.append((st.pi, new, fold, -1 if prefix % 2 else 1))
+            prefix += st.state_s(c)
         return out
 
 
@@ -479,33 +480,62 @@ def resolution_strands(H: HopfAlgebroid) -> ResolutionGens:
 
 class DualOperators:
     """Extraction operators on a comodule: for a primitive monomial pi,
-    op_pi(m) = the coefficient of pi in psi(m)."""
+    op_pi(m) = the coefficient of pi in psi(m).
+
+    The operators are linear over every polynomial generator g whose
+    coaction is trivial, psi(g) = g (x) 1: psi is multiplicative, so
+    op_pi(g^k m) = g^k op_pi(m).  Such a generator is even and unbounded, so
+    shifting its exponent is exact: no sign and no truncation.  __init__
+    reads this set, ``factored``, off ``comodule.psi`` (for
+    ``truncated_hopf`` it is {a}); apply_fold sets those exponents to 0,
+    memoises the folded image of the remaining monomial on (pi, base, fold),
+    and shifts the exponents back onto it.
+    """
 
     def __init__(self, comodule: Comodule):
         self.comodule = comodule
         self.module = comodule.module
-        self._cache: dict[tuple[Monomial, Monomial], Element] = {}
-
-    def apply(self, pi: Monomial, m_mono: Monomial) -> Element:
-        key = (pi, m_mono)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        img = self.comodule.psi.apply_monomial(m_mono)
-        raw = {
-            k[0]: c for k, c in img.coeffs.items() if k[1] == pi
-        }
-        out = Element(self.module, raw)
-        self._cache[key] = out
-        return out
+        unit = comodule.algebroid.total.unit_monomial()
+        self.factored = tuple(
+            g.name
+            for g in self.module.generators
+            if g.kind == POLY
+            and comodule.psi.images[g.name].coeffs
+            == {(self.module.monomial(**{g.name: 1}), unit): 1}
+        )
+        self._mask = tuple(int(name in self.factored) for name in self.module.names)
+        self._memo: dict[tuple[Monomial, Monomial, int], dict[Monomial, int]] = {}
 
     def apply_fold(self, pi: Monomial, m_mono: Monomial, fold: int) -> Element:
-        current = Element.from_monomial(self.module, m_mono)
+        """op_pi applied fold times to one module monomial."""
+        self.module.check_monomial(m_mono)
+        return Element(self.module, self._image(pi, m_mono, fold))
+
+    def _image(self, pi: Monomial, mono: Monomial, fold: int) -> dict[Monomial, int]:
+        """op_pi^fold(mono) as a raw dict, memoised on mono's base."""
+        shift = tuple(map(mul, mono, self._mask))
+        base = tuple(map(sub, mono, shift))
+        key = (pi, base, fold)
+        image = self._memo.get(key)
+        if image is None:
+            image = self._memo[key] = self._fold(pi, base, fold)
+        if base == mono:
+            return image
+        return {tuple(map(add, m, shift)): c for m, c in image.items()}
+
+    def _fold(self, pi: Monomial, base: Monomial, fold: int) -> dict[Monomial, int]:
+        """op_pi^fold(base) as a raw dict, one memoised op_pi step at a time."""
+        if fold == 1:
+            psi = self.comodule.psi.apply_monomial(base)
+            return {mono: c for (mono, g), c in psi.coeffs.items() if g == pi}
+        p = self.module.p
+        current = {base: 1}
         for _ in range(fold):
-            acc = Element.zero(self.module)
-            for mono, c in current.coeffs.items():
-                acc = acc + self.apply(pi, mono).scale(c)
-            current = acc
+            acc: dict[Monomial, int] = {}
+            for mono, c in current.items():
+                for m2, c2 in self._image(pi, mono, 1).items():
+                    acc[m2] = (acc.get(m2, 0) + c * c2) % p
+            current = {m: c for m, c in acc.items() if c}
         return current
 
 
@@ -542,10 +572,12 @@ def build_resolution_complex(
     ops = DualOperators(comodule)
     p = H.p
 
+    # each generator state's degree and moves, once per state
     states = gens.enumerate(s_max + 1)
-    by_s: dict[int, list[GenState]] = {}
+    by_s: dict[int, list[tuple[GenState, SpokeDegree]]] = {}
     for st in states:
-        by_s.setdefault(gens.s_of(st), []).append(st)
+        by_s.setdefault(gens.s_of(st), []).append((st, gens.degree_of(st)))
+    moves = {st: gens.moves(st) for st in states}
 
     internals: set[SpokeDegree] = set()
     for d in window.degrees():
@@ -556,9 +588,8 @@ def build_resolution_complex(
     for internal in sorted(internals, key=lambda d: (d.m, d.n)):
         for s in range(s_max + 2):
             basis = []
-            for state in by_s.get(s, []):
-                rem = internal - gens.degree_of(state)
-                for m_mono in monomials_in_degree(M, rem):
+            for state, degree in by_s.get(s, []):
+                for m_mono in monomials_in_degree(M, internal - degree):
                     basis.append((m_mono, state))
             basis.sort(key=lambda idx: (idx[1], idx[0]))
             bases[(internal, s)] = basis
@@ -572,13 +603,8 @@ def build_resolution_complex(
             columns = []
             for m_mono, state in src:
                 col: dict[int, int] = {}
-                for strand_i, new_state, fold in gens.steps(state):
-                    # sign: parity of the cohomological degree left of the strand
-                    prefix = sum(
-                        gens.strands[i].state_s(state[i]) for i in range(strand_i)
-                    )
-                    sign = -1 if prefix % 2 else 1
-                    image = ops.apply_fold(gens.strands[strand_i].pi, m_mono, fold)
+                for pi, new_state, fold, sign in moves[state]:
+                    image = ops.apply_fold(pi, m_mono, fold)
                     for mono, c in image.coeffs.items():
                         row = dst_index.get((mono, new_state))
                         if row is None:

@@ -1,7 +1,11 @@
-import pytest
+from functools import cache
 
-from spokeseq.algebra import Presentation
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from spokeseq.algebra import POLY, Element, GeneratorSpec, Presentation
 from spokeseq.cobar import (
+    DualOperators,
     build_cobar,
     build_resolution_complex,
     ext0_primitives,
@@ -161,6 +165,78 @@ def test_stabilize_primitive_a_all_n():
         H, M = truncated_hopf(5, n)
         t = resolution_ext_table(H, M, w)
         assert t.dim(0, D(0, -1)) == 1
+
+
+@cache
+def truncated(p, n):
+    return truncated_hopf(p, n)
+
+
+def fold_oracle(comodule, pi, m_mono, fold):
+    """op_pi applied fold times, one Element per step and no memo: the
+    reference for DualOperators.apply_fold."""
+    M = comodule.module
+    current = Element.from_monomial(M, m_mono)
+    for _ in range(fold):
+        acc = Element.zero(M)
+        for mono, c in current.coeffs.items():
+            img = comodule.psi.apply_monomial(mono)
+            step = Element(M, {k[0]: v for k, v in img.coeffs.items() if k[1] == pi})
+            acc = acc + step.scale(c)
+        current = acc
+    return current
+
+
+@st.composite
+def fold_cases(draw):
+    """A strand's pi, an a-free module monomial and an a-power."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    n = draw(st.sampled_from((1, 2)))
+    H, M = truncated(p, n)
+    pi = draw(st.sampled_from([strand.pi for strand in resolution_strands(H).strands]))
+    base = M.module.monomial(ul=draw(st.integers(-3, 2 * p)), us=draw(st.integers(0, 1)))
+    return M, pi, base, draw(st.integers(1, p**n + 2))
+
+
+@settings(deadline=None)
+@given(fold_cases())
+def test_memoised_fold_matches_oracle(case):
+    M, pi, base, a = case
+    ops = DualOperators(M)
+    assert ops.factored == ("a",)
+    shifted = (a,) + base[1:]
+    for fold in (M.module.p - 1, 1):
+        # the a-shifted monomial first, so that the shifted query fills its
+        # base's memo entry
+        for mono in (shifted, base):
+            assert ops.apply_fold(pi, mono, fold) == fold_oracle(M, pi, mono, fold)
+
+
+def test_fold_keeps_generators_with_nontrivial_coaction():
+    """Negative control: b is polynomial but psi(b) = b (x) 1 + 1 (x) Nm, so
+    op_Nm(b^k) = k b^(k-1) is not b^k op_Nm(1) = 0 and b stays in the key."""
+    p = 3
+    H, _ = truncated(p, 2)
+    module = Presentation(
+        p,
+        [GeneratorSpec("a", D(0, -1), POLY), GeneratorSpec("b", D(2, 2 * (p - 1)), POLY)],
+    )
+    unit, nm = H.total.unit_monomial(), H.total.monomial(Nm=1)
+    psi = {
+        "a": {(module.monomial(a=1), unit): 1},
+        "b": {(module.monomial(b=1), unit): 1, (module.unit_monomial(), nm): 1},
+    }
+    M = Comodule(H, module, psi)
+    ops = DualOperators(M)
+    assert ops.factored == ("a",)
+    for strand in resolution_strands(H).strands:
+        for fold in (1, p - 1):
+            # largest exponents first, so that shifted queries fill the memo
+            for a in range(3, -1, -1):
+                for b in range(2 * p, -1, -1):
+                    mono = module.monomial(a=a, b=b)
+                    want = fold_oracle(M, strand.pi, mono, fold)
+                    assert ops.apply_fold(strand.pi, mono, fold) == want, (strand.label, mono)
 
 
 def test_resolution_rejects_algebroid():

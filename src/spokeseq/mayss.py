@@ -28,13 +28,18 @@ other page vanish identically in this model, and the cross-check against
 the direct Ext computation certifies convergence.  Dimension bookkeeping
 failures raise instead of passing silently.
 
-Both differentials commute with multiplication by a, which moves (m, n) to
-(m, n-1) and keeps s and f.  The page engine groups cells into a-columns
-(m, s, f).  A cell that lists exactly a times the monomials of the cell one
-step up in n shares that cell's page data, in the same coordinates, for as
-long as its differential's source and target do too; so each run of such
-cells is computed once, at its head, and an a-tower does work only where a
-run ends (turn_page, a_shift_rank).
+Multiplication by a moves (m, n) to (m, n-1) and keeps s and f, so the
+first page falls into a-columns (m, s, f) with one layout: the cell at n
+lists its a-free monomials, sorted, then a times the list of the cell one
+step up in n (e1_monomials builds each column that way, from its top row
+down; a is the first generator, so a-free monomials sort first).  So a maps
+coordinate i of a cell to coordinate i + offset of the cell below, offset
+being the difference of their lengths, and a cell as long as its upper
+neighbour lists exactly a times it.  Both differentials commute with a, so
+such a shared cell has its upper neighbour's page data, in the same
+coordinates, for as long as its differential's source and target are
+shared too; each run of shared cells is computed once, at its head, and an
+a-tower does work only where a run ends (turn_page, a_shift_rank).
 """
 
 from __future__ import annotations
@@ -104,12 +109,6 @@ class MayE1:
         self.p_pows = tuple(self.p**t for t in range(self.n + 1))
         self.beta_pows = tuple(pow(self.beta, q, self.p) for q in self.p_pows[:-1])
 
-    def s_of(self, mono: Monomial) -> int:
-        return sum(e * s for e, s in zip(mono, self.s_deg))
-
-    def f_of(self, mono: Monomial) -> int:
-        return sum(e * f for e, f in zip(mono, self.f_deg))
-
 
 def may_e1(p: int, n: int, beta: int = 1, beta_prime: int = 1) -> MayE1:
     check_odd_prime(p)
@@ -138,24 +137,30 @@ def may_e1(p: int, n: int, beta: int = 1, beta_prime: int = 1) -> MayE1:
 def e1_monomials(
     e1: MayE1, window: DegreeWindow, s_cap: int
 ) -> dict[TriDegree, list[Monomial]]:
-    """Enumerate first-page monomials per tri-degree.
+    """Enumerate first-page monomials per tri-degree, one sorted list per
+    non-empty cell.
 
-    The generator part (everything except a, ul, us) is enumerated once; for
-    each total degree the coefficient part a^alpha ul^l us^eps is pinned:
-    eps by the parity of the remaining integer degree, l by the remaining
-    integer degree, alpha = -virtual_dim(remainder) >= 0.  Degrees are added
-    as plain (m, n) ints; each tri-degree key is built once, at the end.
+    The generator part (everything except a, ul, us) is enumerated once; in
+    each column (m, s, f) the coefficient part a^alpha ul^l us^eps of a
+    generator part is pinned: eps by the parity of the remaining integer
+    degree, l by the remaining integer degree, and alpha = n0 - n, where
+    n0 = g_n - (m - g_m) is the one row of the column in which it is a-free.
+    So each column is built from its top row down: the cell at n is its
+    sorted a-free monomials followed by a times the cell above, which is
+    sorted too because a is the first generator.  Parts with n0 below the
+    window are dropped, and parts with n0 above it enter the top row with
+    a^(n0 - n_max).
     """
     p, n = e1.p, e1.n
     pres = e1.pres
     ngen = len(pres)
 
-    # (monomial, m, n, s, f) of every generator part within the s budget
-    gen_parts: list[tuple[Monomial, int, int, int, int]] = []
+    # (monomial, m, n) of every generator part within the s budget, by (s, f)
+    gen_parts: dict[tuple[int, int], list[tuple[Monomial, int, int]]] = {}
 
     def rec_xp(t, acc_mono, acc_m, acc_n, acc_s, acc_f):
         if t == n:
-            gen_parts.append((tuple(acc_mono), acc_m, acc_n, acc_s, acc_f))
+            gen_parts.setdefault((acc_s, acc_f), []).append((tuple(acc_mono), acc_m, acc_n))
             return
         i = e1.xp_pos[t]
         d = pres.degrees[i]
@@ -188,29 +193,32 @@ def e1_monomials(
     base[z_i] = 0
 
     a_i, ul_i, us_i = e1.a_pos, e1.ul_pos, e1.us_pos
-    by_key: dict[tuple[int, int, int, int], list[Monomial]] = {}
-    for total in window.degrees():
-        tm, tn = total.m, total.n
-        for g_mono, g_m, g_n, g_s, g_f in gen_parts:
-            # total degrees are additive, and the coefficient part has s = 0;
-            # a^alpha ul^l us^eps has degree (eps+2l, -alpha-eps-2l)
-            rem_m = tm - g_m
-            a_exp = -(rem_m + tn - g_n)
-            if a_exp < 0:
-                continue
-            for eps in (0, 1):
-                m_left = rem_m - eps
-                if m_left % 2:
-                    continue
-                mono = list(g_mono)
-                mono[a_i] = a_exp
-                mono[ul_i] = m_left // 2
-                mono[us_i] = eps
-                by_key.setdefault((tm, tn, g_s, g_f), []).append(tuple(mono))
+    n_min, n_max = window.n_min, window.n_max
     out: dict[TriDegree, list[Monomial]] = {}
-    for (m, nn, s, f), monos in by_key.items():
-        monos.sort()
-        out[TriDegree(D(m, nn), s, f)] = monos
+    for m in range(window.m_min, window.m_max + 1):
+        for (s, f), parts in gen_parts.items():
+            # a-free monomials by row; the top row also takes those above it
+            heads: dict[int, list[Monomial]] = {}
+            for g_mono, g_m, g_n in parts:
+                # a^alpha ul^l us^eps has degree (eps+2l, -alpha-eps-2l)
+                rem_m = m - g_m
+                n0 = g_n - rem_m
+                if n0 < n_min:
+                    continue
+                eps = rem_m % 2
+                mono = list(g_mono)
+                mono[a_i] = max(n0 - n_max, 0)
+                mono[ul_i] = (rem_m - eps) // 2
+                mono[us_i] = eps
+                heads.setdefault(min(n0, n_max), []).append(tuple(mono))
+            if not heads:
+                continue
+            cell: list[Monomial] = []
+            for nn in range(max(heads), n_min - 1, -1):
+                cell = sorted(heads.get(nn, ())) + [
+                    mono[:a_i] + (mono[a_i] + 1,) + mono[a_i + 1 :] for mono in cell
+                ]
+                out[TriDegree(D(m, nn), s, f)] = cell
     return out
 
 
@@ -338,10 +346,12 @@ class PageCell:
     representative, sorted) is formatted on first read, so a page that is
     never printed formats nothing.
 
-    A ``shared`` cell lists exactly a times the monomials of the cell one
-    step up in n, and on this page holds the same ``reps`` and ``dead``
-    objects as that cell: multiplication by a is the identity on
-    coordinates between them.
+    ``monomials`` has the a-column layout of e1_monomials: the cell's
+    a-free monomials, then a times the monomials of the cell one step up in
+    n.  A ``shared`` cell has no a-free monomial, so it lists exactly a
+    times that cell's monomials, and on this page holds the same ``reps``
+    and ``dead`` objects as that cell: multiplication by a is the identity
+    on coordinates between them.
     """
 
     tri: TriDegree
@@ -421,13 +431,6 @@ def _whole_space(size: int, p: int) -> Subspace:
     return Subspace([[int(i == j) for i in range(size)] for j in range(size)], size, p)
 
 
-def _is_a_translate(lower: list[Monomial], upper: list[Monomial], a_i: int) -> bool:
-    """Whether lower lists exactly a times the monomials of upper, in order."""
-    return len(lower) == len(upper) and lower == [
-        up[:a_i] + (up[a_i] + 1,) + up[a_i + 1 :] for up in upper
-    ]
-
-
 def page_one(e1: MayE1, window: DegreeWindow) -> SSPage:
     table = e1_monomials(e1, window, window.s_max)
     height = window.n_max - window.n_min + 1
@@ -447,7 +450,8 @@ def page_one(e1: MayE1, window: DegreeWindow) -> SSPage:
                 upper = None
                 continue
             monos = table[tri]
-            if upper is not None and _is_a_translate(monos, upper.monomials, e1.a_pos):
+            # a cell lists its a-free monomials, then a times the cell above
+            if upper is not None and len(monos) == len(upper.monomials):
                 cell = PageCell(tri, monos, upper.reps, upper.dead, e1.pres, shared=True)
             else:
                 size = len(monos)
@@ -859,20 +863,12 @@ def associated_graded_ext_classes(p: int, n: int, s_cap: int):
     return acc
 
 
-def closed_form_counts(
-    e1: MayE1, window: DegreeWindow, s_cap: int
-) -> dict[TriDegree, int]:
-    return {
-        tri: len(monos) for tri, monos in e1_monomials(e1, window, s_cap).items()
-    }
-
-
 def e1_vs_associated_graded(p: int, n: int, window: DegreeWindow) -> tuple[bool, list[str]]:
     """Closed-form first-page monomial counts against the cohomology of the
     associated graded, convolved with the coefficient module, tri-degree by
     tri-degree over the window."""
-    e1 = may_e1(p, n)
-    closed = closed_form_counts(e1, window, window.s_max)
+    table = e1_monomials(may_e1(p, n), window, window.s_max)
+    closed = {tri: len(monos) for tri, monos in table.items()}
     graded = associated_graded_ext_classes(p, n, window.s_max)
 
     # coefficient module F_p[a, ul^{+-1}]<us> has one monomial in every
@@ -1029,7 +1025,9 @@ def a_shift_rank(page: SSPage, tri: TriDegree, steps: int) -> int | None:
 
     The tower walks down the cell's a-column.  A step into a shared cell
     changes nothing: a is the identity on coordinates there and the dead
-    subspace is the same, so only steps into head cells do work."""
+    subspace is the same, so only steps into head cells do work.  There a
+    shifts coordinates past the head cell's a-free monomials, which come
+    first in its list."""
     total = tri.total
     key = (total.m, tri.s, tri.f)
     col = page.columns.get(key)
@@ -1037,7 +1035,6 @@ def a_shift_rank(page: SSPage, tri: TriDegree, steps: int) -> int | None:
     cell = col[k] if col is not None and 0 <= k < len(col) else None
     if cell is None or not cell.dim:
         return 0
-    a_i = page.e1.a_pos
     vecs = cell.reps.rows
     for _ in range(steps):
         k += 1
@@ -1045,26 +1042,8 @@ def a_shift_rank(page: SSPage, tri: TriDegree, steps: int) -> int | None:
         if tcell is None:
             return None
         if not tcell.shared:
-            # position of a * monomial in the target cell
-            positions = []
-            for mono in cell.monomials:
-                lifted = list(mono)
-                lifted[a_i] += 1
-                positions.append(tcell.index.get(tuple(lifted)))
-            shifted = []
-            for vec in vecs:
-                out = [0] * len(tcell.monomials)
-                for pos, c in zip(positions, vec):
-                    if c:
-                        if pos is None:
-                            raise BookkeepingError(
-                                f"a_shift_rank at {cell.tri.format()}: "
-                                f"a-multiple is not homogeneous for its target cell "
-                                f"{tcell.tri.format()}"
-                            )
-                        out[pos] = c
-                shifted.append(tcell.dead.reduce(out))
-            vecs = shifted
+            pad = [0] * (len(tcell.monomials) - len(cell.monomials))
+            vecs = [tcell.dead.reduce([*pad, *vec]) for vec in vecs]
             if not any(any(v) for v in vecs):
                 return 0
         cell = tcell
@@ -1154,6 +1133,8 @@ def segal_pipeline(
         raise WindowError(
             "window too small to decide survivors: need n_min + m_max <= -1"
         )
+    if not window.contains(D(0, 0)):
+        raise WindowError("window must contain 0+0@, where the a-line of survivors starts")
     expanded = replace(window, m_min=window.m_min - 2, m_max=window.m_max + 2)
     pattern_ok: dict[int, bool] = {}
     pattern_failures: dict[int, list[str]] = {}

@@ -60,6 +60,18 @@ def test_window_error_exit_code():
     assert code == 3
 
 
+def test_segal_window_without_origin_is_a_window_error():
+    # without 0+0@ the verdict would miss the a-line it looks for and print false
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(
+            ["segal", "--p", "3", "--n-max", "2", "--window", "-1:0:-2:-2", "--s-max", "1"]
+        )
+    assert code == 3
+    assert out == ""
+    assert err.getvalue().startswith("[E_WINDOW] window must contain 0+0@")
+
+
 def test_bad_window_syntax():
     code, _ = run_cli(["ext", "--p", "3", "--window", "1:2:3"])
     assert code == 2

@@ -7,11 +7,14 @@ from spokeseq.hfp import THETA, HfpVariant, NegClass, PosClass
 D = SpokeDegree
 
 
-def brute_negative(d, bound=60):
+def brute_negative(d):
+    # S^-1 us^eps ul^-j a^-k has degree (eps - 1 - 2j, 2j + k - eps), so every
+    # solution has 2j <= -m and k <= n - 1: the box j <= |m|/2, k <= |n|
+    # holds them all and the search stays exhaustive
     out = []
     for eps in (0, 1):
-        for j in range(1, bound):
-            for k in range(1, bound):
+        for j in range(1, abs(d.m) // 2 + 1):
+            for k in range(1, abs(d.n) + 1):
                 c = NegClass(eps, j, k)
                 if c.degree == d:
                     out.append(c)

@@ -10,9 +10,11 @@ from spokeseq import charts, mayss
 from spokeseq.algebra import TRUNC, GeneratorSpec, Presentation, monomials_in_degree
 from spokeseq.cli import main
 from spokeseq.errors import BookkeepingError, CompositionError, WindowError
+from spokeseq.fp import Subspace
 from spokeseq.grading import DegreeWindow, SpokeDegree, TriDegree
 from spokeseq.hopf import truncated_hopf
 from spokeseq.mayss import (
+    a_shift_rank,
     associated_graded_check,
     associated_graded_ext_classes,
     compute_pages,
@@ -34,6 +36,14 @@ from spokeseq.mayss import (
 D = SpokeDegree
 
 
+def s_of(e1, mono):
+    return sum(e * s for e, s in zip(mono, e1.s_deg))
+
+
+def f_of(e1, mono):
+    return sum(e * f for e, f in zip(mono, e1.f_deg))
+
+
 def test_e1_generator_tridegrees():
     e1 = may_e1(3, 2)
     pres = e1.pres
@@ -44,9 +54,9 @@ def test_e1_generator_tridegrees():
     assert pres.generator("xp0").degree == D(4, 12)
     assert pres.generator("xp1").degree == D(16, 36)
     # s and f of the generators
-    assert e1.s_of(pres.monomial(z=1)) == 1 and e1.f_of(pres.monomial(z=1)) == 1
-    assert e1.s_of(pres.monomial(x1=1)) == 1 and e1.f_of(pres.monomial(x1=1)) == 1
-    assert e1.s_of(pres.monomial(xp1=1)) == 2 and e1.f_of(pres.monomial(xp1=1)) == 3
+    assert s_of(e1, pres.monomial(z=1)) == 1 and f_of(e1, pres.monomial(z=1)) == 1
+    assert s_of(e1, pres.monomial(x1=1)) == 1 and f_of(e1, pres.monomial(x1=1)) == 1
+    assert s_of(e1, pres.monomial(xp1=1)) == 2 and f_of(e1, pres.monomial(xp1=1)) == 3
 
 
 def test_e1_cells():
@@ -117,8 +127,8 @@ def test_d1_tridegree_shift(pair):
     src_total = e1.pres.degree_of(mono)
     for tgt in d1_monomial(e1, mono):
         assert e1.pres.degree_of(tgt) == src_total - D(1, 0)
-        assert e1.s_of(tgt) == e1.s_of(mono) + 1
-        assert e1.f_of(tgt) == e1.f_of(mono) + 1
+        assert s_of(e1, tgt) == s_of(e1, mono) + 1
+        assert f_of(e1, tgt) == f_of(e1, mono) + 1
 
 
 def test_d2_digit_rule():
@@ -140,8 +150,8 @@ def test_d2_tridegree_shift(pair):
     src_total = e1.pres.degree_of(mono)
     for tgt in d_pminus1_monomial(e1, mono):
         assert e1.pres.degree_of(tgt) == src_total - D(1, 0)
-        assert e1.s_of(tgt) == e1.s_of(mono) + 1
-        assert e1.f_of(tgt) == e1.f_of(mono) + (p - 1)
+        assert s_of(e1, tgt) == s_of(e1, mono) + 1
+        assert f_of(e1, tgt) == f_of(e1, mono) + (p - 1)
 
 
 def times_a(e1, mono):
@@ -184,19 +194,84 @@ def test_shared_cells_equal_computed_cells(p, n):
             assert cell.dead.rows == other.dead.rows, (r, tri)
 
 
-def test_page_one_shares_only_exact_translates(monkeypatch):
-    # sharing is decided by comparing monomial lists, never assumed: a cell
-    # listing as many monomials as a times its upper neighbour, one of them
-    # foreign, is a head
-    e1 = may_e1(3, 1)
-    window = DegreeWindow(-3, 1, -4, 4, s_max=2)
-    table = e1_monomials(e1, window, 2)
-    tri = next(t for t, c in page_one(e1, window).cells.items() if c.shared)
-    foreign = list(table[tri][-1])
-    foreign[e1.a_pos] += 7
-    forged = {**table, tri: table[tri][:-1] + [tuple(foreign)]}
-    monkeypatch.setattr(mayss, "e1_monomials", lambda *args: forged)
-    assert not page_one(e1, window).cells[tri].shared
+def is_a_translate(e1, lower, upper):
+    """Whether lower lists exactly a times the monomials of upper, in order."""
+    return lower == [times_a(e1, mono) for mono in upper]
+
+
+def upper_tri(tri):
+    return TriDegree(D(tri.total.m, tri.total.n + 1), tri.s, tri.f)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_first_page_a_column_layout(p, n):
+    # every first-page cell lists its a-free monomials, then a times the
+    # cell above; page_one shares a cell on that layout alone, by length,
+    # and must share exactly the cells that list a times the cell above
+    e1 = may_e1(p, n)
+    assert e1.a_pos == 0
+    window = DegreeWindow(-4, 2, -5, 3, s_max=3)
+    table = e1_monomials(e1, window, window.s_max)
+    with_upper = 0
+    for tri, monos in table.items():
+        upper = table.get(upper_tri(tri))
+        if upper is None:
+            continue
+        with_upper += 1
+        offset = len(monos) - len(upper)
+        assert offset >= 0, tri
+        assert monos[offset:] == [times_a(e1, mono) for mono in upper], tri
+        assert all(mono[e1.a_pos] == 0 for mono in monos[:offset]), tri
+    cells = page_one(e1, window).cells
+    assert cells.keys() == table.keys()
+    oracle = {
+        tri: upper_tri(tri) in table and is_a_translate(e1, table[tri], table[upper_tri(tri)])
+        for tri in table
+    }
+    assert {tri: cell.shared for tri, cell in cells.items()} == oracle
+    assert 0 < sum(oracle.values()) < with_upper
+
+
+def a_shift_rank_by_lookup(page, tri, steps):
+    """Rank of a^steps out of a cell, lifting every monomial by a and looking
+    it up in the target cell's index; None when the tower leaves the window."""
+    cell = page.cells.get(tri)
+    if cell is None or not cell.dim:
+        return 0
+    vecs = cell.reps.rows
+    total = tri.total
+    for step in range(1, steps + 1):
+        tcell = page.cells.get(TriDegree(D(total.m, total.n - step), tri.s, tri.f))
+        if tcell is None:
+            return None
+        shifted = []
+        for vec in vecs:
+            out = [0] * len(tcell.monomials)
+            for mono, c in zip(cell.monomials, vec):
+                if c:
+                    out[tcell.index[times_a(page.e1, mono)]] = c
+            shifted.append(tcell.dead.reduce(out))
+        vecs = shifted
+        cell = tcell
+    return Subspace(vecs, len(cell.monomials), page.e1.p).rank
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 1)])
+def test_a_shift_rank_matches_monomial_lookup(p, n):
+    # a_shift_rank multiplies by a as a shift past the a-free monomials of
+    # each head cell, and skips shared cells; lifting every monomial and
+    # looking it up, step by step, must give the same ranks and the same
+    # towers that leave the window
+    last = compute_pages(p, n, DegreeWindow(-5, 2, -6, 3, s_max=3))[p]
+    results = []
+    for tri, cell in last.cells.items():
+        if cell.dim:
+            for steps in (1, 2, 3):
+                got = a_shift_rank(last, tri, steps)
+                assert got == a_shift_rank_by_lookup(last, tri, steps), (tri, steps)
+                results.append(got)
+    assert None in results and 0 in results and any(results)
 
 
 def direct_arrows(page, diff_fn):
@@ -401,8 +476,8 @@ def test_e1_pinned_coefficients_match_enumerator(p, n):
     expected = {}
     for total in window.degrees():
         for mono in monomials_in_degree(bounded, total):
-            if e1.s_of(mono) <= s_cap:
-                tri = TriDegree(total, e1.s_of(mono), e1.f_of(mono))
+            if s_of(e1, mono) <= s_cap:
+                tri = TriDegree(total, s_of(e1, mono), f_of(e1, mono))
                 expected.setdefault(tri, []).append(mono)
     assert e1_monomials(e1, window, s_cap) == expected
 
@@ -464,6 +539,18 @@ def test_segal_negative_control():
 def test_segal_window_too_small():
     with pytest.raises(WindowError):
         segal_pipeline(3, 2, DegreeWindow(-3, 3, -3, 3, s_max=2))
+
+
+@pytest.mark.parametrize(
+    "window",
+    [DegreeWindow(-1, 0, -2, -2, s_max=1), DegreeWindow(-3, -1, -2, 2, s_max=1),
+     DegreeWindow(1, 2, -6, -3, s_max=1)],
+)
+def test_segal_window_without_origin(window):
+    # the verdict looks for the a-line of survivors at 0+0@; a window without
+    # it would report that line missing and a false verdict
+    with pytest.raises(WindowError, match=r"window must contain 0\+0@"):
+        segal_pipeline(3, 2, window)
 
 
 def test_page_dims_beta_independent():

@@ -46,19 +46,14 @@ KUENNETH = "test_mayss::test_kuenneth_assembly_matches_direct_e0_cobar"
 GRADED_DIMS = "test_mayss::test_associated_graded_dims"
 WEIGHTS = "test_mayss::test_filtration_weights_digit_rule"
 LEIBNIZ = "test_mayss::test_d1_matches_leibniz_reference"
-PINNED = "test_mayss::test_e1_pinned_coefficients_match_enumerator"
 FRACTIONS = "test_hfp::test_multiply_fraction_rule"
 
 KEPT = {
     # the digit rule d1_monomial against the Leibniz rule
     "mayss.d1_monomial_reference": LEIBNIZ,
     "mayss._digit": LEIBNIZ,
-    # the pinned first page against the generic enumerator
-    "mayss.MayE1.s_of": PINNED,
-    "mayss.MayE1.f_of": PINNED,
     # the closed-form E_1 against the cohomology of the associated graded
     "mayss.e1_vs_associated_graded": CLOSED_FORM,
-    "mayss.closed_form_counts": CLOSED_FORM,
     "mayss.associated_graded_ext_classes": CLOSED_FORM,
     "mayss._factor_ext_classes": CLOSED_FORM,
     "mayss._truncated_line_words": CLOSED_FORM,
@@ -75,7 +70,6 @@ KEPT = {
     # the last page against the direct Ext table
     "mayss.einfty_vs_ext": CONVERGENCE,
     "cobar.ExtTable.dim": CONVERGENCE,
-    "grading.DegreeWindow.contains": CONVERGENCE,
     # Ext^0 against a direct count of primitives
     "cobar.ext0_primitives": "test_cobar::test_ext0_equals_primitives",
     # the point ring's products and a-torsion orders against its labels

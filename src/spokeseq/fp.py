@@ -1,14 +1,16 @@
 """Exact sparse linear algebra over a prime field F_p.
 
 All arithmetic is integer arithmetic mod p; nothing in the engine touches
-floating point.  Matrices are immutable after construction.  Elimination
-uses the first nonzero pivot in (row, col) order, so every basis the module
-returns is canonical: independent of entry insertion order.
+floating point.  Matrices are immutable after construction.  Every basis the
+module returns is read off a reduced row echelon form, which is unique for
+its row space, so the bases are canonical: independent of entry insertion
+order, of row order and of how the elimination proceeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BookkeepingError, CompositionError, ConfigError
@@ -79,10 +81,17 @@ class SparseMatFp:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def dense(self) -> list[list[int]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
+    def nonzero_rows(self) -> list[list[int]]:
+        """The rows that hold an entry, dense and in row order; the zero rows
+        add nothing to the row space, so they are not built."""
+        out: list[list[int]] = []
+        last = -1
+        for (i, j), v in self.entries.items():  # sorted by (row, col)
+            if i != last:
+                row = [0] * self.cols
+                out.append(row)
+                last = i
+            row[j] = v
         return out
 
     def matmul(self, other: "SparseMatFp") -> "SparseMatFp":
@@ -105,48 +114,75 @@ class SparseMatFp:
 
 
 def rref(rows_data: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
-    nrows = len(rows_data)
-    ncols = len(rows_data[0]) if nrows else 0
+    """Reduced row echelon form of the rows: (the nonzero RREF rows, their
+    pivot columns), both in increasing pivot order.
+
+    The rows are equal-length lists of integers, read mod p: an entry may
+    lie outside 0..p-1.  They are reduced in place and the returned rows are
+    some of them, so the caller gives the rows up; rows_data itself keeps its
+    length and order.  The returned entries lie in 0..p-1.
+
+    Row-major: each row in turn is reduced at its leading entry by the pivot
+    row found there until that column has no pivot, which makes the row a
+    new pivot row, or the row is zero, which drops it.  A pivot row keeps
+    the list of its nonzero columns, so a row operation walks only those.
+    A last pass, last pivot first, clears the entries above each pivot.
+    """
+    ncols = len(rows_data[0]) if rows_data else 0
+    columns = range(ncols)
+    row_at: list = [None] * ncols
+    nonzero_at: list = [None] * ncols
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows_data[i][c] % p:
-                pivot_row = i
+    for row in rows_data:
+        # the iterator reads the row live, so it sees each update past c
+        leads = compress(columns, row)
+        for c in leads:
+            v = row[c] % p
+            if not v:  # an unreduced multiple of p
+                row[c] = 0
+                continue
+            support = nonzero_at[c]
+            if support is None:
+                # every entry left of c is zero by now
+                support = nonzero_at[c] = [c, *leads]
+                if v == 1:
+                    for j in support:
+                        row[j] %= p
+                else:
+                    inv = inv_mod(v, p)
+                    for j in support:
+                        row[j] = row[j] * inv % p
+                row_at[c] = row
+                pivots.append(c)
                 break
-        if pivot_row is None:
-            continue
-        rows_data[r], rows_data[pivot_row] = rows_data[pivot_row], rows_data[r]
-        inv = inv_mod(rows_data[r][c], p)
-        row_r = rows_data[r]
-        if inv != 1:
-            for j in range(c, ncols):
-                if row_r[j]:
-                    row_r[j] = row_r[j] * inv % p
-        for i in range(nrows):
-            if i != r and rows_data[i][c]:
-                f = rows_data[i][c]
-                row_i = rows_data[i]
-                for j in range(c, ncols):
-                    if row_r[j]:
-                        row_i[j] = (row_i[j] - f * row_r[j]) % p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows_data[:r], pivots
+            pivot_row = row_at[c]
+            for j in support:
+                row[j] = (row[j] - v * pivot_row[j]) % p
+    pivots.sort()
+    rows = list(map(row_at.__getitem__, pivots))
+    # a pivot row is final once every later pivot is cleared from it
+    for k in range(len(pivots) - 1, 0, -1):
+        c = pivots[k]
+        pivot_row = rows[k]
+        support = None
+        for row in rows[:k]:
+            f = row[c]
+            if f:
+                if support is None:
+                    support = list(compress(columns, pivot_row))
+                for j in support:
+                    row[j] = (row[j] - f * pivot_row[j]) % p
+    return rows, pivots
 
 
 def rank(mat: SparseMatFp) -> int:
-    _, pivots = rref(mat.dense(), mat.p)
+    _, pivots = rref(mat.nonzero_rows(), mat.p)
     return len(pivots)
 
 
 def kernel_basis(mat: SparseMatFp) -> list[Vector]:
     """Canonical null-space basis: one vector per free column, RREF-derived."""
-    return null_space(mat.dense(), mat.cols, mat.p)
+    return null_space(mat.nonzero_rows(), mat.cols, mat.p)
 
 
 def null_space(rows_data: list[list[int]], ncols: int, p: int) -> list[Vector]:

@@ -149,11 +149,13 @@ def e1_monomials(
     sorted a-free monomials followed by a times the cell above, which is
     sorted too because a is the first generator.  Parts with n0 below the
     window are dropped, and parts with n0 above it enter the top row with
-    a^(n0 - n_max).
+    a^(n0 - n_max).  Each generator's (s, f) step is read from e1.s_deg and
+    e1.f_deg, so the cells follow the declared degrees.
     """
-    p, n = e1.p, e1.n
+    n = e1.n
     pres = e1.pres
     ngen = len(pres)
+    s_deg, f_deg = e1.s_deg, e1.f_deg
 
     # (monomial, m, n) of every generator part within the s budget, by (s, f)
     gen_parts: dict[tuple[int, int], list[tuple[Monomial, int, int]]] = {}
@@ -163,11 +165,11 @@ def e1_monomials(
             gen_parts.setdefault((acc_s, acc_f), []).append((tuple(acc_mono), acc_m, acc_n))
             return
         i = e1.xp_pos[t]
-        d = pres.degrees[i]
+        d, ds, df = pres.degrees[i], s_deg[i], f_deg[i]
         j = 0
-        while acc_s + 2 * j <= s_cap:
+        while acc_s + ds * j <= s_cap:
             acc_mono[i] = j
-            rec_xp(t + 1, acc_mono, acc_m + d.m * j, acc_n + d.n * j, acc_s + 2 * j, acc_f + p * j)
+            rec_xp(t + 1, acc_mono, acc_m + d.m * j, acc_n + d.n * j, acc_s + ds * j, acc_f + df * j)
             j += 1
         acc_mono[i] = 0
 
@@ -176,20 +178,20 @@ def e1_monomials(
             rec_xp(0, acc_mono, acc_m, acc_n, acc_s, acc_f)
             return
         i = e1.x_pos[t]
-        d = pres.degrees[i]
+        d, ds, df = pres.degrees[i], s_deg[i], f_deg[i]
         for e in (0, 1):
-            if acc_s + e > s_cap:
+            if acc_s + ds * e > s_cap:
                 break
             acc_mono[i] = e
-            rec_x(t + 1, acc_mono, acc_m + d.m * e, acc_n + d.n * e, acc_s + e, acc_f + e)
+            rec_x(t + 1, acc_mono, acc_m + d.m * e, acc_n + d.n * e, acc_s + ds * e, acc_f + df * e)
         acc_mono[i] = 0
 
     z_i = e1.z_pos
-    z_deg = pres.degrees[z_i]
+    z_deg, z_s, z_f = pres.degrees[z_i], s_deg[z_i], f_deg[z_i]
     base = [0] * ngen
-    for k in range(s_cap + 1):
+    for k in range(s_cap // z_s + 1):
         base[z_i] = k
-        rec_x(0, base, z_deg.m * k, z_deg.n * k, k, k)
+        rec_x(0, base, z_deg.m * k, z_deg.n * k, z_s * k, z_f * k)
     base[z_i] = 0
 
     a_i, ul_i, us_i = e1.a_pos, e1.ul_pos, e1.us_pos

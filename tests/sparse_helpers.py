@@ -21,6 +21,13 @@ def from_dense(data: Sequence[Sequence[int]], p: int) -> SparseMatFp:
     return SparseMatFp(rows, cols, p, entries)
 
 
+def to_dense(mat: SparseMatFp) -> list[list[int]]:
+    out = [[0] * mat.cols for _ in range(mat.rows)]
+    for (i, j), v in mat.entries.items():
+        out[i][j] = v
+    return out
+
+
 def apply(mat: SparseMatFp, vec: Sequence[int]) -> tuple[int, ...]:
     assert len(vec) == mat.cols, (len(vec), mat.cols)
     out = [0] * mat.rows

@@ -7,7 +7,7 @@ from spokeseq import fp
 from spokeseq.errors import BookkeepingError, CompositionError
 from spokeseq.fp import SparseMatFp, Subspace
 
-from sparse_helpers import apply, from_dense, identity
+from sparse_helpers import apply, from_dense, identity, to_dense
 
 
 def dense_rank_oracle(data, p):
@@ -32,6 +32,44 @@ def dense_rank_oracle(data, p):
         if r == rows:
             break
     return r
+
+
+def rref_oracle(rows_data, p):
+    """Column-major Gauss-Jordan elimination, the engine's former rref: for
+    each column, the first row at or below the current rank with a nonzero
+    entry becomes the pivot row and every other row is cleared in that
+    column.  Kept as the oracle for the row-major fp.rref."""
+    nrows = len(rows_data)
+    ncols = len(rows_data[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows_data[i][c] % p:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows_data[r], rows_data[pivot_row] = rows_data[pivot_row], rows_data[r]
+        inv = pow(rows_data[r][c], -1, p)
+        row_r = rows_data[r]
+        if inv != 1:
+            for j in range(c, ncols):
+                if row_r[j]:
+                    row_r[j] = row_r[j] * inv % p
+        for i in range(nrows):
+            if i != r and rows_data[i][c]:
+                f = rows_data[i][c]
+                row_i = rows_data[i]
+                for j in range(c, ncols):
+                    if row_r[j]:
+                        row_i[j] = (row_i[j] - f * row_r[j]) % p
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows_data[:r], pivots
 
 
 def test_rank_trivial():
@@ -119,7 +157,7 @@ def test_rank_nullity(mat):
 
 @given(random_sparse())
 def test_rank_matches_dense_oracle(mat):
-    assert fp.rank(mat) == dense_rank_oracle(mat.dense(), mat.p)
+    assert fp.rank(mat) == dense_rank_oracle(to_dense(mat), mat.p)
 
 
 @given(random_sparse(), st.randoms(use_true_random=False))
@@ -169,6 +207,59 @@ def test_oracle_at_size_200():
     ]
     mat = from_dense(data, p)
     assert fp.rank(mat) == dense_rank_oracle(data, p)
+
+
+@st.composite
+def row_lists(draw, unreduced):
+    """(rows, p) for fp.rref at p = 3, 5, 7: up to 40 rows of up to 8
+    columns, most of them zero and some of them combinations of two rows
+    before; entries in 0..p-1, or in -2p..2p when unreduced."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    entry = st.integers(-2 * p, 2 * p) if unreduced else st.integers(0, p - 1)
+    ncols = draw(st.integers(0, 8))
+    nrows = draw(st.integers(0, 40))
+    kinds = draw(st.lists(st.sampled_from("00rc"), min_size=nrows, max_size=nrows))
+    rows = []
+    for kind in kinds:
+        if kind == "r":
+            row = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        elif kind == "c" and rows:
+            i, j = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2))
+            a, b = draw(st.lists(entry, min_size=2, max_size=2))
+            row = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+            if not unreduced:
+                row = [v % p for v in row]
+        else:
+            row = [0] * ncols
+        rows.append(row)
+    return rows, p
+
+
+@settings(max_examples=200)
+@given(row_lists(unreduced=False))
+def test_rref_matches_oracle(case):
+    rows, p = case
+    assert fp.rref([list(row) for row in rows], p) == rref_oracle([list(row) for row in rows], p)
+
+
+@settings(max_examples=200)
+@given(row_lists(unreduced=True))
+def test_rref_matches_oracle_mod_p(case):
+    # entries outside 0..p-1 are read mod p, and the result is reduced
+    rows, p = case
+    got_rows, got_pivots = fp.rref([list(row) for row in rows], p)
+    want_rows, want_pivots = rref_oracle([list(row) for row in rows], p)
+    assert got_pivots == want_pivots
+    assert got_rows == [[v % p for v in row] for row in want_rows]
+    assert all(0 <= v < p for row in got_rows for v in row)
+
+
+def test_rref_skips_a_leading_multiple_of_p():
+    # a leading p or -p is zero mod p: it is dropped, never inverted
+    for p in (3, 5, 7):
+        assert fp.rref([[p, -p, p], [0, -p, 1]], p) == ([[0, 0, 1]], [2])
+        assert fp.rref([[p, -p, -p], [1, 2, p + 1]], p) == ([[1, 2, 1]], [0])
+        assert Subspace([(p, -p, p), (0, 1, 2 * p + 2)], 3, p).rows == [[0, 1, 2]]
 
 
 def test_subspace_reduce():
@@ -238,6 +329,6 @@ def test_quotient_reps_match_rank_formula(pair):
     assert len(reps) == dim
     for vec in reps:
         assert not any(apply(d_out, vec))
-    boundaries = [list(col) for col in zip(*d_in.dense())]
+    boundaries = [list(col) for col in zip(*to_dense(d_in))]
     span = Subspace(boundaries + [list(v) for v in reps], d_in.rows, d_in.p)
     assert span.rank == fp.rank(d_in) + dim

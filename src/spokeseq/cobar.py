@@ -222,13 +222,20 @@ def build_cobar(H: HopfAlgebroid, comodule: Comodule, window: DegreeWindow) -> C
 
 
 def validate_dsquare(cx: CobarComplex | ResolutionComplex) -> None:
-    """Full d o d = 0 check on every composable pair of built differentials."""
+    """Full d o d = 0 check on every composable pair of built differentials.
+
+    A pair of matrix objects that several slices share is composed once.
+    """
+    checked: set[tuple[int, int]] = set()
     for (internal, s), d_low in cx.diffs.items():
         d_high = cx.diffs.get((internal, s + 1))
-        if d_high is not None:
-            fp.check_zero_composite(
-                d_low, d_high, f"{cx.route} d^2 != 0 at internal {internal}, s={s}"
-            )
+        pair = (id(d_low), id(d_high))
+        if d_high is None or pair in checked:
+            continue
+        checked.add(pair)
+        fp.check_zero_composite(
+            d_low, d_high, f"{cx.route} d^2 != 0 at internal {internal}, s={s}"
+        )
 
 
 @dataclass
@@ -257,19 +264,25 @@ def ext_dimensions(cx: CobarComplex | ResolutionComplex) -> ExtTable:
 
     A representative is labelled by the least basis label in its support.
     Each total degree is one independent column, mapped in window order.
+    Each distinct (d_in, d_out) pair of matrix objects is reduced once; the
+    labels stay per slice, since the least label is not shift-invariant
+    (``a^10`` sorts before ``a^9``).
     """
     p = cx.hopf.p
+    homology: dict[tuple[int, int], tuple[int, list[fp.Vector]]] = {}
 
     def column(total: SpokeDegree):
         col = []
         for s in range(cx.window.s_max + 1):
             internal = total + D(s, 0)
             d_out = cx.diffs[(internal, s)]
-            if s == 0:
-                d_in = SparseMatFp.zero(d_out.cols, 0, p)
-            else:
-                d_in = cx.diffs[(internal, s - 1)]
-            dim, reps = fp.quotient_dimension(d_in, d_out)
+            d_in = cx.diffs[(internal, s - 1)] if s else None
+            pair = (id(d_in), id(d_out))
+            if pair not in homology:
+                if d_in is None:
+                    d_in = SparseMatFp.zero(d_out.cols, 0, p)
+                homology[pair] = fp.quotient_dimension(d_in, d_out)
+            dim, reps = homology[pair]
             if dim:
                 labels = tuple(
                     min(cx.basis_label(internal, s, i) for i, c in enumerate(vec) if c)
@@ -584,8 +597,9 @@ def build_resolution_complex(
         for s in range(s_max + 1):
             internals.add(d + D(s, 0))
 
+    ordered = sorted(internals, key=lambda d: (d.m, d.n))
     bases: dict[tuple[SpokeDegree, int], list[tuple[Monomial, GenState]]] = {}
-    for internal in sorted(internals, key=lambda d: (d.m, d.n)):
+    for internal in ordered:
         for s in range(s_max + 2):
             basis = []
             for state, degree in by_s.get(s, []):
@@ -594,9 +608,37 @@ def build_resolution_complex(
             basis.sort(key=lambda idx: (idx[1], idx[0]))
             bases[(internal, s)] = basis
 
+    # A factored generator (a, for truncated_hopf) maps the slice one step
+    # up its a-column injectively into this one, keeping the (state,
+    # monomial) order, so a slice as long as that upper neighbour is its
+    # a-translate.  Since op_pi(a m) = a op_pi(m), a differential between two
+    # translates is the matrix one step up, shared as the same object; only
+    # head slices apply the operators.
+    step = M.generator(ops.factored[0]).degree if ops.factored else None
+
+    def is_translate(internal: SpokeDegree, s: int) -> bool:
+        if step is None:
+            return False
+        upper = bases.get((internal - step, s))
+        return upper is not None and len(upper) == len(bases[(internal, s)])
+
+    # each a-column from its top row down, so the slice above is built first
+    walk = ordered
+    if step is not None:
+        walk = []
+        for internal in ordered:
+            if internal - step in internals:
+                continue  # not the top of its a-column
+            while internal in internals:
+                walk.append(internal)
+                internal = internal + step
+
     diffs: dict[tuple[SpokeDegree, int], SparseMatFp] = {}
-    for internal in sorted(internals, key=lambda d: (d.m, d.n)):
+    for internal in walk:
         for s in range(s_max + 1):
+            if is_translate(internal, s) and is_translate(internal, s + 1):
+                diffs[(internal, s)] = diffs[(internal - step, s)]
+                continue
             src = bases[(internal, s)]
             dst = bases[(internal, s + 1)]
             dst_index = {idx: i for i, idx in enumerate(dst)}

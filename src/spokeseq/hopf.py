@@ -74,14 +74,22 @@ class TensorContext:
                 if name in pres.index:
                     pos[name] = pres.index[name]
             self._base_positions.append(pos)
+        # per slot, the integer (m, n) lanes of its generator degrees
+        self._degree_lanes = tuple(
+            tuple((d.m, d.n) for d in pres.degrees) for pres in self.slots
+        )
 
     # -- ring interface of algebra.Element ----------------------------------
 
     def degree_of(self, key: TensorKey) -> SpokeDegree:
-        total = D(0, 0)
-        for pres, mono in zip(self.slots, key):
-            total = total + pres.degree_of(mono)
-        return total
+        """The sum of the slot degrees, added up in integer lanes."""
+        m = n = 0
+        for lanes, mono in zip(self._degree_lanes, key):
+            for e, (dm, dn) in zip(mono, lanes):
+                if e:
+                    m += e * dm
+                    n += e * dn
+        return D(m, n)
 
     def unit_monomial(self) -> TensorKey:
         return tuple(pres.unit_monomial() for pres in self.slots)

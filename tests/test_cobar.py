@@ -3,6 +3,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spokeseq import fp
 from spokeseq.algebra import POLY, Element, GeneratorSpec, Presentation
 from spokeseq.cobar import (
     DualOperators,
@@ -50,8 +51,6 @@ def test_cobar_builds_and_validates_gamma1():
     a_mono = mod.monomial(a=1)
     col = [i for i, idx in enumerate(basis0) if idx == (a_mono, ())]
     assert len(col) == 1
-    import spokeseq.fp as fp
-
     kernel = fp.kernel_basis(cx.diffs[(internal, 0)])
     assert any(vec[col[0]] and all(not vec[i] for i in range(len(vec)) if i != col[0]) for vec in kernel)
 
@@ -237,6 +236,94 @@ def test_fold_keeps_generators_with_nontrivial_coaction():
                     mono = module.monomial(a=a, b=b)
                     want = fold_oracle(M, strand.pi, mono, fold)
                     assert ops.apply_fold(strand.pi, mono, fold) == want, (strand.label, mono)
+
+
+def unshared_differential(cx, ops, internal, s):
+    """The differential out of one slice, rebuilt column by column from
+    apply_fold as an unshared builder would: the oracle of the a-column
+    sharing in build_resolution_complex."""
+    p = cx.hopf.p
+    dst = cx.bases[(internal, s + 1)]
+    dst_index = {idx: i for i, idx in enumerate(dst)}
+    columns = []
+    for m_mono, state in cx.bases[(internal, s)]:
+        col = {}
+        for pi, new_state, fold, sign in cx.gens.moves(state):
+            for mono, c in ops.apply_fold(pi, m_mono, fold).coeffs.items():
+                row = dst_index[(mono, new_state)]
+                col[row] = (col.get(row, 0) + sign * c) % p
+        columns.append(col)
+    return SparseMatFp.from_columns(columns, len(dst), p)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+@pytest.mark.parametrize("n", (1, 2))
+def test_shared_differentials_match_unshared_oracle(p, n):
+    H, M = truncated(p, n)
+    cx = build_resolution_complex(H, M, DegreeWindow(-4, 2, -2 * p, 4, s_max=3))
+    ops = DualOperators(M)
+    distinct = {id(d) for d in cx.diffs.values()}
+    assert len(distinct) < len(cx.diffs)  # the window holds translates
+    for (internal, s), d in cx.diffs.items():
+        assert d == unshared_differential(cx, ops, internal, s), (internal, s)
+
+
+def test_resolution_shares_most_differentials():
+    """On the ext-resolution-p3n2 benchmark window, fewer than a quarter of
+    the differentials are distinct matrices: the a-column sharing is on."""
+    H, M = truncated(3, 2)
+    cx = build_resolution_complex(H, M, DegreeWindow(-10, 6, -12, 12, s_max=4))
+    distinct = {id(d) for d in cx.diffs.values()}
+    assert 4 * len(distinct) < len(cx.diffs), (len(distinct), len(cx.diffs))
+
+
+def test_no_factored_generator_shares_nothing():
+    H, _ = truncated(3, 1)
+    triv = trivial_comodule(H)
+    assert DualOperators(triv).factored == ()
+    w = DegreeWindow(0, 2, -2, 6, s_max=2)
+    cx = build_resolution_complex(H, triv, w)
+    assert len({id(d) for d in cx.diffs.values()}) == len(cx.diffs)
+    assert ext_dimensions(cx).dims() == ext_dimensions(build_cobar(H, triv, w)).dims()
+
+
+def test_validate_dsquare_composes_every_distinct_pair(monkeypatch):
+    H, M = truncated(3, 2)
+    cx = build_resolution_complex(H, M, DegreeWindow(-4, 2, -6, 4, s_max=3))
+    want = {
+        (id(d_low), id(cx.diffs[(internal, s + 1)]))
+        for (internal, s), d_low in cx.diffs.items()
+        if (internal, s + 1) in cx.diffs
+    }
+    composed = []
+    monkeypatch.setattr(
+        fp, "check_zero_composite", lambda d1, d2, message: composed.append((id(d1), id(d2)))
+    )
+    validate_dsquare(cx)
+    assert sorted(composed) == sorted(want)
+
+
+@st.composite
+def tiny_ext_cases(draw):
+    """A prime, a height and a window inside -2:2:-2:2 with s_max <= 2; at
+    p = 5, n = 2 s_max stays <= 1, since one cobar slice at s = 3 there
+    already takes seconds."""
+    p = draw(st.sampled_from((3, 5)))
+    n = draw(st.sampled_from((1, 2)))
+    m_lo, m_hi = sorted(draw(st.lists(st.integers(-2, 2), min_size=2, max_size=2)))
+    n_lo, n_hi = sorted(draw(st.lists(st.integers(-2, 2), min_size=2, max_size=2)))
+    s_max = draw(st.integers(0, 1 if (p, n) == (5, 2) else 2))
+    return p, n, DegreeWindow(m_lo, m_hi, n_lo, n_hi, s_max=s_max)
+
+
+@settings(max_examples=15, deadline=None)
+@given(tiny_ext_cases())
+def test_resolution_matches_cobar_on_tiny_windows(case):
+    """The shared resolution slices against the literal cobar route, which
+    shares nothing."""
+    p, n, window = case
+    H, M = truncated(p, n)
+    assert resolution_ext_table(H, M, window).dims() == ext_dimensions(build_cobar(H, M, window)).dims()
 
 
 def test_resolution_rejects_algebroid():

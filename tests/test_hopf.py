@@ -1,9 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
-from spokeseq.algebra import Element, monomials_in_degree
-from spokeseq.errors import ConfigError
+from spokeseq.algebra import EXT, INV, TRUNC, Element, monomials_in_degree
+from spokeseq.errors import ConfigError, HomogeneityError
 from spokeseq.grading import DegreeWindow, SpokeDegree
 from spokeseq.hopf import (
     base_comodule,
@@ -75,8 +76,6 @@ def test_descent_axioms_p5_small_window():
 
 def test_corrupted_right_unit_caught():
     # eta_R(ul) = ul + beta*a^5*Nm is rejected: inhomogeneous
-    from spokeseq.errors import HomogeneityError
-
     H = descent_algebroid(3)
     with pytest.raises(HomogeneityError):
         Element.generator(H.total, "ul") + Element.from_monomial(
@@ -208,6 +207,43 @@ def test_tensor_products_of_canonical_keys_need_no_normalisation():
         for ka, kb in itertools.product(keys, repeat=2):
             product = Element(ctx, {ka: 1}) * Element(ctx, {kb: 1})
             assert product == ctx.element(_slotwise_product(ctx, ka, kb)), (ka, kb)
+
+
+def _exponent(draw, g):
+    if g.kind == EXT:
+        return draw(st.integers(0, 1))
+    if g.kind == TRUNC:
+        return draw(st.integers(0, g.bound - 1))
+    return draw(st.integers(-4 if g.kind == INV else 0, 6))
+
+
+@st.composite
+def tensor_keys(draw):
+    """A tensor power M (x) Gamma^k of truncated_hopf and one of its keys."""
+    H, M = truncated_hopf(draw(st.sampled_from((3, 5, 7))), draw(st.sampled_from((1, 2))))
+    ctx = H.tensor_power_of((M.module,) + (H.total,) * draw(st.integers(1, 3)))
+    key = tuple(tuple(_exponent(draw, g) for g in pres.generators) for pres in ctx.slots)
+    return ctx, key
+
+
+@given(tensor_keys())
+def test_tensor_degree_is_sum_of_slot_degrees(case):
+    ctx, key = case
+    want = D(0, 0)
+    for pres, mono in zip(ctx.slots, key):
+        want = want + pres.degree_of(mono)
+    assert ctx.degree_of(key) == want
+
+
+def test_mixed_degree_tensor_element_rejected():
+    H, M = truncated_hopf(3, 1)
+    ctx = H.tensor_power_of((M.module, H.total))
+    unit, mu = H.total.unit_monomial(), H.total.monomial(mu=1)
+    ul, a2us = M.module.monomial(ul=1), M.module.monomial(a=2, us=1)
+    # ul (x) 1 and a^2 us (x) mu both sit in 2-2@
+    assert Element(ctx, {(ul, unit): 1, (a2us, mu): 1}).degree == D(2, -2)
+    with pytest.raises(HomogeneityError):
+        Element(ctx, {(ul, unit): 1, (a2us, unit): 1})
 
 
 def test_weyl_order():

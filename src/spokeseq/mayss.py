@@ -38,7 +38,8 @@ being the difference of their lengths, and a cell as long as its upper
 neighbour lists exactly a times it.  Both differentials commute with a, so
 such a shared cell has its upper neighbour's page data, in the same
 coordinates, for as long as its differential's source and target are
-shared too; each run of shared cells is computed once, at its head, and an
+shared too.  A page therefore stores each a-column as its head cells only:
+a run of shared cells is a view of its head, computed once there, and an
 a-tower does work only where a run ends (turn_page, a_shift_rank).
 """
 
@@ -46,7 +47,10 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import UserList
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
+from typing import TypeVar
 
 from . import fp
 from .algebra import (
@@ -134,9 +138,32 @@ def may_e1(p: int, n: int, beta: int = 1, beta_prime: int = 1) -> MayE1:
     return MayE1(p, n, beta % p, beta_prime % p, Presentation(p, gens), tuple(s_deg), tuple(f_deg))
 
 
+def _times_a(monomials: Iterable[Monomial], k: int) -> list[Monomial]:
+    """a^k times each first-page monomial; a is may_e1's first generator."""
+    return [(mono[0] + k,) + mono[1:] for mono in monomials]
+
+
+class ATranslate(UserList):
+    """a^offset times a list of first-page monomials, built on first read.
+
+    e1_monomials lists a translate cell, one with no a-free monomial, as one
+    of these over its head's list, and a page cell a^k times its base builds
+    its monomials with one.  Like every UserList it can be built from one
+    plain list (slicing does that), which it then lists as it is.
+    """
+
+    def __init__(self, head: list[Monomial], offset: int = 0):
+        self.head = head
+        self.offset = offset
+
+    @functools.cached_property
+    def data(self) -> list[Monomial]:
+        return _times_a(self.head, self.offset)
+
+
 def e1_monomials(
     e1: MayE1, window: DegreeWindow, s_cap: int
-) -> dict[TriDegree, list[Monomial]]:
+) -> dict[TriDegree, list[Monomial] | ATranslate]:
     """Enumerate first-page monomials per tri-degree, one sorted list per
     non-empty cell.
 
@@ -151,6 +178,10 @@ def e1_monomials(
     window are dropped, and parts with n0 above it enter the top row with
     a^(n0 - n_max).  Each generator's (s, f) step is read from e1.s_deg and
     e1.f_deg, so the cells follow the declared degrees.
+
+    A cell with a-free monomials, a head, is a list.  Any other cell is
+    a^k times the nearest head k rows above it, and is an ATranslate of
+    that head's list, which builds its own list only when read.
     """
     n = e1.n
     pres = e1.pres
@@ -196,11 +227,11 @@ def e1_monomials(
 
     a_i, ul_i, us_i = e1.a_pos, e1.ul_pos, e1.us_pos
     n_min, n_max = window.n_min, window.n_max
-    out: dict[TriDegree, list[Monomial]] = {}
+    out: dict[TriDegree, list[Monomial] | ATranslate] = {}
     for m in range(window.m_min, window.m_max + 1):
         for (s, f), parts in gen_parts.items():
             # a-free monomials by row; the top row also takes those above it
-            heads: dict[int, list[Monomial]] = {}
+            free_rows: dict[int, list[Monomial]] = {}
             for g_mono, g_m, g_n in parts:
                 # a^alpha ul^l us^eps has degree (eps+2l, -alpha-eps-2l)
                 rem_m = m - g_m
@@ -212,15 +243,20 @@ def e1_monomials(
                 mono[a_i] = max(n0 - n_max, 0)
                 mono[ul_i] = (rem_m - eps) // 2
                 mono[us_i] = eps
-                heads.setdefault(min(n0, n_max), []).append(tuple(mono))
-            if not heads:
+                free_rows.setdefault(min(n0, n_max), []).append(tuple(mono))
+            if not free_rows:
                 continue
-            cell: list[Monomial] = []
-            for nn in range(max(heads), n_min - 1, -1):
-                cell = sorted(heads.get(nn, ())) + [
-                    mono[:a_i] + (mono[a_i] + 1,) + mono[a_i + 1 :] for mono in cell
-                ]
-                out[TriDegree(D(m, nn), s, f)] = cell
+            head: list[Monomial] = []
+            offset = 0  # rows from the head above
+            for nn in range(max(free_rows), n_min - 1, -1):
+                offset += 1
+                free = free_rows.get(nn)
+                if free:
+                    head = sorted(free) + _times_a(head, offset)
+                    offset = 0
+                    out[TriDegree(D(m, nn), s, f)] = head
+                else:
+                    out[TriDegree(D(m, nn), s, f)] = ATranslate(head, offset)
     return out
 
 
@@ -338,36 +374,47 @@ class PageCell:
     """One tri-degree of a page, in the flat coordinates of its first-page
     monomials.
 
-    ``tri`` and ``monomials`` are set once by page_one and kept by every
-    later page of the cell; ``index`` (monomial -> position) is built on
-    first use.
+    The cell lists a^shift times ``base``, the monomial list of a head cell
+    of the first page (e1_monomials); multiplication by a is injective and
+    keeps the order, so the cell has the coordinates of that list.
+    ``monomials`` is ``base`` itself when shift is 0 and is built on first
+    read otherwise.  What depends on the shift alone, the tri-degree and
+    the lazy list, is made once per shift for every cell over the same base
+    on every page (``lifts``).  ``index`` (monomial -> position) and
+    ``labels`` (the least monomial name of each representative, sorted) are
+    built on first read, so a page that is never printed formats nothing.
+
     ``reps`` and ``dead`` are subspaces in those coordinates: the rows of
     ``reps`` are the representatives, canonical RREF rows reduced modulo
     ``dead``, so a class's coordinates are ``reps.coordinates`` of its
-    dead-reduced vector.  ``labels`` (the least monomial name of each
-    representative, sorted) is formatted on first read, so a page that is
-    never printed formats nothing.
+    dead-reduced vector.
 
-    ``monomials`` has the a-column layout of e1_monomials: the cell's
-    a-free monomials, then a times the monomials of the cell one step up in
-    n.  A ``shared`` cell has no a-free monomial, so it lists exactly a
-    times that cell's monomials, and on this page holds the same ``reps``
-    and ``dead`` objects as that cell: multiplication by a is the identity
-    on coordinates between them.
+    A page stores only the head cells of each a-column.  The cell k rows
+    below a head, above the next head, is ``head.translate(k)``: a
+    ``shared`` view that holds the head's ``reps`` and ``dead`` objects,
+    because multiplication by a^k is the identity on coordinates between
+    them.
     """
 
     tri: TriDegree
-    monomials: list[Monomial]
+    base: list[Monomial]
+    shift: int
     reps: Subspace
     dead: Subspace
     pres: Presentation
+    lifts: dict[int, tuple[TriDegree, ATranslate]]
     shared: bool = False
     _index: dict[Monomial, int] | None = None
     _labels: tuple[str, ...] | None = None
+    _views: dict[int, PageCell] | None = None
 
     @property
     def dim(self) -> int:
         return self.reps.rank
+
+    @property
+    def monomials(self) -> list[Monomial]:
+        return self.lifts[self.shift][1].data if self.shift else self.base
 
     @property
     def index(self) -> dict[Monomial, int]:
@@ -385,38 +432,132 @@ class PageCell:
             )
         return self._labels
 
-    def with_data(self, reps: Subspace, dead: Subspace, shared: bool) -> "PageCell":
-        """The same cell on a later page, keeping tri-degree, monomials and
-        index."""
-        return PageCell(self.tri, self.monomials, reps, dead, self.pres, shared, self._index)
+    def translate(self, steps: int) -> PageCell:
+        """The cell ``steps`` rows below this head in its a-column: the head
+        itself at 0 steps, else a view.  A head makes one view per step, so
+        the pages that share the head share its views and their labels."""
+        if not steps:
+            return self
+        if self._views is None:
+            self._views = {}
+        view = self._views.get(steps)
+        if view is None:
+            shift = self.shift + steps
+            lift = self.lifts.get(shift)
+            if lift is None:
+                total = self.tri.total
+                tri = TriDegree(D(total.m, total.n - steps), self.tri.s, self.tri.f)
+                lift = self.lifts[shift] = (tri, ATranslate(self.base, shift))
+            view = self._views[steps] = PageCell(
+                lift[0], self.base, shift, self.reps, self.dead, self.pres, self.lifts, True
+            )
+        return view
+
+    def with_data(self, reps: Subspace, dead: Subspace) -> PageCell:
+        """This cell as a head of the next page, keeping its tri-degree,
+        monomials and index."""
+        return PageCell(
+            self.tri, self.base, self.shift, reps, dead, self.pres, self.lifts, False, self._index
+        )
 
 
-# an a-column is keyed (m, s, f) and lists its cells by n, top row first:
-# entry k is the cell at n = window.n_max - k, or None
+# an a-column is keyed (m, s, f) and maps the row k (n = window.n_max - k) of
+# each head cell to the head, top first; the column runs from its first head
+# down to the window's bottom row
 ColumnKey = tuple[int, int, int]
-Column = list[PageCell | None]
+Column = dict[int, PageCell]
+T = TypeVar("T")
+
+
+def _runs_at(runs: dict[int, T] | None, rows: list[int]) -> list[tuple[int, T] | None]:
+    """For each of the ascending ``rows``, (first row, value) of the run
+    that holds it, or None above the first run; ``runs`` maps the first row
+    of each run to its value, ascending."""
+    out = []
+    items = iter(runs.items() if runs else ())
+    nxt = next(items, None)
+    run = None
+    for k in rows:
+        while nxt is not None and nxt[0] <= k:
+            run, nxt = nxt, next(items, None)
+        out.append(run)
+    return out
+
+
+def _values_at(runs: dict[int, T] | None, rows: list[int]) -> list[T | None]:
+    return [None if run is None else run[1] for run in _runs_at(runs, rows)]
+
+
+def _cells_at(col: Column | None, rows: list[int]) -> list[PageCell | None]:
+    """The cells of an a-column at the ascending ``rows``: heads, views of
+    the head above, or None above the column's top."""
+    return [
+        None if run is None else run[1].translate(k - run[0])
+        for k, run in zip(rows, _runs_at(col, rows))
+    ]
+
+
+def _head_rows(col: Column, *others: Column | None) -> list[int]:
+    """The rows of col's heads and of the other columns' heads at or below
+    col's top, ascending."""
+    top = next(iter(col))
+    rows = set(col)
+    for other in others:
+        if other:
+            rows.update(k for k in other if k >= top)
+    return sorted(rows)
 
 
 @dataclass
 class SSPage:
-    """Page r: its cells in a-columns, the m-range not yet eroded by the
-    window edge, and ``arrows``, the differential that produced the page:
-    the (source, target) tri-degrees of every cell of page r-1 on which it
-    was nonzero (none on the first page and on the copied pages)."""
+    """Page r: its head cells in a-columns, the m-range not yet eroded by the
+    window edge, and the differential that produced the page.
+
+    ``arrow_runs`` records that differential: for each run of rows of
+    page r-1 on which it was nonzero, (source head, rows from it to the
+    run, target head, rows from it to the run, number of rows); there are
+    none on the first page and on the copied pages.  ``arrows`` lists the
+    same cell by cell as (source, target) tri-degrees, and ``cells`` lists
+    every cell, views included, by tri-degree in report order (m, n, s, f);
+    both are built on first read.  A copied page lists the cells of
+    ``copy_of``, the page it copies."""
 
     r: int
     e1: MayE1
     window: DegreeWindow
     columns: dict[ColumnKey, Column]
     reliable_m: tuple[int, int]
-    arrows: list[tuple[TriDegree, TriDegree]]
+    arrow_runs: list[tuple[PageCell, int, PageCell, int, int]]
+    copy_of: SSPage | None = None
+
+    def runs(self) -> Iterator[tuple[ColumnKey, int, int, PageCell]]:
+        """(column key, first row, end row, head) of every run of cells:
+        the head at the first row and its views down to the end row - 1."""
+        height = self.window.n_max - self.window.n_min + 1
+        for key, col in self.columns.items():
+            rows = [*col, height]
+            for i, head in enumerate(col.values()):
+                yield key, rows[i], rows[i + 1], head
 
     @functools.cached_property
     def cells(self) -> dict[TriDegree, PageCell]:
         """Every cell by tri-degree, in report order (m, n, s, f)."""
-        cells = [cell for col in self.columns.values() for cell in col if cell is not None]
+        if self.copy_of is not None:
+            return self.copy_of.cells
+        cells = []
+        for _, first, end, head in self.runs():
+            cells.append(head)
+            cells.extend(head.translate(steps) for steps in range(1, end - first))
         cells.sort(key=lambda c: (c.tri.total.m, c.tri.total.n, c.tri.s, c.tri.f))
         return {cell.tri: cell for cell in cells}
+
+    @functools.cached_property
+    def arrows(self) -> list[tuple[TriDegree, TriDegree]]:
+        return [
+            (source.translate(steps + j).tri, target.translate(tsteps + j).tri)
+            for source, steps, target, tsteps, count in self.arrow_runs
+            for j in range(count)
+        ]
 
     def format(self) -> str:
         lines = []
@@ -435,32 +576,15 @@ def _whole_space(size: int, p: int) -> Subspace:
 
 def page_one(e1: MayE1, window: DegreeWindow) -> SSPage:
     table = e1_monomials(e1, window, window.s_max)
-    height = window.n_max - window.n_min + 1
-    slots: dict[ColumnKey, list[TriDegree | None]] = {}
-    for tri in table:
-        key = (tri.total.m, tri.s, tri.f)
-        col_tris = slots.get(key)
-        if col_tris is None:
-            col_tris = slots[key] = [None] * height
-        col_tris[window.n_max - tri.total.n] = tri
     columns: dict[ColumnKey, Column] = {}
-    for key, col_tris in slots.items():
-        col = columns[key] = [None] * height
-        upper = None
-        for k, tri in enumerate(col_tris):
-            if tri is None:
-                upper = None
-                continue
-            monos = table[tri]
-            # a cell lists its a-free monomials, then a times the cell above
-            if upper is not None and len(monos) == len(upper.monomials):
-                cell = PageCell(tri, monos, upper.reps, upper.dead, e1.pres, shared=True)
-            else:
-                size = len(monos)
-                cell = PageCell(
-                    tri, monos, _whole_space(size, e1.p), Subspace([], size, e1.p), e1.pres
-                )
-            col[k] = upper = cell
+    for tri, monos in table.items():
+        if isinstance(monos, ATranslate):
+            continue  # a view of the head above it
+        size = len(monos)
+        key = (tri.total.m, tri.s, tri.f)
+        columns.setdefault(key, {})[window.n_max - tri.total.n] = PageCell(
+            tri, monos, 0, _whole_space(size, e1.p), Subspace([], size, e1.p), e1.pres, {}
+        )
     return SSPage(1, e1, window, columns, (window.m_min, window.m_max), [])
 
 
@@ -468,30 +592,27 @@ def _image(
     e1: MayE1, diff_fn, cell: PageCell, rep: Vector, tcell: PageCell
 ) -> list[int] | None:
     """diff_fn applied to a representative, in the target cell's
-    coordinates; None when the image has a monomial outside that cell."""
+    coordinates; None when the image has a monomial outside that cell.
+
+    diff_fn runs on the monomials of the source's base and its terms are
+    lifted by a^shift, which diff_fn commutes with, so a source view builds
+    no monomial list."""
     p = e1.p
     index = tcell.index
-    out = [0] * len(tcell.monomials)
+    shift = cell.shift
+    out = [0] * tcell.reps.dim
     stray: dict[Monomial, int] = {}
-    for mono, c in zip(cell.monomials, rep):
+    for mono, c in zip(cell.base, rep):
         if not c:
             continue
-        for tgt, c2 in diff_fn(e1, mono).items():
+        image = diff_fn(e1, mono)
+        for tgt, c2 in zip(_times_a(image, shift), image.values()) if shift else image.items():
             pos = index.get(tgt)
             if pos is None:
                 stray[tgt] = (stray.get(tgt, 0) + c * c2) % p
             else:
                 out[pos] = (out[pos] + c * c2) % p
     return None if any(stray.values()) else out
-
-
-def _same_as_upper(col: Column | None, k: int) -> bool:
-    """Whether entry k of an a-column (k >= 1) is shared, or absent together
-    with the entry above it; an absent column counts as absent entries."""
-    if col is None:
-        return True
-    cell = col[k]
-    return cell.shared if cell is not None else col[k - 1] is None
 
 
 def _differential_out(
@@ -528,7 +649,7 @@ def _differential_out(
         return None
     zero = [0] * tcell.dim
     matrix = [list(row) for row in zip(*(zero if c is None else c for c in coords))]
-    size = len(cell.monomials)
+    size = cell.reps.dim
     cycles = []
     for kvec in fp.null_space(matrix, cell.dim, p):
         acc = [0] * size
@@ -545,29 +666,30 @@ def turn_page(page: SSPage, diff_fn, new_r: int) -> SSPage:
     """Homology of the page under the monomial-level differential diff_fn,
     which acts on representatives; the result is the next page with
     representatives still expressed in first-page monomial coordinates, and
-    its ``arrows`` list every cell the differential is nonzero on, shared
-    cells included, with its target.
+    its ``arrows`` list every cell the differential is nonzero on, views
+    included, with its target.
 
     diff_fn must commute with multiplication by a: on a * mono it must
     return a times each target of mono, with the same coefficients (both
     digit rules add a fixed amount to the a-exponent; property-tested).
-    The engine relies on it to compute each a-column's data once.
+    The engine relies on it to compute each a-column's data once per run.
 
     Well-definedness on classes needs diff_fn to map dead vectors to dead
     vectors; that follows from the graded parts of the square-zero identity
     (d1 o d2 + d2 o d1 = 0, property-tested at the monomial level), and any
     image failing to be a surviving class raises a bookkeeping error here.
 
-    Differentials keep n, so each a-column (m, s, f) is walked from the top
-    n down, and a cell's target and source are the entries at the same
-    index of the columns (m-1, s+1, f+r) and (m+1, s-1, f-r).  A shared cell
-    whose target is shared, or absent together with the target's upper
-    neighbour, has the same differential out of it as that neighbour, and
-    reuses its cycles and images.  It stays shared on the next page when its
-    source passes the same test: its homology is then its upper neighbour's,
-    in the same coordinates.  Only the other cells, the heads, compute
-    images, kernels and quotients, and run the bookkeeping checks; the top
-    cell of a run of shared cells is always a head.
+    Differentials keep n, so a cell's target and source are the cells in
+    the same row of the columns (m-1, s+1, f+r) and (m+1, s-1, f-r).  In a
+    row where neither the column nor its target column has a head, the
+    differential out of the cell is the one out of the cell above, in the
+    same coordinates; so it is computed, with its bookkeeping checks, once
+    per run of such rows, in the row that starts the run.  Likewise the
+    next page's heads are the column's own heads and those of its source
+    and target columns at or below its top: in any other row the kernel,
+    the incoming image and so the homology are those of the cell above.  A
+    column that no nonzero differential leaves or enters keeps its heads.
+    Work is done per head; a translate cell costs nothing.
 
     A cell with no differential out of it and nothing new killed in it is
     carried over as it is: its kernel is the whole page and its dead
@@ -577,64 +699,56 @@ def turn_page(page: SSPage, diff_fn, new_r: int) -> SSPage:
     p = e1.p
     r = page.r
     columns = page.columns
+    height = page.window.n_max - page.window.n_min + 1
 
-    # (cycles, images) out of every cell, or None where nothing nonzero
-    # leaves it; images landing outside the computed window are dropped,
+    # (cycles, images) out of each run of cells, keyed by its first row, or
+    # None where nothing nonzero leaves it, for each column the differential
+    # is nonzero on; images landing outside the computed window are dropped,
     # which is exactly why the reliable m-range shrinks by one per applied
     # differential
-    outs: dict[ColumnKey, list] = {}
-    arrows: list[tuple[TriDegree, TriDegree]] = []
+    outs: dict[ColumnKey, dict[int, tuple | None]] = {}
+    arrow_runs: list[tuple[PageCell, int, PageCell, int, int]] = []
     for key, col in columns.items():
         m, s, f = key
         tcol = columns.get((m - 1, s + 1, f + r))
         if tcol is None:
             continue
-        out_col = outs[key] = [None] * len(col)
-        for k, cell in enumerate(col):
-            if cell is None or not cell.dim:
-                continue
-            if cell.shared and _same_as_upper(tcol, k):
-                out = out_col[k - 1]
-            elif tcol[k] is not None:
-                out = _differential_out(e1, diff_fn, cell, tcol[k], r)
-            else:
-                continue
-            if out is not None:
-                out_col[k] = out
-                arrows.append((cell.tri, tcol[k].tri))
+        rows = _head_rows(col, tcol)
+        out_col = {}
+        for i, (k, run, trun) in enumerate(zip(rows, _runs_at(col, rows), _runs_at(tcol, rows))):
+            out = None
+            cell = run[1].translate(k - run[0])
+            if cell.dim and trun is not None:
+                out = _differential_out(e1, diff_fn, cell, trun[1].translate(k - trun[0]), r)
+                if out is not None:
+                    end = rows[i + 1] if i + 1 < len(rows) else height
+                    arrow_runs.append((run[1], k - run[0], trun[1], k - trun[0], end - k))
+            out_col[k] = out
+        if any(out is not None for out in out_col.values()):
+            outs[key] = out_col
 
     new_columns: dict[ColumnKey, Column] = {}
     for key, col in columns.items():
         m, s, f = key
-        out_col = outs.get(key)
         skey = (m + 1, s - 1, f - r)
-        in_col = outs.get(skey)
-        tcol = columns.get((m - 1, s + 1, f + r))
-        scol = columns.get(skey)
-        new_col = new_columns[key] = [None] * len(col)
-        for k, cell in enumerate(col):
-            if cell is None:
-                continue
-            if cell.shared and _same_as_upper(tcol, k) and _same_as_upper(scol, k):
-                upper = new_col[k - 1]
-                if upper.reps is cell.reps and upper.dead is cell.dead:
-                    new_col[k] = cell
-                else:
-                    new_col[k] = cell.with_data(upper.reps, upper.dead, True)
-                continue
-            out = out_col[k] if out_col else None
-            incoming = in_col[k] if in_col else None
+        out_col, in_col = outs.get(key), outs.get(skey)
+        if out_col is None and in_col is None:
+            new_columns[key] = col  # nothing leaves or enters it
+            continue
+        rows = _head_rows(col, columns.get((m - 1, s + 1, f + r)), columns.get(skey))
+        new_col = new_columns[key] = {}
+        for k, cell, out, incoming in zip(
+            rows, _cells_at(col, rows), _values_at(out_col, rows), _values_at(in_col, rows)
+        ):
             if out is None and incoming is None:
-                if cell.shared:  # unchanged, but its upper neighbour changed
-                    cell = cell.with_data(cell.reps, cell.dead, False)
-                new_col[k] = cell
+                new_col[k] = cell.with_data(cell.reps, cell.dead) if cell.shared else cell
                 continue
-            size = len(cell.monomials)
+            size = cell.reps.dim
             dead = Subspace(cell.dead.rows + incoming[1], size, p) if incoming else cell.dead
             cycles = out[0] if out else cell.reps.rows
-            new_col[k] = cell.with_data(quotient_basis(cycles, dead, size, p), dead, False)
+            new_col[k] = cell.with_data(quotient_basis(cycles, dead, size, p), dead)
     lo, hi = page.reliable_m
-    return SSPage(new_r, e1, page.window, new_columns, (lo + 1, hi - 1), arrows)
+    return SSPage(new_r, e1, page.window, new_columns, (lo + 1, hi - 1), arrow_runs)
 
 
 def _leading_label(pres: Presentation, monomials: list[Monomial], rep: Vector) -> str:
@@ -642,7 +756,7 @@ def _leading_label(pres: Presentation, monomials: list[Monomial], rep: Vector) -
 
 
 def copy_page(page: SSPage, new_r: int) -> SSPage:
-    return SSPage(new_r, page.e1, page.window, page.columns, page.reliable_m, [])
+    return SSPage(new_r, page.e1, page.window, page.columns, page.reliable_m, [], page)
 
 
 def compute_pages(
@@ -999,11 +1113,15 @@ def negative_pattern_check(page: SSPage, s_cap: int) -> tuple[bool, list[str]]:
     lo, hi = page.reliable_m
     failures = []
     w = page.window
+    m_lo, m_hi = max(lo, w.m_min), min(hi, w.m_max)
     by_total: dict[SpokeDegree, dict[TriDegree, int]] = {}
-    for tri, cell in page.cells.items():
-        if cell.dim and tri.s <= s_cap:
-            by_total.setdefault(tri.total, {})[tri] = cell.dim
-    for m in range(max(lo, w.m_min), min(hi, w.m_max) + 1):
+    for (m, s, f), first, end, head in page.runs():
+        if head.dim and s <= s_cap and m_lo <= m <= m_hi:
+            # the rows with virtual dimension m + n < 0
+            for k in range(max(first, w.n_max + m + 1), end):
+                total = D(m, w.n_max - k)
+                by_total.setdefault(total, {})[TriDegree(total, s, f)] = head.dim
+    for m in range(m_lo, m_hi + 1):
         for nn in range(w.n_min, w.n_max + 1):
             total = D(m, nn)
             if total.virtual_dim >= 0:
@@ -1015,8 +1133,7 @@ def negative_pattern_check(page: SSPage, s_cap: int) -> tuple[bool, list[str]]:
                 else {}
             )
             if seen != want:
-                # the cells come in report order, so seen is sorted by (s, f)
-                got = {t.format(): d for t, d in seen.items()}
+                got = {t.format(): seen[t] for t in sorted(seen, key=lambda t: (t.s, t.f))}
                 failures.append(f"{total.format()}: page {got}, model {len(want)} cell(s)")
     return not failures, failures
 
@@ -1025,31 +1142,38 @@ def a_shift_rank(page: SSPage, tri: TriDegree, steps: int) -> int | None:
     """Rank of multiplication by a^steps out of the given cell, computed on
     representatives; None when the tower leaves the computed window.
 
-    The tower walks down the cell's a-column.  A step into a shared cell
-    changes nothing: a is the identity on coordinates there and the dead
-    subspace is the same, so only steps into head cells do work.  There a
-    shifts coordinates past the head cell's a-free monomials, which come
-    first in its list."""
+    The tower walks down the cell's a-column.  A step into a view changes
+    nothing: a is the identity on coordinates there and the dead subspace
+    is the same, so only steps into head cells do work.  There a shifts
+    coordinates past the head cell's a-free monomials, which come first in
+    its list."""
     total = tri.total
-    key = (total.m, tri.s, tri.f)
-    col = page.columns.get(key)
+    col = page.columns.get((total.m, tri.s, tri.f))
     k = page.window.n_max - total.n
-    cell = col[k] if col is not None and 0 <= k < len(col) else None
+    height = page.window.n_max - page.window.n_min + 1
+    if col is None or not 0 <= k < height:
+        return 0
+    cell = None
+    for row, head in col.items():
+        if row > k:
+            break
+        cell = head  # the head of the run that holds row k
     if cell is None or not cell.dim:
         return 0
     vecs = cell.reps.rows
-    for _ in range(steps):
-        k += 1
-        tcell = col[k] if k < len(col) else None
-        if tcell is None:
-            return None
-        if not tcell.shared:
-            pad = [0] * (len(tcell.monomials) - len(cell.monomials))
-            vecs = [tcell.dead.reduce([*pad, *vec]) for vec in vecs]
-            if not any(any(v) for v in vecs):
-                return 0
-        cell = tcell
-    return Subspace(vecs, len(cell.monomials), page.e1.p).rank
+    for row, head in col.items():
+        if row <= k:
+            continue
+        if row > k + steps:
+            break
+        pad = [0] * (head.reps.dim - cell.reps.dim)
+        vecs = [head.dead.reduce([*pad, *vec]) for vec in vecs]
+        if not any(any(v) for v in vecs):
+            return 0
+        cell = head
+    if k + steps >= height:
+        return None
+    return Subspace(vecs, cell.reps.dim, page.e1.p).rank
 
 
 @dataclass
@@ -1097,24 +1221,33 @@ def survivor_table(last: SSPage, s_cap: int) -> tuple[dict[str, int], bool, list
     ok, failures = negative_pattern_check(last, s_cap)
     table: dict[str, int] = {}
     lo, hi = last.reliable_m
-    for tri, cell in last.cells.items():
-        if not cell.dim or tri.s > s_cap:
+    n_max = last.window.n_max
+    short: list[TriDegree] = []  # cells whose a-tower leaves the window
+    for (m, s, f), first, end, head in last.runs():
+        if not head.dim or s > s_cap or not lo <= m <= hi:
             continue
-        total = tri.total
-        if not (lo <= total.m <= hi):
-            continue
-        if total.virtual_dim < 0:
+        # a^(m + n + 1) takes a cell at row k <= neg - 1, in virtual dimension
+        # m + n >= 0, to row neg, in virtual dimension -1; it is the same map
+        # out of every cell of a run, so they share its rank
+        neg = n_max + m + 1
+        if first < neg:
+            rank = a_shift_rank(last, TriDegree(D(m, n_max - first), s, f), neg - first)
+            positive = range(first, min(end, neg))
+            if rank is None:
+                short += [TriDegree(D(m, n_max - k), s, f) for k in positive]
+            elif rank:
+                for k in positive:
+                    table[f"pos {TriDegree(D(m, n_max - k), s, f).format()}"] = rank
+        for k in range(max(first, neg), end):
+            tri = TriDegree(D(m, n_max - k), s, f)
             if free_pattern_dim(p, n, tri):
-                table[f"neg {tri.format()}"] = cell.dim
-            continue
-        steps = total.virtual_dim + 1
-        rank = a_shift_rank(last, tri, steps)
-        if rank is None:
-            raise WindowError(
-                f"window too small: a-tower from {tri.format()} needs {steps} steps"
-            )
-        if rank:
-            table[f"pos {tri.format()}"] = rank
+                table[f"neg {tri.format()}"] = head.dim
+    if short:
+        tri = min(short, key=lambda t: (t.total.m, t.total.n, t.s, t.f))
+        raise WindowError(
+            f"window too small: a-tower from {tri.format()} needs "
+            f"{tri.total.virtual_dim + 1} steps"
+        )
     return table, ok, failures
 
 

@@ -1,10 +1,12 @@
 import io
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import spokeseq
 from spokeseq import cli, hfp
 from spokeseq.cli import main
 from spokeseq.errors import ConfigError
@@ -256,10 +258,15 @@ def test_flags_a_path_reads_are_accepted():
 
 
 def test_console_entry_point():
+    # the child imports the package this process imported, with or without
+    # PYTHONPATH set by the caller
+    src = os.path.dirname(os.path.dirname(spokeseq.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "spokeseq.cli", "mk", "--p", "3", "--k-max", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "formula | oracle" in proc.stdout

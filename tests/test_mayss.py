@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spokeseq import charts, mayss
-from spokeseq.algebra import TRUNC, GeneratorSpec, Presentation, monomials_in_degree
+from spokeseq.algebra import TRUNC, GeneratorSpec, Monomial, Presentation, monomials_in_degree
 from spokeseq.cli import main
 from spokeseq.errors import BookkeepingError, CompositionError, WindowError
 from spokeseq.fp import Subspace
@@ -231,6 +231,159 @@ def test_first_page_a_column_layout(p, n):
     }
     assert {tri: cell.shared for tri, cell in cells.items()} == oracle
     assert 0 < sum(oracle.values()) < with_upper
+
+
+def e1_monomials_eager(e1, window, s_cap):
+    """The former body of mayss.e1_monomials, which built every cell as a
+    list: its a-free monomials, sorted, then a times the cell above.  Kept
+    as the oracle for the lazy translate cells."""
+    n = e1.n
+    pres = e1.pres
+    ngen = len(pres)
+    s_deg, f_deg = e1.s_deg, e1.f_deg
+
+    # (monomial, m, n) of every generator part within the s budget, by (s, f)
+    gen_parts: dict[tuple[int, int], list[tuple[Monomial, int, int]]] = {}
+
+    def rec_xp(t, acc_mono, acc_m, acc_n, acc_s, acc_f):
+        if t == n:
+            gen_parts.setdefault((acc_s, acc_f), []).append((tuple(acc_mono), acc_m, acc_n))
+            return
+        i = e1.xp_pos[t]
+        d, ds, df = pres.degrees[i], s_deg[i], f_deg[i]
+        j = 0
+        while acc_s + ds * j <= s_cap:
+            acc_mono[i] = j
+            rec_xp(t + 1, acc_mono, acc_m + d.m * j, acc_n + d.n * j, acc_s + ds * j, acc_f + df * j)
+            j += 1
+        acc_mono[i] = 0
+
+    def rec_x(t, acc_mono, acc_m, acc_n, acc_s, acc_f):
+        if t == n:
+            rec_xp(0, acc_mono, acc_m, acc_n, acc_s, acc_f)
+            return
+        i = e1.x_pos[t]
+        d, ds, df = pres.degrees[i], s_deg[i], f_deg[i]
+        for e in (0, 1):
+            if acc_s + ds * e > s_cap:
+                break
+            acc_mono[i] = e
+            rec_x(t + 1, acc_mono, acc_m + d.m * e, acc_n + d.n * e, acc_s + ds * e, acc_f + df * e)
+        acc_mono[i] = 0
+
+    z_i = e1.z_pos
+    z_deg, z_s, z_f = pres.degrees[z_i], s_deg[z_i], f_deg[z_i]
+    base = [0] * ngen
+    for k in range(s_cap // z_s + 1):
+        base[z_i] = k
+        rec_x(0, base, z_deg.m * k, z_deg.n * k, z_s * k, z_f * k)
+    base[z_i] = 0
+
+    a_i, ul_i, us_i = e1.a_pos, e1.ul_pos, e1.us_pos
+    n_min, n_max = window.n_min, window.n_max
+    out: dict[TriDegree, list[Monomial]] = {}
+    for m in range(window.m_min, window.m_max + 1):
+        for (s, f), parts in gen_parts.items():
+            # a-free monomials by row; the top row also takes those above it
+            heads: dict[int, list[Monomial]] = {}
+            for g_mono, g_m, g_n in parts:
+                # a^alpha ul^l us^eps has degree (eps+2l, -alpha-eps-2l)
+                rem_m = m - g_m
+                n0 = g_n - rem_m
+                if n0 < n_min:
+                    continue
+                eps = rem_m % 2
+                mono = list(g_mono)
+                mono[a_i] = max(n0 - n_max, 0)
+                mono[ul_i] = (rem_m - eps) // 2
+                mono[us_i] = eps
+                heads.setdefault(min(n0, n_max), []).append(tuple(mono))
+            if not heads:
+                continue
+            cell: list[Monomial] = []
+            for nn in range(max(heads), n_min - 1, -1):
+                cell = sorted(heads.get(nn, ())) + [
+                    mono[:a_i] + (mono[a_i] + 1,) + mono[a_i + 1 :] for mono in cell
+                ]
+                out[TriDegree(D(m, nn), s, f)] = cell
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_lazy_cells_match_eager_oracle(p, n):
+    # e1_monomials lists a translate cell as an ATranslate of its head's
+    # list, and a page stores heads only; read, every first-page entry and
+    # every cell of every page lists what the eager enumeration lists
+    e1 = may_e1(p, n)
+    window = DegreeWindow(-5, 2, -5, 3, s_max=2)
+    eager = e1_monomials_eager(e1, window, 4)
+    table = e1_monomials(e1, window, 4)
+    assert list(table) == list(eager)
+    assert any(isinstance(monos, mayss.ATranslate) for monos in table.values())
+    assert {tri: list(monos) for tri, monos in table.items()} == eager
+    for r, page in compute_pages(p, n, window).items():
+        assert {tri: cell.monomials for tri, cell in page.cells.items()} == eager, r
+        for cell in page.cells.values():
+            assert cell.index == {mono: i for i, mono in enumerate(eager[cell.tri])}
+
+
+def test_segal_builds_the_lists_of_differential_targets_only(monkeypatch):
+    # a translate cell is a view of its head: turn_page evaluates a
+    # differential on the head's monomials, so the only view whose list
+    # segal builds is one a differential lands in, and no first-page entry
+    # is read
+    targets, built = [], []
+    image = mayss._image
+
+    def recording_image(e1, diff_fn, cell, rep, tcell):
+        targets.append(tcell)
+        return image(e1, diff_fn, cell, rep, tcell)
+
+    data = mayss.ATranslate.data
+
+    def recording_data(self):
+        built.append(self)
+        return data.func(self)
+
+    monkeypatch.setattr(mayss, "_image", recording_image)
+    monkeypatch.setattr(mayss.ATranslate, "data", property(recording_data))
+    report = segal_pipeline(3, 3, DegreeWindow(-6, 1, -8, 8, s_max=4))
+    assert report.verdict
+    assert built
+    target_lists = {id(cell.lifts[cell.shift][1]) for cell in targets if cell.shift}
+    assert {id(lifted) for lifted in built} <= target_lists
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (5, 1)])
+def test_pages_below_the_diagonal_equal_the_localized_page(p, n):
+    # the cell at (m, n) lists the parts that are a-free at n0 >= n, and
+    # n0 >= -m, so below the diagonal (m + n < 0) every cell is a^k times
+    # the one-row page at n = N <= -m_max - 1, where a is inverted; on every
+    # page, the reliable cells there have its dimensions, in both directions
+    window = DegreeWindow(-8, 3, -10, 10, s_max=4)
+    row = -window.m_max - 1
+    pages = compute_pages(p, n, window)
+    localized = compute_pages(p, n, DegreeWindow(-8, 3, row, row, s_max=4))
+    compared = 0
+    for r, page in pages.items():
+        lo, hi = page.reliable_m
+        assert localized[r].reliable_m == (lo, hi)
+        want: dict[int, dict] = {}
+        for tri, cell in localized[r].cells.items():
+            if cell.dim and tri.s <= window.s_max:
+                want.setdefault(tri.total.m, {})[(tri.s, tri.f)] = cell.dim
+        got: dict[tuple[int, int], dict] = {}
+        for tri, cell in page.cells.items():
+            m, nn = tri.total.m, tri.total.n
+            if lo <= m <= hi and m + nn < 0 and tri.s <= window.s_max:
+                compared += 1
+                if cell.dim:
+                    got.setdefault((m, nn), {})[(tri.s, tri.f)] = cell.dim
+        for m in range(lo, hi + 1):
+            for nn in range(window.n_min, min(window.n_max, -m - 1) + 1):
+                assert got.get((m, nn), {}) == want.get(m, {}), (r, m, nn)
+    assert compared
 
 
 def a_shift_rank_by_lookup(page, tri, steps):

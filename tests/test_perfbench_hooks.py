@@ -9,6 +9,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from spokeseq.grading import DegreeWindow
+from spokeseq.mayss import may_e1, page_one
+
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
@@ -49,3 +52,10 @@ def test_tracer_installs_on_the_package():
     ):
         assert summary["spans"][name]["calls"] > 0, name
     assert summary["counters"]["concurrency.deterministic_map.items"] > 0
+    # mayss.e1_monomials.cells is len() of e1_monomials' result: one entry
+    # per first-page cell, translates included, at both heights of the
+    # segal query (its window widened by 2 in m and by 2 in s, as
+    # segal_pipeline and compute_pages widen it)
+    widened = DegreeWindow(-3, 2, -2, 2, s_max=4)
+    cells = sum(len(page_one(may_e1(3, n), widened).cells) for n in (1, 2))
+    assert summary["counters"]["mayss.e1_monomials.cells"] == cells

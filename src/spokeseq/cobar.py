@@ -597,16 +597,17 @@ def build_resolution_complex(
         for s in range(s_max + 1):
             internals.add(d + D(s, 0))
 
+    # states come sorted and so do the monomials of each degree, so every
+    # slice basis is in (state, monomial) order
     ordered = sorted(internals, key=lambda d: (d.m, d.n))
     bases: dict[tuple[SpokeDegree, int], list[tuple[Monomial, GenState]]] = {}
     for internal in ordered:
         for s in range(s_max + 2):
-            basis = []
-            for state, degree in by_s.get(s, []):
-                for m_mono in monomials_in_degree(M, internal - degree):
-                    basis.append((m_mono, state))
-            basis.sort(key=lambda idx: (idx[1], idx[0]))
-            bases[(internal, s)] = basis
+            bases[(internal, s)] = [
+                (m_mono, state)
+                for state, degree in by_s.get(s, [])
+                for m_mono in monomials_in_degree(M, internal - degree)
+            ]
 
     # A factored generator (a, for truncated_hopf) maps the slice one step
     # up its a-column injectively into this one, keeping the (state,
@@ -622,16 +623,9 @@ def build_resolution_complex(
         upper = bases.get((internal - step, s))
         return upper is not None and len(upper) == len(bases[(internal, s)])
 
-    # each a-column from its top row down, so the slice above is built first
-    walk = ordered
-    if step is not None:
-        walk = []
-        for internal in ordered:
-            if internal - step in internals:
-                continue  # not the top of its a-column
-            while internal in internals:
-                walk.append(internal)
-                internal = internal + step
+    # ordered by the component along step, so the slice at internal - step,
+    # one up the a-column, is built first
+    walk = ordered if step is None else sorted(ordered, key=lambda d: d.m * step.m + d.n * step.n)
 
     diffs: dict[tuple[SpokeDegree, int], SparseMatFp] = {}
     for internal in walk:

@@ -46,6 +46,7 @@ a-tower does work only where a run ends (turn_page, a_shift_rank).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import UserList
 from collections.abc import Iterable, Iterator
@@ -147,9 +148,9 @@ class ATranslate(UserList):
     """a^offset times a list of first-page monomials, built on first read.
 
     e1_monomials lists a translate cell, one with no a-free monomial, as one
-    of these over its head's list, and a page cell a^k times its base builds
-    its monomials with one.  Like every UserList it can be built from one
-    plain list (slicing does that), which it then lists as it is.
+    of these over its head's list; the page engine reads the head's list
+    and never builds this one.  Like every UserList it can be built from
+    one plain list (slicing does that), which it then lists as it is.
     """
 
     def __init__(self, head: list[Monomial], offset: int = 0):
@@ -371,18 +372,17 @@ def d1_monomial_reference(e1: MayE1, mono: Monomial) -> dict[Monomial, int]:
 
 @dataclass(eq=False, slots=True)
 class PageCell:
-    """One tri-degree of a page, in the flat coordinates of its first-page
-    monomials.
+    """One tri-degree of a page, in the coordinates of a first-page list.
 
-    The cell lists a^shift times ``base``, the monomial list of a head cell
-    of the first page (e1_monomials); multiplication by a is injective and
-    keeps the order, so the cell has the coordinates of that list.
-    ``monomials`` is ``base`` itself when shift is 0 and is built on first
-    read otherwise.  What depends on the shift alone, the tri-degree and
-    the lazy list, is made once per shift for every cell over the same base
-    on every page (``lifts``).  ``index`` (monomial -> position) and
-    ``labels`` (the least monomial name of each representative, sorted) are
-    built on first read, so a page that is never printed formats nothing.
+    The cell is a^shift times ``base``, the monomial list of a head cell of
+    the first page (e1_monomials); multiplication by a is injective and
+    keeps the order, so the cell has the coordinates of ``base`` and builds
+    no list of its own.  ``index`` maps each monomial of ``base`` to its
+    position; page_one builds it once per head, and every cell over that
+    base, on every page, shares it.  ``labels`` (the least monomial name of
+    each representative, sorted) lifts only the support monomials it names
+    and is formatted on first read, so a page that is never printed formats
+    nothing.
 
     ``reps`` and ``dead`` are subspaces in those coordinates: the rows of
     ``reps`` are the representatives, canonical RREF rows reduced modulo
@@ -399,12 +399,11 @@ class PageCell:
     tri: TriDegree
     base: list[Monomial]
     shift: int
+    index: dict[Monomial, int]
     reps: Subspace
     dead: Subspace
     pres: Presentation
-    lifts: dict[int, tuple[TriDegree, ATranslate]]
     shared: bool = False
-    _index: dict[Monomial, int] | None = None
     _labels: tuple[str, ...] | None = None
     _views: dict[int, PageCell] | None = None
 
@@ -413,21 +412,15 @@ class PageCell:
         return self.reps.rank
 
     @property
-    def monomials(self) -> list[Monomial]:
-        return self.lifts[self.shift][1].data if self.shift else self.base
-
-    @property
-    def index(self) -> dict[Monomial, int]:
-        if self._index is None:
-            self._index = {m: i for i, m in enumerate(self.monomials)}
-        return self._index
-
-    @property
     def labels(self) -> tuple[str, ...]:
+        # the least label is not shift-invariant (a^10 sorts before a^9), so
+        # the support is lifted before it is named
         if self._labels is None:
+            fmt = self.pres.format_monomial
             self._labels = tuple(
                 sorted(
-                    _leading_label(self.pres, self.monomials, rep) for rep in self.reps.rows
+                    min(map(fmt, _times_a(itertools.compress(self.base, rep), self.shift)))
+                    for rep in self.reps.rows
                 )
             )
         return self._labels
@@ -442,23 +435,16 @@ class PageCell:
             self._views = {}
         view = self._views.get(steps)
         if view is None:
-            shift = self.shift + steps
-            lift = self.lifts.get(shift)
-            if lift is None:
-                total = self.tri.total
-                tri = TriDegree(D(total.m, total.n - steps), self.tri.s, self.tri.f)
-                lift = self.lifts[shift] = (tri, ATranslate(self.base, shift))
+            total = self.tri.total
+            tri = TriDegree(D(total.m, total.n - steps), self.tri.s, self.tri.f)
             view = self._views[steps] = PageCell(
-                lift[0], self.base, shift, self.reps, self.dead, self.pres, self.lifts, True
+                tri, self.base, self.shift + steps, self.index, self.reps, self.dead, self.pres, True
             )
         return view
 
     def with_data(self, reps: Subspace, dead: Subspace) -> PageCell:
-        """This cell as a head of the next page, keeping its tri-degree,
-        monomials and index."""
-        return PageCell(
-            self.tri, self.base, self.shift, reps, dead, self.pres, self.lifts, False, self._index
-        )
+        """This cell as a head of the next page, over the same base."""
+        return PageCell(self.tri, self.base, self.shift, self.index, reps, dead, self.pres)
 
 
 # an a-column is keyed (m, s, f) and maps the row k (n = window.n_max - k) of
@@ -519,8 +505,8 @@ class SSPage:
     none on the first page and on the copied pages.  ``arrows`` lists the
     same cell by cell as (source, target) tri-degrees, and ``cells`` lists
     every cell, views included, by tri-degree in report order (m, n, s, f);
-    both are built on first read.  A copied page lists the cells of
-    ``copy_of``, the page it copies."""
+    both are built on first read.  A copied page shares the columns of the
+    page it copies, so its cells are the same head and view objects."""
 
     r: int
     e1: MayE1
@@ -528,7 +514,6 @@ class SSPage:
     columns: dict[ColumnKey, Column]
     reliable_m: tuple[int, int]
     arrow_runs: list[tuple[PageCell, int, PageCell, int, int]]
-    copy_of: SSPage | None = None
 
     def runs(self) -> Iterator[tuple[ColumnKey, int, int, PageCell]]:
         """(column key, first row, end row, head) of every run of cells:
@@ -542,8 +527,6 @@ class SSPage:
     @functools.cached_property
     def cells(self) -> dict[TriDegree, PageCell]:
         """Every cell by tri-degree, in report order (m, n, s, f)."""
-        if self.copy_of is not None:
-            return self.copy_of.cells
         cells = []
         for _, first, end, head in self.runs():
             cells.append(head)
@@ -581,9 +564,10 @@ def page_one(e1: MayE1, window: DegreeWindow) -> SSPage:
         if isinstance(monos, ATranslate):
             continue  # a view of the head above it
         size = len(monos)
+        index = {mono: i for i, mono in enumerate(monos)}
         key = (tri.total.m, tri.s, tri.f)
         columns.setdefault(key, {})[window.n_max - tri.total.n] = PageCell(
-            tri, monos, 0, _whole_space(size, e1.p), Subspace([], size, e1.p), e1.pres, {}
+            tri, monos, 0, index, _whole_space(size, e1.p), Subspace([], size, e1.p), e1.pres
         )
     return SSPage(1, e1, window, columns, (window.m_min, window.m_max), [])
 
@@ -594,12 +578,14 @@ def _image(
     """diff_fn applied to a representative, in the target cell's
     coordinates; None when the image has a monomial outside that cell.
 
-    diff_fn runs on the monomials of the source's base and its terms are
-    lifted by a^shift, which diff_fn commutes with, so a source view builds
-    no monomial list."""
+    Both cells are a power of a times their bases, and diff_fn commutes
+    with a, so diff_fn runs on the source's base and each term is looked up
+    in the target's base at the relative shift, which can have either sign:
+    a term whose a-exponent would fall below zero is outside the target.
+    Neither cell builds a monomial list."""
     p = e1.p
     index = tcell.index
-    shift = cell.shift
+    shift = cell.shift - tcell.shift
     out = [0] * tcell.reps.dim
     stray: dict[Monomial, int] = {}
     for mono, c in zip(cell.base, rep):
@@ -751,12 +737,8 @@ def turn_page(page: SSPage, diff_fn, new_r: int) -> SSPage:
     return SSPage(new_r, e1, page.window, new_columns, (lo + 1, hi - 1), arrow_runs)
 
 
-def _leading_label(pres: Presentation, monomials: list[Monomial], rep: Vector) -> str:
-    return min(pres.format_monomial(m) for m, c in zip(monomials, rep) if c)
-
-
 def copy_page(page: SSPage, new_r: int) -> SSPage:
-    return SSPage(new_r, page.e1, page.window, page.columns, page.reliable_m, [], page)
+    return SSPage(new_r, page.e1, page.window, page.columns, page.reliable_m, [])
 
 
 def compute_pages(
@@ -1106,38 +1088,6 @@ def free_pattern_dim(p: int, n: int, tri: TriDegree) -> int:
     return 1 if total.m % (2 * p**n) == 0 else 0
 
 
-def negative_pattern_check(page: SSPage, s_cap: int) -> tuple[bool, list[str]]:
-    """Every cell of the last page in virtual degrees < 0 inside the reliable
-    range must match the free-pattern model exactly."""
-    p, n = page.e1.p, page.e1.n
-    lo, hi = page.reliable_m
-    failures = []
-    w = page.window
-    m_lo, m_hi = max(lo, w.m_min), min(hi, w.m_max)
-    by_total: dict[SpokeDegree, dict[TriDegree, int]] = {}
-    for (m, s, f), first, end, head in page.runs():
-        if head.dim and s <= s_cap and m_lo <= m <= m_hi:
-            # the rows with virtual dimension m + n < 0
-            for k in range(max(first, w.n_max + m + 1), end):
-                total = D(m, w.n_max - k)
-                by_total.setdefault(total, {})[TriDegree(total, s, f)] = head.dim
-    for m in range(m_lo, m_hi + 1):
-        for nn in range(w.n_min, w.n_max + 1):
-            total = D(m, nn)
-            if total.virtual_dim >= 0:
-                continue
-            seen = by_total.get(total, {})
-            want = (
-                {TriDegree(total, 0, 0): 1}
-                if free_pattern_dim(p, n, TriDegree(total, 0, 0))
-                else {}
-            )
-            if seen != want:
-                got = {t.format(): seen[t] for t in sorted(seen, key=lambda t: (t.s, t.f))}
-                failures.append(f"{total.format()}: page {got}, model {len(want)} cell(s)")
-    return not failures, failures
-
-
 def a_shift_rank(page: SSPage, tri: TriDegree, steps: int) -> int | None:
     """Rank of multiplication by a^steps out of the given cell, computed on
     representatives; None when the tower leaves the computed window.
@@ -1211,18 +1161,20 @@ class SegalReport:
 def survivor_table(last: SSPage, s_cap: int) -> tuple[dict[str, int], bool, list[str]]:
     """Desk-scale a-inversion of the last page.
 
-    Negative virtual degrees are compared against the free model (where
-    multiplication by a is injective, so membership there makes a class a
-    permanent a-tower).  Classes in virtual dimension >= 0 survive exactly
-    when a long enough a-power lands them nonzero in that verified region.
-    Returns ({cell label: dim}, pattern ok, failure lines).
+    Every cell in virtual degrees < 0 inside the reliable range must match
+    the free model exactly (where multiplication by a is injective, so
+    membership there makes a class a permanent a-tower).  Classes in
+    virtual dimension >= 0 survive exactly when a long enough a-power lands
+    them nonzero in that verified region.  Returns ({cell label: dim},
+    pattern ok, failure lines).
     """
     p, n = last.e1.p, last.e1.n
-    ok, failures = negative_pattern_check(last, s_cap)
     table: dict[str, int] = {}
     lo, hi = last.reliable_m
-    n_max = last.window.n_max
+    window = last.window
+    n_max = window.n_max
     short: list[TriDegree] = []  # cells whose a-tower leaves the window
+    negative: dict[SpokeDegree, dict[TriDegree, int]] = {}  # nonzero cells, m + n < 0
     for (m, s, f), first, end, head in last.runs():
         if not head.dim or s > s_cap or not lo <= m <= hi:
             continue
@@ -1239,7 +1191,9 @@ def survivor_table(last: SSPage, s_cap: int) -> tuple[dict[str, int], bool, list
                 for k in positive:
                     table[f"pos {TriDegree(D(m, n_max - k), s, f).format()}"] = rank
         for k in range(max(first, neg), end):
-            tri = TriDegree(D(m, n_max - k), s, f)
+            total = D(m, n_max - k)
+            tri = TriDegree(total, s, f)
+            negative.setdefault(total, {})[tri] = head.dim
             if free_pattern_dim(p, n, tri):
                 table[f"neg {tri.format()}"] = head.dim
     if short:
@@ -1248,7 +1202,17 @@ def survivor_table(last: SSPage, s_cap: int) -> tuple[dict[str, int], bool, list
             f"window too small: a-tower from {tri.format()} needs "
             f"{tri.total.virtual_dim + 1} steps"
         )
-    return table, ok, failures
+    failures = []
+    for m in range(lo, hi + 1):
+        for nn in range(window.n_min, min(n_max, -m - 1) + 1):
+            total = D(m, nn)
+            seen = negative.get(total, {})
+            free = TriDegree(total, 0, 0)
+            want = {free: 1} if free_pattern_dim(p, n, free) else {}
+            if seen != want:
+                got = {t.format(): seen[t] for t in sorted(seen, key=lambda t: (t.s, t.f))}
+                failures.append(f"{total.format()}: page {got}, model {len(want)} cell(s)")
+    return table, not failures, failures
 
 
 def segal_pipeline(

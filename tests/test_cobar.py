@@ -268,6 +268,20 @@ def test_shared_differentials_match_unshared_oracle(p, n):
         assert d == unshared_differential(cx, ops, internal, s), (internal, s)
 
 
+@pytest.mark.parametrize("p", (3, 5))
+@pytest.mark.parametrize("n", (1, 2))
+def test_slice_bases_are_in_state_monomial_order(p, n):
+    # the builder lists each slice state by state, each state's monomials in
+    # enumerator order, and sorts nothing; the a-translate test and the
+    # shared differentials rely on (state, monomial) order
+    H, M = truncated(p, n)
+    cx = build_resolution_complex(H, M, DegreeWindow(-4, 2, -2 * p, 4, s_max=3))
+    assert sum(len(basis) > 1 for basis in cx.bases.values()) > 10
+    for key, basis in cx.bases.items():
+        assert basis == sorted(basis, key=lambda idx: (idx[1], idx[0])), key
+        assert len(set(basis)) == len(basis), key
+
+
 def test_resolution_shares_most_differentials():
     """On the ext-resolution-p3n2 benchmark window, fewer than a quarter of
     the differentials are distinct matrices: the a-column sharing is on."""

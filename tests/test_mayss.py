@@ -14,6 +14,7 @@ from spokeseq.fp import Subspace
 from spokeseq.grading import DegreeWindow, SpokeDegree, TriDegree
 from spokeseq.hopf import truncated_hopf
 from spokeseq.mayss import (
+    _times_a,
     a_shift_rank,
     associated_graded_check,
     associated_graded_ext_classes,
@@ -313,8 +314,9 @@ def e1_monomials_eager(e1, window, s_cap):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_lazy_cells_match_eager_oracle(p, n):
     # e1_monomials lists a translate cell as an ATranslate of its head's
-    # list, and a page stores heads only; read, every first-page entry and
-    # every cell of every page lists what the eager enumeration lists
+    # list, and a page stores heads only; every first-page entry, read, and
+    # every cell of every page, a^shift times its base, lists what the eager
+    # enumeration lists, and its index is its base's
     e1 = may_e1(p, n)
     window = DegreeWindow(-5, 2, -5, 3, s_max=2)
     eager = e1_monomials_eager(e1, window, 4)
@@ -323,36 +325,32 @@ def test_lazy_cells_match_eager_oracle(p, n):
     assert any(isinstance(monos, mayss.ATranslate) for monos in table.values())
     assert {tri: list(monos) for tri, monos in table.items()} == eager
     for r, page in compute_pages(p, n, window).items():
-        assert {tri: cell.monomials for tri, cell in page.cells.items()} == eager, r
+        lifted = {tri: _times_a(cell.base, cell.shift) for tri, cell in page.cells.items()}
+        assert lifted == eager, r
         for cell in page.cells.values():
-            assert cell.index == {mono: i for i, mono in enumerate(eager[cell.tri])}
+            assert cell.index == {mono: i for i, mono in enumerate(cell.base)}
 
 
-def test_segal_builds_the_lists_of_differential_targets_only(monkeypatch):
-    # a translate cell is a view of its head: turn_page evaluates a
-    # differential on the head's monomials, so the only view whose list
-    # segal builds is one a differential lands in, and no first-page entry
-    # is read
-    targets, built = [], []
-    image = mayss._image
-
-    def recording_image(e1, diff_fn, cell, rep, tcell):
-        targets.append(tcell)
-        return image(e1, diff_fn, cell, rep, tcell)
-
-    data = mayss.ATranslate.data
+def test_segal_and_printed_pages_build_no_translate_list(monkeypatch, tmp_path):
+    # a page cell is a^shift times a first-page head list: differentials,
+    # labels, charts and a-towers read the head's list, so neither segal
+    # nor a printed may page, with its charts, builds a translate's list
+    built = []
 
     def recording_data(self):
         built.append(self)
-        return data.func(self)
+        return mayss._times_a(self.head, self.offset)
 
-    monkeypatch.setattr(mayss, "_image", recording_image)
     monkeypatch.setattr(mayss.ATranslate, "data", property(recording_data))
     report = segal_pipeline(3, 3, DegreeWindow(-6, 1, -8, 8, s_max=4))
     assert report.verdict
-    assert built
-    target_lists = {id(cell.lifts[cell.shift][1]) for cell in targets if cell.shift}
-    assert {id(lifted) for lifted in built} <= target_lists
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        query = ["may", "--p", "5", "--n", "2", "--window", "-4:1:-6:6", "--s-max", "3"]
+        assert main([*query, "--svg", "--out", str(tmp_path)]) == 0
+    assert "| a^" in buf.getvalue()
+    assert list(tmp_path.glob("*.svg"))
+    assert not built
 
 
 @pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (5, 1)])
@@ -388,7 +386,8 @@ def test_pages_below_the_diagonal_equal_the_localized_page(p, n):
 
 def a_shift_rank_by_lookup(page, tri, steps):
     """Rank of a^steps out of a cell, lifting every monomial by a and looking
-    it up in the target cell's index; None when the tower leaves the window."""
+    it up in the target cell's lifted list; None when the tower leaves the
+    window."""
     cell = page.cells.get(tri)
     if cell is None or not cell.dim:
         return 0
@@ -398,16 +397,17 @@ def a_shift_rank_by_lookup(page, tri, steps):
         tcell = page.cells.get(TriDegree(D(total.m, total.n - step), tri.s, tri.f))
         if tcell is None:
             return None
+        index = {mono: i for i, mono in enumerate(_times_a(tcell.base, tcell.shift))}
         shifted = []
         for vec in vecs:
-            out = [0] * len(tcell.monomials)
-            for mono, c in zip(cell.monomials, vec):
+            out = [0] * len(index)
+            for mono, c in zip(_times_a(cell.base, cell.shift), vec):
                 if c:
-                    out[tcell.index[times_a(page.e1, mono)]] = c
+                    out[index[times_a(page.e1, mono)]] = c
             shifted.append(tcell.dead.reduce(out))
         vecs = shifted
         cell = tcell
-    return Subspace(vecs, len(cell.monomials), page.e1.p).rank
+    return Subspace(vecs, len(cell.base), page.e1.p).rank
 
 
 @pytest.mark.parametrize("p, n", [(3, 2), (5, 1)])
@@ -425,6 +425,47 @@ def test_a_shift_rank_matches_monomial_lookup(p, n):
                 assert got == a_shift_rank_by_lookup(last, tri, steps), (tri, steps)
                 results.append(got)
     assert None in results and 0 in results and any(results)
+
+
+def image_by_lookup(e1, diff_fn, cell, rep, tcell):
+    """diff_fn on a representative over the source's lifted monomial list,
+    its terms looked up in the target's lifted list; None when a term is
+    outside it."""
+    index = {mono: i for i, mono in enumerate(_times_a(tcell.base, tcell.shift))}
+    out = [0] * len(index)
+    stray = {}
+    for mono, c in zip(_times_a(cell.base, cell.shift), rep):
+        if not c:
+            continue
+        for tgt, c2 in diff_fn(e1, mono).items():
+            if tgt in index:
+                out[index[tgt]] = (out[index[tgt]] + c * c2) % e1.p
+            else:
+                stray[tgt] = (stray.get(tgt, 0) + c * c2) % e1.p
+    return None if any(stray.values()) else out
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (5, 1)])
+def test_image_matches_lookup_in_lifted_lists(p, n):
+    # _image runs diff_fn on the source's base and looks each term up in the
+    # target's base at the relative shift; on every page, for both rules and
+    # every source and target pair, that is diff_fn on the lifted source
+    # list looked up in the lifted target list, at every sign of the shift
+    pages = compute_pages(p, n, DegreeWindow(-4, 2, -6, 3, s_max=3))
+    signs = set()
+    for page in pages.values():
+        e1 = page.e1
+        for r, diff_fn in ((1, d1_monomial), (p - 1, d_pminus1_monomial)):
+            for tri, cell in page.cells.items():
+                total = tri.total
+                tcell = page.cells.get(TriDegree(D(total.m - 1, total.n), tri.s + 1, tri.f + r))
+                if tcell is None or not cell.dim:
+                    continue
+                signs.add((cell.shift > tcell.shift) - (cell.shift < tcell.shift))
+                for rep in cell.reps.rows:
+                    want = image_by_lookup(e1, diff_fn, cell, rep, tcell)
+                    assert mayss._image(e1, diff_fn, cell, rep, tcell) == want, (tri, r)
+    assert signs == {-1, 0, 1}
 
 
 def direct_arrows(page, diff_fn):

@@ -93,23 +93,29 @@ def parse_report(text: str) -> tuple[dict[str, str], list[list[str]]]:
     return header, rows
 
 
-def _emit(config: RunConfig, name: str, text: str) -> None:
-    sys.stdout.write(text)
-    out_dir = config.out or os.environ.get("SPOKESEQ_OUT")
-    if out_dir:
+def _write_out(out_dir: str, name: str, text: str) -> None:
+    """Write one output file; an output directory that cannot be made or
+    written to is a configuration error."""
+    path = os.path.join(out_dir, name)
+    try:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, name), "w") as fh:
+        with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _emit(config: RunConfig, name: str, text: str) -> None:
+    """Write the report to --out, if given, then to stdout: a report that
+    cannot be written is not printed."""
+    if config.out:
+        _write_out(config.out, name, text)
+    sys.stdout.write(text)
 
 
 def _emit_svg(config: RunConfig, name: str, doc: charts.ChartDoc) -> None:
-    if not config.svg:
-        return
-    text = charts.render_svg(doc)
-    out_dir = config.out or os.environ.get("SPOKESEQ_OUT") or "."
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, name), "w") as fh:
-        fh.write(text)
+    if config.svg:
+        _write_out(config.out or ".", name, charts.render_svg(doc))
 
 
 def cmd_pi_hfp(config: RunConfig) -> int:
@@ -281,7 +287,7 @@ FLAGS = {
     },
     "k_max": {"type": int},
     "preset": {"choices": ["sthh", "geometric", "truncated"]},
-    "out": {"help": "output directory (or $SPOKESEQ_OUT)"},
+    "out": {"help": "output directory"},
     "svg": {"action": "store_true", "help": "also write SVG charts"},
 }
 

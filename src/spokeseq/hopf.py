@@ -380,8 +380,8 @@ def descent_algebroid(p: int, beta: int = 1, beta_prime: int = 1) -> HopfAlgebro
         "a": {(m("a"), unit): 1},
         "ul": {(m("ul"), unit): 1},
         "us": {(m("us"), unit): 1},
-        "Nm": {(m("Nm"), unit): 1, (unit, m("Nm")): 1},
-        "mu": {(m("mu"), unit): 1, (unit, m("mu")): 1},
+        "Nm": _primitive_coproduct(total, "Nm"),
+        "mu": _primitive_coproduct(total, "mu"),
     }
     return HopfAlgebroid(
         p=p,
@@ -390,6 +390,28 @@ def descent_algebroid(p: int, beta: int = 1, beta_prime: int = 1) -> HopfAlgebro
         eta_R_images=eta_R,
         epsilon_images=epsilon,
         delta_images=delta,
+    )
+
+
+def _primitive_coproduct(total: Presentation, name: str) -> dict[TensorKey, int]:
+    """Delta(g) = g (x) 1 + 1 (x) g, as a raw tensor dict."""
+    g = total.monomial(**{name: 1})
+    unit = total.unit_monomial()
+    return {(g, unit): 1, (unit, g): 1}
+
+
+def primitive_hopf(p: int, generators: Sequence[GeneratorSpec]) -> HopfAlgebroid:
+    """The Hopf algebra over F_p (empty base, no eta_R) on the given
+    generators, each primitive: Delta(g) = g (x) 1 + 1 (x) g, epsilon(g) = 0."""
+    base = Presentation(p, [])
+    total = Presentation(p, generators)
+    return HopfAlgebroid(
+        p=p,
+        base=base,
+        total=total,
+        eta_R_images={},
+        epsilon_images={name: Element.zero(base) for name in total.names},
+        delta_images={name: _primitive_coproduct(total, name) for name in total.names},
     )
 
 
@@ -403,29 +425,15 @@ def truncated_hopf(
         raise ConfigError(f"truncation level n must be >= 1, got {n}")
     beta = _check_unit(p, beta, "beta")
     beta_prime = _check_unit(p, beta_prime, "beta_prime")
-    base = Presentation(p, [])
-    total = Presentation(
+    H = primitive_hopf(
         p,
         [
             GeneratorSpec("Nm", D(2, 2 * (p - 1)), TRUNC, p**n),
             GeneratorSpec("mu", D(1, 1), EXT),
         ],
     )
-    unit = total.unit_monomial()
-    m = lambda name: total.monomial(**{name: 1})
-    delta = {
-        "Nm": {(m("Nm"), unit): 1, (unit, m("Nm")): 1},
-        "mu": {(m("mu"), unit): 1, (unit, m("mu")): 1},
-    }
-    epsilon = {"Nm": Element.zero(base), "mu": Element.zero(base)}
-    H = HopfAlgebroid(
-        p=p,
-        base=base,
-        total=total,
-        eta_R_images={},
-        epsilon_images=epsilon,
-        delta_images=delta,
-    )
+    unit = H.total.unit_monomial()
+    m = lambda name: H.total.monomial(**{name: 1})
 
     module = positive_cone(p, ul_kind=INV)
     mm = lambda **kw: module.monomial(**kw)
@@ -530,70 +538,46 @@ def check_axioms(H: HopfAlgebroid, window: DegreeWindow, comodule: Comodule) -> 
     coassoc = AxiomCheck("coassociativity")
     com_counit = AxiomCheck("comodule-counit")
     com_coassoc = AxiomCheck("comodule-coassociativity")
-    checks = [counit_unit, counit_cop, coassoc, com_counit, com_coassoc]
+    M = comodule.module
 
-    degrees = window.degrees()
+    def degree_verdicts(d):
+        """(axiom, failure or None) for each base, total and module monomial
+        of degree d; a label is formatted only for a failure."""
+        verdicts = []
 
-    def base_degree(d):
-        count, fails = 0, []
+        def verdict(check, ok, what, pres, mono):
+            verdicts.append((check, None if ok else f"{what} on {pres.format_monomial(mono)}"))
+
         for mono in monomials_in_degree(H.base, d):
             x = Element.from_monomial(H.base, mono)
-            count += 1
             left = H.epsilon.apply(H.eta_L.apply(x))
             right = H.epsilon.apply(H.eta_R.apply(x))
-            if left != x or right != x:
-                fails.append(f"eps o eta on {H.base.format_monomial(mono)}")
-        return count, fails
-
-    for count, fails in deterministic_map(base_degree, degrees):
-        counit_unit.checked += count
-        counit_unit.failures.extend(fails)
-
-    def total_degree(d):
-        count, cu_fails, co_fails = 0, [], []
+            verdict(counit_unit, left == x and right == x, "eps o eta", H.base, mono)
         for mono in monomials_in_degree(H.total, d):
             g = Element.from_monomial(H.total, mono)
             dg = H.delta.apply(g)
-            count += 1
             left = tensor_to_element(apply_counit_at(H, dg, 0))
             right = tensor_to_element(apply_counit_at(H, dg, 1))
-            if left != g or right != g:
-                cu_fails.append(f"counit on {H.total.format_monomial(mono)}")
+            verdict(counit_cop, left == g and right == g, "counit", H.total, mono)
             dl = apply_coproduct_at(H, dg, 0)
             dr = apply_coproduct_at(H, dg, 1)
-            if dl.coeffs != dr.coeffs:
-                co_fails.append(f"coassoc on {H.total.format_monomial(mono)}")
-        return count, cu_fails, co_fails
-
-    for count, cu_fails, co_fails in deterministic_map(total_degree, degrees):
-        counit_cop.checked += count
-        coassoc.checked += count
-        counit_cop.failures.extend(cu_fails)
-        coassoc.failures.extend(co_fails)
-
-    M = comodule.module
-
-    def module_degree(d):
-        count, cu_fails, co_fails = 0, [], []
+            verdict(coassoc, dl.coeffs == dr.coeffs, "coassoc", H.total, mono)
         for mono in monomials_in_degree(M, d):
             x = Element.from_monomial(M, mono)
             px = comodule.psi.apply(x)
-            count += 1
             back = tensor_to_element(apply_counit_at(H, px, 1))
-            if back != x:
-                cu_fails.append(f"counit on {M.format_monomial(mono)}")
+            verdict(com_counit, back == x, "counit", M, mono)
             left = apply_coproduct_at(H, px, 0, coaction=comodule.psi)
             right = apply_coproduct_at(H, px, 1)
-            if left.coeffs != right.coeffs:
-                co_fails.append(f"coassoc on {M.format_monomial(mono)}")
-        return count, cu_fails, co_fails
+            verdict(com_coassoc, left.coeffs == right.coeffs, "coassoc", M, mono)
+        return verdicts
 
-    for count, cu_fails, co_fails in deterministic_map(module_degree, degrees):
-        com_counit.checked += count
-        com_coassoc.checked += count
-        com_counit.failures.extend(cu_fails)
-        com_coassoc.failures.extend(co_fails)
-    return AxiomReport(checks)
+    for verdicts in deterministic_map(degree_verdicts, window.degrees()):
+        for check, failure in verdicts:
+            check.checked += 1
+            if failure is not None:
+                check.failures.append(failure)
+    return AxiomReport([counit_unit, counit_cop, coassoc, com_counit, com_coassoc])
 
 
 # ---------------------------------------------------------------------------

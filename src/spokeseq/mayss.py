@@ -70,7 +70,7 @@ from .errors import BookkeepingError, ConfigError, WindowError
 from .fp import SparseMatFp, Subspace, Vector, check_odd_prime, quotient_basis
 from .grading import DegreeWindow, SpokeDegree, TriDegree
 from .hfp import positive_cone
-from .hopf import Comodule, HopfAlgebroid, apply_coproduct_at, truncated_hopf
+from .hopf import Comodule, HopfAlgebroid, apply_coproduct_at, primitive_hopf, truncated_hopf
 
 D = SpokeDegree
 
@@ -184,47 +184,30 @@ def e1_monomials(
     a^k times the nearest head k rows above it, and is an ATranslate of
     that head's list, which builds its own list only when read.
     """
-    n = e1.n
     pres = e1.pres
-    ngen = len(pres)
     s_deg, f_deg = e1.s_deg, e1.f_deg
 
-    # (monomial, m, n) of every generator part within the s budget, by (s, f)
+    # (monomial, m, n) of every generator part within the s budget, by (s, f);
+    # exterior generators take exponents 0..1
     gen_parts: dict[tuple[int, int], list[tuple[Monomial, int, int]]] = {}
+    part_pos = (e1.z_pos, *e1.x_pos, *e1.xp_pos)
+    acc_mono = [0] * len(pres)
 
-    def rec_xp(t, acc_mono, acc_m, acc_n, acc_s, acc_f):
-        if t == n:
+    def rec(t, acc_m, acc_n, acc_s, acc_f):
+        if t == len(part_pos):
             gen_parts.setdefault((acc_s, acc_f), []).append((tuple(acc_mono), acc_m, acc_n))
             return
-        i = e1.xp_pos[t]
+        i = part_pos[t]
         d, ds, df = pres.degrees[i], s_deg[i], f_deg[i]
+        top = 1 if pres.kinds[i] == EXT else s_cap
         j = 0
-        while acc_s + ds * j <= s_cap:
+        while j <= top and acc_s + ds * j <= s_cap:
             acc_mono[i] = j
-            rec_xp(t + 1, acc_mono, acc_m + d.m * j, acc_n + d.n * j, acc_s + ds * j, acc_f + df * j)
+            rec(t + 1, acc_m + d.m * j, acc_n + d.n * j, acc_s + ds * j, acc_f + df * j)
             j += 1
         acc_mono[i] = 0
 
-    def rec_x(t, acc_mono, acc_m, acc_n, acc_s, acc_f):
-        if t == n:
-            rec_xp(0, acc_mono, acc_m, acc_n, acc_s, acc_f)
-            return
-        i = e1.x_pos[t]
-        d, ds, df = pres.degrees[i], s_deg[i], f_deg[i]
-        for e in (0, 1):
-            if acc_s + ds * e > s_cap:
-                break
-            acc_mono[i] = e
-            rec_x(t + 1, acc_mono, acc_m + d.m * e, acc_n + d.n * e, acc_s + ds * e, acc_f + df * e)
-        acc_mono[i] = 0
-
-    z_i = e1.z_pos
-    z_deg, z_s, z_f = pres.degrees[z_i], s_deg[z_i], f_deg[z_i]
-    base = [0] * ngen
-    for k in range(s_cap // z_s + 1):
-        base[z_i] = k
-        rec_x(0, base, z_deg.m * k, z_deg.n * k, z_s * k, z_f * k)
-    base[z_i] = 0
+    rec(0, 0, 0, 0, 0)
 
     a_i, ul_i, us_i = e1.a_pos, e1.ul_pos, e1.us_pos
     n_min, n_max = window.n_min, window.n_max
@@ -806,30 +789,15 @@ def e0_hopf(p: int, n: int) -> HopfAlgebroid:
     digit Hopf algebras, one height-one truncated line per p-power digit of
     the norm class plus the exterior line."""
     check_odd_prime(p)
-    base = Presentation(p, [])
-    gens = []
-    for t in range(n):
-        gens.append(
-            GeneratorSpec(
-                f"nu{t}", D(2 * p**t, 2 * (p - 1) * p**t), TRUNC, p
-            )
-        )
-    gens.append(GeneratorSpec("mu", D(1, 1), EXT))
-    total = Presentation(p, gens)
-    unit = total.unit_monomial()
-    delta = {}
-    epsilon = {}
-    for g in total.generators:
-        mono = total.monomial(**{g.name: 1})
-        delta[g.name] = {(mono, unit): 1, (unit, mono): 1}
-        epsilon[g.name] = Element.zero(base)
-    return HopfAlgebroid(
-        p=p,
-        base=base,
-        total=total,
-        eta_R_images={},
-        epsilon_images=epsilon,
-        delta_images=delta,
+    return primitive_hopf(
+        p,
+        [
+            *(
+                GeneratorSpec(f"nu{t}", D(2 * p**t, 2 * (p - 1) * p**t), TRUNC, p)
+                for t in range(n)
+            ),
+            GeneratorSpec("mu", D(1, 1), EXT),
+        ],
     )
 
 

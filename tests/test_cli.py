@@ -130,6 +130,31 @@ def test_svg_output(tmp_path):
     assert "<line" in empty and "<circle" not in empty
 
 
+def test_unwritable_out_is_a_config_error_and_prints_no_report():
+    # /dev/null is a file, so no directory can be made under it
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(
+            ["ext", "--p", "3", "--n", "1", "--window", "0:0:0:0", "--out", "/dev/null/x"]
+        )
+    assert code == 2
+    assert out == ""
+    assert err.getvalue().startswith("[E_CONFIG] cannot write /dev/null/x/ext.txt")
+
+
+def test_unwritable_svg_is_a_config_error(tmp_path):
+    # the report is written; the chart's path is taken by a directory
+    (tmp_path / "pi-hfp.svg").mkdir()
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_cli(
+            ["pi-hfp", "--p", "3", "--window", "3:4:1:2", "--svg", "--out", str(tmp_path)]
+        )
+    assert code == 2
+    assert (tmp_path / "pi-hfp.txt").exists()
+    assert err.getvalue().startswith("[E_CONFIG] cannot write ")
+
+
 def test_byte_identical_on_repeat():
     # pi-hfp's second run answers from the enumerator memo of the presentation
     # its first run built; the others check that nothing else a run leaves

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -7,6 +8,7 @@ from spokeseq.algebra import EXT, INV, TRUNC, Element, monomials_in_degree
 from spokeseq.errors import ConfigError, HomogeneityError
 from spokeseq.grading import DegreeWindow, SpokeDegree
 from spokeseq.hopf import (
+    Comodule,
     base_comodule,
     check_axioms,
     descent_algebroid,
@@ -116,6 +118,23 @@ def test_truncated_axioms():
     H, M = truncated_hopf(3, 1, beta=2, beta_prime=1)
     report = check_axioms(H, DegreeWindow(-6, 6, -8, 8), comodule=M)
     assert report.ok, report.format()
+
+
+def test_corrupted_coproduct_fails_the_axiom_check():
+    # negative control: Delta(Nm) = Nm (x) 1 breaks the counit on Nm and the
+    # comodule's coassociativity, but Delta stays coassociative
+    H, M = truncated_hopf(3, 1)
+    nm, unit = H.total.monomial(Nm=1), H.total.unit_monomial()
+    bad = dataclasses.replace(H, delta_images={**H.delta_images, "Nm": {(nm, unit): 1}})
+    report = check_axioms(bad, DegreeWindow(-6, 6, -8, 8), Comodule(bad, M.module, M.psi_images))
+    assert not report.ok
+    assert report.format() == (
+        "counit-of-units | checked 1 | pass\n"
+        "counit-coproduct | checked 5 | FAIL (counit on Nm)\n"
+        "coassociativity | checked 5 | pass\n"
+        "comodule-counit | checked 117 | pass\n"
+        "comodule-coassociativity | checked 117 | FAIL (coassoc on a^12*ul^-2)\n"
+    )
 
 
 def test_ul_power_pn_is_primitive():

@@ -206,15 +206,13 @@ def query_trace(tmp_path_factory):
                     set_params.add(dotted)
 
     statuses = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("SPOKESEQ_OUT", raising=False)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            for argv, _ in queries(out_dir):
-                sys.setprofile(profile)
-                try:
-                    statuses.append(cli.main(argv))
-                finally:
-                    sys.setprofile(None)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for argv, _ in queries(out_dir):
+            sys.setprofile(profile)
+            try:
+                statuses.append(cli.main(argv))
+            finally:
+                sys.setprofile(None)
     assert statuses == [want for _, want in queries(out_dir)]
     return {functions[key] for key in entered if key in functions}, set_params
 

@@ -17,7 +17,7 @@ tuples of slot monomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import (
     ConfigError,
@@ -77,8 +77,10 @@ class Presentation:
         self.kinds = tuple(g.kind for g in self.generators)
         self.bounds = tuple(g.bound for g in self.generators)
         self._ext = tuple(i for i, g in enumerate(self.generators) if g.kind == EXT)
-        # monomials_in_degree answers per (m, n)
+        # monomials_in_degree answers per (m, n), and the enumeration plan
+        # (see _plan) that its first certified call builds
         self._monomial_memo: dict[tuple[int, int], tuple[Monomial, ...]] = {}
+        self._plan: Callable[[int, int], tuple[Monomial, ...]] | None = None
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -355,9 +357,10 @@ class GradedMap:
 def monomials_in_degree(pres: Presentation, degree: SpokeDegree) -> tuple[Monomial, ...]:
     """All monomials of the given degree, exponent-lex ordered.
 
-    Completeness is certified per call.  Exterior and truncated generators
-    have finite exponent ranges (a polynomial generator that needs a bound
-    is declared truncated).  What remains must be solvable exactly:
+    Completeness is certified by a shape analysis of ``pres`` (``_plan``).
+    Exterior and truncated generators have finite exponent ranges (a
+    polynomial generator that needs a bound is declared truncated).  What
+    remains must be solvable exactly:
 
     * invertible generators are solved by linear algebra at the leaves
       (at most two, with independent degrees);
@@ -365,27 +368,34 @@ def monomials_in_degree(pres: Presentation, degree: SpokeDegree) -> tuple[Monomi
       requires a positive functional on their degrees that kills the
       invertible ones.  The last of them is not looped over but solved at
       the leaf: jointly with the invertible generator by a 2x2 integer
-      (Cramer) solve, or by one division when there is none.  A module of
-      the shape F_p[a, ul^{+-1}]<us> therefore costs O(output) per degree.
+      (Cramer) solve, or by one division when there is none.
+
+    The analysis (classification, validation, the functional, the loop
+    order and the leaf determinant) runs once per presentation, on its
+    first call, and is kept on ``pres``.  Per degree only the recursion and
+    the leaf solves run, so a module of the shape F_p[a, ul^{+-1}]<us>
+    costs O(output) per degree.
 
     A presentation outside those shapes raises WindowIncompleteError rather
-    than silently returning a partial basis.
+    than silently returning a partial basis.  A failed analysis is not
+    kept, so such a shape is checked again, and raises, on every call.
 
     Results are memoised on ``pres`` per degree, and the same tuple is
-    returned to every caller, so it is immutable.  Only complete answers are
-    memoised: a shape that cannot be certified raises on every call.
+    returned to every caller, so it is immutable.
     """
     key = (degree.m, degree.n)
     hit = pres._monomial_memo.get(key)
     if hit is not None:
         return hit
-    out = pres._monomial_memo[key] = _enumerate(pres, degree.m, degree.n)
+    if pres._plan is None:
+        pres._plan = _plan(pres)
+    out = pres._monomial_memo[key] = pres._plan(*key)
     return out
 
 
-def _enumerate(pres: Presentation, m: int, n: int) -> tuple[Monomial, ...]:
-    """The monomials of degree m + n@, sorted, after checking that the shape
-    enumerates completely."""
+def _plan(pres: Presentation) -> Callable[[int, int], tuple[Monomial, ...]]:
+    """Check that the shape of ``pres`` enumerates completely, and return
+    the function that lists the monomials of degree m + n@, sorted."""
     finite: list[tuple[int, range]] = []  # (gen index, exponent range)
     free_poly: list[int] = []
     inv: list[int] = []
@@ -470,82 +480,85 @@ def _enumerate(pres: Presentation, m: int, n: int) -> tuple[Monomial, ...]:
     # the first case det = L(last)
     det = dm * wn - dn * wm if last is not None else wm * vn - wn * vm
 
-    results: list[Monomial] = []
-    exps = [0] * len(deg)
+    def enumerate_degree(m: int, n: int) -> tuple[Monomial, ...]:
+        results: list[Monomial] = []
+        exps = [0] * len(deg)
 
-    # Each leaf solves the remaining degree (rm, rn) in at most two
-    # generators with independent degrees: floor division gives the only
-    # candidate, and substituting it back accepts exactly the integral one.
-    def solve_leaf(rm: int, rn: int) -> None:
-        if last is not None and inv:
-            # e*d + z*w = r, and e = L(r) / L(d) must be a nonnegative integer
-            e = (rm * wn - rn * wm) // det
-            z = (dm * rn - dn * rm) // det
-            if e < 0 or e * dm + z * wm != rm or e * dn + z * wn != rn:
+        # Each leaf solves the remaining degree (rm, rn) in at most two
+        # generators with independent degrees: floor division gives the only
+        # candidate, and substituting it back accepts exactly the integral one.
+        def solve_leaf(rm: int, rn: int) -> None:
+            if last is not None and inv:
+                # e*d + z*w = r, and e = L(r) / L(d) must be a nonnegative integer
+                e = (rm * wn - rn * wm) // det
+                z = (dm * rn - dn * rm) // det
+                if e < 0 or e * dm + z * wm != rm or e * dn + z * wn != rn:
+                    return
+                exps[last], exps[inv[0]] = e, z
+            elif last is not None:
+                e = rm // dm if dm else rn // dn  # dm >= 0 and d != 0 (validated)
+                if e < 0 or e * dm != rm or e * dn != rn:
+                    return
+                exps[last] = e
+            elif len(inv) == 2:
+                z1 = (rm * vn - rn * vm) // det
+                z2 = (wm * rn - wn * rm) // det
+                if z1 * wm + z2 * vm != rm or z1 * wn + z2 * vn != rn:
+                    return
+                exps[inv[0]], exps[inv[1]] = z1, z2
+            elif inv:
+                z = rm // wm if wm else rn // wn
+                if z * wm != rm or z * wn != rn:
+                    return
+                exps[inv[0]] = z
+            elif rm or rn:
                 return
-            exps[last], exps[inv[0]] = e, z
-        elif last is not None:
-            e = rm // dm if dm else rn // dn  # dm >= 0 and d != 0 (validated)
-            if e < 0 or e * dm != rm or e * dn != rn:
+            results.append(tuple(exps))
+            if last is not None:
+                exps[last] = 0
+            for i in inv:
+                exps[i] = 0
+
+        def enum_free(idx: int, rm: int, rn: int) -> None:
+            if idx == len(free_steps):
+                solve_leaf(rm, rn)
                 return
-            exps[last] = e
-        elif len(inv) == 2:
-            z1 = (rm * vn - rn * vm) // det
-            z2 = (wm * rn - wn * rm) // det
-            if z1 * wm + z2 * vm != rm or z1 * wn + z2 * vn != rn:
-                return
-            exps[inv[0]], exps[inv[1]] = z1, z2
-        elif inv:
-            z = rm // wm if wm else rn // wn
-            if z * wm != rm or z * wn != rn:
-                return
-            exps[inv[0]] = z
-        elif rm or rn:
-            return
-        results.append(tuple(exps))
-        if last is not None:
-            exps[last] = 0
-        for i in inv:
+            i, gm, gn = free_steps[idx]
+            if len(inv) == 0:
+                if gm > 0:
+                    ub = rm // gm
+                else:
+                    if rn * gn < 0:
+                        ub = 0
+                    elif gn != 0:
+                        ub = abs(rn) // abs(gn)
+                    else:  # pragma: no cover - excluded at validation
+                        ub = 0
+            else:
+                lv = functional[0] * gm + functional[1] * gn
+                budget = functional[0] * rm + functional[1] * rn
+                ub = budget // lv if budget >= 0 else -1
+            for e in range(max(ub, -1) + 1):
+                exps[i] = e
+                enum_free(idx + 1, rm - e * gm, rn - e * gn)
             exps[i] = 0
 
-    def enum_free(idx: int, rm: int, rn: int) -> None:
-        if idx == len(free_steps):
-            solve_leaf(rm, rn)
-            return
-        i, gm, gn = free_steps[idx]
-        if len(inv) == 0:
-            if gm > 0:
-                ub = rm // gm
-            else:
-                if rn * gn < 0:
-                    ub = 0
-                elif gn != 0:
-                    ub = abs(rn) // abs(gn)
-                else:  # pragma: no cover - excluded at validation
-                    ub = 0
-        else:
-            lv = functional[0] * gm + functional[1] * gn
-            budget = functional[0] * rm + functional[1] * rn
-            ub = budget // lv if budget >= 0 else -1
-        for e in range(max(ub, -1) + 1):
-            exps[i] = e
-            enum_free(idx + 1, rm - e * gm, rn - e * gn)
-        exps[i] = 0
+        def enum_finite(idx: int, rm: int, rn: int) -> None:
+            if can_prune_m and rm < 0:
+                return
+            if idx == len(finite_steps):
+                enum_free(0, rm, rn)
+                return
+            i, rng, gm, gn = finite_steps[idx]
+            for e in rng:
+                if can_prune_m and gm > 0 and rm - e * gm < 0:
+                    break
+                exps[i] = e
+                enum_finite(idx + 1, rm - e * gm, rn - e * gn)
+            exps[i] = 0
 
-    def enum_finite(idx: int, rm: int, rn: int) -> None:
-        if can_prune_m and rm < 0:
-            return
-        if idx == len(finite_steps):
-            enum_free(0, rm, rn)
-            return
-        i, rng, gm, gn = finite_steps[idx]
-        for e in rng:
-            if can_prune_m and gm > 0 and rm - e * gm < 0:
-                break
-            exps[i] = e
-            enum_finite(idx + 1, rm - e * gm, rn - e * gn)
-        exps[i] = 0
+        enum_finite(0, m, n)
+        results.sort()
+        return tuple(results)
 
-    enum_finite(0, m, n)
-    results.sort()
-    return tuple(results)
+    return enumerate_degree

@@ -576,6 +576,19 @@ class ResolutionComplex:
         return f"{m_label}*{g_label}"
 
 
+class _ModuleBlocks(dict):
+    """The monomials of a module by (m, n), each degree enumerated on its
+    first lookup."""
+
+    def __init__(self, module):
+        super().__init__()
+        self.module = module
+
+    def __missing__(self, key: tuple[int, int]) -> tuple[Monomial, ...]:
+        monos = self[key] = monomials_in_degree(self.module, D(*key))
+        return monos
+
+
 def build_resolution_complex(
     H: HopfAlgebroid, comodule: Comodule, window: DegreeWindow
 ) -> ResolutionComplex:
@@ -585,11 +598,12 @@ def build_resolution_complex(
     ops = DualOperators(comodule)
     p = H.p
 
-    # each generator state's degree and moves, once per state
+    # each generator state's degree, as (m, n) lanes, and moves, once per state
     states = gens.enumerate(s_max + 1)
-    by_s: dict[int, list[tuple[GenState, SpokeDegree]]] = {}
+    by_s: dict[int, list[tuple[GenState, int, int]]] = {}
     for st in states:
-        by_s.setdefault(gens.s_of(st), []).append((st, gens.degree_of(st)))
+        degree = gens.degree_of(st)
+        by_s.setdefault(gens.s_of(st), []).append((st, degree.m, degree.n))
     moves = {st: gens.moves(st) for st in states}
 
     internals: set[SpokeDegree] = set()
@@ -597,17 +611,24 @@ def build_resolution_complex(
         for s in range(s_max + 1):
             internals.add(d + D(s, 0))
 
-    # states come sorted and so do the monomials of each degree, so every
-    # slice basis is in (state, monomial) order
+    # A slice is one block of monomials per state of its height, and the
+    # slices of the window share module degrees, so each (m, n) is
+    # enumerated once, on first use.  States come sorted and so do the
+    # monomials of each degree, so every slice basis is in (state, monomial)
+    # order.  Its length is kept by (m, n, s).
+    blocks = _ModuleBlocks(M)
     ordered = sorted(internals, key=lambda d: (d.m, d.n))
     bases: dict[tuple[SpokeDegree, int], list[tuple[Monomial, GenState]]] = {}
+    length: dict[tuple[int, int, int], int] = {}
     for internal in ordered:
+        im, in_ = internal.m, internal.n
         for s in range(s_max + 2):
-            bases[(internal, s)] = [
+            basis = bases[(internal, s)] = [
                 (m_mono, state)
-                for state, degree in by_s.get(s, [])
-                for m_mono in monomials_in_degree(M, internal - degree)
+                for state, dm, dn in by_s.get(s, ())
+                for m_mono in blocks[(im - dm, in_ - dn)]
             ]
+            length[(im, in_, s)] = len(basis)
 
     # A factored generator (a, for truncated_hopf) maps the slice one step
     # up its a-column injectively into this one, keeping the (state,
@@ -616,22 +637,22 @@ def build_resolution_complex(
     # translates is the matrix one step up, shared as the same object; only
     # head slices apply the operators.
     step = M.generator(ops.factored[0]).degree if ops.factored else None
+    sm, sn = (step.m, step.n) if step is not None else (0, 0)
 
-    def is_translate(internal: SpokeDegree, s: int) -> bool:
-        if step is None:
-            return False
-        upper = bases.get((internal - step, s))
-        return upper is not None and len(upper) == len(bases[(internal, s)])
+    def is_translate(m: int, n: int, s: int) -> bool:
+        return step is not None and length.get((m - sm, n - sn, s)) == length[(m, n, s)]
 
     # ordered by the component along step, so the slice at internal - step,
     # one up the a-column, is built first
-    walk = ordered if step is None else sorted(ordered, key=lambda d: d.m * step.m + d.n * step.n)
+    walk = ordered if step is None else sorted(ordered, key=lambda d: d.m * sm + d.n * sn)
 
     diffs: dict[tuple[SpokeDegree, int], SparseMatFp] = {}
+    matrix: dict[tuple[int, int, int], SparseMatFp] = {}  # diffs by (m, n, s)
     for internal in walk:
+        im, in_ = internal.m, internal.n
         for s in range(s_max + 1):
-            if is_translate(internal, s) and is_translate(internal, s + 1):
-                diffs[(internal, s)] = diffs[(internal - step, s)]
+            if is_translate(im, in_, s) and is_translate(im, in_, s + 1):
+                diffs[(internal, s)] = matrix[(im, in_, s)] = matrix[(im - sm, in_ - sn, s)]
                 continue
             src = bases[(internal, s)]
             dst = bases[(internal, s + 1)]
@@ -649,7 +670,9 @@ def build_resolution_complex(
                             )
                         col[row] = (col.get(row, 0) + sign * c) % p
                 columns.append({k: v for k, v in col.items() if v})
-            diffs[(internal, s)] = SparseMatFp.from_columns(columns, len(dst), p)
+            diffs[(internal, s)] = matrix[(im, in_, s)] = SparseMatFp.from_columns(
+                columns, len(dst), p
+            )
 
     cx = ResolutionComplex(H, comodule, window, gens, bases, diffs)
     validate_dsquare(cx)

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spokeseq.algebra import (
     EXT,
@@ -432,3 +432,24 @@ def test_enumeration_matches_brute_force_oracle(pres, m, n):
             monomials_in_degree(pres, target)
         return
     assert list(got) == _oracle_monomials(pres, target)
+
+
+@settings(deadline=None)
+@given(
+    small_presentations(),
+    st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=12),
+)
+def test_one_plan_serves_every_degree(pres, degrees):
+    # one presentation answers a stream of degrees, repeats included, in the
+    # drawn order and then in reverse: the shape analysis is kept between
+    # calls, so no call may leave state that changes a later answer
+    stream = degrees + degrees[::-1]
+    try:
+        monomials_in_degree(pres, D(*stream[0]))
+    except WindowIncompleteError:
+        for m, n in stream:  # never certified, so refused on every call
+            with pytest.raises(WindowIncompleteError):
+                monomials_in_degree(pres, D(m, n))
+        return
+    for m, n in stream:
+        assert list(monomials_in_degree(pres, D(m, n))) == _oracle_monomials(pres, D(m, n))

@@ -5,6 +5,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spokeseq
 from spokeseq import cli, hfp
@@ -242,6 +243,55 @@ def test_rejected_arguments_are_coded_config_errors(args):
     assert code == 2 and out == ""
     assert err.getvalue().startswith("[E_CONFIG] ")
     assert "usage:" not in err.getvalue()
+
+
+# tiny windows, valid or not, so that every drawn run is fast
+FUZZ_VALUES = {
+    "p": ["3", "2", "4", "9", "1", "0", "-3", "x"],
+    "n": ["1", "0", "-1", "1.5"],
+    "n_max": ["2", "1", "0", "-2"],
+    "window": ["0:0:0:0", "-1:0:-1:0", "-1:1:-1:1", "1:1:1:1", "2:1:0:0", "0:0:1:0",
+               "1:2:3", "a:b:c:d", "0:0:0:0:0", ""],
+    "s_max": ["1", "0", "-1", "two"],
+    "beta": ["1", "2", "3", "0", "6"],
+    "beta_prime": ["1", "2", "3", "-3"],
+    "variant": ["a_free", "spoke_suspension", "bogus"],
+    "route": ["resolution", "cobar", "bogus"],
+    "stabilize": [None],
+    "disable_d1": [None],
+    "k_max": ["2", "0", "-1"],
+    "preset": ["sthh", "truncated", "bogus"],
+    "bogus": [None, "1"],
+    "threads": ["2"],
+}
+
+
+@st.composite
+def cli_arguments(draw):
+    """A command with a few flags drawn from FUZZ_VALUES: flags it reads and
+    flags it does not, unknown ones included.  A command that reads
+    --window, --s-max or --k-max always gets one, so that no run falls back
+    to a default sized for real work."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS) + ["bogus"]))
+    keys = set(draw(st.lists(st.sampled_from(sorted(FUZZ_VALUES)), max_size=4)))
+    keys |= {"window", "s_max", "k_max"} & ACCEPTED.get(command, set())
+    args = [command]
+    for key in sorted(keys):
+        value = draw(st.sampled_from(FUZZ_VALUES[key]))
+        args += ["--" + key.replace("_", "-")] + ([] if value is None else [value])
+    return args
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_arguments())
+def test_every_argument_list_ends_in_a_coded_exit(args):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(args)  # nothing may raise out of main
+    assert code in (0, 1, 2, 3, 4), args
+    if code >= 2:
+        assert err.getvalue().startswith("[E_"), (args, err.getvalue())
+        assert out == "", args
 
 
 # a flag given to a path of its command that does not read it

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spokeseq import fp
-from spokeseq.algebra import POLY, Element, GeneratorSpec, Presentation
+from spokeseq.algebra import POLY, Element, GeneratorSpec, Presentation, monomials_in_degree
 from spokeseq.cobar import (
     DualOperators,
     build_cobar,
@@ -280,6 +280,31 @@ def test_slice_bases_are_in_state_monomial_order(p, n):
     for key, basis in cx.bases.items():
         assert basis == sorted(basis, key=lambda idx: (idx[1], idx[0])), key
         assert len(set(basis)) == len(basis), key
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+@pytest.mark.parametrize("n", (1, 2))
+def test_slice_bases_match_per_state_oracle(p, n):
+    # the builder looks each state block up by integer (m, n) lanes; the
+    # oracle lists it from SpokeDegree arithmetic, state by state
+    H, M = truncated(p, n)
+    window = DegreeWindow(-10, 6, -12, 12, s_max=4)
+    cx = build_resolution_complex(H, M, window)
+    gens = cx.gens
+    states = gens.enumerate(window.s_max + 1)
+    for (internal, s), basis in cx.bases.items():
+        want = [
+            (m, state)
+            for state in states
+            if gens.s_of(state) == s
+            for m in monomials_in_degree(M.module, internal - gens.degree_of(state))
+        ]
+        assert basis == want, (internal, s)
+    if (p, n) == (3, 2):
+        # the ext-resolution-p3n2 query: the integer-length translate test
+        # shares exactly as the list-length one did
+        assert len(cx.diffs) == 2625
+        assert len({id(d) for d in cx.diffs.values()}) == 404
 
 
 def test_resolution_shares_most_differentials():

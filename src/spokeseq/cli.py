@@ -68,8 +68,13 @@ class RunConfig:
         return DegreeWindow.parse(self.window, self.s_max)
 
     def header(self) -> str:
+        """One line per accepted setting but --out; the window in its
+        canonical form, so that equal windows print equal reports."""
         keys = ["command"] + [k for k in COMMANDS[self.command][2] if k != "out"]
-        return "".join(f"# {k} = {getattr(self, k)}\n" for k in sorted(keys))
+        values = {k: getattr(self, k) for k in keys}
+        if "window" in values:
+            values["window"] = self.degree_window().format()
+        return "".join(f"# {k} = {values[k]}\n" for k in sorted(keys))
 
 
 def parse_report(text: str) -> tuple[dict[str, str], list[list[str]]]:

@@ -15,7 +15,9 @@ live here.
   several height-one truncated polynomial lines.  The explicit periodic
   resolution of F_p over each line tensors to a free resolution whose
   cochain complex has one comodule slot per "z^k x_E x'_J" generator
-  monomial: polynomially many columns instead of exponentially many.
+  monomial: polynomially many columns instead of exponentially many.  Each
+  line is one ``Strand`` type, differing only in its period of folds:
+  (1,) for an exterior line, (1, p - 1) for a height-p digit line.
 
 Both builders read the cohomological cap from the window (slices run to
 window.s_max + 1), check d o d = 0 on every built slice with
@@ -23,6 +25,12 @@ validate_dsquare, and send their ladders through the one homology pass,
 ext_dimensions, which always labels each class by a representative;
 resolution_ext_table is "build, then ext_dimensions".  The two routes share
 no construction code, so their agreement is a cross-check of the Ext tables.
+
+Both builders read each column's terms as plain {key: coeff} dicts and look
+every nonzero, non-degenerate term up in the target slice's index.  That
+slice is the enumeration of every valid monomial of exactly the target
+degree, so the lookup is the homogeneity guard: a term of the wrong degree,
+or not a valid monomial, misses it and raises BookkeepingError.
 
 Ext tables are keyed by (cohomological degree s, total degree); the internal
 degree is total + (s, 0).
@@ -35,7 +43,7 @@ from operator import add, mul, sub
 from typing import Sequence
 
 from . import fp
-from .algebra import EXT, INV, POLY, TRUNC, Element, Monomial, monomials_in_degree
+from .algebra import EXT, INV, POLY, TRUNC, Monomial, monomials_in_degree
 from .concurrency import deterministic_map
 from .errors import BookkeepingError, ConfigError, WindowIncompleteError
 from .fp import SparseMatFp
@@ -204,9 +212,9 @@ def build_cobar(H: HopfAlgebroid, comodule: Comodule, window: DegreeWindow) -> C
                         )
                         raw[new_key] = raw.get(new_key, 0) + sign * c
                 col: dict[int, int] = {}
-                for key, c in ctx.element(raw).coeffs.items():
-                    if any(_is_unit(b) for b in key[1:]):
-                        continue  # degenerate part of the normalized complex
+                for key, c in ctx.normalize(raw).items():
+                    if not c % p or any(_is_unit(b) for b in key[1:]):
+                        continue  # zero, or degenerate part of the normalized complex
                     row = dst_index.get((key[0], key[1:]))
                     if row is None:
                         raise BookkeepingError(
@@ -330,39 +338,33 @@ def ext0_primitives(comodule: Comodule, degrees: Sequence[SpokeDegree]) -> dict[
 class Strand:
     """One periodic line of the free resolution over the dual algebra.
 
-    kind "e": dual of an exterior primitive; states k >= 0 and every step
-    applies the extraction operator for pi once (z-line, polynomial in Ext).
-    kind "y": dual of a height-one truncated polynomial primitive pi; states
-    (eps, j) with eps in {0,1}, steps alternate one extraction
-    (eps 0 -> 1, the x-class) and p-1 extractions (eps 1 -> 0, j -> j+1,
-    the x'-class).
+    A step up the line applies the extraction operator for pi folds[r]
+    times, r being the step's place in the period: folds is (1,) for the
+    dual of an exterior primitive (the z-line, polynomial in Ext) and
+    (1, p - 1) for a height-p digit line of a truncated polynomial
+    primitive (an x-class step, then an x'-class step).  A state (r, j) is
+    j whole periods plus r more steps.  It is labelled ``label`` if r > 0,
+    then ``prime_label``^j; an exterior line has both labels "z", so its
+    state (0, k) prints z^k.
     """
 
-    kind: str
     pi: Monomial
     degree: SpokeDegree  # degree of pi
     label: str
-    prime_label: str = ""
-    height: int = 0  # p for y-strands
+    prime_label: str
+    folds: tuple[int, ...]
 
-    def state_s(self, comp) -> int:
-        return comp if self.kind == "e" else comp[0] + 2 * comp[1]
+    def state_s(self, state) -> int:
+        r, j = state
+        return r + len(self.folds) * j
 
-    def state_degree(self, comp) -> SpokeDegree:
-        if self.kind == "e":
-            return self.degree * comp
-        eps, j = comp
-        return self.degree * (eps + j * self.height)
+    def state_degree(self, state) -> SpokeDegree:
+        r, j = state
+        return self.degree * (sum(self.folds[:r]) + j * sum(self.folds))
 
-    def state_label(self, comp) -> list[str]:
-        if self.kind == "e":
-            if comp == 0:
-                return []
-            return [self.label if comp == 1 else f"{self.label}^{comp}"]
-        eps, j = comp
-        parts = []
-        if eps:
-            parts.append(self.label)
+    def state_label(self, state) -> list[str]:
+        r, j = state
+        parts = [self.label] if r else []
         if j:
             parts.append(self.prime_label if j == 1 else f"{self.prime_label}^{j}")
         return parts
@@ -397,43 +399,28 @@ class ResolutionGens:
             if i == len(self.strands):
                 states.append(tuple(acc))
                 return
-            st = self.strands[i]
-            if st.kind == "e":
-                k = 0
-                while s_used + k <= s_cap:
-                    acc.append(k)
-                    rec(i + 1, acc, s_used + k)
+            period = len(self.strands[i].folds)
+            for j in range((s_cap - s_used) // period + 1):
+                for r in range(min(period, s_cap - s_used - period * j + 1)):
+                    acc.append((r, j))
+                    rec(i + 1, acc, s_used + r + period * j)
                     acc.pop()
-                    k += 1
-            else:
-                j = 0
-                while s_used + 2 * j <= s_cap:
-                    for eps in (0, 1):
-                        if s_used + eps + 2 * j <= s_cap:
-                            acc.append((eps, j))
-                            rec(i + 1, acc, s_used + eps + 2 * j)
-                            acc.pop()
-                    j += 1
 
         rec(0, [], 0)
         states.sort(key=lambda st: (self.s_of(st), st))
         return states
 
     def moves(self, state: GenState) -> list[tuple[Monomial, GenState, int, int]]:
-        """(pi, new state, fold, sign) per strand able to move up; the sign
-        is the parity of the cohomological degree left of the strand."""
+        """(pi, new state, fold, sign) per strand, each one step up its line;
+        the sign is the parity of the cohomological degree left of the
+        strand."""
         out = []
         prefix = 0
-        for i, (st, c) in enumerate(zip(self.strands, state)):
-            if st.kind == "e":
-                new_c, fold = c + 1, 1
-            elif c[0] == 0:
-                new_c, fold = (1, c[1]), 1
-            else:
-                new_c, fold = (0, c[1] + 1), st.height - 1
-            new = state[:i] + (new_c,) + state[i + 1 :]
-            out.append((st.pi, new, fold, -1 if prefix % 2 else 1))
-            prefix += st.state_s(c)
+        for i, (st, (r, j)) in enumerate(zip(self.strands, state)):
+            step = (r + 1, j) if r + 1 < len(st.folds) else (0, j + 1)
+            new = state[:i] + (step,) + state[i + 1 :]
+            out.append((st.pi, new, st.folds[r], -1 if prefix % 2 else 1))
+            prefix += st.state_s((r, j))
         return out
 
 
@@ -469,21 +456,13 @@ def resolution_strands(H: HopfAlgebroid) -> ResolutionGens:
             raise ConfigError(f"generator {g.name} is not primitive")
         if g.kind == EXT:
             label = "z" if e_count == 0 else f"z{e_count}"
-            strands.append(Strand("e", mono, g.degree, label))
+            strands.append(Strand(mono, g.degree, label, label, (1,)))
             e_count += 1
         elif g.kind == TRUNC:
-            height = _p_power_height(g.bound, p)
-            for t in range(height):
+            for t in range(_p_power_height(g.bound, p)):
                 pim = H.total.monomial(**{g.name: p**t})
                 strands.append(
-                    Strand(
-                        "y",
-                        pim,
-                        g.degree * (p**t),
-                        f"x{y_count}",
-                        f"xp{y_count}",
-                        height=p,
-                    )
+                    Strand(pim, g.degree * (p**t), f"x{y_count}", f"xp{y_count}", (1, p - 1))
                 )
                 y_count += 1
         else:
@@ -503,6 +482,11 @@ class DualOperators:
     ``truncated_hopf`` it is {a}); apply_fold sets those exponents to 0,
     memoises the folded image of the remaining monomial on (pi, base, fold),
     and shifts the exponents back onto it.
+
+    An image is a plain {monomial: coeff} dict with coefficients in
+    1..p-1; no monomial check and no Element.  The builder looks every term
+    up in its target slice, which holds exactly the valid monomials of the
+    target degree, so that lookup is the homogeneity guard.
     """
 
     def __init__(self, comodule: Comodule):
@@ -519,10 +503,11 @@ class DualOperators:
         self._mask = tuple(int(name in self.factored) for name in self.module.names)
         self._memo: dict[tuple[Monomial, Monomial, int], dict[Monomial, int]] = {}
 
-    def apply_fold(self, pi: Monomial, m_mono: Monomial, fold: int) -> Element:
-        """op_pi applied fold times to one module monomial."""
-        self.module.check_monomial(m_mono)
-        return Element(self.module, self._image(pi, m_mono, fold))
+    def apply_fold(self, pi: Monomial, m_mono: Monomial, fold: int) -> dict[Monomial, int]:
+        """op_pi applied fold times to one module monomial, as {monomial:
+        coeff}.  For a monomial with no factored exponent this is the memo's
+        own dict: callers read it and must not mutate it."""
+        return self._image(pi, m_mono, fold)
 
     def _image(self, pi: Monomial, mono: Monomial, fold: int) -> dict[Monomial, int]:
         """op_pi^fold(mono) as a raw dict, memoised on mono's base."""
@@ -661,8 +646,7 @@ def build_resolution_complex(
             for m_mono, state in src:
                 col: dict[int, int] = {}
                 for pi, new_state, fold, sign in moves[state]:
-                    image = ops.apply_fold(pi, m_mono, fold)
-                    for mono, c in image.coeffs.items():
+                    for mono, c in ops.apply_fold(pi, m_mono, fold).items():
                         row = dst_index.get((mono, new_state))
                         if row is None:
                             raise BookkeepingError(

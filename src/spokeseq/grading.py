@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .errors import ConfigError, WindowError
 
 _DEGREE_RE = re.compile(r"^([+-]?\d+)([+-]\d+)@$")
+_WINDOW_PART_RE = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True, order=True)
@@ -127,11 +128,10 @@ class DegreeWindow:
 
     @staticmethod
     def parse(text: str, s_max: int) -> "DegreeWindow":
+        """Four ':'-separated ASCII integers [+-]?[0-9]+.  Other spellings
+        that int() would take (digit separators, other scripts' digits,
+        inner spaces) are a ConfigError."""
         parts = text.strip().split(":")
-        if len(parts) != 4:
+        if len(parts) != 4 or not all(_WINDOW_PART_RE.fullmatch(p) for p in parts):
             raise ConfigError(f"bad window syntax {text!r}; expected 'm0:m1:n0:n1'")
-        try:
-            m0, m1, n0, n1 = (int(p) for p in parts)
-        except ValueError as exc:
-            raise ConfigError(f"bad window syntax {text!r}: {exc}") from None
-        return DegreeWindow(m0, m1, n0, n1, s_max)
+        return DegreeWindow(*map(int, parts), s_max)

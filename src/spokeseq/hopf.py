@@ -8,8 +8,9 @@ so its elements are plain ``algebra.Element``s.  Keys are kept in a
 canonical form: slot 0 holds an arbitrary monomial, later slots hold
 monomials in the non-base generators only, and base material appearing in a
 later slot is pushed one slot left through eta_R (the defining relation
-x*a (x) y = x (x) a*y of the tensor product over A).  ``element`` brings raw
-keys to that form; a product of canonical keys is canonical already.
+x*a (x) y = x (x) a*y of the tensor product over A).  ``normalize`` brings raw
+keys to that form and ``element`` wraps the result; a product of canonical
+keys is canonical already.
 
 The module also houses the Weyl-action matrix on the degree-2 generators of
 the underlying ring and the free-summand count m_k, with both the binomial
@@ -141,7 +142,12 @@ class TensorContext:
             return None
         return tuple(base_exps), tuple(residue)
 
-    def _normalize(self, raw: Mapping[TensorKey, int]) -> Mapping[TensorKey, int]:
+    def normalize(self, raw: Mapping[TensorKey, int]) -> Mapping[TensorKey, int]:
+        """raw, its keys brought to canonical slot form, as {key: coeff}.
+
+        Coefficients are not reduced, and some may be 0 mod p.  Over a Hopf
+        algebra (no base) raw is canonical already and comes back as is;
+        ``element`` reduces it and checks that it is homogeneous."""
         if not self.base.names:
             # Hopf algebra over F_p: nothing to push, already canonical
             return raw
@@ -171,7 +177,7 @@ class TensorContext:
         return out
 
     def element(self, raw: Mapping[TensorKey, int]) -> Element:
-        return Element(self, self._normalize(raw))
+        return Element(self, self.normalize(raw))
 
 
 @dataclass

@@ -80,6 +80,27 @@ def test_bad_window_syntax():
     assert code == 2
 
 
+def test_equal_windows_print_equal_reports():
+    # the header prints the canonical window, whatever the spelling
+    outs = set()
+    for window in ("0:0:-1:0", "+0:+0:-1:+0", " 0:0:-1:0", "-0:0:-1:-0"):
+        code, out = run_cli(["ext", "--p", "3", "--window", window, "--s-max", "0"])
+        assert code == 0, window
+        outs.add(out)
+    assert len(outs) == 1
+    assert "# window = 0:0:-1:0\n" in outs.pop()
+
+
+@pytest.mark.parametrize("window", ["\u0663:4:0:0", "0_0:0:-1:0", "0: 0:-1:0", "0x0:0:0:0"])
+def test_window_parts_must_be_ascii_integers(window):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(["ext", "--p", "3", "--window", window, "--s-max", "0"])
+    assert code == 2
+    assert out == ""
+    assert err.getvalue().startswith("[E_CONFIG] bad window syntax")
+
+
 def test_large_negative_exponent_is_computed():
     # psi(ul^-1050) squares the one inverse of psi(ul); l = -1050 is 0 mod 3,
     # so the class is primitive

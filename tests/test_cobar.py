@@ -3,8 +3,16 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spokeseq import fp
-from spokeseq.algebra import POLY, Element, GeneratorSpec, Presentation, monomials_in_degree
+from spokeseq import cli, fp
+from spokeseq.algebra import (
+    EXT,
+    POLY,
+    TRUNC,
+    Element,
+    GeneratorSpec,
+    Presentation,
+    monomials_in_degree,
+)
 from spokeseq.cobar import (
     DualOperators,
     build_cobar,
@@ -16,10 +24,16 @@ from spokeseq.cobar import (
     stabilize_over_n,
     validate_dsquare,
 )
-from spokeseq.errors import CompositionError, ConfigError
+from spokeseq.errors import BookkeepingError, CompositionError, ConfigError
 from spokeseq.fp import SparseMatFp
 from spokeseq.grading import DegreeWindow, SpokeDegree
-from spokeseq.hopf import Comodule, base_comodule, geometric_algebroid, truncated_hopf
+from spokeseq.hopf import (
+    Comodule,
+    TensorContext,
+    base_comodule,
+    geometric_algebroid,
+    truncated_hopf,
+)
 
 from sparse_helpers import apply
 
@@ -106,6 +120,106 @@ def test_resolution_strands_shape():
     # states at s=2: xp0, xp1, x0*x1, x0*z, x1*z, z^2 ... count them
     states = [st for st in gens.enumerate(2) if gens.s_of(st) == 2]
     assert len(states) == 6
+
+
+class TwoKindStrands:
+    """Strand formulas written out per kind, the oracle of the one periodic
+    Strand.  Kind "e" (an exterior primitive) has states k >= 0, each step
+    applying op_pi once; kind "y" (a height-p digit line) has states
+    (eps, j), stepping eps 0 -> 1 with one extraction and eps 1 -> 0,
+    j -> j + 1 with p - 1."""
+
+    def __init__(self, H):
+        p = H.p
+        self.lines = []  # (kind, pi, degree, label, prime_label)
+        for g in H.total.generators:
+            if g.kind == EXT:
+                self.lines.append(("e", H.total.monomial(**{g.name: 1}), g.degree, "z", ""))
+            else:
+                assert g.kind == TRUNC
+                t = 0
+                while p**t < g.bound:
+                    y = sum(line[0] == "y" for line in self.lines)
+                    pim = H.total.monomial(**{g.name: p**t})
+                    self.lines.append(("y", pim, g.degree * p**t, f"x{y}", f"xp{y}"))
+                    t += 1
+        self.p = p
+
+    def s_of_line(self, kind, c):
+        return c if kind == "e" else c[0] + 2 * c[1]
+
+    def s_of(self, state):
+        return sum(self.s_of_line(line[0], c) for line, c in zip(self.lines, state))
+
+    def degree_of(self, state):
+        total = D(0, 0)
+        for (kind, _, degree, _, _), c in zip(self.lines, state):
+            total = total + degree * (c if kind == "e" else c[0] + c[1] * self.p)
+        return total
+
+    def label_of(self, state):
+        parts = []
+        for (kind, _, _, label, prime), c in zip(self.lines, state):
+            if kind == "e":
+                if c:
+                    parts.append(label if c == 1 else f"{label}^{c}")
+                continue
+            eps, j = c
+            if eps:
+                parts.append(label)
+            if j:
+                parts.append(prime if j == 1 else f"{prime}^{j}")
+        return "*".join(parts) if parts else "1"
+
+    def enumerate(self, s_cap):
+        states = [()]
+        for kind, *_ in self.lines:
+            comps = (
+                range(s_cap + 1)
+                if kind == "e"
+                else [(eps, j) for j in range(s_cap // 2 + 1) for eps in (0, 1)]
+            )
+            states = [st + (c,) for st in states for c in comps]
+        states = [st for st in states if self.s_of(st) <= s_cap]
+        return sorted(states, key=lambda st: (self.s_of(st), st))
+
+    def moves(self, state):
+        out = []
+        prefix = 0
+        for i, ((kind, pi, _, _, _), c) in enumerate(zip(self.lines, state)):
+            if kind == "e":
+                new_c, fold = c + 1, 1
+            elif c[0] == 0:
+                new_c, fold = (1, c[1]), 1
+            else:
+                new_c, fold = (0, c[1] + 1), self.p - 1
+            out.append((pi, state[:i] + (new_c,) + state[i + 1 :], fold, -1 if prefix % 2 else 1))
+            prefix += self.s_of_line(kind, c)
+        return out
+
+    def periodic(self, state):
+        """The oracle state as a periodic one: an exterior k is (0, k)."""
+        return tuple((0, c) if kind == "e" else c for (kind, *_), c in zip(self.lines, state))
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_periodic_strands_match_two_kind_oracle(p, n):
+    H, _ = truncated(p, n)
+    gens = resolution_strands(H)
+    oracle = TwoKindStrands(H)
+    assert [st.pi for st in gens.strands] == [line[1] for line in oracle.lines]
+    old_states = oracle.enumerate(6)
+    states = gens.enumerate(6)
+    assert states == [oracle.periodic(st) for st in old_states]
+    for old, state in zip(old_states, states):
+        assert gens.s_of(state) == oracle.s_of(old), state
+        assert gens.degree_of(state) == oracle.degree_of(old), state
+        assert gens.label_of(state) == oracle.label_of(old), state
+        want = [
+            (pi, oracle.periodic(new), fold, sign) for pi, new, fold, sign in oracle.moves(old)
+        ]
+        assert gens.moves(state) == want, state
 
 
 def test_resolution_matches_cobar_gamma1():
@@ -208,7 +322,7 @@ def test_memoised_fold_matches_oracle(case):
         # the a-shifted monomial first, so that the shifted query fills its
         # base's memo entry
         for mono in (shifted, base):
-            assert ops.apply_fold(pi, mono, fold) == fold_oracle(M, pi, mono, fold)
+            assert ops.apply_fold(pi, mono, fold) == fold_oracle(M, pi, mono, fold).coeffs
 
 
 def test_fold_keeps_generators_with_nontrivial_coaction():
@@ -234,7 +348,7 @@ def test_fold_keeps_generators_with_nontrivial_coaction():
             for a in range(3, -1, -1):
                 for b in range(2 * p, -1, -1):
                     mono = module.monomial(a=a, b=b)
-                    want = fold_oracle(M, strand.pi, mono, fold)
+                    want = fold_oracle(M, strand.pi, mono, fold).coeffs
                     assert ops.apply_fold(strand.pi, mono, fold) == want, (strand.label, mono)
 
 
@@ -249,7 +363,7 @@ def unshared_differential(cx, ops, internal, s):
     for m_mono, state in cx.bases[(internal, s)]:
         col = {}
         for pi, new_state, fold, sign in cx.gens.moves(state):
-            for mono, c in ops.apply_fold(pi, m_mono, fold).coeffs.items():
+            for mono, c in ops.apply_fold(pi, m_mono, fold).items():
                 row = dst_index[(mono, new_state)]
                 col[row] = (col.get(row, 0) + sign * c) % p
         columns.append(col)
@@ -396,3 +510,66 @@ def test_validate_dsquare_names_route(build, route):
     _corrupt_one_entry(cx)
     with pytest.raises(CompositionError, match=rf"^\[E_DSQUARE\] {route} d\^2 != 0"):
         validate_dsquare(cx)
+
+
+def _with_extra_a(mono, module):
+    """mono times a: one step off its degree."""
+    i = module.index["a"]
+    return mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
+
+
+def _fold_with_stray_term(monkeypatch, M):
+    """Make every folded image carry one extra term of the wrong degree."""
+    image = DualOperators._image
+
+    def stray(self, pi, mono, fold):
+        return {**image(self, pi, mono, fold), _with_extra_a(mono, M.module): 1}
+
+    monkeypatch.setattr(DualOperators, "_image", stray)
+
+
+def _normalize_with_stray_terms(monkeypatch, M):
+    """Give every normalized cobar column a copy of each term, one a up."""
+    normalize = TensorContext.normalize
+
+    def stray(self, raw):
+        out = dict(normalize(self, raw))
+        for key in list(out):
+            out[(_with_extra_a(key[0], M.module),) + key[1:]] = 1
+        return out
+
+    monkeypatch.setattr(TensorContext, "normalize", stray)
+
+
+def test_resolution_lookup_rejects_a_term_of_the_wrong_degree(monkeypatch):
+    """Negative control: the slice lookup is the resolution route's
+    homogeneity guard, since apply_fold builds no Element."""
+    H, M = truncated_hopf(3, 1)
+    _fold_with_stray_term(monkeypatch, M)
+    with pytest.raises(BookkeepingError, match="resolution image leaves slice"):
+        build_resolution_complex(H, M, DegreeWindow(-1, 1, -2, 2, s_max=1))
+
+
+def test_cobar_lookup_rejects_a_term_of_the_wrong_degree(monkeypatch):
+    """Negative control: the slice lookup is the cobar route's homogeneity
+    guard, since build_cobar reads TensorContext.normalize directly."""
+    H, M = truncated_hopf(3, 1)
+    _normalize_with_stray_terms(monkeypatch, M)
+    with pytest.raises(BookkeepingError, match="cobar image leaves the enumerated slice"):
+        build_cobar(H, M, DegreeWindow(-1, 1, -2, 2, s_max=1))
+
+
+@pytest.mark.parametrize(
+    "route, corrupt",
+    [("resolution", _fold_with_stray_term), ("cobar", _normalize_with_stray_terms)],
+)
+def test_ext_exits_4_on_a_term_of_the_wrong_degree(monkeypatch, capsys, route, corrupt):
+    # the structure maps are built before the corruption, which they also use
+    H, M = truncated_hopf(3, 1)
+    monkeypatch.setattr(cli.hopf, "truncated_hopf", lambda *args: (H, M))
+    corrupt(monkeypatch, M)
+    argv = ["ext", "--route", route, "--p", "3", "--n", "1", "--window", "-1:1:-2:2"]
+    assert cli.main(argv + ["--s-max", "1"]) == cli.EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("[E_BOOKKEEPING] ")

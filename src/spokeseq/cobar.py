@@ -19,12 +19,15 @@ live here.
   line is one ``Strand`` type, differing only in its period of folds:
   (1,) for an exterior line, (1, p - 1) for a height-p digit line.
 
-Both builders read the cohomological cap from the window (slices run to
-window.s_max + 1), check d o d = 0 on every built slice with
-validate_dsquare, and send their ladders through the one homology pass,
-ext_dimensions, which always labels each class by a representative;
-resolution_ext_table is "build, then ext_dimensions".  The two routes share
-no construction code, so their agreement is a cross-check of the Ext tables.
+Both builders build exactly the differentials in ext_reads(window), the
+ones the homology pass ext_dimensions reads, and the source and target
+slices of each: homology at s reads C^(s-1) -> C^s -> C^(s+1) at one
+internal degree, so slices run to window.s_max + 1 only where a column of
+the window reads them.  They check d o d = 0 on every composable pair built
+with validate_dsquare, and ext_dimensions always labels each class by a
+representative; resolution_ext_table is "build, then ext_dimensions".  The
+two routes share no construction code, so their agreement is a cross-check
+of the Ext tables.
 
 Both builders read each column's terms as plain {key: coeff} dicts and look
 every nonzero, non-degenerate term up in the target slice's index.  That
@@ -57,6 +60,45 @@ BasisIndex = tuple[Monomial, tuple[Monomial, ...]]  # (comodule monomial, bar wo
 
 def _is_unit(mono: Monomial) -> bool:
     return not any(mono)
+
+
+# ---------------------------------------------------------------------------
+# the read set
+
+# (internal degree, s): the key of the slice C^s and of d: C^s -> C^(s+1)
+DiffKey = tuple[SpokeDegree, int]
+
+
+def _key_order(key: DiffKey) -> tuple[int, int, int]:
+    return key[0].m, key[0].n, key[1]
+
+
+def _column_reads(total: SpokeDegree, s_max: int):
+    """Per s <= s_max of one total degree's column, (s, internal degree, key
+    of d_out, key of d_in or None): C^s sits at internal degree total +
+    (s, 0), between d_in from C^(s-1) and d_out to C^(s+1)."""
+    for s in range(s_max + 1):
+        internal = total + D(s, 0)
+        yield s, internal, (internal, s), (internal, s - 1) if s else None
+
+
+def ext_reads(window: DegreeWindow) -> list[DiffKey]:
+    """The keys of every differential ext_dimensions reads on the window,
+    each once, in (m, n, s) order.  The builders build these and their
+    slices at s and s + 1, and nothing else."""
+    keys = {
+        key
+        for total in window.degrees()
+        for _, _, d_out, d_in in _column_reads(total, window.s_max)
+        for key in (d_out, d_in)
+        if key is not None
+    }
+    return sorted(keys, key=_key_order)
+
+
+def _slice_keys(reads: list[DiffKey]) -> list[DiffKey]:
+    """The source and target slice of every differential read, each once."""
+    return sorted({(internal, t) for internal, s in reads for t in (s, s + 1)}, key=_key_order)
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +160,8 @@ class CobarComplex:
     hopf: HopfAlgebroid
     comodule: Comodule
     window: DegreeWindow
-    bases: dict[tuple[SpokeDegree, int], list[BasisIndex]]
-    diffs: dict[tuple[SpokeDegree, int], SparseMatFp]
+    bases: dict[DiffKey, list[BasisIndex]]
+    diffs: dict[DiffKey, SparseMatFp]
 
     def basis_label(self, internal: SpokeDegree, s: int, i: int) -> str:
         m_mono, word = self.bases[(internal, s)][i]
@@ -131,20 +173,18 @@ class CobarComplex:
 
 
 def build_cobar(H: HopfAlgebroid, comodule: Comodule, window: DegreeWindow) -> CobarComplex:
-    """Enumerate slices and differentials for all total degrees in the window.
+    """Enumerate the differentials ext_dimensions reads on the window, and
+    their source and target slices (``ext_reads``).
 
-    Homology at cohomological degree s needs C^(s+1), so slices run to
-    window.s_max + 1.
+    A slice (internal, s) is every (module monomial, bar word of s non-unit
+    letters) of total degree internal, sorted.  The words are enumerated
+    once per (letters left, remaining degree) suffix, shared by every slice
+    of the build that reaches it.
     """
-    s_max = window.s_max
     M = comodule.module
     total = H.total
-
-    internals: set[SpokeDegree] = set()
-    for d in window.degrees():
-        for s in range(s_max + 1):
-            internals.add(d + D(s, 0))
-    max_m = max(i.m for i in internals)
+    reads = ext_reads(window)
+    max_m = max(internal.m for internal, _ in reads)
 
     candidates = _gamma_bar_candidates(H, max_m)
     by_degree: dict[SpokeDegree, list[Monomial]] = {}
@@ -157,72 +197,63 @@ def build_cobar(H: HopfAlgebroid, comodule: Comodule, window: DegreeWindow) -> C
     # with negative m reach), bar words cannot overspend the m budget
     m_nonneg = all(g.kind != INV and g.degree.m >= 0 for g in M.generators)
 
-    def module_monos(d: SpokeDegree) -> list[Monomial]:
-        return monomials_in_degree(M, d)
+    suffix_memo: dict[tuple[int, SpokeDegree], list[BasisIndex]] = {}
 
-    bases: dict[tuple[SpokeDegree, int], list[BasisIndex]] = {}
-
-    def enumerate_slice(internal: SpokeDegree, s: int) -> list[BasisIndex]:
-        out: list[BasisIndex] = []
-        word: list[Monomial] = []
-
-        def rec(slots_left: int, remaining: SpokeDegree):
-            if slots_left == 0:
-                for m_mono in module_monos(remaining):
-                    out.append((m_mono, tuple(word)))
-                return
+    def suffixes(letters: int, remaining: SpokeDegree) -> list[BasisIndex]:
+        """Every (module monomial, bar word of ``letters`` letters) of total
+        degree ``remaining``, unsorted; the memo's own list."""
+        out = suffix_memo.get((letters, remaining))
+        if out is not None:
+            return out
+        if not letters:
+            out = [(m_mono, ()) for m_mono in monomials_in_degree(M, remaining)]
+        else:
+            out = []
             for bd in bar_degrees:
-                rest_m = remaining.m - bd.m
-                if m_nonneg and rest_m - (slots_left - 1) * min_bar_m < 0:
+                if m_nonneg and remaining.m - bd.m - (letters - 1) * min_bar_m < 0:
                     continue
+                tails = suffixes(letters - 1, remaining - bd)
                 for b in by_degree[bd]:
-                    word.append(b)
-                    rec(slots_left - 1, remaining - bd)
-                    word.pop()
-
-        rec(s, internal)
-        out.sort()
+                    out.extend([(m_mono, (b,) + word) for m_mono, word in tails])
+        suffix_memo[(letters, remaining)] = out
         return out
 
-    for internal in sorted(internals, key=lambda d: (d.m, d.n)):
-        for s in range(s_max + 2):
-            bases[(internal, s)] = enumerate_slice(internal, s)
+    bases: dict[DiffKey, list[BasisIndex]] = {
+        (internal, s): sorted(suffixes(s, internal)) for internal, s in _slice_keys(reads)
+    }
 
-    diffs: dict[tuple[SpokeDegree, int], SparseMatFp] = {}
+    diffs: dict[DiffKey, SparseMatFp] = {}
     p = H.p
-    for internal in sorted(internals, key=lambda d: (d.m, d.n)):
-        for s in range(s_max + 1):
-            src = bases[(internal, s)]
-            dst = bases[(internal, s + 1)]
-            dst_index = {idx: i for i, idx in enumerate(dst)}
-            ctx = H.tensor_power_of((M,) + (total,) * (s + 1))
-            columns: list[dict[int, int]] = []
-            for (m_mono, word) in src:
-                raw: dict[TensorKey, int] = {}
-                psi = comodule.psi.apply_monomial(m_mono)
-                for key, c in psi.coeffs.items():
-                    new_key = (key[0], key[1]) + word
-                    raw[new_key] = raw.get(new_key, 0) + c
-                for i, b in enumerate(word, start=1):
-                    sign = -1 if i % 2 else 1
-                    image = H.delta.apply_monomial(b)
-                    for key, c in image.coeffs.items():
-                        new_key = (
-                            (m_mono,) + word[: i - 1] + (key[0], key[1]) + word[i:]
-                        )
-                        raw[new_key] = raw.get(new_key, 0) + sign * c
-                col: dict[int, int] = {}
-                for key, c in ctx.normalize(raw).items():
-                    if not c % p or any(_is_unit(b) for b in key[1:]):
-                        continue  # zero, or degenerate part of the normalized complex
-                    row = dst_index.get((key[0], key[1:]))
-                    if row is None:
-                        raise BookkeepingError(
-                            f"cobar image leaves the enumerated slice at {internal}, s={s}"
-                        )
-                    col[row] = c
-                columns.append(col)
-            diffs[(internal, s)] = SparseMatFp.from_columns(columns, len(dst), p)
+    for internal, s in reads:
+        src = bases[(internal, s)]
+        dst = bases[(internal, s + 1)]
+        dst_index = {idx: i for i, idx in enumerate(dst)}
+        ctx = H.tensor_power_of((M,) + (total,) * (s + 1))
+        columns: list[dict[int, int]] = []
+        for (m_mono, word) in src:
+            raw: dict[TensorKey, int] = {}
+            psi = comodule.psi.apply_monomial(m_mono)
+            for key, c in psi.coeffs.items():
+                new_key = (key[0], key[1]) + word
+                raw[new_key] = raw.get(new_key, 0) + c
+            for i, b in enumerate(word, start=1):
+                sign = -1 if i % 2 else 1
+                image = H.delta.apply_monomial(b)
+                for key, c in image.coeffs.items():
+                    new_key = (m_mono,) + word[: i - 1] + (key[0], key[1]) + word[i:]
+                    raw[new_key] = raw.get(new_key, 0) + sign * c
+            col: dict[int, int] = {}
+            for key, c in ctx.normalize(raw).items():
+                if not c % p or any(_is_unit(b) for b in key[1:]):
+                    continue  # zero, or degenerate part of the normalized complex
+                row = dst_index.get((key[0], key[1:]))
+                if row is None:
+                    raise BookkeepingError(
+                        f"cobar image leaves the enumerated slice at {internal}, s={s}"
+                    )
+                col[row] = c
+            columns.append(col)
+        diffs[(internal, s)] = SparseMatFp.from_columns(columns, len(dst), p)
 
     complex_ = CobarComplex(H, comodule, window, bases, diffs)
     validate_dsquare(complex_)
@@ -271,7 +302,9 @@ def ext_dimensions(cx: CobarComplex | ResolutionComplex) -> ExtTable:
     """Cohomology of either route's ladders, reported per (s, total degree).
 
     A representative is labelled by the least basis label in its support.
-    Each total degree is one independent column, mapped in window order.
+    Each total degree is one independent column, mapped in window order,
+    and reads the differentials ``_column_reads`` names; one the builder
+    left out raises BookkeepingError.
     Each distinct (d_in, d_out) pair of matrix objects is reduced once; the
     labels stay per slice, since the least label is not shift-invariant
     (``a^10`` sorts before ``a^9``).
@@ -279,12 +312,20 @@ def ext_dimensions(cx: CobarComplex | ResolutionComplex) -> ExtTable:
     p = cx.hopf.p
     homology: dict[tuple[int, int], tuple[int, list[fp.Vector]]] = {}
 
+    def read(key: DiffKey) -> SparseMatFp:
+        try:
+            return cx.diffs[key]
+        except KeyError:
+            internal, s = key
+            raise BookkeepingError(
+                f"{cx.route} complex has no differential at internal {internal}, s={s}"
+            ) from None
+
     def column(total: SpokeDegree):
         col = []
-        for s in range(cx.window.s_max + 1):
-            internal = total + D(s, 0)
-            d_out = cx.diffs[(internal, s)]
-            d_in = cx.diffs[(internal, s - 1)] if s else None
+        for s, internal, out_key, in_key in _column_reads(total, cx.window.s_max):
+            d_out = read(out_key)
+            d_in = read(in_key) if in_key else None
             pair = (id(d_in), id(d_out))
             if pair not in homology:
                 if d_in is None:
@@ -547,8 +588,8 @@ class ResolutionComplex:
     comodule: Comodule
     window: DegreeWindow
     gens: ResolutionGens
-    bases: dict[tuple[SpokeDegree, int], list[tuple[Monomial, GenState]]]
-    diffs: dict[tuple[SpokeDegree, int], SparseMatFp]
+    bases: dict[DiffKey, list[tuple[Monomial, GenState]]]
+    diffs: dict[DiffKey, SparseMatFp]
 
     def basis_label(self, internal: SpokeDegree, s: int, i: int) -> str:
         m_mono, state = self.bases[(internal, s)][i]
@@ -577,86 +618,83 @@ class _ModuleBlocks(dict):
 def build_resolution_complex(
     H: HopfAlgebroid, comodule: Comodule, window: DegreeWindow
 ) -> ResolutionComplex:
-    s_max = window.s_max
     gens = resolution_strands(H)
     M = comodule.module
     ops = DualOperators(comodule)
     p = H.p
 
     # each generator state's degree, as (m, n) lanes, and moves, once per state
-    states = gens.enumerate(s_max + 1)
+    states = gens.enumerate(window.s_max + 1)
     by_s: dict[int, list[tuple[GenState, int, int]]] = {}
     for st in states:
         degree = gens.degree_of(st)
         by_s.setdefault(gens.s_of(st), []).append((st, degree.m, degree.n))
     moves = {st: gens.moves(st) for st in states}
 
-    internals: set[SpokeDegree] = set()
-    for d in window.degrees():
-        for s in range(s_max + 1):
-            internals.add(d + D(s, 0))
-
     # A slice is one block of monomials per state of its height, and the
-    # slices of the window share module degrees, so each (m, n) is
-    # enumerated once, on first use.  States come sorted and so do the
-    # monomials of each degree, so every slice basis is in (state, monomial)
-    # order.  Its length is kept by (m, n, s).
+    # slices share module degrees, so each (m, n) is enumerated once, on
+    # first use.  States come sorted and so do the monomials of each degree,
+    # so every slice basis is in (state, monomial) order.  Its length is
+    # kept by (m, n, s).
+    reads = ext_reads(window)
     blocks = _ModuleBlocks(M)
-    ordered = sorted(internals, key=lambda d: (d.m, d.n))
-    bases: dict[tuple[SpokeDegree, int], list[tuple[Monomial, GenState]]] = {}
+    bases: dict[DiffKey, list[tuple[Monomial, GenState]]] = {}
     length: dict[tuple[int, int, int], int] = {}
-    for internal in ordered:
+    for internal, s in _slice_keys(reads):
         im, in_ = internal.m, internal.n
-        for s in range(s_max + 2):
-            basis = bases[(internal, s)] = [
-                (m_mono, state)
-                for state, dm, dn in by_s.get(s, ())
-                for m_mono in blocks[(im - dm, in_ - dn)]
-            ]
-            length[(im, in_, s)] = len(basis)
+        basis = bases[(internal, s)] = [
+            (m_mono, state)
+            for state, dm, dn in by_s.get(s, ())
+            for m_mono in blocks[(im - dm, in_ - dn)]
+        ]
+        length[(im, in_, s)] = len(basis)
 
     # A factored generator (a, for truncated_hopf) maps the slice one step
     # up its a-column injectively into this one, keeping the (state,
     # monomial) order, so a slice as long as that upper neighbour is its
     # a-translate.  Since op_pi(a m) = a op_pi(m), a differential between two
-    # translates is the matrix one step up, shared as the same object; only
-    # head slices apply the operators.
+    # translates is the matrix one step up, shared as the same object when
+    # that one is built; only head slices apply the operators.
     step = M.generator(ops.factored[0]).degree if ops.factored else None
     sm, sn = (step.m, step.n) if step is not None else (0, 0)
 
-    def is_translate(m: int, n: int, s: int) -> bool:
-        return step is not None and length.get((m - sm, n - sn, s)) == length[(m, n, s)]
-
-    # ordered by the component along step, so the slice at internal - step,
-    # one up the a-column, is built first
-    walk = ordered if step is None else sorted(ordered, key=lambda d: d.m * sm + d.n * sn)
-
-    diffs: dict[tuple[SpokeDegree, int], SparseMatFp] = {}
+    diffs: dict[DiffKey, SparseMatFp] = {}
     matrix: dict[tuple[int, int, int], SparseMatFp] = {}  # diffs by (m, n, s)
-    for internal in walk:
+
+    def is_translate(m: int, n: int, s: int) -> bool:
+        """Whether both slices of the differential are translates of the
+        slices of one already built a step up."""
+        return (
+            step is not None
+            and (m - sm, n - sn, s) in matrix
+            and all(length[(m - sm, n - sn, t)] == length[(m, n, t)] for t in (s, s + 1))
+        )
+
+    # ordered by the component along step, so the differential at internal
+    # - step, one up the a-column, is built first
+    for internal, s in sorted(reads, key=lambda k: k[0].m * sm + k[0].n * sn):
         im, in_ = internal.m, internal.n
-        for s in range(s_max + 1):
-            if is_translate(im, in_, s) and is_translate(im, in_, s + 1):
-                diffs[(internal, s)] = matrix[(im, in_, s)] = matrix[(im - sm, in_ - sn, s)]
-                continue
-            src = bases[(internal, s)]
-            dst = bases[(internal, s + 1)]
-            dst_index = {idx: i for i, idx in enumerate(dst)}
-            columns = []
-            for m_mono, state in src:
-                col: dict[int, int] = {}
-                for pi, new_state, fold, sign in moves[state]:
-                    for mono, c in ops.apply_fold(pi, m_mono, fold).items():
-                        row = dst_index.get((mono, new_state))
-                        if row is None:
-                            raise BookkeepingError(
-                                f"resolution image leaves slice at {internal}, s={s}"
-                            )
-                        col[row] = (col.get(row, 0) + sign * c) % p
-                columns.append({k: v for k, v in col.items() if v})
-            diffs[(internal, s)] = matrix[(im, in_, s)] = SparseMatFp.from_columns(
-                columns, len(dst), p
-            )
+        if is_translate(im, in_, s):
+            diffs[(internal, s)] = matrix[(im, in_, s)] = matrix[(im - sm, in_ - sn, s)]
+            continue
+        src = bases[(internal, s)]
+        dst = bases[(internal, s + 1)]
+        dst_index = {idx: i for i, idx in enumerate(dst)}
+        columns = []
+        for m_mono, state in src:
+            col: dict[int, int] = {}
+            for pi, new_state, fold, sign in moves[state]:
+                for mono, c in ops.apply_fold(pi, m_mono, fold).items():
+                    row = dst_index.get((mono, new_state))
+                    if row is None:
+                        raise BookkeepingError(
+                            f"resolution image leaves slice at {internal}, s={s}"
+                        )
+                    col[row] = (col.get(row, 0) + sign * c) % p
+            columns.append({k: v for k, v in col.items() if v})
+        diffs[(internal, s)] = matrix[(im, in_, s)] = SparseMatFp.from_columns(
+            columns, len(dst), p
+        )
 
     cx = ResolutionComplex(H, comodule, window, gens, bases, diffs)
     validate_dsquare(cx)

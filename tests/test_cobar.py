@@ -3,9 +3,10 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spokeseq import cli, fp
+from spokeseq import cli, cobar, fp
 from spokeseq.algebra import (
     EXT,
+    INV,
     POLY,
     TRUNC,
     Element,
@@ -15,10 +16,12 @@ from spokeseq.algebra import (
 )
 from spokeseq.cobar import (
     DualOperators,
+    _gamma_bar_candidates,
     build_cobar,
     build_resolution_complex,
     ext0_primitives,
     ext_dimensions,
+    ext_reads,
     resolution_ext_table,
     resolution_strands,
     stabilize_over_n,
@@ -415,10 +418,10 @@ def test_slice_bases_match_per_state_oracle(p, n):
         ]
         assert basis == want, (internal, s)
     if (p, n) == (3, 2):
-        # the ext-resolution-p3n2 query: the integer-length translate test
-        # shares exactly as the list-length one did
-        assert len(cx.diffs) == 2625
-        assert len({id(d) for d in cx.diffs.values()}) == 404
+        # the ext-resolution-p3n2 query builds only the differentials its
+        # Ext table reads, and shares those it can
+        assert len(cx.diffs) == 2225
+        assert len({id(d) for d in cx.diffs.values()}) == 358
 
 
 def test_resolution_shares_most_differentials():
@@ -573,3 +576,141 @@ def test_ext_exits_4_on_a_term_of_the_wrong_degree(monkeypatch, capsys, route, c
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("[E_BOOKKEEPING] ")
+
+
+def read_set_oracle(window):
+    """Per total degree t and s <= s_max, homology at s reads the
+    differentials at (t + (s, 0), s) and, for s > 0, (t + (s, 0), s - 1)."""
+    keys = set()
+    for t in window.degrees():
+        for s in range(window.s_max + 1):
+            keys.add((t + D(s, 0), s))
+            if s:
+                keys.add((t + D(s, 0), s - 1))
+    return keys
+
+
+class RecordingDiffs(dict):
+    """A differential dict that records every key read through []."""
+
+    def __init__(self, diffs):
+        super().__init__(diffs)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+READ_SET_WINDOWS = ("-1:0:-1:0", "-2:2:-2:2", "1:1:-3:0")
+
+
+@pytest.mark.parametrize("build", (build_cobar, build_resolution_complex))
+@pytest.mark.parametrize("p, n", ((3, 1), (3, 2), (5, 1)))
+@pytest.mark.parametrize("window", READ_SET_WINDOWS)
+def test_builders_build_exactly_the_read_set(build, p, n, window):
+    H, M = truncated(p, n)
+    w = DegreeWindow.parse(window, 2)
+    cx = build(H, M, w)
+    reads = read_set_oracle(w)
+    assert set(ext_reads(w)) == reads
+    assert set(cx.diffs) == reads
+    assert set(cx.bases) == {(internal, t) for internal, s in reads for t in (s, s + 1)}
+    table = ext_dimensions(cx)
+    cx.diffs = RecordingDiffs(cx.diffs)
+    assert ext_dimensions(cx) == table
+    assert cx.diffs.read == reads
+
+
+def enumerate_slice_oracle(H, comodule, window, internal, s):
+    """The recursive bar-word enumeration of one cobar slice, from scratch
+    for every slice: the reference for build_cobar's shared suffixes."""
+    M = comodule.module
+    max_m = max((d + D(t, 0)).m for d in window.degrees() for t in range(window.s_max + 1))
+    by_degree = {}
+    for mono in _gamma_bar_candidates(H, max_m):
+        by_degree.setdefault(H.total.degree_of(mono), []).append(mono)
+    bar_degrees = sorted(by_degree, key=lambda d: (d.m, d.n))
+    min_bar_m = min((d.m for d in bar_degrees), default=0)
+    m_nonneg = all(g.kind != INV and g.degree.m >= 0 for g in M.generators)
+    out = []
+    word = []
+
+    def rec(slots_left, remaining):
+        if slots_left == 0:
+            for m_mono in monomials_in_degree(M, remaining):
+                out.append((m_mono, tuple(word)))
+            return
+        for bd in bar_degrees:
+            rest_m = remaining.m - bd.m
+            if m_nonneg and rest_m - (slots_left - 1) * min_bar_m < 0:
+                continue
+            for b in by_degree[bd]:
+                word.append(b)
+                rec(slots_left - 1, remaining - bd)
+                word.pop()
+
+    rec(s, internal)
+    out.sort()
+    return out
+
+
+def geometric_base(p):
+    H = geometric_algebroid(p)
+    return H, base_comodule(H)
+
+
+@pytest.mark.parametrize(
+    "algebra, args, window",
+    [
+        (truncated, (3, 2), DegreeWindow(-1, 0, -1, 0, s_max=2)),
+        (truncated, (3, 1), DegreeWindow(-2, 2, -3, 3, s_max=2)),
+        (truncated, (5, 1), DegreeWindow(-2, 1, -2, 2, s_max=2)),
+        (geometric_base, (3,), DegreeWindow(0, 4, 0, 0, s_max=2)),
+    ],
+)
+def test_cobar_slices_match_recursive_oracle(algebra, args, window):
+    H, M = algebra(*args)
+    cx = build_cobar(H, M, window)
+    for (internal, s), basis in cx.bases.items():
+        assert basis == enumerate_slice_oracle(H, M, window, internal, s), (internal, s)
+    # the literal route shares no matrix: it is the oracle of the sharing
+    assert len({id(d) for d in cx.diffs.values()}) == len(cx.diffs)
+    if (algebra, args) == (truncated, (3, 2)):
+        # the cobar-crosscheck-p3n2 query builds no slice its table does not read
+        assert sum(len(basis) for basis in cx.bases.values()) == 21527
+        assert len(cx.diffs) == 16
+
+
+def _drop_one_differential(monkeypatch, name):
+    """Make the builder ``name`` leave out its last differential; returns
+    the list the dropped keys go to."""
+    build = getattr(cobar, name)
+    dropped = []
+
+    def without_one(*args):
+        cx = build(*args)
+        key = ext_reads(cx.window)[-1]
+        del cx.diffs[key]
+        dropped.append(key)
+        return cx
+
+    monkeypatch.setattr(cobar, name, without_one)
+    return dropped
+
+
+@pytest.mark.parametrize(
+    "route, builder", [("cobar", "build_cobar"), ("resolution", "build_resolution_complex")]
+)
+def test_missing_differential_is_a_bookkeeping_error(monkeypatch, capsys, route, builder):
+    """Negative control: a differential ext_dimensions reads and the builder
+    left out exits 4 with a coded line naming it, and prints no report."""
+    dropped = _drop_one_differential(monkeypatch, builder)
+    argv = ["ext", "--route", route, "--p", "3", "--n", "1", "--window", "-1:1:-2:2"]
+    assert cli.main(argv + ["--s-max", "1"]) == cli.EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    internal, s = dropped[0]
+    assert out == ""
+    assert err.startswith(
+        f"[E_BOOKKEEPING] {route} complex has no differential at internal {internal}, s={s}"
+    )

@@ -35,6 +35,10 @@ slice is the enumeration of every valid monomial of exactly the target
 degree, so the lookup is the homogeneity guard: a term of the wrong degree,
 or not a valid monomial, misses it and raises BookkeepingError.
 
+Every slice and differential is keyed by one integer triple (m, n, s): the
+slice C^s at internal degree m + n@, and d: C^s -> C^(s+1) out of it.  Int
+tuples sort in (m, n, s) order; SpokeDegree appears only at the boundary,
+in window degrees, ExtTable keys, monomials_in_degree calls and messages.
 Ext tables are keyed by (cohomological degree s, total degree); the internal
 degree is total + (s, 0).
 """
@@ -42,6 +46,7 @@ degree is total + (s, 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from operator import add, mul, sub
 from typing import Sequence
 
@@ -65,40 +70,35 @@ def _is_unit(mono: Monomial) -> bool:
 # ---------------------------------------------------------------------------
 # the read set
 
-# (internal degree, s): the key of the slice C^s and of d: C^s -> C^(s+1)
-DiffKey = tuple[SpokeDegree, int]
-
-
-def _key_order(key: DiffKey) -> tuple[int, int, int]:
-    return key[0].m, key[0].n, key[1]
+SliceKey = tuple[int, int, int]  # (m, n, s)
 
 
 def _column_reads(total: SpokeDegree, s_max: int):
-    """Per s <= s_max of one total degree's column, (s, internal degree, key
-    of d_out, key of d_in or None): C^s sits at internal degree total +
-    (s, 0), between d_in from C^(s-1) and d_out to C^(s+1)."""
+    """Per s <= s_max of one total degree's column, (key of d_out, key of
+    d_in or None): C^s sits at internal degree total + (s, 0), between d_in
+    from C^(s-1) and d_out to C^(s+1)."""
     for s in range(s_max + 1):
-        internal = total + D(s, 0)
-        yield s, internal, (internal, s), (internal, s - 1) if s else None
+        m, n = total.m + s, total.n
+        yield (m, n, s), (m, n, s - 1) if s else None
 
 
-def ext_reads(window: DegreeWindow) -> list[DiffKey]:
+def ext_reads(window: DegreeWindow) -> list[SliceKey]:
     """The keys of every differential ext_dimensions reads on the window,
     each once, in (m, n, s) order.  The builders build these and their
     slices at s and s + 1, and nothing else."""
     keys = {
         key
         for total in window.degrees()
-        for _, _, d_out, d_in in _column_reads(total, window.s_max)
+        for d_out, d_in in _column_reads(total, window.s_max)
         for key in (d_out, d_in)
         if key is not None
     }
-    return sorted(keys, key=_key_order)
+    return sorted(keys)
 
 
-def _slice_keys(reads: list[DiffKey]) -> list[DiffKey]:
+def _slice_keys(reads: list[SliceKey]) -> list[SliceKey]:
     """The source and target slice of every differential read, each once."""
-    return sorted({(internal, t) for internal, s in reads for t in (s, s + 1)}, key=_key_order)
+    return sorted({(m, n, t) for m, n, s in reads for t in (s, s + 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +160,11 @@ class CobarComplex:
     hopf: HopfAlgebroid
     comodule: Comodule
     window: DegreeWindow
-    bases: dict[DiffKey, list[BasisIndex]]
-    diffs: dict[DiffKey, SparseMatFp]
+    bases: dict[SliceKey, list[BasisIndex]]
+    diffs: dict[SliceKey, SparseMatFp]
 
-    def basis_label(self, internal: SpokeDegree, s: int, i: int) -> str:
-        m_mono, word = self.bases[(internal, s)][i]
+    def basis_label(self, key: SliceKey, i: int) -> str:
+        m_mono, word = self.bases[key][i]
         m_label = self.comodule.module.format_monomial(m_mono)
         if not word:
             return m_label
@@ -176,57 +176,49 @@ def build_cobar(H: HopfAlgebroid, comodule: Comodule, window: DegreeWindow) -> C
     """Enumerate the differentials ext_dimensions reads on the window, and
     their source and target slices (``ext_reads``).
 
-    A slice (internal, s) is every (module monomial, bar word of s non-unit
-    letters) of total degree internal, sorted.  The words are enumerated
-    once per (letters left, remaining degree) suffix, shared by every slice
-    of the build that reaches it.
+    A slice (m, n, s) is every (module monomial, bar word of s non-unit
+    letters) of total degree m + n@, sorted.  The words are enumerated once
+    per (letters left, remaining m, remaining n) suffix, shared by every
+    slice of the build that reaches it.
     """
     M = comodule.module
     total = H.total
     reads = ext_reads(window)
-    max_m = max(internal.m for internal, _ in reads)
+    max_m = max(m for m, _, _ in reads)
 
-    candidates = _gamma_bar_candidates(H, max_m)
-    by_degree: dict[SpokeDegree, list[Monomial]] = {}
-    for mono in candidates:
-        by_degree.setdefault(total.degree_of(mono), []).append(mono)
-    bar_degrees = sorted(by_degree, key=lambda d: (d.m, d.n))
-    min_bar_m = min((d.m for d in bar_degrees), default=0)
+    by_lane: dict[tuple[int, int], list[Monomial]] = {}
+    for mono in _gamma_bar_candidates(H, max_m):
+        d = total.degree_of(mono)
+        by_lane.setdefault((d.m, d.n), []).append(mono)
+    bar_lanes = sorted(by_lane)
+    min_bar_m = min((bm for bm, _ in bar_lanes), default=0)
 
     # pruning: when every module monomial has m >= 0 (no inverted generators
     # with negative m reach), bar words cannot overspend the m budget
     m_nonneg = all(g.kind != INV and g.degree.m >= 0 for g in M.generators)
 
-    suffix_memo: dict[tuple[int, SpokeDegree], list[BasisIndex]] = {}
-
-    def suffixes(letters: int, remaining: SpokeDegree) -> list[BasisIndex]:
+    @cache
+    def suffixes(letters: int, m: int, n: int) -> list[BasisIndex]:
         """Every (module monomial, bar word of ``letters`` letters) of total
-        degree ``remaining``, unsorted; the memo's own list."""
-        out = suffix_memo.get((letters, remaining))
-        if out is not None:
-            return out
+        degree m + n@, unsorted; the cache's own list."""
         if not letters:
-            out = [(m_mono, ()) for m_mono in monomials_in_degree(M, remaining)]
-        else:
-            out = []
-            for bd in bar_degrees:
-                if m_nonneg and remaining.m - bd.m - (letters - 1) * min_bar_m < 0:
-                    continue
-                tails = suffixes(letters - 1, remaining - bd)
-                for b in by_degree[bd]:
-                    out.extend([(m_mono, (b,) + word) for m_mono, word in tails])
-        suffix_memo[(letters, remaining)] = out
+            return [(m_mono, ()) for m_mono in monomials_in_degree(M, D(m, n))]
+        out = []
+        for bm, bn in bar_lanes:
+            if m_nonneg and m - bm - (letters - 1) * min_bar_m < 0:
+                continue
+            tails = suffixes(letters - 1, m - bm, n - bn)
+            for b in by_lane[(bm, bn)]:
+                out.extend([(m_mono, (b,) + word) for m_mono, word in tails])
         return out
 
-    bases: dict[DiffKey, list[BasisIndex]] = {
-        (internal, s): sorted(suffixes(s, internal)) for internal, s in _slice_keys(reads)
-    }
+    bases = {(m, n, s): sorted(suffixes(s, m, n)) for m, n, s in _slice_keys(reads)}
 
-    diffs: dict[DiffKey, SparseMatFp] = {}
+    diffs = {}
     p = H.p
-    for internal, s in reads:
-        src = bases[(internal, s)]
-        dst = bases[(internal, s + 1)]
+    for m, n, s in reads:
+        src = bases[(m, n, s)]
+        dst = bases[(m, n, s + 1)]
         dst_index = {idx: i for i, idx in enumerate(dst)}
         ctx = H.tensor_power_of((M,) + (total,) * (s + 1))
         columns: list[dict[int, int]] = []
@@ -249,11 +241,11 @@ def build_cobar(H: HopfAlgebroid, comodule: Comodule, window: DegreeWindow) -> C
                 row = dst_index.get((key[0], key[1:]))
                 if row is None:
                     raise BookkeepingError(
-                        f"cobar image leaves the enumerated slice at {internal}, s={s}"
+                        f"cobar image leaves the enumerated slice at {D(m, n)}, s={s}"
                     )
                 col[row] = c
             columns.append(col)
-        diffs[(internal, s)] = SparseMatFp.from_columns(columns, len(dst), p)
+        diffs[(m, n, s)] = SparseMatFp.from_columns(columns, len(dst), p)
 
     complex_ = CobarComplex(H, comodule, window, bases, diffs)
     validate_dsquare(complex_)
@@ -266,14 +258,14 @@ def validate_dsquare(cx: CobarComplex | ResolutionComplex) -> None:
     A pair of matrix objects that several slices share is composed once.
     """
     checked: set[tuple[int, int]] = set()
-    for (internal, s), d_low in cx.diffs.items():
-        d_high = cx.diffs.get((internal, s + 1))
+    for (m, n, s), d_low in cx.diffs.items():
+        d_high = cx.diffs.get((m, n, s + 1))
         pair = (id(d_low), id(d_high))
         if d_high is None or pair in checked:
             continue
         checked.add(pair)
         fp.check_zero_composite(
-            d_low, d_high, f"{cx.route} d^2 != 0 at internal {internal}, s={s}"
+            d_low, d_high, f"{cx.route} d^2 != 0 at internal {D(m, n)}, s={s}"
         )
 
 
@@ -312,18 +304,18 @@ def ext_dimensions(cx: CobarComplex | ResolutionComplex) -> ExtTable:
     p = cx.hopf.p
     homology: dict[tuple[int, int], tuple[int, list[fp.Vector]]] = {}
 
-    def read(key: DiffKey) -> SparseMatFp:
+    def read(key: SliceKey) -> SparseMatFp:
         try:
             return cx.diffs[key]
         except KeyError:
-            internal, s = key
+            m, n, s = key
             raise BookkeepingError(
-                f"{cx.route} complex has no differential at internal {internal}, s={s}"
+                f"{cx.route} complex has no differential at internal {D(m, n)}, s={s}"
             ) from None
 
     def column(total: SpokeDegree):
         col = []
-        for s, internal, out_key, in_key in _column_reads(total, cx.window.s_max):
+        for out_key, in_key in _column_reads(total, cx.window.s_max):
             d_out = read(out_key)
             d_in = read(in_key) if in_key else None
             pair = (id(d_in), id(d_out))
@@ -334,10 +326,10 @@ def ext_dimensions(cx: CobarComplex | ResolutionComplex) -> ExtTable:
             dim, reps = homology[pair]
             if dim:
                 labels = tuple(
-                    min(cx.basis_label(internal, s, i) for i, c in enumerate(vec) if c)
+                    min(cx.basis_label(out_key, i) for i, c in enumerate(vec) if c)
                     for vec in reps
                 )
-                col.append(((s, total), (dim, labels)))
+                col.append(((out_key[2], total), (dim, labels)))
         return col
 
     columns = deterministic_map(column, cx.window.degrees())
@@ -588,11 +580,11 @@ class ResolutionComplex:
     comodule: Comodule
     window: DegreeWindow
     gens: ResolutionGens
-    bases: dict[DiffKey, list[tuple[Monomial, GenState]]]
-    diffs: dict[DiffKey, SparseMatFp]
+    bases: dict[SliceKey, list[tuple[Monomial, GenState]]]
+    diffs: dict[SliceKey, SparseMatFp]
 
-    def basis_label(self, internal: SpokeDegree, s: int, i: int) -> str:
-        m_mono, state = self.bases[(internal, s)][i]
+    def basis_label(self, key: SliceKey, i: int) -> str:
+        m_mono, state = self.bases[key][i]
         m_label = self.comodule.module.format_monomial(m_mono)
         g_label = self.gens.label_of(state)
         if g_label == "1":
@@ -600,19 +592,6 @@ class ResolutionComplex:
         if m_label == "1":
             return g_label
         return f"{m_label}*{g_label}"
-
-
-class _ModuleBlocks(dict):
-    """The monomials of a module by (m, n), each degree enumerated on its
-    first lookup."""
-
-    def __init__(self, module):
-        super().__init__()
-        self.module = module
-
-    def __missing__(self, key: tuple[int, int]) -> tuple[Monomial, ...]:
-        monos = self[key] = monomials_in_degree(self.module, D(*key))
-        return monos
 
 
 def build_resolution_complex(
@@ -632,53 +611,43 @@ def build_resolution_complex(
     moves = {st: gens.moves(st) for st in states}
 
     # A slice is one block of monomials per state of its height, and the
-    # slices share module degrees, so each (m, n) is enumerated once, on
+    # slices share module degrees, so each degree is enumerated once, on
     # first use.  States come sorted and so do the monomials of each degree,
-    # so every slice basis is in (state, monomial) order.  Its length is
-    # kept by (m, n, s).
+    # so every slice basis is in (state, monomial) order.
+    block = cache(lambda m, n: monomials_in_degree(M, D(m, n)))
     reads = ext_reads(window)
-    blocks = _ModuleBlocks(M)
-    bases: dict[DiffKey, list[tuple[Monomial, GenState]]] = {}
-    length: dict[tuple[int, int, int], int] = {}
-    for internal, s in _slice_keys(reads):
-        im, in_ = internal.m, internal.n
-        basis = bases[(internal, s)] = [
+    bases = {
+        (m, n, s): [
             (m_mono, state)
             for state, dm, dn in by_s.get(s, ())
-            for m_mono in blocks[(im - dm, in_ - dn)]
+            for m_mono in block(m - dm, n - dn)
         ]
-        length[(im, in_, s)] = len(basis)
+        for m, n, s in _slice_keys(reads)
+    }
 
     # A factored generator (a, for truncated_hopf) maps the slice one step
     # up its a-column injectively into this one, keeping the (state,
     # monomial) order, so a slice as long as that upper neighbour is its
     # a-translate.  Since op_pi(a m) = a op_pi(m), a differential between two
     # translates is the matrix one step up, shared as the same object when
-    # that one is built; only head slices apply the operators.
-    step = M.generator(ops.factored[0]).degree if ops.factored else None
-    sm, sn = (step.m, step.n) if step is not None else (0, 0)
+    # that one is built; only head slices apply the operators.  With no
+    # factored generator the step is 0, and the key one step up is the
+    # differential's own, not yet built.
+    step = M.generator(ops.factored[0]).degree if ops.factored else D(0, 0)
+    sm, sn = step.m, step.n
 
-    diffs: dict[DiffKey, SparseMatFp] = {}
-    matrix: dict[tuple[int, int, int], SparseMatFp] = {}  # diffs by (m, n, s)
-
-    def is_translate(m: int, n: int, s: int) -> bool:
-        """Whether both slices of the differential are translates of the
-        slices of one already built a step up."""
-        return (
-            step is not None
-            and (m - sm, n - sn, s) in matrix
-            and all(length[(m - sm, n - sn, t)] == length[(m, n, t)] for t in (s, s + 1))
-        )
-
-    # ordered by the component along step, so the differential at internal
-    # - step, one up the a-column, is built first
-    for internal, s in sorted(reads, key=lambda k: k[0].m * sm + k[0].n * sn):
-        im, in_ = internal.m, internal.n
-        if is_translate(im, in_, s):
-            diffs[(internal, s)] = matrix[(im, in_, s)] = matrix[(im - sm, in_ - sn, s)]
+    diffs = {}
+    # ordered by the component along step, so the differential one up the
+    # a-column is built first
+    for m, n, s in sorted(reads, key=lambda k: k[0] * sm + k[1] * sn):
+        up = (m - sm, n - sn, s)
+        if up in diffs and all(
+            len(bases[(m - sm, n - sn, t)]) == len(bases[(m, n, t)]) for t in (s, s + 1)
+        ):
+            diffs[(m, n, s)] = diffs[up]
             continue
-        src = bases[(internal, s)]
-        dst = bases[(internal, s + 1)]
+        src = bases[(m, n, s)]
+        dst = bases[(m, n, s + 1)]
         dst_index = {idx: i for i, idx in enumerate(dst)}
         columns = []
         for m_mono, state in src:
@@ -688,13 +657,11 @@ def build_resolution_complex(
                     row = dst_index.get((mono, new_state))
                     if row is None:
                         raise BookkeepingError(
-                            f"resolution image leaves slice at {internal}, s={s}"
+                            f"resolution image leaves slice at {D(m, n)}, s={s}"
                         )
                     col[row] = (col.get(row, 0) + sign * c) % p
             columns.append({k: v for k, v in col.items() if v})
-        diffs[(internal, s)] = matrix[(im, in_, s)] = SparseMatFp.from_columns(
-            columns, len(dst), p
-        )
+        diffs[(m, n, s)] = SparseMatFp.from_columns(columns, len(dst), p)
 
     cx = ResolutionComplex(H, comodule, window, gens, bases, diffs)
     validate_dsquare(cx)

@@ -51,7 +51,7 @@ class SparseMatFp:
         clean: dict[tuple[int, int], int] = {}
         for (i, j), v in self.entries.items():
             if not (0 <= i < self.rows and 0 <= j < self.cols):
-                raise ConfigError(f"entry ({i},{j}) out of range {self.rows}x{self.cols}")
+                raise BookkeepingError(f"entry ({i},{j}) out of range {self.rows}x{self.cols}")
             v %= self.p
             if v:
                 clean[(i, j)] = v
@@ -96,7 +96,7 @@ class SparseMatFp:
 
     def matmul(self, other: "SparseMatFp") -> "SparseMatFp":
         if self.cols != other.rows or self.p != other.p:
-            raise ConfigError(
+            raise BookkeepingError(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
         by_row: dict[int, list[tuple[int, int]]] = {}
@@ -214,7 +214,7 @@ class Subspace:
         data = []
         for v in vectors:
             if len(v) != dim:
-                raise ConfigError("subspace vector has wrong length")
+                raise BookkeepingError("subspace vector has wrong length")
             if any(v):  # zero rows add nothing to the span
                 data.append(list(v))
         self.rows, self.pivots = rref(data, p) if data else ([], [])
@@ -290,7 +290,7 @@ def quotient_dimension(
     check_zero_composite (the Ext builders through cobar.validate_dsquare).
     """
     if d_boundary.rows != d_cycle.cols:
-        raise ConfigError(
+        raise BookkeepingError(
             f"not composable: boundary lands in dim {d_boundary.rows}, "
             f"cycle starts at dim {d_cycle.cols}"
         )

@@ -65,7 +65,7 @@ from .algebra import (
     TRUNC,
     monomials_in_degree,
 )
-from .cobar import ExtTable, build_cobar, check_stabilization_heights, resolution_ext_table
+from .cobar import build_cobar, check_stabilization_heights, resolution_ext_table
 from .errors import BookkeepingError, ConfigError, WindowError
 from .fp import SparseMatFp, Subspace, Vector, check_odd_prime, quotient_basis
 from .grading import DegreeWindow, SpokeDegree, TriDegree
@@ -967,7 +967,7 @@ def einfty_vs_ext(
     window: DegreeWindow,
     beta: int = 1,
     beta_prime: int = 1,
-) -> tuple[bool, list[str], SSPage, ExtTable]:
+) -> tuple[bool, list[str]]:
     """Total last-page dimensions per (s, total degree) against the direct
     Ext table of the truncated Hopf algebra, on the full requested window
     (pages are computed on an m-expanded window so every requested cell is
@@ -993,7 +993,7 @@ def einfty_vs_ext(
             failures.append(
                 f"s={key[0]} {key[1].format()}: pages {a}, ext {b}"
             )
-    return not failures, failures, last, table
+    return not failures, failures
 
 
 def e0_direct_weighted_ext(
@@ -1013,34 +1013,34 @@ def e0_direct_weighted_ext(
         key: [sum(e0_weight(He0.total, b) for b in word) for _, word in basis]
         for key, basis in cx.bases.items()
     }
-    for (internal, s), mat in cx.diffs.items():
-        src_w, dst_w = weights[(internal, s)], weights[(internal, s + 1)]
+    for (m, n, s), mat in cx.diffs.items():
+        src_w, dst_w = weights[(m, n, s)], weights[(m, n, s + 1)]
         for i, j in mat.entries:
             if dst_w[i] != src_w[j]:
                 raise BookkeepingError(
-                    f"filtration weight not preserved at {internal}, s={s}"
+                    f"filtration weight not preserved at {D(m, n)}, s={s}"
                 )
     out: dict[tuple[int, SpokeDegree, int], int] = {}
 
-    def ids(internal: SpokeDegree, s: int, f: int) -> list[int]:
-        return [i for i, w in enumerate(weights[(internal, s)]) if w == f]
+    def ids(key: tuple[int, int, int], f: int) -> list[int]:
+        return [i for i, w in enumerate(weights[key]) if w == f]
 
     for total in window.degrees():
         for s in range(window.s_max + 1):
-            internal = total + D(s, 0)
-            slice_weights = weights[(internal, s)]
+            m, n = total.m + s, total.n
+            slice_weights = weights[(m, n, s)]
             if not slice_weights:
                 continue
             for f in sorted(set(slice_weights)):
-                cols = ids(internal, s, f)
-                sub_out = _block(cx.diffs[(internal, s)], ids(internal, s + 1, f), cols)
+                cols = ids((m, n, s), f)
+                sub_out = _block(cx.diffs[(m, n, s)], ids((m, n, s + 1), f), cols)
                 if s == 0:
                     sub_in = SparseMatFp.zero(len(cols), 0, p)
                 else:
-                    sub_in = _block(cx.diffs[(internal, s - 1)], cols, ids(internal, s - 1, f))
+                    sub_in = _block(cx.diffs[(m, n, s - 1)], cols, ids((m, n, s - 1), f))
                 dim, _ = fp.quotient_dimension(sub_in, sub_out)
                 if dim:
-                    out[(s, internal, f)] = dim
+                    out[(s, total + D(s, 0), f)] = dim
     return out
 
 
@@ -1100,11 +1100,17 @@ class SegalReport:
     pattern_ok: dict[int, bool]
     survivor_tables: dict[int, dict[str, int]]
     stabilized_at: int | None
-    stabilized: bool
     verdict: bool
     reliable_m: tuple[int, int]
-    tower_margin: int
     notes: list[str] = field(default_factory=list)
+
+    @property
+    def stabilized(self) -> bool:
+        return self.stabilized_at is not None
+
+    @property
+    def tower_margin(self) -> int:
+        return -self.window.n_min
 
     def format(self) -> str:
         lines = [
@@ -1218,10 +1224,9 @@ def segal_pipeline(
         if tables[n] == tables[n + 1]:
             stabilized_at = n
             break
-    stabilized = stabilized_at is not None
     notes = []
     verdict = False
-    if stabilized:
+    if stabilized_at is not None:
         final = tables[stabilized_at]
         want = {}
         for nn in range(window.n_min, window.n_max + 1):
@@ -1248,9 +1253,7 @@ def segal_pipeline(
         pattern_ok=pattern_ok,
         survivor_tables=tables,
         stabilized_at=stabilized_at,
-        stabilized=stabilized,
         verdict=verdict,
         reliable_m=(max(reliable[0], window.m_min), min(reliable[1], window.m_max)),
-        tower_margin=-window.n_min,
         notes=notes,
     )

@@ -105,7 +105,7 @@ def test_criterion_3_convergence():
     start = time.monotonic()
     ok = True
     for n in (1, 2):
-        good, failures, _, _ = einfty_vs_ext(3, n, PAGE_WINDOW)
+        good, failures = einfty_vs_ext(3, n, PAGE_WINDOW)
         if not good:
             print(f"  n={n} first mismatches: {failures[:3]}")
         ok = ok and good

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import spokeseq
 from spokeseq import cli, hfp
-from spokeseq.cli import main
+from spokeseq.cli import main, parse_report
 from spokeseq.errors import ConfigError
+from spokeseq.grading import TriDegree
 
 
 def run_cli(args, tmp_path=None):
@@ -381,3 +382,24 @@ def test_report_round_trip():
         int(r[0])
         assert r[1].endswith("@")
         assert int(r[2]) >= 1
+
+
+def may_rows_up_to(args, s_cap):
+    """The page rows of a may report whose tri-degree has s <= s_cap."""
+    code, out = run_cli(["may", *args])
+    assert code == 0
+    _, rows = parse_report(out)
+    return [row for row in rows if TriDegree.parse(row[1]).s <= s_cap]
+
+
+@pytest.mark.parametrize(
+    "p, n, window, count",
+    [("3", "1", "-2:1:-2:2", 79), ("3", "2", "-4:2:-4:4", 192), ("5", "1", "-2:1:-3:3", 171)],
+)
+def test_may_rows_up_to_s_max_do_not_depend_on_s_max(p, n, window, count):
+    # the rows above --s-max are wrong (README, "Known issue"); the rows at
+    # or below it are not, and raising --s-max leaves them unchanged
+    args = ["--p", p, "--n", n, "--window", window]
+    low = may_rows_up_to(args + ["--s-max", "1"], 1)
+    assert len(low) == count
+    assert may_rows_up_to(args + ["--s-max", "3"], 1) == low

@@ -43,6 +43,11 @@ from sparse_helpers import apply
 D = SpokeDegree
 
 
+def key(internal, s):
+    """The slice key (m, n, s) of C^s at an internal SpokeDegree."""
+    return internal.m, internal.n, s
+
+
 def trivial_comodule(H):
     return Comodule(H, Presentation(H.p, []), {})
 
@@ -63,12 +68,12 @@ def test_cobar_builds_and_validates_gamma1():
     # d0 kernel in the degree of a single primitive contains that primitive:
     # a sits in (0,-1) and is primitive
     internal = D(0, -1)
-    basis0 = cx.bases[(internal, 0)]
+    basis0 = cx.bases[key(internal, 0)]
     mod = M.module
     a_mono = mod.monomial(a=1)
     col = [i for i, idx in enumerate(basis0) if idx == (a_mono, ())]
     assert len(col) == 1
-    kernel = fp.kernel_basis(cx.diffs[(internal, 0)])
+    kernel = fp.kernel_basis(cx.diffs[key(internal, 0)])
     assert any(vec[col[0]] and all(not vec[i] for i in range(len(vec)) if i != col[0]) for vec in kernel)
 
 
@@ -100,10 +105,10 @@ def test_geometric_cobar_d0():
     cx = build_cobar(H, M, w)
     # d0(y) = [yb - y] is the nonzero class represented by the word [yb]
     internal = D(2, 0)
-    basis0 = cx.bases[(internal, 0)]
-    basis1 = cx.bases[(internal, 1)]
+    basis0 = cx.bases[key(internal, 0)]
+    basis1 = cx.bases[key(internal, 1)]
     y_col = basis0.index((H.base.monomial(y=1), ()))
-    d0 = cx.diffs[(internal, 0)]
+    d0 = cx.diffs[key(internal, 0)]
     image = apply(d0, [1 if i == y_col else 0 for i in range(len(basis0))])
     assert any(image)
     yb_row = basis1.index((H.base.unit_monomial(), (H.total.monomial(yb=1),)))
@@ -355,15 +360,15 @@ def test_fold_keeps_generators_with_nontrivial_coaction():
                     assert ops.apply_fold(strand.pi, mono, fold) == want, (strand.label, mono)
 
 
-def unshared_differential(cx, ops, internal, s):
+def unshared_differential(cx, ops, m, n, s):
     """The differential out of one slice, rebuilt column by column from
     apply_fold as an unshared builder would: the oracle of the a-column
     sharing in build_resolution_complex."""
     p = cx.hopf.p
-    dst = cx.bases[(internal, s + 1)]
+    dst = cx.bases[(m, n, s + 1)]
     dst_index = {idx: i for i, idx in enumerate(dst)}
     columns = []
-    for m_mono, state in cx.bases[(internal, s)]:
+    for m_mono, state in cx.bases[(m, n, s)]:
         col = {}
         for pi, new_state, fold, sign in cx.gens.moves(state):
             for mono, c in ops.apply_fold(pi, m_mono, fold).items():
@@ -381,8 +386,8 @@ def test_shared_differentials_match_unshared_oracle(p, n):
     ops = DualOperators(M)
     distinct = {id(d) for d in cx.diffs.values()}
     assert len(distinct) < len(cx.diffs)  # the window holds translates
-    for (internal, s), d in cx.diffs.items():
-        assert d == unshared_differential(cx, ops, internal, s), (internal, s)
+    for k, d in cx.diffs.items():
+        assert d == unshared_differential(cx, ops, *k), k
 
 
 @pytest.mark.parametrize("p", (3, 5))
@@ -394,9 +399,9 @@ def test_slice_bases_are_in_state_monomial_order(p, n):
     H, M = truncated(p, n)
     cx = build_resolution_complex(H, M, DegreeWindow(-4, 2, -2 * p, 4, s_max=3))
     assert sum(len(basis) > 1 for basis in cx.bases.values()) > 10
-    for key, basis in cx.bases.items():
-        assert basis == sorted(basis, key=lambda idx: (idx[1], idx[0])), key
-        assert len(set(basis)) == len(basis), key
+    for k, basis in cx.bases.items():
+        assert basis == sorted(basis, key=lambda idx: (idx[1], idx[0])), k
+        assert len(set(basis)) == len(basis), k
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
@@ -409,14 +414,14 @@ def test_slice_bases_match_per_state_oracle(p, n):
     cx = build_resolution_complex(H, M, window)
     gens = cx.gens
     states = gens.enumerate(window.s_max + 1)
-    for (internal, s), basis in cx.bases.items():
+    for (m, n, s), basis in cx.bases.items():
         want = [
-            (m, state)
+            (mono, state)
             for state in states
             if gens.s_of(state) == s
-            for m in monomials_in_degree(M.module, internal - gens.degree_of(state))
+            for mono in monomials_in_degree(M.module, D(m, n) - gens.degree_of(state))
         ]
-        assert basis == want, (internal, s)
+        assert basis == want, (m, n, s)
     if (p, n) == (3, 2):
         # the ext-resolution-p3n2 query builds only the differentials its
         # Ext table reads, and shares those it can
@@ -447,9 +452,9 @@ def test_validate_dsquare_composes_every_distinct_pair(monkeypatch):
     H, M = truncated(3, 2)
     cx = build_resolution_complex(H, M, DegreeWindow(-4, 2, -6, 4, s_max=3))
     want = {
-        (id(d_low), id(cx.diffs[(internal, s + 1)]))
-        for (internal, s), d_low in cx.diffs.items()
-        if (internal, s + 1) in cx.diffs
+        (id(d_low), id(cx.diffs[(m, n, s + 1)]))
+        for (m, n, s), d_low in cx.diffs.items()
+        if (m, n, s + 1) in cx.diffs
     }
     composed = []
     monkeypatch.setattr(
@@ -491,14 +496,14 @@ def test_resolution_rejects_algebroid():
 def _corrupt_one_entry(cx):
     """Add 1 at (i, 0) of some d_low whose successor d_high has a nonzero
     column i, so d_high o d_low picks up that column."""
-    for (internal, s), d_low in cx.diffs.items():
-        d_high = cx.diffs.get((internal, s + 1))
+    for (m, n, s), d_low in cx.diffs.items():
+        d_high = cx.diffs.get((m, n, s + 1))
         if d_high is None or not d_low.cols or d_high.is_zero():
             continue
         i = next(iter(d_high.entries))[1]
         entries = dict(d_low.entries)
         entries[(i, 0)] = entries.get((i, 0), 0) + 1
-        cx.diffs[(internal, s)] = SparseMatFp(d_low.rows, d_low.cols, d_low.p, entries)
+        cx.diffs[(m, n, s)] = SparseMatFp(d_low.rows, d_low.cols, d_low.p, entries)
         return
     raise AssertionError("no composable pair with a nonzero d_high")
 
@@ -584,9 +589,9 @@ def read_set_oracle(window):
     keys = set()
     for t in window.degrees():
         for s in range(window.s_max + 1):
-            keys.add((t + D(s, 0), s))
+            keys.add(key(t + D(s, 0), s))
             if s:
-                keys.add((t + D(s, 0), s - 1))
+                keys.add(key(t + D(s, 0), s - 1))
     return keys
 
 
@@ -615,7 +620,7 @@ def test_builders_build_exactly_the_read_set(build, p, n, window):
     reads = read_set_oracle(w)
     assert set(ext_reads(w)) == reads
     assert set(cx.diffs) == reads
-    assert set(cx.bases) == {(internal, t) for internal, s in reads for t in (s, s + 1)}
+    assert set(cx.bases) == {(m, n, t) for m, n, s in reads for t in (s, s + 1)}
     table = ext_dimensions(cx)
     cx.diffs = RecordingDiffs(cx.diffs)
     assert ext_dimensions(cx) == table
@@ -672,8 +677,8 @@ def geometric_base(p):
 def test_cobar_slices_match_recursive_oracle(algebra, args, window):
     H, M = algebra(*args)
     cx = build_cobar(H, M, window)
-    for (internal, s), basis in cx.bases.items():
-        assert basis == enumerate_slice_oracle(H, M, window, internal, s), (internal, s)
+    for (m, n, s), basis in cx.bases.items():
+        assert basis == enumerate_slice_oracle(H, M, window, D(m, n), s), (m, n, s)
     # the literal route shares no matrix: it is the oracle of the sharing
     assert len({id(d) for d in cx.diffs.values()}) == len(cx.diffs)
     if (algebra, args) == (truncated, (3, 2)):
@@ -690,9 +695,9 @@ def _drop_one_differential(monkeypatch, name):
 
     def without_one(*args):
         cx = build(*args)
-        key = ext_reads(cx.window)[-1]
-        del cx.diffs[key]
-        dropped.append(key)
+        last = ext_reads(cx.window)[-1]
+        del cx.diffs[last]
+        dropped.append(last)
         return cx
 
     monkeypatch.setattr(cobar, name, without_one)
@@ -709,8 +714,8 @@ def test_missing_differential_is_a_bookkeeping_error(monkeypatch, capsys, route,
     argv = ["ext", "--route", route, "--p", "3", "--n", "1", "--window", "-1:1:-2:2"]
     assert cli.main(argv + ["--s-max", "1"]) == cli.EXIT_INTERNAL
     out, err = capsys.readouterr()
-    internal, s = dropped[0]
+    m, n, s = dropped[0]
     assert out == ""
     assert err.startswith(
-        f"[E_BOOKKEEPING] {route} complex has no differential at internal {internal}, s={s}"
+        f"[E_BOOKKEEPING] {route} complex has no differential at internal {D(m, n)}, s={s}"
     )

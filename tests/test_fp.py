@@ -136,6 +136,33 @@ def test_quotient_with_basis_refuses_a_lost_representative(monkeypatch):
         fp.quotient_dimension(d_boundary, d_cycle)
 
 
+# No user input reaches a shape check in fp: a bad shape is an internal
+# fault of the caller, [E_BOOKKEEPING] (exit 4), not a configuration error.
+
+
+def test_entry_out_of_range_is_a_bookkeeping_error():
+    with pytest.raises(BookkeepingError, match=r"^\[E_BOOKKEEPING\] entry \(2,0\) out of range"):
+        SparseMatFp(2, 1, 3, {(2, 0): 1})
+
+
+@pytest.mark.parametrize(
+    "other", [SparseMatFp.zero(3, 2, 3), SparseMatFp.zero(2, 2, 5)], ids=["shape", "prime"]
+)
+def test_matmul_mismatch_is_a_bookkeeping_error(other):
+    with pytest.raises(BookkeepingError, match=r"^\[E_BOOKKEEPING\] cannot compose 2x2 with"):
+        SparseMatFp.zero(2, 2, 3).matmul(other)
+
+
+def test_subspace_vector_of_wrong_length_is_a_bookkeeping_error():
+    with pytest.raises(BookkeepingError, match=r"^\[E_BOOKKEEPING\] subspace vector has wrong"):
+        Subspace([(1, 0, 0)], 2, 3)
+
+
+def test_quotient_of_a_pair_that_does_not_compose_is_a_bookkeeping_error():
+    with pytest.raises(BookkeepingError, match=r"^\[E_BOOKKEEPING\] not composable"):
+        fp.quotient_dimension(SparseMatFp.zero(3, 1, 3), SparseMatFp.zero(1, 2, 3))
+
+
 @st.composite
 def random_sparse(draw):
     p = draw(st.sampled_from([3, 5, 7]))

@@ -686,14 +686,14 @@ def test_associated_graded_refuses_line_without_dsquare(monkeypatch):
 
 
 def test_einfty_matches_ext_small():
-    ok, failures, _, _ = einfty_vs_ext(3, 1, DegreeWindow(-6, 3, -6, 6, s_max=3))
+    ok, failures = einfty_vs_ext(3, 1, DegreeWindow(-6, 3, -6, 6, s_max=3))
     assert ok, failures[:5]
-    ok, failures, _, _ = einfty_vs_ext(3, 2, DegreeWindow(-5, 3, -5, 5, s_max=3))
+    ok, failures = einfty_vs_ext(3, 2, DegreeWindow(-5, 3, -5, 5, s_max=3))
     assert ok, failures[:5]
 
 
 def test_einfty_matches_ext_beta2():
-    ok, failures, _, _ = einfty_vs_ext(
+    ok, failures = einfty_vs_ext(
         3, 1, DegreeWindow(-5, 3, -5, 5, s_max=3), beta=2, beta_prime=2
     )
     assert ok, failures[:5]
@@ -702,7 +702,7 @@ def test_einfty_matches_ext_beta2():
 def test_einfty_matches_ext_p5():
     # at p = 5 two intermediate pages carry the zero differential; the
     # convergence check certifies that no differential is missing there
-    ok, failures, _, _ = einfty_vs_ext(5, 1, DegreeWindow(-5, 3, -6, 6, s_max=3))
+    ok, failures = einfty_vs_ext(5, 1, DegreeWindow(-5, 3, -6, 6, s_max=3))
     assert ok, failures[:5]
 
 

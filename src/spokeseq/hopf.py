@@ -606,16 +606,6 @@ def m_k_formula(p: int, k: int) -> int:
     return math.comb(k + p - 2, p - 2) // p
 
 
-def _sym_basis(nvars: int, k: int) -> list[tuple[int, ...]]:
-    if nvars == 1:
-        return [(k,)]
-    out = []
-    for e in range(k + 1):
-        for rest in _sym_basis(nvars - 1, k - e):
-            out.append((e,) + rest)
-    return out
-
-
 def m_k_oracle(p: int, k: int) -> int:
     """Number of free group-algebra summands of Sym^k of the reduced regular
     representation: rank of (gamma - 1)^(p-1) on the monomial basis."""
@@ -627,7 +617,8 @@ def m_k_oracle(p: int, k: int) -> int:
     gamma_cols = [
         {i: v for (i, j), v in gamma.entries.items() if j == col} for col in range(nvars)
     ]
-    basis = _sym_basis(nvars, k)
+    sym = Presentation(p, [GeneratorSpec(f"mu{i}", D(2, 0), POLY) for i in range(1, p)])
+    basis = monomials_in_degree(sym, D(2 * k, 0))
     index = {mono: i for i, mono in enumerate(basis)}
 
     poly_cache: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from collections import UserList
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
@@ -65,7 +64,12 @@ from .algebra import (
     TRUNC,
     monomials_in_degree,
 )
-from .cobar import build_cobar, check_stabilization_heights, resolution_ext_table
+from .cobar import (
+    build_cobar,
+    check_stabilization_heights,
+    ext_dimensions,
+    resolution_ext_table,
+)
 from .errors import BookkeepingError, ConfigError, WindowError
 from .fp import SparseMatFp, Subspace, Vector, check_odd_prime, quotient_basis
 from .grading import DegreeWindow, SpokeDegree, TriDegree
@@ -163,10 +167,10 @@ class ATranslate(UserList):
 
 
 def e1_monomials(
-    e1: MayE1, window: DegreeWindow, s_cap: int
+    e1: MayE1, window: DegreeWindow
 ) -> dict[TriDegree, list[Monomial] | ATranslate]:
-    """Enumerate first-page monomials per tri-degree, one sorted list per
-    non-empty cell.
+    """Enumerate first-page monomials per tri-degree up to s = window.s_max,
+    one sorted list per non-empty cell.
 
     The generator part (everything except a, ul, us) is enumerated once; in
     each column (m, s, f) the coefficient part a^alpha ul^l us^eps of a
@@ -186,6 +190,7 @@ def e1_monomials(
     """
     pres = e1.pres
     s_deg, f_deg = e1.s_deg, e1.f_deg
+    s_cap = window.s_max
 
     # (monomial, m, n) of every generator part within the s budget, by (s, f);
     # exterior generators take exponents 0..1
@@ -541,7 +546,7 @@ def _whole_space(size: int, p: int) -> Subspace:
 
 
 def page_one(e1: MayE1, window: DegreeWindow) -> SSPage:
-    table = e1_monomials(e1, window, window.s_max)
+    table = e1_monomials(e1, window)
     columns: dict[ColumnKey, Column] = {}
     for tri, monos in table.items():
         if isinstance(monos, ATranslate):
@@ -833,61 +838,26 @@ def associated_graded_check(p: int, n: int, degrees) -> tuple[bool, list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# first page vs the associated-graded cohomology (the closed-form check)
+# first page vs the associated-graded cohomology (the closed-form check),
+# one build_cobar per line of e0_hopf
 
 
-def _truncated_line_words(k: int, s: int, p: int) -> list[tuple[int, ...]]:
-    """Words of length s with parts in 1..p-1 summing to k."""
-    if s == 0:
-        return [()] if k == 0 else []
+def _line_ext_classes(p: int, g: GeneratorSpec, s_cap: int):
+    """Cobar cohomology of one line of the associated graded, the primitive
+    Hopf algebra on g alone with trivial coefficients, by build_cobar:
+    [(s, internal degree, f, dim)].  Every bar word of internal degree k|g|
+    has filtration weight f = k, and with g^top = 0 a word of s + 1 letters
+    has k <= (s + 1)(top - 1).  Nothing here knows the expected answer."""
+    H = primitive_hopf(p, [g])
+    triv = Comodule(H, Presentation(p, []), {})
+    top = 2 if g.kind == EXT else g.bound
     out = []
-    for first in range(1, p):
-        if first > k:
-            break
-        for rest in _truncated_line_words(k - first, s - 1, p):
-            out.append((first,) + rest)
-    return out
-
-
-def _factor_ext_classes(p: int, height_degree: SpokeDegree, s_cap: int):
-    """Honest cobar cohomology of one truncated line F_p[nu]/(nu^p) with nu
-    primitive of the given degree.  All words of one internal degree
-    k * |nu| share the filtration weight k, so classes come out as
-    [(s, internal degree, f = k, dim)].  Nothing here knows the expected
-    exterior x / polynomial x' answer; it is plain row reduction on the
-    binomial-coefficient splitting differential.
-    """
-    out = []
-    for k in range(0, (s_cap + 1) * (p - 1) + 1):
-        words = {s: _truncated_line_words(k, s, p) for s in range(s_cap + 2)}
-        mats = {}
-        for s in range(s_cap + 1):
-            src = words[s]
-            dst = words[s + 1]
-            dst_index = {w: i for i, w in enumerate(dst)}
-            columns = []
-            for w in src:
-                col: dict[int, int] = {}
-                for i, part in enumerate(w):
-                    sign = -1 if (i + 1) % 2 else 1
-                    for j in range(1, part):
-                        coeff = math.comb(part, j) % p
-                        if not coeff:
-                            continue
-                        new = w[:i] + (j, part - j) + w[i + 1 :]
-                        row = dst_index[new]
-                        col[row] = (col.get(row, 0) + sign * coeff) % p
-                columns.append({r: v for r, v in col.items() if v})
-            mats[s] = SparseMatFp.from_columns(columns, len(dst), p)
-            if s:
-                fp.check_zero_composite(
-                    mats[s - 1], mats[s], f"truncated line d^2 != 0 at k={k}, s={s - 1}"
-                )
-        for s in range(s_cap + 1):
-            d_in = mats.get(s - 1) or SparseMatFp.zero(len(words[s]), 0, p)
-            dim, _ = fp.quotient_dimension(d_in, mats[s])
-            if dim:
-                out.append((s, height_degree * k, k, dim))
+    for k in range((s_cap + 1) * (top - 1) + 1):
+        internal = g.degree * k
+        row = DegreeWindow(internal.m - s_cap, internal.m, internal.n, internal.n, s_cap)
+        for (s, total), dim in ext_dimensions(build_cobar(H, triv, row)).dims().items():
+            if total + D(s, 0) == internal:
+                out.append((s, internal, k, dim))
     return out
 
 
@@ -905,17 +875,9 @@ def _block(mat: SparseMatFp, row_ids, col_ids) -> SparseMatFp:
 
 def associated_graded_ext_classes(p: int, n: int, s_cap: int):
     """Cohomology classes of the associated-graded Hopf algebra with trivial
-    coefficients, assembled from the digit lines and the exterior line by the
-    Kuenneth tensor decomposition: [(s, internal degree, f, dim)]."""
-    mu_degree = D(1, 1)
-    factors = []
-    for t in range(n):
-        deg = D(2 * p**t, 2 * (p - 1) * p**t)
-        factors.append(_factor_ext_classes(p, deg, s_cap))
-    # exterior line: Ext = F_p[z] with z = [mu]: one class per s, f = s
-    z_classes = [(s, mu_degree * s, s, 1) for s in range(s_cap + 1)]
-    factors.append(z_classes)
-
+    coefficients, assembled from its lines, one per generator of e0_hopf,
+    by the Kuenneth tensor decomposition: {(s, internal degree, f): dim}."""
+    factors = [_line_ext_classes(p, g, s_cap) for g in e0_hopf(p, n).total.generators]
     acc: dict[tuple[int, SpokeDegree, int], int] = {(0, D(0, 0), 0): 1}
     for fac in factors:
         nxt: dict[tuple[int, SpokeDegree, int], int] = {}
@@ -933,7 +895,7 @@ def e1_vs_associated_graded(p: int, n: int, window: DegreeWindow) -> tuple[bool,
     """Closed-form first-page monomial counts against the cohomology of the
     associated graded, convolved with the coefficient module, tri-degree by
     tri-degree over the window."""
-    table = e1_monomials(may_e1(p, n), window, window.s_max)
+    table = e1_monomials(may_e1(p, n), window)
     closed = {tri: len(monos) for tri, monos in table.items()}
     graded = associated_graded_ext_classes(p, n, window.s_max)
 
@@ -1001,8 +963,9 @@ def e0_direct_weighted_ext(
 ) -> dict[tuple[int, SpokeDegree, int], int]:
     """Small-window cross-check: the full multi-line cobar of the associated
     graded with trivial coefficients, homology split by filtration weight.
-    Exponential in s, so only for modest windows; its agreement with
-    associated_graded_ext_classes certifies the tensor assembly.
+    Exponential in s, so only for modest windows.  associated_graded_ext_classes
+    runs the same build_cobar on one line at a time, so their agreement
+    certifies its Kuenneth assembly.
 
     A bar word weighs the sum of its letters' e0_weight; the differential
     must preserve it, entry by entry, or the split is meaningless."""

@@ -5,6 +5,7 @@ pass/fail lines.
 """
 
 import time
+from collections import Counter
 
 from spokeseq import hfp, hopf
 from spokeseq.algebra import (
@@ -180,27 +181,28 @@ def test_criterion_6_free_summands():
 def test_criterion_7_point_ring_dimensions():
     ok = True
     pos_pres = hfp.positive_cone(3)
+    # independent brute-force counts over generous exponent boxes, each box
+    # walked once and counted by degree
+    pos = Counter(
+        D(0, -1) * a + D(2, -2) * ul + D(1, -1) * us
+        for a in range(0, 30)
+        for ul in range(0, 15)
+        for us in (0, 1)
+    )
+    neg = Counter(
+        NegClass(eps, j, k).degree
+        for eps in (0, 1)
+        for j in range(1, 30)
+        for k in range(1, 40)
+    )
     for m in range(-6, 7):
         for nn in range(-8, 9):
             d = D(m, nn)
-            # independent brute-force counts over generous exponent boxes
-            pos = 0
-            for a in range(0, 30):
-                for ul in range(0, 15):
-                    for us in (0, 1):
-                        if D(0, -1) * a + D(2, -2) * ul + D(1, -1) * us == d:
-                            pos += 1
-            neg = 0
-            for eps in (0, 1):
-                for j in range(1, 30):
-                    for k in range(1, 40):
-                        if NegClass(eps, j, k).degree == d:
-                            neg += 1
             full = len(hfp.basis_in_degree(3, HfpVariant.FULL, d))
-            if full != pos + neg:
+            if full != pos[d] + neg[d]:
                 ok = False
-                print(f"  dim mismatch at {d.format()}: {full} vs {pos}+{neg}")
-            if len(monomials_in_degree(pos_pres, d)) != pos:
+                print(f"  dim mismatch at {d.format()}: {full} vs {pos[d]}+{neg[d]}")
+            if len(monomials_in_degree(pos_pres, d)) != pos[d]:
                 ok = False
                 print(f"  positive-cone mismatch at {d.format()}")
     # torsion orders match labels

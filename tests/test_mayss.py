@@ -2,14 +2,15 @@ import hashlib
 import io
 import re
 from contextlib import redirect_stdout
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from spokeseq import charts, mayss
+from spokeseq import charts, hopf, mayss
 from spokeseq.algebra import TRUNC, GeneratorSpec, Monomial, Presentation, monomials_in_degree
 from spokeseq.cli import main
-from spokeseq.errors import BookkeepingError, CompositionError, WindowError
+from spokeseq.errors import BookkeepingError, WindowError
 from spokeseq.fp import Subspace
 from spokeseq.grading import DegreeWindow, SpokeDegree, TriDegree
 from spokeseq.hopf import truncated_hopf
@@ -63,7 +64,7 @@ def test_e1_generator_tridegrees():
 def test_e1_cells():
     e1 = may_e1(3, 1)
     w = DegreeWindow(-4, 6, -6, 6, s_max=4)
-    table = e1_monomials(e1, w, 4)
+    table = e1_monomials(e1, w)
     cell = table[TriDegree(D(0, -1), 0, 0)]
     assert [e1.pres.format_monomial(m) for m in cell] == ["a"]
     cell = table[TriDegree(D(5, 0), 1, 1)]
@@ -213,7 +214,7 @@ def test_first_page_a_column_layout(p, n):
     e1 = may_e1(p, n)
     assert e1.a_pos == 0
     window = DegreeWindow(-4, 2, -5, 3, s_max=3)
-    table = e1_monomials(e1, window, window.s_max)
+    table = e1_monomials(e1, window)
     with_upper = 0
     for tri, monos in table.items():
         upper = table.get(upper_tri(tri))
@@ -320,7 +321,7 @@ def test_lazy_cells_match_eager_oracle(p, n):
     e1 = may_e1(p, n)
     window = DegreeWindow(-5, 2, -5, 3, s_max=2)
     eager = e1_monomials_eager(e1, window, 4)
-    table = e1_monomials(e1, window, 4)
+    table = e1_monomials(e1, replace(window, s_max=4))
     assert list(table) == list(eager)
     assert any(isinstance(monos, mayss.ATranslate) for monos in table.values())
     assert {tri: list(monos) for tri, monos in table.items()} == eager
@@ -673,16 +674,22 @@ def test_e1_pinned_coefficients_match_enumerator(p, n):
             if s_of(e1, mono) <= s_cap:
                 tri = TriDegree(total, s_of(e1, mono), f_of(e1, mono))
                 expected.setdefault(tri, []).append(mono)
-    assert e1_monomials(e1, window, s_cap) == expected
+    assert e1_monomials(e1, window) == expected
 
-def test_associated_graded_refuses_line_without_dsquare(monkeypatch):
-    # the truncated-line differentials are built by hand from binomial
-    # coefficients; a wrong coefficient rule must fail the d o d check
-    import math
 
-    monkeypatch.setattr(math, "comb", lambda n, k: k)
-    with pytest.raises(CompositionError, match=r"truncated line d\^2 != 0"):
-        associated_graded_ext_classes(5, 1, 2)
+def test_associated_graded_lines_read_the_coproduct(monkeypatch):
+    # each line's cohomology comes from build_cobar on primitive_hopf, so a
+    # coproduct without its 1 (x) g term must change the graded answer
+    window = DegreeWindow(-4, 2, -4, 4, s_max=3)
+    assert e1_vs_associated_graded(3, 1, window)[0]
+
+    def left_only(total, name):
+        g = total.monomial(**{name: 1})
+        return {(g, total.unit_monomial()): 1}
+
+    monkeypatch.setattr(hopf, "_primitive_coproduct", left_only)
+    ok, failures = e1_vs_associated_graded(3, 1, window)
+    assert not ok and len(failures) == 504
 
 
 def test_einfty_matches_ext_small():

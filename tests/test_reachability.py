@@ -55,8 +55,7 @@ KEPT = {
     # the closed-form E_1 against the cohomology of the associated graded
     "mayss.e1_vs_associated_graded": CLOSED_FORM,
     "mayss.associated_graded_ext_classes": CLOSED_FORM,
-    "mayss._factor_ext_classes": CLOSED_FORM,
-    "mayss._truncated_line_words": CLOSED_FORM,
+    "mayss._line_ext_classes": CLOSED_FORM,
     # the page engine reads head lists only; the closed form counts them all
     "mayss.ATranslate.data": CLOSED_FORM,
     # its Kuenneth assembly against the weighted cobar of the associated graded

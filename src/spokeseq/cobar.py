@@ -213,9 +213,13 @@ def build_cobar(H: HopfAlgebroid, comodule: Comodule, window: DegreeWindow) -> C
         return out
 
     bases = {(m, n, s): sorted(suffixes(s, m, n)) for m, n, s in _slice_keys(reads)}
+    # suffixes calls itself through its closure, a reference cycle: empty
+    # the cache now, or its lists wait for the next full collection
+    suffixes.cache_clear()
 
     diffs = {}
     p = H.p
+    unit = total.unit_monomial()  # every bar letter is a monomial of total
     for m, n, s in reads:
         src = bases[(m, n, s)]
         dst = bases[(m, n, s + 1)]
@@ -236,7 +240,7 @@ def build_cobar(H: HopfAlgebroid, comodule: Comodule, window: DegreeWindow) -> C
                     raw[new_key] = raw.get(new_key, 0) + sign * c
             col: dict[int, int] = {}
             for key, c in ctx.normalize(raw).items():
-                if not c % p or any(_is_unit(b) for b in key[1:]):
+                if not c % p or unit in key[1:]:
                     continue  # zero, or degenerate part of the normalized complex
                 row = dst_index.get((key[0], key[1:]))
                 if row is None:
@@ -297,12 +301,22 @@ def ext_dimensions(cx: CobarComplex | ResolutionComplex) -> ExtTable:
     Each total degree is one independent column, mapped in window order,
     and reads the differentials ``_column_reads`` names; one the builder
     left out raises BookkeepingError.
-    Each distinct (d_in, d_out) pair of matrix objects is reduced once; the
-    labels stay per slice, since the least label is not shift-invariant
-    (``a^10`` sorts before ``a^9``).
+    Each distinct (d_in, d_out) pair is reduced once.  Pairs are compared by
+    content, not only by object, so equal matrices a builder built apart
+    (the literal cobar route shares none) are reduced once too.  The labels
+    stay per slice, since the least label is not shift-invariant (``a^10``
+    sorts before ``a^9``).
     """
     p = cx.hopf.p
-    homology: dict[tuple[int, int], tuple[int, list[fp.Vector]]] = {}
+    Homology = tuple[int, list[fp.Vector]]
+    by_content: dict[tuple, Homology] = {}
+    # every differential stays in cx.diffs for the whole pass, so its id
+    # names it; a pair of objects seen before skips building its key
+    by_object: dict[tuple[int, int], Homology] = {}
+
+    def content(d: SparseMatFp | None) -> tuple | None:
+        # entries are kept sorted, so equal matrices give equal keys
+        return d and (d.rows, d.cols, tuple(d.entries), tuple(d.entries.values()))
 
     def read(key: SliceKey) -> SparseMatFp:
         try:
@@ -318,12 +332,14 @@ def ext_dimensions(cx: CobarComplex | ResolutionComplex) -> ExtTable:
         for out_key, in_key in _column_reads(total, cx.window.s_max):
             d_out = read(out_key)
             d_in = read(in_key) if in_key else None
-            pair = (id(d_in), id(d_out))
-            if pair not in homology:
-                if d_in is None:
-                    d_in = SparseMatFp.zero(d_out.cols, 0, p)
-                homology[pair] = fp.quotient_dimension(d_in, d_out)
-            dim, reps = homology[pair]
+            objects = (id(d_in), id(d_out))
+            if objects not in by_object:
+                pair = (content(d_in), content(d_out))
+                if pair not in by_content:
+                    boundary = d_in or SparseMatFp.zero(d_out.cols, 0, p)
+                    by_content[pair] = fp.quotient_dimension(boundary, d_out)
+                by_object[objects] = by_content[pair]
+            dim, reps = by_object[objects]
             if dim:
                 labels = tuple(
                     min(cx.basis_label(out_key, i) for i, c in enumerate(vec) if c)

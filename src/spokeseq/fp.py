@@ -82,16 +82,27 @@ class SparseMatFp:
         return not self.entries
 
     def nonzero_rows(self) -> list[list[int]]:
-        """The rows that hold an entry, dense and in row order; the zero rows
-        add nothing to the row space, so they are not built."""
-        out: list[list[int]] = []
+        """The distinct nonzero rows, dense, in order of first appearance.
+        A zero row or a repeat of an earlier row adds nothing to the row
+        space, so each row is read as its run of (column, value) pairs first
+        and only the first of equal runs is built."""
+        runs: dict[tuple[tuple[int, int], ...], None] = {}
+        run: list[tuple[int, int]] = []
         last = -1
         for (i, j), v in self.entries.items():  # sorted by (row, col)
             if i != last:
-                row = [0] * self.cols
-                out.append(row)
+                runs[tuple(run)] = None
+                run = []
                 last = i
-            row[j] = v
+            run.append((j, v))
+        runs[tuple(run)] = None
+        del runs[()]  # the empty run before the first row
+        out: list[list[int]] = []
+        for key in runs:
+            row = [0] * self.cols
+            for j, v in key:
+                row[j] = v
+            out.append(row)
         return out
 
     def matmul(self, other: "SparseMatFp") -> "SparseMatFp":

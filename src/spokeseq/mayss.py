@@ -846,13 +846,14 @@ def _line_ext_classes(p: int, g: GeneratorSpec, s_cap: int):
     """Cobar cohomology of one line of the associated graded, the primitive
     Hopf algebra on g alone with trivial coefficients, by build_cobar:
     [(s, internal degree, f, dim)].  Every bar word of internal degree k|g|
-    has filtration weight f = k, and with g^top = 0 a word of s + 1 letters
-    has k <= (s + 1)(top - 1).  Nothing here knows the expected answer."""
+    has filtration weight f = k, and with g^top = 0 a word of s letters has
+    k <= s(top - 1), so k past s_cap(top - 1) has no class at s <= s_cap.
+    Nothing here knows the expected answer."""
     H = primitive_hopf(p, [g])
     triv = Comodule(H, Presentation(p, []), {})
     top = 2 if g.kind == EXT else g.bound
     out = []
-    for k in range((s_cap + 1) * (top - 1) + 1):
+    for k in range(s_cap * (top - 1) + 1):
         internal = g.degree * k
         row = DegreeWindow(internal.m - s_cap, internal.m, internal.n, internal.n, s_cap)
         for (s, total), dim in ext_dimensions(build_cobar(H, triv, row)).dims().items():

@@ -1,4 +1,5 @@
 from functools import cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -685,6 +686,59 @@ def test_cobar_slices_match_recursive_oracle(algebra, args, window):
         # the cobar-crosscheck-p3n2 query builds no slice its table does not read
         assert sum(len(basis) for basis in cx.bases.values()) == 21527
         assert len(cx.diffs) == 16
+
+
+def test_equal_pairs_are_reduced_once(monkeypatch):
+    # the cobar-crosscheck-p3n2 query's 16 differentials are 9 distinct
+    # matrices, built apart: the homology pass compares them by content and
+    # reduces 7 distinct pairs, where a memo on objects reduced 12
+    H, M = truncated(3, 2)
+    window = DegreeWindow(-1, 0, -1, 0, s_max=2)
+    cx = build_cobar(H, M, window)
+    # its two tall differentials out of s = 2: most of their nonzero rows
+    # repeat an earlier one, and nonzero_rows hands each distinct one on once
+    for key, nonzero, distinct in (((1, -1, 2), 2865, 1188), ((2, -1, 2), 2716, 1280)):
+        d = cx.diffs[key]
+        assert (d.rows, d.cols) == (4913, 289)
+        assert len({i for i, _ in d.entries}) == nonzero
+        rows = d.nonzero_rows()
+        assert len(rows) == len(set(map(tuple, rows))) == distinct
+    real = fp.quotient_dimension
+    calls = []
+
+    def counted(d_in, d_out):
+        calls.append((d_in, d_out))
+        return real(d_in, d_out)
+
+    monkeypatch.setattr(fp, "quotient_dimension", counted)
+    table = ext_dimensions(cx)
+    assert len(calls) == 7
+    monkeypatch.setattr(fp, "quotient_dimension", real)
+    assert table.dims() == resolution_ext_table(H, M, window).dims()
+
+
+class TwoColumnStub:
+    """Two total degrees of one row, s = 0 only, with hand-made d_out."""
+
+    route = "stub"
+
+    def __init__(self, first, second):
+        self.hopf = SimpleNamespace(p=3)
+        self.window = DegreeWindow(0, 1, 0, 0, s_max=0)
+        self.diffs = {(0, 0, 0): first, (1, 0, 0): second}
+
+    def basis_label(self, key, i):
+        return f"x{i}"
+
+
+def test_pairs_of_one_shape_and_entry_count_are_told_apart():
+    # negative control: [1 0] and [0 1] share shape and entry count but not
+    # their kernels, so the two columns get different representatives; a
+    # memo keyed on shape alone hands the second column the first's class
+    first = SparseMatFp(1, 2, 3, {(0, 0): 1})
+    second = SparseMatFp(1, 2, 3, {(0, 1): 1})
+    table = ext_dimensions(TwoColumnStub(first, second))
+    assert table.entries == {(0, D(0, 0)): (1, ("x1",)), (0, D(1, 0)): (1, ("x0",))}
 
 
 def _drop_one_differential(monkeypatch, name):

@@ -236,6 +236,50 @@ def test_oracle_at_size_200():
     assert fp.rank(mat) == dense_rank_oracle(data, p)
 
 
+def kernel_oracle(data, p):
+    """The null-space basis read off rref_oracle, one vector per free column."""
+    ncols = len(data[0])
+    reduced, pivots = rref_oracle([list(row) for row in data], p)
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        vec = [0] * ncols
+        vec[j] = 1
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[j] % p
+        basis.append(tuple(vec))
+    return basis
+
+
+@st.composite
+def with_repeated_rows(draw):
+    """(mat, taller): taller holds every row of mat in order, with copies
+    of some of them interleaved."""
+    mat = draw(random_sparse())
+    dense = to_dense(mat)
+    rows = [list(row) for row in dense]
+    copies = draw(st.lists(st.integers(0, mat.rows - 1), min_size=1, max_size=12))
+    for i in copies:
+        at = draw(st.integers(0, len(rows)))
+        rows.insert(at, list(dense[i]))
+    return mat, from_dense(rows, mat.p)
+
+
+@given(with_repeated_rows())
+def test_repeated_rows_change_nothing(case):
+    # nonzero_rows hands each distinct nonzero row on once; the row space,
+    # and so the rank and the canonical kernel, stay those of the matrix
+    # without the repeats and those of the column-major oracle
+    mat, taller = case
+    dense = to_dense(mat)
+    got = taller.nonzero_rows()
+    assert len(set(map(tuple, got))) == len(got)
+    assert set(map(tuple, got)) == {tuple(row) for row in dense if any(row)}
+    assert fp.rank(taller) == fp.rank(mat) == len(rref_oracle(dense, mat.p)[1])
+    assert fp.kernel_basis(taller) == fp.kernel_basis(mat) == kernel_oracle(dense, mat.p)
+
+
 @st.composite
 def row_lists(draw, unreduced):
     """(rows, p) for fp.rref at p = 3, 5, 7: up to 40 rows of up to 8

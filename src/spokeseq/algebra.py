@@ -558,6 +558,9 @@ def _plan(pres: Presentation) -> Callable[[int, int], tuple[Monomial, ...]]:
             exps[i] = 0
 
         enum_finite(0, m, n)
+        # the recursive closures hold their own cells; emptying the cells
+        # breaks those cycles, so the closures die with this call
+        del enum_free, enum_finite
         results.sort()
         return tuple(results)
 

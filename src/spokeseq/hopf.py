@@ -20,6 +20,7 @@ formula and the Jordan-block rank oracle.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -37,7 +38,7 @@ from .algebra import (
     monomials_in_degree,
 )
 from .concurrency import deterministic_map
-from .errors import ConfigError
+from .errors import BookkeepingError, ConfigError
 from .fp import SparseMatFp, check_odd_prime
 from .grading import DegreeWindow, SpokeDegree
 from .hfp import positive_cone
@@ -608,17 +609,41 @@ def m_k_formula(p: int, k: int) -> int:
 
 def m_k_oracle(p: int, k: int) -> int:
     """Number of free group-algebra summands of Sym^k of the reduced regular
-    representation: rank of (gamma - 1)^(p-1) on the monomial basis."""
+    representation V = F_p^(p-1): the rank of N^(p-1) on Sym^k, N = gamma - 1.
+
+    The rank is taken in a Jordan basis read off ``weyl_matrix``: y_0 = mu_1
+    and y_i = N^i y_0.  Once y_0 .. y_(p-2) are checked independent and
+    y_(p-1) = 0 (else BookkeepingError), gamma(y_i) = y_i + y_(i+1) exactly,
+    so gamma of a monomial is a product of two-term linear forms, and
+    N^p = gamma^p - 1 = 0 on V and on Sym^k.
+
+    Only module generators are pushed through N^(p-1).  Give y^e the weight
+    w = sum(i * e_i).  N raises the weight, and D, its part that raises it by
+    exactly one, maps weight w - 1 to weight w.  Weight by weight, S holds
+    the monomials at the non-pivot columns of the RREF of D's rows, so every
+    weight-w monomial is s + D(u) = s + N(u) - (terms of weight > w) with s
+    in span S.  Descending induction on the weight gives
+    Sym^k = span S + N Sym^k; iterating it and N^p = 0 give
+    Sym^k = sum_i N^i span S, so the image of N^(p-1) is spanned by
+    N^(p-1)(S), and its rank is the rank of those |S| vectors.
+    """
     check_odd_prime(p)
+    _check_single_jordan_block(p)
     if k == 0:
         return 0
     nvars = p - 1
-    gamma = weyl_matrix(p)
-    gamma_cols = [
-        {i: v for (i, j), v in gamma.entries.items() if j == col} for col in range(nvars)
-    ]
+    # gamma(y_i) = y_i + y_(i+1), and y_(p-1) = 0
+    linear = [(i, i + 1) for i in range(nvars - 1)] + [(nvars - 1,)]
     sym = Presentation(p, [GeneratorSpec(f"mu{i}", D(2, 0), POLY) for i in range(1, p)])
-    basis = monomials_in_degree(sym, D(2 * k, 0))
+
+    def weight(mono: tuple[int, ...]) -> int:
+        return sum(i * e for i, e in enumerate(mono))
+
+    # an exponent tuple e is read as the monomial y^e.  Weight order keeps
+    # each weight's monomials together and makes the final rank's rows
+    # nearly triangular: the image of a weight-w generator starts at
+    # weight w + p - 1 or above
+    basis = sorted(monomials_in_degree(sym, D(2 * k, 0)), key=weight)
     index = {mono: i for i, mono in enumerate(basis)}
 
     poly_cache: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {
@@ -630,39 +655,72 @@ def m_k_oracle(p: int, k: int) -> int:
         if cached is not None:
             return cached
         first = next(i for i, e in enumerate(mono) if e)
-        smaller = tuple(e - 1 if i == first else e for i, e in enumerate(mono))
-        prev = gamma_of(smaller)
-        linear = gamma_cols[first]
+        smaller = list(mono)
+        smaller[first] -= 1
         out: dict[tuple[int, ...], int] = {}
-        for pm, c in prev.items():
-            for var, cv in linear.items():
-                new = tuple(e + 1 if i == var else e for i, e in enumerate(pm))
-                out[new] = (out.get(new, 0) + c * cv) % p
-        out = {m: c for m, c in out.items() if c}
+        for pm, c in gamma_of(tuple(smaller)).items():
+            for var in linear[first]:
+                new = list(pm)
+                new[var] += 1
+                new = tuple(new)
+                out[new] = out.get(new, 0) + c
+        out = {m: c % p for m, c in out.items() if c % p}
         poly_cache[mono] = out
         return out
 
-    dim = len(basis)
-    # columns of N = gamma_Sym - I
+    # columns of N = gamma_Sym - I, as (row, value) pairs
     n_cols = []
     for mono in basis:
         col = dict(gamma_of(mono))
         col[mono] = (col.get(mono, 0) - 1) % p
-        n_cols.append({index[m]: c for m, c in col.items() if c})
+        n_cols.append([(index[m], c) for m, c in col.items() if c])
 
-    # iterate v -> N v, p-1 times, on each basis vector
-    def apply_n(vec: dict[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for j, c in vec.items():
-            for i, v in n_cols[j].items():
-                out[i] = (out.get(i, 0) + c * v) % p
-        return {i: v for i, v in out.items() if v}
+    weights = [weight(mono) for mono in basis]
+    # weight w spans basis[starts[w]:starts[w + 1]]
+    starts = [bisect_left(weights, w) for w in range(weights[-1] + 2)]
+    generators = list(range(starts[0], starts[1]))
+    for w in range(1, len(starts) - 1):
+        lo, hi = starts[w], starts[w + 1]
+        rows = []
+        for j in range(starts[w - 1], lo):
+            row = [0] * (hi - lo)
+            for i, v in n_cols[j]:
+                if lo <= i < hi:
+                    row[i - lo] = v
+            rows.append(row)
+        _, pivots = fp.rref(rows, p)
+        pivoted = set(pivots)
+        generators.extend(lo + c for c in range(hi - lo) if c not in pivoted)
 
-    power_cols = []
-    for j in range(dim):
-        vec = {j: 1}
+    dim = len(basis)
+    images = []
+    for j in generators:
+        vec = [(j, 1)]
         for _ in range(p - 1):
-            vec = apply_n(vec)
-        power_cols.append(vec)
-    mat = SparseMatFp.from_columns(power_cols, dim, p)
-    return fp.rank(mat)
+            acc = [0] * dim
+            for jj, c in vec:
+                for i, v in n_cols[jj]:
+                    acc[i] += c * v
+            vec = [(i, v % p) for i, v in enumerate(acc) if v % p]
+        images.append(dict(vec))
+    return fp.rank(SparseMatFp.from_columns(images, dim, p))
+
+
+def _check_single_jordan_block(p: int) -> None:
+    """Raise BookkeepingError unless N = gamma - 1 on V, gamma read off
+    ``weyl_matrix(p)``, is one nilpotent Jordan block with cyclic vector
+    mu_1: mu_1, N mu_1, .., N^(p-2) mu_1 of rank p - 1 and N^(p-1) mu_1 = 0."""
+    gamma = weyl_matrix(p)
+    chain = [{0: 1}]
+    for _ in range(p - 1):
+        y = chain[-1]
+        image: dict[int, int] = {i: -v for i, v in y.items()}
+        for (i, j), v in gamma.entries.items():
+            if j in y:
+                image[i] = image.get(i, 0) + v * y[j]
+        chain.append({i: v % p for i, v in image.items() if v % p})
+    if chain[-1] or fp.rank(SparseMatFp.from_columns(chain[:-1], p - 1, p)) != p - 1:
+        raise BookkeepingError(
+            f"weyl_matrix at p = {p} is not one Jordan block: mu_1 .. N^{p - 2} mu_1 "
+            f"must have rank {p - 1} and N^{p - 1} mu_1 must be 0 (N = gamma - 1)"
+        )

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -453,3 +454,22 @@ def test_one_plan_serves_every_degree(pres, degrees):
         return
     for m, n in stream:
         assert list(monomials_in_degree(pres, D(m, n))) == _oracle_monomials(pres, D(m, n))
+
+
+def test_enumerating_fresh_degrees_leaves_no_cyclic_garbage():
+    # the per-degree recursion is a set of closures that call themselves;
+    # left as reference cycles they would wait for the cycle collector, and
+    # a full collection would land in some later, unrelated computation
+    pres = thh_ring()
+    monomials_in_degree(pres, D(0, 0))  # builds and keeps the plan
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for m in range(1, 5):
+            for n in range(-4, 5):
+                monomials_in_degree(pres, D(m, n))
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()

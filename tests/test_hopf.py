@@ -1,11 +1,24 @@
 import dataclasses
+import io
 import itertools
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, strategies as st
 
-from spokeseq.algebra import EXT, INV, TRUNC, Element, monomials_in_degree
-from spokeseq.errors import ConfigError, HomogeneityError
+from spokeseq import cli, fp, hopf
+from spokeseq.algebra import (
+    EXT,
+    INV,
+    POLY,
+    TRUNC,
+    Element,
+    GeneratorSpec,
+    Presentation,
+    monomials_in_degree,
+)
+from spokeseq.errors import BookkeepingError, ConfigError, HomogeneityError
+from spokeseq.fp import SparseMatFp
 from spokeseq.grading import DegreeWindow, SpokeDegree
 from spokeseq.hopf import (
     Comodule,
@@ -289,6 +302,96 @@ def test_mk_oracle_matches_formula_p3():
 def test_mk_oracle_matches_formula_p5():
     for k in range(13):
         assert m_k_oracle(5, k) == m_k_formula(5, k), k
+
+
+def m_k_oracle_reference(p, k):
+    """rank (gamma - 1)^(p-1) on Sym^k in the monomial basis of mu_1..mu_(p-1),
+    gamma read off weyl_matrix, the power applied to every basis vector: the
+    reference for m_k_oracle's Jordan basis and module generators."""
+    if k == 0:
+        return 0
+    nvars = p - 1
+    gamma = weyl_matrix(p)
+    gamma_cols = [
+        {i: v for (i, j), v in gamma.entries.items() if j == col} for col in range(nvars)
+    ]
+    sym = Presentation(p, [GeneratorSpec(f"mu{i}", D(2, 0), POLY) for i in range(1, p)])
+    basis = monomials_in_degree(sym, D(2 * k, 0))
+    index = {mono: i for i, mono in enumerate(basis)}
+    poly_cache = {(0,) * nvars: {(0,) * nvars: 1}}
+
+    def gamma_of(mono):
+        cached = poly_cache.get(mono)
+        if cached is not None:
+            return cached
+        first = next(i for i, e in enumerate(mono) if e)
+        smaller = tuple(e - 1 if i == first else e for i, e in enumerate(mono))
+        out = {}
+        for pm, c in gamma_of(smaller).items():
+            for var, cv in gamma_cols[first].items():
+                new = tuple(e + 1 if i == var else e for i, e in enumerate(pm))
+                out[new] = (out.get(new, 0) + c * cv) % p
+        out = {m: c for m, c in out.items() if c}
+        poly_cache[mono] = out
+        return out
+
+    n_cols = []
+    for mono in basis:
+        col = dict(gamma_of(mono))
+        col[mono] = (col.get(mono, 0) - 1) % p
+        n_cols.append({index[m]: c for m, c in col.items() if c})
+
+    def apply_n(vec):
+        out = {}
+        for j, c in vec.items():
+            for i, v in n_cols[j].items():
+                out[i] = (out.get(i, 0) + c * v) % p
+        return {i: v for i, v in out.items() if v}
+
+    power_cols = []
+    for j in range(len(basis)):
+        vec = {j: 1}
+        for _ in range(p - 1):
+            vec = apply_n(vec)
+        power_cols.append(vec)
+    return fp.rank(SparseMatFp.from_columns(power_cols, len(basis), p))
+
+
+@pytest.mark.parametrize("p, k_max", [(3, 12), (5, 10), (7, 5)])
+def test_mk_oracle_matches_column_walk(p, k_max):
+    for k in range(k_max + 1):
+        assert m_k_oracle(p, k) == m_k_oracle_reference(p, k), (p, k)
+
+
+@pytest.mark.parametrize("p, k_max", [(7, 8), (11, 4), (13, 3)])
+def test_mk_oracle_matches_formula_at_larger_primes(p, k_max):
+    for k in range(k_max + 1):
+        assert m_k_oracle(p, k) == m_k_formula(p, k), (p, k)
+
+
+def two_unipotent_blocks(p):
+    """J_2(1) + J_2(1) at p = 5: gamma^5 = 1, but gamma - 1 has two Jordan
+    blocks, so mu_1 generates only a 2-dimensional submodule."""
+    assert p == 5
+    return SparseMatFp(4, 4, p, {(0, 0): 1, (1, 0): 1, (1, 1): 1, (2, 2): 1, (3, 2): 1, (3, 3): 1})
+
+
+def test_weyl_matrix_of_two_jordan_blocks_is_refused(monkeypatch):
+    g = two_unipotent_blocks(5)
+    power = identity(4, 5)
+    for _ in range(5):
+        power = power.matmul(g)
+    assert power.entries == identity(4, 5).entries  # order p all the same
+    monkeypatch.setattr(hopf, "weyl_matrix", two_unipotent_blocks)
+    for k in (0, 1, 2):
+        with pytest.raises(BookkeepingError, match=r"p = 5 is not one Jordan block"):
+            m_k_oracle(5, k)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["mk", "--p", "5", "--k-max", "2"])
+    assert code == 4
+    assert err.getvalue().startswith("[E_BOOKKEEPING] weyl_matrix at p = 5")
+    assert out.getvalue() == ""
 
 
 def test_bad_parameters():

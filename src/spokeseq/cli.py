@@ -16,6 +16,7 @@ or bookkeeping invariant).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -314,7 +315,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: each parse_args call fills a fresh
+    namespace, so no parse leaves state behind for the next."""
     parser = _Parser(
         prog="spokeseq",
         description="Exact spectral-sequence calculator for spoke-graded rings over F_p",

@@ -193,13 +193,8 @@ def rank(mat: SparseMatFp) -> int:
 
 def kernel_basis(mat: SparseMatFp) -> list[Vector]:
     """Canonical null-space basis: one vector per free column, RREF-derived."""
-    return null_space(mat.nonzero_rows(), mat.cols, mat.p)
-
-
-def null_space(rows_data: list[list[int]], ncols: int, p: int) -> list[Vector]:
-    """kernel_basis of the dense matrix with the given rows (entries in
-    0..p-1, ncols columns); the rows are reduced in place."""
-    reduced, pivots = rref(rows_data, p)
+    ncols, p = mat.cols, mat.p
+    reduced, pivots = rref(mat.nonzero_rows(), p)
     pivot_set = set(pivots)
     basis: list[Vector] = []
     for j in range(ncols):
@@ -270,8 +265,9 @@ def quotient_basis(
 ) -> Subspace:
     """span(cycles) / boundaries, as the subspace spanned by the cycles
     reduced modulo the boundaries: its canonical RREF rows are the
-    representatives.  Cycle entries are in 0..p-1, so an empty boundary
-    subspace reduces nothing.
+    representatives, the same for any spanning set of the same cycles.
+    Cycle entries are in 0..p-1, so an empty boundary subspace reduces
+    nothing.
     """
     if boundaries.rank:
         cycles = [boundaries.reduce(v) for v in cycles]

@@ -102,7 +102,7 @@ class DegreeWindow:
     m_max: int
     n_min: int
     n_max: int
-    s_max: int = 6
+    s_max: int
 
     def __post_init__(self):
         if self.m_min > self.m_max or self.n_min > self.n_max:

@@ -40,14 +40,15 @@ such a shared cell has its upper neighbour's page data, in the same
 coordinates, for as long as its differential's source and target are
 shared too.  A page therefore stores each a-column as its head cells only:
 a run of shared cells is a view of its head, computed once there, and an
-a-tower does work only where a run ends (turn_page, a_shift_rank).
+a-tower does work only where a run ends (turn_page, a_shift_rank).  Every
+cell, on the first page (e1_monomials) and on every later one (PageCell),
+is a pair (base, shift): a head's monomial list and the power of a over it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections import UserList
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from typing import TypeVar
@@ -148,29 +149,12 @@ def _times_a(monomials: Iterable[Monomial], k: int) -> list[Monomial]:
     return [(mono[0] + k,) + mono[1:] for mono in monomials]
 
 
-class ATranslate(UserList):
-    """a^offset times a list of first-page monomials, built on first read.
-
-    e1_monomials lists a translate cell, one with no a-free monomial, as one
-    of these over its head's list; the page engine reads the head's list
-    and never builds this one.  Like every UserList it can be built from
-    one plain list (slicing does that), which it then lists as it is.
-    """
-
-    def __init__(self, head: list[Monomial], offset: int = 0):
-        self.head = head
-        self.offset = offset
-
-    @functools.cached_property
-    def data(self) -> list[Monomial]:
-        return _times_a(self.head, self.offset)
-
-
 def e1_monomials(
     e1: MayE1, window: DegreeWindow
-) -> dict[TriDegree, list[Monomial] | ATranslate]:
+) -> dict[TriDegree, tuple[list[Monomial], int]]:
     """Enumerate first-page monomials per tri-degree up to s = window.s_max,
-    one sorted list per non-empty cell.
+    one entry per non-empty cell: a (base, shift) pair, like a page cell's,
+    whose cell lists a^shift times the sorted list base.
 
     The generator part (everything except a, ul, us) is enumerated once; in
     each column (m, s, f) the coefficient part a^alpha ul^l us^eps of a
@@ -184,9 +168,9 @@ def e1_monomials(
     a^(n0 - n_max).  Each generator's (s, f) step is read from e1.s_deg and
     e1.f_deg, so the cells follow the declared degrees.
 
-    A cell with a-free monomials, a head, is a list.  Any other cell is
-    a^k times the nearest head k rows above it, and is an ATranslate of
-    that head's list, which builds its own list only when read.
+    A cell with a-free monomials, a head, is (its list, 0).  Any other cell
+    is a^k times the nearest head k rows above it, and is (that head's
+    list, k): the same list object, so no translate builds a list.
     """
     pres = e1.pres
     s_deg, f_deg = e1.s_deg, e1.f_deg
@@ -216,7 +200,7 @@ def e1_monomials(
 
     a_i, ul_i, us_i = e1.a_pos, e1.ul_pos, e1.us_pos
     n_min, n_max = window.n_min, window.n_max
-    out: dict[TriDegree, list[Monomial] | ATranslate] = {}
+    out: dict[TriDegree, tuple[list[Monomial], int]] = {}
     for m in range(window.m_min, window.m_max + 1):
         for (s, f), parts in gen_parts.items():
             # a-free monomials by row; the top row also takes those above it
@@ -243,9 +227,7 @@ def e1_monomials(
                 if free:
                     head = sorted(free) + _times_a(head, offset)
                     offset = 0
-                    out[TriDegree(D(m, nn), s, f)] = head
-                else:
-                    out[TriDegree(D(m, nn), s, f)] = ATranslate(head, offset)
+                out[TriDegree(D(m, nn), s, f)] = (head, offset)
     return out
 
 
@@ -548,8 +530,8 @@ def _whole_space(size: int, p: int) -> Subspace:
 def page_one(e1: MayE1, window: DegreeWindow) -> SSPage:
     table = e1_monomials(e1, window)
     columns: dict[ColumnKey, Column] = {}
-    for tri, monos in table.items():
-        if isinstance(monos, ATranslate):
+    for tri, (monos, shift) in table.items():
+        if shift:
             continue  # a view of the head above it
         size = len(monos)
         index = {mono: i for i, mono in enumerate(monos)}
@@ -594,10 +576,16 @@ def _differential_out(
 ) -> tuple[list[list[int]], list[Vector]] | None:
     """(cycles, images) of the differential out of one cell: the cycles are
     in the cell's monomial coordinates, the images are the nonzero
-    dead-reduced images in the target's; None when every image is zero."""
-    p = e1.p
+    dead-reduced images in the target's; None when every image is zero.
+
+    Each representative gives one row [residue | rep], its dead-reduced
+    image first, and one fp.rref of those rows gives the cycles: a reduced
+    row with its pivot in the rep block has a zero residue, and those rows'
+    rep blocks span every combination of representatives whose image is
+    dead."""
     dead = tcell.dead
-    coords = []
+    tsize = tcell.reps.dim
+    rows = []
     images = []
     for rep in cell.reps.rows:
         vec = _image(e1, diff_fn, cell, rep, tcell)
@@ -608,32 +596,18 @@ def _differential_out(
             )
         # _image reduces mod p, so an empty dead subspace reduces nothing
         residue = dead.reduce(vec) if dead.rank else vec
-        if not any(residue):
-            coords.append(None)
-            continue
-        c = tcell.reps.coordinates(residue)
-        if c is None:
-            raise BookkeepingError(
-                f"turn_page r={r} at {cell.tri.format()}: differential image is "
-                f"not a surviving class at {tcell.tri.format()}"
-            )
-        coords.append(c)
-        images.append(residue)
+        if any(residue):
+            if tcell.reps.coordinates(residue) is None:
+                raise BookkeepingError(
+                    f"turn_page r={r} at {cell.tri.format()}: differential image is "
+                    f"not a surviving class at {tcell.tri.format()}"
+                )
+            images.append(residue)
+        rows.append([*residue, *rep])
     if not images:
         return None
-    zero = [0] * tcell.dim
-    matrix = [list(row) for row in zip(*(zero if c is None else c for c in coords))]
-    size = cell.reps.dim
-    cycles = []
-    for kvec in fp.null_space(matrix, cell.dim, p):
-        acc = [0] * size
-        for c, rep in zip(kvec, cell.reps.rows):
-            if c:
-                for i, v in enumerate(rep):
-                    if v:
-                        acc[i] = (acc[i] + c * v) % p
-        cycles.append(acc)
-    return cycles, images
+    reduced, pivots = fp.rref(rows, e1.p)
+    return [row[tsize:] for row, pc in zip(reduced, pivots) if pc >= tsize], images
 
 
 def turn_page(page: SSPage, diff_fn, new_r: int) -> SSPage:
@@ -897,7 +871,7 @@ def e1_vs_associated_graded(p: int, n: int, window: DegreeWindow) -> tuple[bool,
     associated graded, convolved with the coefficient module, tri-degree by
     tri-degree over the window."""
     table = e1_monomials(may_e1(p, n), window)
-    closed = {tri: len(monos) for tri, monos in table.items()}
+    closed = {tri: len(base) for tri, (base, _) in table.items()}
     graded = associated_graded_ext_classes(p, n, window.s_max)
 
     # coefficient module F_p[a, ul^{+-1}]<us> has one monomial in every

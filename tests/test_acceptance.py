@@ -40,7 +40,7 @@ D = SpokeDegree
 
 SEGAL_WINDOW = DegreeWindow(-12, 2, -14, 14, s_max=6)
 PAGE_WINDOW = DegreeWindow(-10, 6, -12, 12, s_max=6)
-STANDARD_WINDOW = DegreeWindow(-6, 6, -8, 8)
+STANDARD_WINDOW = DegreeWindow(-6, 6, -8, 8, s_max=6)
 
 
 def report(criterion, name, ok, elapsed=None, budget=None):

@@ -304,16 +304,23 @@ def cli_arguments(draw):
     return args
 
 
+def run_cli_with_stderr(args):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(args)
+    return code, out, err.getvalue()
+
+
 @settings(max_examples=60, deadline=None)
 @given(cli_arguments())
 def test_every_argument_list_ends_in_a_coded_exit(args):
-    err = io.StringIO()
-    with redirect_stderr(err):
-        code, out = run_cli(args)  # nothing may raise out of main
+    code, out, err = run_cli_with_stderr(args)  # nothing may raise out of main
     assert code in (0, 1, 2, 3, 4), args
     if code >= 2:
-        assert err.getvalue().startswith("[E_"), (args, err.getvalue())
+        assert err.startswith("[E_"), (args, err)
         assert out == "", args
+    # the process keeps one parser: a second run answers as the first did
+    assert run_cli_with_stderr(args) == (code, out, err), args
 
 
 # a flag given to a path of its command that does not read it
@@ -338,6 +345,18 @@ def test_flags_a_path_ignores_are_coded_config_errors(args, flag):
     assert code == 2 and out == ""
     assert err.getvalue().startswith("[E_CONFIG] ")
     assert err.getvalue().rstrip().endswith(f"does not read {flag}")
+
+
+def test_error_queries_answer_the_same_on_a_second_pass():
+    # main parses every query with the one parser the process builds, so no
+    # query may leave parser state behind: the error queries, run twice in
+    # turn, give the same exits, reports and messages both times
+    cli.build_parser.cache_clear()
+    assert cli.build_parser() is cli.build_parser()
+    queries = REJECTED + [args for args, _ in IGNORED_ON_PATH]
+    first = [run_cli_with_stderr(args) for args in queries]
+    assert [run_cli_with_stderr(args) for args in queries] == first
+    assert {code for code, _, _ in first} == {2}
 
 
 def test_flags_a_path_reads_are_accepted():

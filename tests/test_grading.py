@@ -52,16 +52,16 @@ def test_tridegree_roundtrip():
 
 
 def test_window_enumeration():
-    assert DegreeWindow(0, 0, 0, 0).degrees() == [SpokeDegree(0, 0)]
-    w = DegreeWindow(0, 1, -1, 0)
+    assert DegreeWindow(0, 0, 0, 0, s_max=6).degrees() == [SpokeDegree(0, 0)]
+    w = DegreeWindow(0, 1, -1, 0, s_max=6)
     pts = w.degrees()
     assert len(pts) == 4
     assert pts == sorted(pts)
-    assert len(DegreeWindow(-2, 2, -2, 2).degrees()) == 25
+    assert len(DegreeWindow(-2, 2, -2, 2, s_max=6).degrees()) == 25
 
 
 def test_empty_window_rejected():
     with pytest.raises(WindowError):
-        DegreeWindow(1, 0, 0, 0)
+        DegreeWindow(1, 0, 0, 0, s_max=6)
     with pytest.raises(ConfigError):
         DegreeWindow.parse("1:2:3", 6)

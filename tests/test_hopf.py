@@ -79,13 +79,13 @@ def test_counit_splits_right_unit():
 
 def test_descent_axioms_window():
     H = descent_algebroid(3)
-    report = check_axioms(H, DegreeWindow(-6, 6, -8, 8), comodule=base_comodule(H))
+    report = check_axioms(H, DegreeWindow(-6, 6, -8, 8, s_max=6), comodule=base_comodule(H))
     assert report.ok, report.format()
 
 
 def test_descent_axioms_p5_small_window():
     H = descent_algebroid(5)
-    report = check_axioms(H, DegreeWindow(-4, 4, -5, 5), comodule=base_comodule(H))
+    report = check_axioms(H, DegreeWindow(-4, 4, -5, 5, s_max=6), comodule=base_comodule(H))
     assert report.ok, report.format()
 
 
@@ -129,7 +129,7 @@ def test_truncated_primitive_base_powers():
 
 def test_truncated_axioms():
     H, M = truncated_hopf(3, 1, beta=2, beta_prime=1)
-    report = check_axioms(H, DegreeWindow(-6, 6, -8, 8), comodule=M)
+    report = check_axioms(H, DegreeWindow(-6, 6, -8, 8, s_max=6), comodule=M)
     assert report.ok, report.format()
 
 
@@ -139,7 +139,7 @@ def test_corrupted_coproduct_fails_the_axiom_check():
     H, M = truncated_hopf(3, 1)
     nm, unit = H.total.monomial(Nm=1), H.total.unit_monomial()
     bad = dataclasses.replace(H, delta_images={**H.delta_images, "Nm": {(nm, unit): 1}})
-    report = check_axioms(bad, DegreeWindow(-6, 6, -8, 8), Comodule(bad, M.module, M.psi_images))
+    report = check_axioms(bad, DegreeWindow(-6, 6, -8, 8, s_max=6), Comodule(bad, M.module, M.psi_images))
     assert not report.ok
     assert report.format() == (
         "counit-of-units | checked 1 | pass\n"
@@ -148,6 +148,81 @@ def test_corrupted_coproduct_fails_the_axiom_check():
         "comodule-counit | checked 117 | pass\n"
         "comodule-coassociativity | checked 117 | FAIL (coassoc on a^12*ul^-2)\n"
     )
+
+
+def test_corrupted_right_unit_fails_the_counit_of_units():
+    # negative control: eta_R(a) = 2a is homogeneous, but eps o eta_R(a) =
+    # 2a; the base comodule's coaction is eta_R, so its counit and
+    # coassociativity fail on a as well, while Delta is untouched
+    H = descent_algebroid(3)
+    a = Element.generator(H.total, "a")
+    bad = dataclasses.replace(H, eta_R_images={**H.eta_R_images, "a": a.scale(2)})
+    report = check_axioms(bad, DegreeWindow(-2, 2, -2, 2, s_max=6), base_comodule(bad))
+    assert not report.ok
+    assert report.format() == (
+        "counit-of-units | checked 6 | FAIL (eps o eta on a)\n"
+        "counit-coproduct | checked 18 | pass\n"
+        "coassociativity | checked 18 | pass\n"
+        "comodule-counit | checked 6 | FAIL (counit on a)\n"
+        "comodule-coassociativity | checked 6 | FAIL (coassoc on a)\n"
+    )
+
+
+def geometric_with_coassociativity_broken(p):
+    """The geometric algebroid with Delta(yb) = 1 (x) yb + u (x) u, where
+    u = xb - x: u is primitive and eps(u) = 0, so the counit still holds,
+    but (Delta (x) 1) and (1 (x) Delta) differ by u (x) u (x) 1."""
+    H = geometric_algebroid(p)
+    total = H.total
+    g = lambda name: total.monomial(**{name: 1})
+    u = (("xb", 1), ("x", -1))
+    u_u = {(g(a), g(b)): ca * cb for a, ca in u for b, cb in u}
+    delta_yb = {(total.unit_monomial(), g("yb")): 1, **u_u}
+    return dataclasses.replace(H, delta_images={**H.delta_images, "yb": delta_yb})
+
+
+def test_corrupted_coproduct_fails_coassociativity():
+    # negative control: the extra u (x) u term keeps both counit checks but
+    # breaks coassociativity on yb, and the base comodule's coassociativity
+    # on y, whose coaction is 1 (x) yb
+    bad = geometric_with_coassociativity_broken(3)
+    report = check_axioms(bad, DegreeWindow(0, 4, 0, 0, s_max=6), base_comodule(bad))
+    assert not report.ok
+    assert report.format() == (
+        "counit-of-units | checked 5 | pass\n"
+        "counit-coproduct | checked 15 | pass\n"
+        "coassociativity | checked 15 | FAIL (coassoc on yb)\n"
+        "comodule-counit | checked 5 | pass\n"
+        "comodule-coassociativity | checked 5 | FAIL (coassoc on y)\n"
+    )
+
+
+def test_corrupted_coaction_fails_the_comodule_counit():
+    # negative control: psi(a) = 2 a (x) 1 is homogeneous, but its counit
+    # gives 2a; the Hopf algebra itself is untouched and passes
+    H, M = truncated_hopf(3, 1)
+    unit = H.total.unit_monomial()
+    psi_a = {(M.module.monomial(a=1), unit): 2}
+    bad = Comodule(H, M.module, {**M.psi_images, "a": psi_a})
+    report = check_axioms(H, DegreeWindow(-2, 2, -2, 2, s_max=6), bad)
+    assert not report.ok
+    assert report.format() == (
+        "counit-of-units | checked 1 | pass\n"
+        "counit-coproduct | checked 2 | pass\n"
+        "coassociativity | checked 2 | pass\n"
+        "comodule-counit | checked 15 | FAIL (counit on a^3*ul^-1)\n"
+        "comodule-coassociativity | checked 15 | FAIL (coassoc on a^3*ul^-1)\n"
+    )
+
+
+def test_check_exits_1_and_prints_the_failed_axiom(monkeypatch):
+    # a failed axiom reaches the user as a FAIL row and exit status 1
+    monkeypatch.setattr(hopf, "geometric_algebroid", geometric_with_coassociativity_broken)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["check", "--preset", "geometric", "--p", "3", "--window", "0:4:0:0"])
+    assert code == cli.EXIT_FAIL == 1
+    assert "coassociativity | checked 15 | FAIL (coassoc on yb)\n" in out.getvalue()
 
 
 def test_ul_power_pn_is_primitive():
@@ -176,7 +251,7 @@ def test_geometric_algebroid():
 
 def test_geometric_axioms():
     H = geometric_algebroid(3)
-    report = check_axioms(H, DegreeWindow(0, 10, 0, 0), comodule=base_comodule(H))
+    report = check_axioms(H, DegreeWindow(0, 10, 0, 0, s_max=6), comodule=base_comodule(H))
     assert report.ok, report.format()
 
 

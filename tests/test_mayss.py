@@ -35,6 +35,8 @@ from spokeseq.mayss import (
     turn_page,
 )
 
+from test_fp import kernel_oracle
+
 D = SpokeDegree
 
 
@@ -65,9 +67,9 @@ def test_e1_cells():
     e1 = may_e1(3, 1)
     w = DegreeWindow(-4, 6, -6, 6, s_max=4)
     table = e1_monomials(e1, w)
-    cell = table[TriDegree(D(0, -1), 0, 0)]
+    cell = _times_a(*table[TriDegree(D(0, -1), 0, 0)])
     assert [e1.pres.format_monomial(m) for m in cell] == ["a"]
-    cell = table[TriDegree(D(5, 0), 1, 1)]
+    cell = _times_a(*table[TriDegree(D(5, 0), 1, 1)])
     assert "ul^2*x0" in {e1.pres.format_monomial(m) for m in cell}
 
 
@@ -214,7 +216,7 @@ def test_first_page_a_column_layout(p, n):
     e1 = may_e1(p, n)
     assert e1.a_pos == 0
     window = DegreeWindow(-4, 2, -5, 3, s_max=3)
-    table = e1_monomials(e1, window)
+    table = {tri: _times_a(*entry) for tri, entry in e1_monomials(e1, window).items()}
     with_upper = 0
     for tri, monos in table.items():
         upper = table.get(upper_tri(tri))
@@ -238,7 +240,7 @@ def test_first_page_a_column_layout(p, n):
 def e1_monomials_eager(e1, window, s_cap):
     """The former body of mayss.e1_monomials, which built every cell as a
     list: its a-free monomials, sorted, then a times the cell above.  Kept
-    as the oracle for the lazy translate cells."""
+    as the oracle for the (head list, shift) translate entries."""
     n = e1.n
     pres = e1.pres
     ngen = len(pres)
@@ -314,8 +316,8 @@ def e1_monomials_eager(e1, window, s_cap):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_lazy_cells_match_eager_oracle(p, n):
-    # e1_monomials lists a translate cell as an ATranslate of its head's
-    # list, and a page stores heads only; every first-page entry, read, and
+    # e1_monomials lists a translate cell as its head's list and the shift
+    # from it, and a page stores heads only; every first-page entry and
     # every cell of every page, a^shift times its base, lists what the eager
     # enumeration lists, and its index is its base's
     e1 = may_e1(p, n)
@@ -323,8 +325,14 @@ def test_lazy_cells_match_eager_oracle(p, n):
     eager = e1_monomials_eager(e1, window, 4)
     table = e1_monomials(e1, replace(window, s_max=4))
     assert list(table) == list(eager)
-    assert any(isinstance(monos, mayss.ATranslate) for monos in table.values())
-    assert {tri: list(monos) for tri, monos in table.items()} == eager
+    assert any(shift for _, shift in table.values())
+    heads = {}
+    for tri, (base, shift) in table.items():
+        if not shift:
+            heads[(tri.total.m, tri.s, tri.f)] = base
+        # a translate shares the list of the nearest head above it
+        assert base is heads[(tri.total.m, tri.s, tri.f)], tri
+    assert {tri: _times_a(*entry) for tri, entry in table.items()} == eager
     for r, page in compute_pages(p, n, window).items():
         lifted = {tri: _times_a(cell.base, cell.shift) for tri, cell in page.cells.items()}
         assert lifted == eager, r
@@ -335,14 +343,31 @@ def test_lazy_cells_match_eager_oracle(p, n):
 def test_segal_and_printed_pages_build_no_translate_list(monkeypatch, tmp_path):
     # a page cell is a^shift times a first-page head list: differentials,
     # labels, charts and a-towers read the head's list, so neither segal
-    # nor a printed may page, with its charts, builds a translate's list
-    built = []
+    # nor a printed may page, with its charts, lifts a whole head list once
+    # e1_monomials has returned it
+    heads = []  # every returned head list, kept alive so no id is reused
+    head_ids = set()
+    lifted = []
+    calls = 0
+    real_e1_monomials, real_times_a = mayss.e1_monomials, mayss._times_a
 
-    def recording_data(self):
-        built.append(self)
-        return mayss._times_a(self.head, self.offset)
+    def recording_e1_monomials(e1, window):
+        table = real_e1_monomials(e1, window)
+        for base, shift in table.values():
+            if not shift:
+                heads.append(base)
+                head_ids.add(id(base))
+        return table
 
-    monkeypatch.setattr(mayss.ATranslate, "data", property(recording_data))
+    def recording_times_a(monomials, k):
+        nonlocal calls
+        calls += 1
+        if id(monomials) in head_ids:
+            lifted.append((len(monomials), k))
+        return real_times_a(monomials, k)
+
+    monkeypatch.setattr(mayss, "e1_monomials", recording_e1_monomials)
+    monkeypatch.setattr(mayss, "_times_a", recording_times_a)
     report = segal_pipeline(3, 3, DegreeWindow(-6, 1, -8, 8, s_max=4))
     assert report.verdict
     buf = io.StringIO()
@@ -351,7 +376,8 @@ def test_segal_and_printed_pages_build_no_translate_list(monkeypatch, tmp_path):
         assert main([*query, "--svg", "--out", str(tmp_path)]) == 0
     assert "| a^" in buf.getvalue()
     assert list(tmp_path.glob("*.svg"))
-    assert not built
+    assert heads and calls
+    assert not lifted
 
 
 @pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (5, 1)])
@@ -467,6 +493,72 @@ def test_image_matches_lookup_in_lifted_lists(p, n):
                     want = image_by_lookup(e1, diff_fn, cell, rep, tcell)
                     assert mayss._image(e1, diff_fn, cell, rep, tcell) == want, (tri, r)
     assert signs == {-1, 0, 1}
+
+
+def differential_out_reference(e1, diff_fn, cell, tcell):
+    """The former body of mayss._differential_out, kept as its oracle: the
+    coordinates of each dead-reduced image on the target's representatives,
+    the transposed coordinate matrix, its dense null space (read off the
+    column-major rref oracle, not fp.rref), and the null vectors recombined
+    into cycles over the cell's representatives."""
+    p = e1.p
+    dead = tcell.dead
+    coords = []
+    images = []
+    for rep in cell.reps.rows:
+        vec = mayss._image(e1, diff_fn, cell, rep, tcell)
+        assert vec is not None
+        residue = dead.reduce(vec) if dead.rank else vec
+        if not any(residue):
+            coords.append(None)
+            continue
+        c = tcell.reps.coordinates(residue)
+        assert c is not None
+        coords.append(c)
+        images.append(residue)
+    if not images:
+        return None
+    zero = [0] * tcell.dim
+    matrix = [list(row) for row in zip(*(zero if c is None else c for c in coords))]
+    size = cell.reps.dim
+    cycles = []
+    for kvec in kernel_oracle(matrix, p):
+        acc = [0] * size
+        for c, rep in zip(kvec, cell.reps.rows):
+            if c:
+                for i, v in enumerate(rep):
+                    if v:
+                        acc[i] = (acc[i] + c * v) % p
+        cycles.append(acc)
+    return cycles, images
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_differential_out_matches_the_null_space_reference(p, n):
+    # one rref of the [residue | rep] rows against the former path through
+    # coordinates and a null space: on every cell of the two pages a
+    # differential leaves, views included, the cycles span the same space
+    # and the images are the same vectors
+    pages = compute_pages(p, n, DegreeWindow(-4, 2, -6, 3, s_max=3))
+    nonzero = 0
+    for r, diff_fn in ((1, d1_monomial), (p - 1, d_pminus1_monomial)):
+        page = pages[r]
+        for tri, cell in page.cells.items():
+            total = tri.total
+            tcell = page.cells.get(TriDegree(D(total.m - 1, total.n), tri.s + 1, tri.f + r))
+            if tcell is None or not cell.dim:
+                continue
+            got = mayss._differential_out(page.e1, diff_fn, cell, tcell, r)
+            want = differential_out_reference(page.e1, diff_fn, cell, tcell)
+            assert (got is None) == (want is None), (tri, r)
+            if got is None:
+                continue
+            nonzero += 1
+            size = cell.reps.dim
+            assert Subspace(got[0], size, p).rows == Subspace(want[0], size, p).rows, (tri, r)
+            assert [tuple(v) for v in got[1]] == [tuple(v) for v in want[1]], (tri, r)
+    assert nonzero
 
 
 def direct_arrows(page, diff_fn):
@@ -674,7 +766,7 @@ def test_e1_pinned_coefficients_match_enumerator(p, n):
             if s_of(e1, mono) <= s_cap:
                 tri = TriDegree(total, s_of(e1, mono), f_of(e1, mono))
                 expected.setdefault(tri, []).append(mono)
-    assert e1_monomials(e1, window) == expected
+    assert {tri: _times_a(*entry) for tri, entry in e1_monomials(e1, window).items()} == expected
 
 
 def test_associated_graded_lines_read_the_coproduct(monkeypatch):

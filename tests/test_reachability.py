@@ -56,8 +56,6 @@ KEPT = {
     "mayss.e1_vs_associated_graded": CLOSED_FORM,
     "mayss.associated_graded_ext_classes": CLOSED_FORM,
     "mayss._line_ext_classes": CLOSED_FORM,
-    # the page engine reads head lists only; the closed form counts them all
-    "mayss.ATranslate.data": CLOSED_FORM,
     # its Kuenneth assembly against the weighted cobar of the associated graded
     "mayss.e0_direct_weighted_ext": KUENNETH,
     "mayss.e0_direct_weighted_ext.ids": KUENNETH,

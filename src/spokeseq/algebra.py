@@ -37,18 +37,31 @@ TRUNC = "trunc"
 
 @dataclass(frozen=True)
 class GeneratorSpec:
+    """One generator: its name, degree and kind, and ``bound`` when x^bound = 0.
+
+    The bound is the one exponent range every enumeration reads: a
+    truncated generator is given one, and an exterior generator has bound 2
+    (x^2 = 0), set here when it is given none.  Polynomial and invertible
+    generators have none.  The kind still decides parity, the Koszul sign,
+    invertibility and the resolution strands.
+    """
+
     name: str
     degree: SpokeDegree
     kind: str
-    bound: int | None = None  # x^bound = 0, for kind == trunc
+    bound: int | None = None  # x^bound = 0: trunc, and 2 for ext
 
     def __post_init__(self):
         if self.kind not in (POLY, INV, EXT, TRUNC):
             raise ConfigError(f"unknown generator kind {self.kind!r}")
+        if self.kind == EXT and self.bound is None:
+            object.__setattr__(self, "bound", 2)
         if self.kind == TRUNC and (self.bound is None or self.bound < 1):
             raise ConfigError(f"truncated generator {self.name} needs bound >= 1")
-        if self.kind != TRUNC and self.bound is not None:
-            raise ConfigError(f"generator {self.name}: bound only valid for trunc")
+        if self.kind != TRUNC and self.bound != (2 if self.kind == EXT else None):
+            raise ConfigError(
+                f"generator {self.name}: bound only valid for trunc, and 2 for ext"
+            )
         odd = self.degree.koszul_parity == 1
         if self.kind == EXT and not odd:
             raise ConfigError(
@@ -105,12 +118,8 @@ class Presentation:
         if len(mono) != len(self.generators):
             raise ConfigError("monomial length mismatch")
         for e, g in zip(mono, self.generators):
-            if g.kind == EXT and e not in (0, 1):
-                raise ConfigError(f"exterior {g.name} exponent {e}")
-            if g.kind == TRUNC and not (0 <= e < g.bound):
-                raise ConfigError(f"truncated {g.name} exponent {e} not in [0,{g.bound})")
-            if g.kind == POLY and e < 0:
-                raise ConfigError(f"polynomial {g.name} exponent {e} < 0")
+            if g.kind != INV and (e < 0 or g.bound and e >= g.bound):
+                raise ConfigError(f"{g.kind} {g.name} exponent {e} not in [0,{g.bound})")
 
     def degree_of(self, mono: Monomial) -> SpokeDegree:
         m = n = 0
@@ -132,13 +141,12 @@ class Presentation:
         return tuple(-e for e in mono)
 
     def mul_monomials(self, a: Monomial, b: Monomial) -> tuple[Monomial | None, int]:
-        """(product, sign); product None when it vanishes (ext square, trunc overflow)."""
+        """(product, sign); product None when it vanishes (an exponent reaches
+        its generator's bound: an ext square, a trunc overflow)."""
         out = []
-        for ea, eb, g in zip(a, b, self.generators):
+        for ea, eb, bound in zip(a, b, self.bounds):
             e = ea + eb
-            if g.kind == EXT and e > 1:
-                return None, 0
-            if g.kind == TRUNC and e >= g.bound:
+            if bound and e >= bound:
                 return None, 0
             out.append(e)
         sign = 1
@@ -358,17 +366,16 @@ def monomials_in_degree(pres: Presentation, degree: SpokeDegree) -> tuple[Monomi
     """All monomials of the given degree, exponent-lex ordered.
 
     Completeness is certified by a shape analysis of ``pres`` (``_plan``).
-    Exterior and truncated generators have finite exponent ranges (a
-    polynomial generator that needs a bound is declared truncated).  What
-    remains must be solvable exactly:
+    A generator with a bound (exterior: 2, truncated: its own) has a finite
+    exponent range; a polynomial generator that needs a bound is declared
+    truncated.  What remains must be solvable exactly:
 
     * invertible generators are solved by linear algebra at the leaves
       (at most two, with independent degrees);
     * polynomial generators are enumerated with budget pruning, which
       requires a positive functional on their degrees that kills the
       invertible ones.  The last of them is not looped over but solved at
-      the leaf: jointly with the invertible generator by a 2x2 integer
-      (Cramer) solve, or by one division when there is none.
+      the leaf, jointly with the invertible ones.
 
     The analysis (classification, validation, the functional, the loop
     order and the leaf determinant) runs once per presentation, on its
@@ -395,150 +402,121 @@ def monomials_in_degree(pres: Presentation, degree: SpokeDegree) -> tuple[Monomi
 
 def _plan(pres: Presentation) -> Callable[[int, int], tuple[Monomial, ...]]:
     """Check that the shape of ``pres`` enumerates completely, and return
-    the function that lists the monomials of degree m + n@, sorted."""
-    finite: list[tuple[int, range]] = []  # (gen index, exponent range)
-    free_poly: list[int] = []
-    inv: list[int] = []
-    for i, g in enumerate(pres.generators):
-        if g.kind == EXT:
-            finite.append((i, range(2)))
-        elif g.kind == TRUNC:
-            finite.append((i, range(g.bound)))
-        elif g.kind == INV:
-            inv.append(i)
-        else:
-            free_poly.append(i)
+    the function that lists the monomials of degree m + n@, sorted.
+
+    That function loops over the exponent range of every generator with a
+    bound, then over every free polynomial generator but the last, and
+    solves the rest at a leaf.
+
+    * Bound.  A looped free generator g has a functional L that is positive
+      on g and nonnegative on every free generator looped after it, so the
+      remaining degree r leaves room for e <= L(r) // L(g), and for none
+      when L(r) < 0.  With an invertible generator w, L(d) = +-(w.n d.m -
+      w.m d.n), which vanishes on w.  Without one, L = m for g with m > 0
+      and L = sign * n for g with m = 0; these share the sign of n and are
+      looped last.
+    * Leaf.  The last free generator and the invertible ones are at most
+      two unknowns with independent degrees: two are a Cramer solve, one a
+      division, and none require r = 0.  Floor division gives the only
+      candidate, substituting it back accepts exactly the integral one,
+      and the last free exponent must be >= 0.
+    """
+    bounded = [i for i, g in enumerate(pres.generators) if g.bound is not None]
+    inv = [i for i, kind in enumerate(pres.kinds) if kind == INV]
+    free_poly = [i for i, kind in enumerate(pres.kinds) if kind == POLY]
+    # the enumeration reads generator degrees as plain ints
+    deg = [(d.m, d.n) for d in pres.degrees]
 
     if len(inv) > 2:
         raise WindowIncompleteError("more than two invertible generators")
     if len(inv) == 2:
-        w1, w2 = pres.degrees[inv[0]], pres.degrees[inv[1]]
-        if w1.m * w2.n - w1.n * w2.m == 0:
+        (wm, wn), (vm, vn) = deg[inv[0]], deg[inv[1]]
+        if wm * vn - wn * vm == 0:
             raise WindowIncompleteError("invertible generators with dependent degrees")
         if free_poly:
             raise WindowIncompleteError(
                 "polynomial generators alongside a rank-2 invertible lattice"
             )
 
-    # Functional L with L(invertible degrees) = 0, used to bound free
-    # polynomial exponents; with no invertible generators L is unconstrained
-    # and we use both coordinates, m first.
-    if free_poly:
-        if len(inv) == 0:
-            # require m >= 0 on free gens; m = 0 gens must share the sign of n
-            zero_m_signs = set()
-            for i in free_poly:
-                d = pres.degrees[i]
-                if d.m < 0:
-                    raise WindowIncompleteError(
-                        f"cannot bound generator {pres.names[i]} with negative m"
-                    )
-                if d.m == 0:
-                    zero_m_signs.add(1 if d.n > 0 else -1)
-            if len(zero_m_signs) > 1:
+    # the functional (L(m), L(n)) of each free generator
+    if inv:
+        wm, wn = deg[inv[0]]
+        values = [wn * deg[i][0] - wm * deg[i][1] for i in free_poly]  # L(w) = 0
+        if 0 in values:
+            raise WindowIncompleteError(
+                "free polynomial generator parallel to an invertible one"
+            )
+        if len({v > 0 for v in values}) > 1:
+            raise WindowIncompleteError(
+                "free polynomial generators on both sides of the invertible line"
+            )
+        sign = 1 if values and values[0] > 0 else -1
+        functional = {i: (sign * wn, -sign * wm) for i in free_poly}
+    else:
+        for i in free_poly:
+            if deg[i][0] < 0:
                 raise WindowIncompleteError(
-                    "unbounded m=0 generators with opposite spoke signs"
+                    f"cannot bound generator {pres.names[i]} with negative m"
                 )
-            functional = None
-        else:
-            w = pres.degrees[inv[0]]
-            functional = (w.n, -w.m)  # L(d) = w.n*d.m - w.m*d.n, L(w) = 0
-            values = []
-            for i in free_poly:
-                d = pres.degrees[i]
-                values.append(functional[0] * d.m + functional[1] * d.n)
-            if any(v == 0 for v in values):
-                raise WindowIncompleteError(
-                    "free polynomial generator parallel to an invertible one"
-                )
-            if len({1 if v > 0 else -1 for v in values}) > 1:
-                raise WindowIncompleteError(
-                    "free polynomial generators on both sides of the invertible line"
-                )
-            if values[0] < 0:
-                functional = (-functional[0], -functional[1])
+        if len({deg[i][1] > 0 for i in free_poly if deg[i][0] == 0}) > 1:
+            raise WindowIncompleteError(
+                "unbounded m=0 generators with opposite spoke signs"
+            )
+        functional = {
+            i: (1, 0) if deg[i][0] else (0, 1 if deg[i][1] > 0 else -1)
+            for i in free_poly
+        }
 
-    # free gens with larger |m| first prunes fastest; the last one is solved
-    free_order = sorted(free_poly, key=lambda i: -abs(pres.degrees[i].m))
+    # free gens with larger |m| first prunes fastest (and puts m = 0 last);
+    # the last one is solved
+    free_order = sorted(free_poly, key=lambda i: -abs(deg[i][0]))
     last = free_order.pop() if free_order else None
 
     # with no invertible generators every generator has m >= 0 (validated
     # above for the free ones; enforce for pruning only when true of all)
-    can_prune_m = not inv and all(
-        pres.degrees[i].m >= 0 for i, _ in finite
-    )
+    can_prune_m = not inv and all(deg[i][0] >= 0 for i in bounded)
 
-    # the recursion below reads generator degrees as plain ints
-    deg = [(d.m, d.n) for d in pres.degrees]
-    finite_steps = [(i, rng, *deg[i]) for i, rng in finite]
-    free_steps = [(i, *deg[i]) for i in free_order]
-    dm, dn = deg[last] if last is not None else (0, 0)
-    wm, wn = deg[inv[0]] if inv else (0, 0)
-    vm, vn = deg[inv[1]] if len(inv) == 2 else (0, 0)
-    # when the leaf solves two generators (last and the invertible one, or
-    # both invertible ones) their degrees are independent, so det != 0; in
-    # the first case det = L(last)
-    det = dm * wn - dn * wm if last is not None else wm * vn - wn * vm
+    finite_steps = [(i, range(pres.bounds[i]), *deg[i]) for i in bounded]
+    free_steps = []
+    for i in free_order:
+        (gm, gn), (lm, ln) = deg[i], functional[i]
+        free_steps.append((i, gm, gn, lm, ln, lm * gm + ln * gn))
+    # the leaf's unknowns, the last free generator first, and their degrees
+    # u and v, (0, 0) where there is no unknown; det != 0 for two (validated)
+    leaf = ([last] if last is not None else []) + inv
+    (um, un), (vm, vn) = ([deg[i] for i in leaf] + [(0, 0), (0, 0)])[:2]
+    det = um * vn - un * vm
+    n_leaf = len(leaf)
 
     def enumerate_degree(m: int, n: int) -> tuple[Monomial, ...]:
         results: list[Monomial] = []
         exps = [0] * len(deg)
 
-        # Each leaf solves the remaining degree (rm, rn) in at most two
-        # generators with independent degrees: floor division gives the only
-        # candidate, and substituting it back accepts exactly the integral one.
         def solve_leaf(rm: int, rn: int) -> None:
-            if last is not None and inv:
-                # e*d + z*w = r, and e = L(r) / L(d) must be a nonnegative integer
-                e = (rm * wn - rn * wm) // det
-                z = (dm * rn - dn * rm) // det
-                if e < 0 or e * dm + z * wm != rm or e * dn + z * wn != rn:
-                    return
-                exps[last], exps[inv[0]] = e, z
-            elif last is not None:
-                e = rm // dm if dm else rn // dn  # dm >= 0 and d != 0 (validated)
-                if e < 0 or e * dm != rm or e * dn != rn:
-                    return
-                exps[last] = e
-            elif len(inv) == 2:
-                z1 = (rm * vn - rn * vm) // det
-                z2 = (wm * rn - wn * rm) // det
-                if z1 * wm + z2 * vm != rm or z1 * wn + z2 * vn != rn:
-                    return
-                exps[inv[0]], exps[inv[1]] = z1, z2
-            elif inv:
-                z = rm // wm if wm else rn // wn
-                if z * wm != rm or z * wn != rn:
-                    return
-                exps[inv[0]] = z
-            elif rm or rn:
+            # x u + y v = r
+            if n_leaf == 2:
+                x, y = (rm * vn - rn * vm) // det, (um * rn - un * rm) // det
+            elif n_leaf:
+                x, y = rm // um if um else rn // un, 0
+            else:
+                x = y = 0
+            if x * um + y * vm != rm or x * un + y * vn != rn:
                 return
+            if last is not None and x < 0:
+                return
+            for i, e in zip(leaf, (x, y)):
+                exps[i] = e
             results.append(tuple(exps))
-            if last is not None:
-                exps[last] = 0
-            for i in inv:
+            for i in leaf:
                 exps[i] = 0
 
         def enum_free(idx: int, rm: int, rn: int) -> None:
             if idx == len(free_steps):
                 solve_leaf(rm, rn)
                 return
-            i, gm, gn = free_steps[idx]
-            if len(inv) == 0:
-                if gm > 0:
-                    ub = rm // gm
-                else:
-                    if rn * gn < 0:
-                        ub = 0
-                    elif gn != 0:
-                        ub = abs(rn) // abs(gn)
-                    else:  # pragma: no cover - excluded at validation
-                        ub = 0
-            else:
-                lv = functional[0] * gm + functional[1] * gn
-                budget = functional[0] * rm + functional[1] * rn
-                ub = budget // lv if budget >= 0 else -1
-            for e in range(max(ub, -1) + 1):
+            i, gm, gn, lm, ln, lg = free_steps[idx]
+            # lg > 0, so a budget below 0 gives an empty range
+            for e in range((lm * rm + ln * rn) // lg + 1):
                 exps[i] = e
                 enum_free(idx + 1, rm - e * gm, rn - e * gn)
             exps[i] = 0

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import charts, cobar, hfp, hopf, mayss
 from .errors import ConfigError, EngineError, WindowError
-from .fp import check_odd_prime
+from .fp import check_odd_prime, check_unit
 from .grading import DegreeWindow
 
 EXIT_OK = 0
@@ -59,8 +59,8 @@ class RunConfig:
 
     def validate(self) -> None:
         check_odd_prime(self.p)
-        if self.beta % self.p == 0 or self.beta_prime % self.p == 0:
-            raise ConfigError("beta and beta-prime must be units")
+        check_unit(self.p, self.beta, "beta")
+        check_unit(self.p, self.beta_prime, "beta-prime")
         if self.k_max < 0:
             raise ConfigError(f"k_max must be >= 0, got {self.k_max}")
         DegreeWindow.parse(self.window, self.s_max)

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
 from operator import add, mul, sub
 from typing import Sequence
 
@@ -61,10 +62,6 @@ from .hopf import Comodule, HopfAlgebroid, TensorKey, truncated_hopf
 D = SpokeDegree
 
 BasisIndex = tuple[Monomial, tuple[Monomial, ...]]  # (comodule monomial, bar word)
-
-
-def _is_unit(mono: Monomial) -> bool:
-    return not any(mono)
 
 
 # ---------------------------------------------------------------------------
@@ -105,50 +102,45 @@ def _slice_keys(reads: list[SliceKey]) -> list[SliceKey]:
 # bar-word enumeration
 
 
-def _gamma_bar_candidates(H: HopfAlgebroid, max_m: int) -> list[Monomial]:
+def _gamma_bar_candidates(H: HopfAlgebroid, max_m: int, m_nonneg: bool) -> list[Monomial]:
     """Non-unit monomials of the coaugmentation coideal, as left-base-module
-    basis words (non-base generators only)."""
+    basis words (non-base generators only), sorted.
+
+    The words are one product of exponent ranges: range(bound) for a
+    generator with a bound, and range(max_m // m + 1) for a polynomial one,
+    whose words are then kept up to m = max_m.  That cap is complete only
+    when no letter and no module monomial has negative m (``m_nonneg``,
+    for the module): a word over them lies in no slice of m <= max_m.
+    """
     total = H.total
     base_names = set(H.base.names)
-    free_idx = [i for i, name in enumerate(total.names) if name not in base_names]
-    if not free_idx:
+    coideal = [i for i, name in enumerate(total.names) if name not in base_names]
+    if not coideal:
         raise ConfigError("total ring has no coideal generators")
-    ranges = []
-    finite = True
-    for i in free_idx:
+    ranges = [range(1)] * len(total)
+    capped = False
+    for i in coideal:
         g = total.generators[i]
-        if g.kind == EXT:
-            ranges.append((i, 2))
-        elif g.kind == TRUNC:
-            ranges.append((i, g.bound))
-        else:
-            if g.degree.m < 1:
-                raise WindowIncompleteError(
-                    f"cannot bound coideal generator {g.name} with m = {g.degree.m}"
-                )
-            finite = False
-            ranges.append((i, max(0, max_m // g.degree.m) + 1))
-    out: list[Monomial] = []
-    exps = [0] * len(total)
-
-    def rec(k: int, used_m: int):
-        if k == len(ranges):
-            mono = tuple(exps)
-            if not _is_unit(mono):
-                out.append(mono)
-            return
-        i, bound = ranges[k]
-        gm = total.degrees[i].m
-        for e in range(bound):
-            if not finite and used_m + e * gm > max_m:
-                break
-            exps[i] = e
-            rec(k + 1, used_m + e * gm)
-        exps[i] = 0
-
-    rec(0, 0)
-    out.sort()
-    return out
+        if g.bound is not None:
+            ranges[i] = range(g.bound)
+            continue
+        if g.degree.m < 1:
+            raise WindowIncompleteError(
+                f"cannot bound coideal generator {g.name} with m = {g.degree.m}"
+            )
+        if not m_nonneg or any(total.degrees[j].m < 0 for j in coideal):
+            raise WindowIncompleteError(
+                f"cannot bound coideal generator {g.name} by the window: a module "
+                "monomial or a letter has negative m"
+            )
+        capped = True
+        ranges[i] = range(max_m // g.degree.m + 1)
+    word_m = [d.m for d in total.degrees]
+    return [
+        word
+        for word in product(*ranges)
+        if any(word) and not (capped and sum(map(mul, word, word_m)) > max_m)
+    ]
 
 
 @dataclass
@@ -186,16 +178,16 @@ def build_cobar(H: HopfAlgebroid, comodule: Comodule, window: DegreeWindow) -> C
     reads = ext_reads(window)
     max_m = max(m for m, _, _ in reads)
 
+    # when every module monomial has m >= 0 (no inverted generators with
+    # negative m reach), bar words cannot overspend the m budget: this
+    # prunes the suffixes and caps the polynomial letters
+    m_nonneg = all(g.kind != INV and g.degree.m >= 0 for g in M.generators)
     by_lane: dict[tuple[int, int], list[Monomial]] = {}
-    for mono in _gamma_bar_candidates(H, max_m):
+    for mono in _gamma_bar_candidates(H, max_m, m_nonneg):
         d = total.degree_of(mono)
         by_lane.setdefault((d.m, d.n), []).append(mono)
     bar_lanes = sorted(by_lane)
     min_bar_m = min((bm for bm, _ in bar_lanes), default=0)
-
-    # pruning: when every module monomial has m >= 0 (no inverted generators
-    # with negative m reach), bar words cannot overspend the m budget
-    m_nonneg = all(g.kind != INV and g.degree.m >= 0 for g in M.generators)
 
     @cache
     def suffixes(letters: int, m: int, n: int) -> list[BasisIndex]:
@@ -368,7 +360,7 @@ def ext0_primitives(comodule: Comodule, degrees: Sequence[SpokeDegree]) -> dict[
             img = comodule.psi.apply_monomial(mono)
             col = {}
             for key, c in img.coeffs.items():
-                if _is_unit(key[1]) and key[0] == mono:
+                if not any(key[1]) and key[0] == mono:
                     c = c - 1  # subtract m (x) 1
                 if c % p:
                     row = row_index.setdefault(key, len(row_index))

@@ -34,6 +34,14 @@ def check_odd_prime(p: int) -> None:
         raise ConfigError(f"p must be an odd prime, got {p}")
 
 
+def check_unit(p: int, value: int, label: str) -> int:
+    """value mod p, which must be a unit in F_p."""
+    value %= p
+    if value == 0:
+        raise ConfigError(f"{label} must be a unit in F_{p}")
+    return value
+
+
 def inv_mod(a: int, p: int) -> int:
     return pow(a % p, p - 2, p)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import fp
 from .algebra import (
@@ -39,7 +39,7 @@ from .algebra import (
 )
 from .concurrency import deterministic_map
 from .errors import BookkeepingError, ConfigError
-from .fp import SparseMatFp, check_odd_prime
+from .fp import SparseMatFp, check_odd_prime, check_unit
 from .grading import DegreeWindow, SpokeDegree
 from .hfp import positive_cone
 
@@ -51,23 +51,25 @@ TensorKey = tuple[Monomial, ...]
 class TensorContext:
     """k-fold tensor product of presentations over the algebroid base.
 
-    A ring for ``algebra.Element`` with keys in canonical slot form.
-    ``push_left(j, base_mono)`` is the right action of a base monomial on
-    slot j, as an element of that slot's presentation.
+    A ring for ``algebra.Element`` with keys in canonical slot form.  It
+    holds the algebroid's base, total ring and eta_R, not the algebroid, so
+    the algebroid's cache of contexts is no reference cycle.
     """
 
     def __init__(
         self,
         slots: Sequence[Presentation],
         base: Presentation,
-        push_left: Callable[[int, Monomial], Element],
+        total: Presentation,
+        eta_R: GradedMap,
     ):
         if not slots:
             raise ConfigError("tensor context needs at least one slot")
         self.slots = tuple(slots)
         self.base = base
+        self.total = total
+        self.eta_R = eta_R
         self.p = slots[0].p
-        self.push_left = push_left
         # positions of base generators inside each slot presentation
         self._base_positions = []
         for pres in self.slots:
@@ -80,6 +82,16 @@ class TensorContext:
         self._degree_lanes = tuple(
             tuple((d.m, d.n) for d in pres.degrees) for pres in self.slots
         )
+
+    def push_left(self, slot: int, base_mono: Monomial) -> Element:
+        """The right action of a base monomial on the given slot, as an
+        element of that slot's presentation."""
+        pres = self.slots[slot]
+        if pres is self.total:
+            # right action of the base on the total ring goes through eta_R
+            return self.eta_R.apply_monomial(base_mono)
+        # slot 0 of a comodule: right action through the named inclusion
+        return Element.from_monomial(pres, _translate_monomial(self.base, base_mono, pres))
 
     # -- ring interface of algebra.Element ----------------------------------
 
@@ -227,20 +239,10 @@ class HopfAlgebroid:
     def tensor_power_of(self, slots: Sequence[Presentation]) -> TensorContext:
         key = tuple(id(s) for s in slots)
         ctx = self._tensor_cache.get(key)
-        if ctx is not None:
-            return ctx
-
-        def push(slot_index: int, base_mono: Monomial) -> Element:
-            pres = slots[slot_index]
-            if pres is self.total:
-                # right action of the base on the total ring goes through eta_R
-                return self.eta_R.apply_monomial(base_mono)
-            # slot 0 of a comodule: right action through the named inclusion
-            return Element.from_monomial(
-                pres, _translate_monomial(self.base, base_mono, pres)
+        if ctx is None:
+            ctx = self._tensor_cache[key] = TensorContext(
+                slots, self.base, self.total, self.eta_R
             )
-
-        ctx = self._tensor_cache[key] = TensorContext(slots, self.base, push)
         return ctx
 
 
@@ -346,13 +348,6 @@ def descent_total_ring(p: int) -> Presentation:
     )
 
 
-def _check_unit(p: int, value: int, label: str) -> int:
-    value %= p
-    if value == 0:
-        raise ConfigError(f"{label} must be a unit in F_{p}")
-    return value
-
-
 def descent_algebroid(p: int, beta: int = 1, beta_prime: int = 1) -> HopfAlgebroid:
     """The flat algebroid (pi(point), pi(one-fold tensor)) of the descent map.
 
@@ -360,8 +355,8 @@ def descent_algebroid(p: int, beta: int = 1, beta_prime: int = 1) -> HopfAlgebro
     the a-exponents are forced by homogeneity (2p and 2 for every odd p).
     """
     check_odd_prime(p)
-    beta = _check_unit(p, beta, "beta")
-    beta_prime = _check_unit(p, beta_prime, "beta_prime")
+    beta = check_unit(p, beta, "beta")
+    beta_prime = check_unit(p, beta_prime, "beta_prime")
     base = positive_cone(p)
     total = descent_total_ring(p)
     gen = lambda n: Element.generator(total, n)
@@ -430,8 +425,8 @@ def truncated_hopf(
     check_odd_prime(p)
     if n < 1:
         raise ConfigError(f"truncation level n must be >= 1, got {n}")
-    beta = _check_unit(p, beta, "beta")
-    beta_prime = _check_unit(p, beta_prime, "beta_prime")
+    beta = check_unit(p, beta, "beta")
+    beta_prime = check_unit(p, beta_prime, "beta_prime")
     H = primitive_hopf(
         p,
         [

@@ -72,7 +72,7 @@ from .cobar import (
     resolution_ext_table,
 )
 from .errors import BookkeepingError, ConfigError, WindowError
-from .fp import SparseMatFp, Subspace, Vector, check_odd_prime, quotient_basis
+from .fp import SparseMatFp, Subspace, Vector, check_odd_prime, check_unit, quotient_basis
 from .grading import DegreeWindow, SpokeDegree, TriDegree
 from .hfp import positive_cone
 from .hopf import Comodule, HopfAlgebroid, apply_coproduct_at, primitive_hopf, truncated_hopf
@@ -124,6 +124,7 @@ def may_e1(p: int, n: int, beta: int = 1, beta_prime: int = 1) -> MayE1:
     check_odd_prime(p)
     if n < 1:
         raise ConfigError(f"need n >= 1, got {n}")
+    beta, beta_prime = check_unit(p, beta, "beta"), check_unit(p, beta_prime, "beta_prime")
     gens = [*positive_cone(p, ul_kind=INV).generators, GeneratorSpec("z", D(0, 1), POLY)]
     s_deg = [0, 0, 0, 1]
     f_deg = [0, 0, 0, 1]
@@ -141,7 +142,7 @@ def may_e1(p: int, n: int, beta: int = 1, beta_prime: int = 1) -> MayE1:
         )
         s_deg.append(2)
         f_deg.append(p)
-    return MayE1(p, n, beta % p, beta_prime % p, Presentation(p, gens), tuple(s_deg), tuple(f_deg))
+    return MayE1(p, n, beta, beta_prime, Presentation(p, gens), tuple(s_deg), tuple(f_deg))
 
 
 def _times_a(monomials: Iterable[Monomial], k: int) -> list[Monomial]:
@@ -177,7 +178,7 @@ def e1_monomials(
     s_cap = window.s_max
 
     # (monomial, m, n) of every generator part within the s budget, by (s, f);
-    # exterior generators take exponents 0..1
+    # a bounded (exterior) generator takes exponents below its bound
     gen_parts: dict[tuple[int, int], list[tuple[Monomial, int, int]]] = {}
     part_pos = (e1.z_pos, *e1.x_pos, *e1.xp_pos)
     acc_mono = [0] * len(pres)
@@ -188,7 +189,7 @@ def e1_monomials(
             return
         i = part_pos[t]
         d, ds, df = pres.degrees[i], s_deg[i], f_deg[i]
-        top = 1 if pres.kinds[i] == EXT else s_cap
+        top = s_cap if pres.bounds[i] is None else pres.bounds[i] - 1
         j = 0
         while j <= top and acc_s + ds * j <= s_cap:
             acc_mono[i] = j
@@ -243,7 +244,7 @@ def d1_monomial(e1: MayE1, mono: Monomial) -> dict[Monomial, int]:
     a_i, ul_i, us_i = e1.a_pos, e1.ul_pos, e1.us_pos
     out: dict[Monomial, int] = {}
     eps = mono[us_i]
-    if eps and e1.beta_prime:  # may_e1 reduces beta' mod p
+    if eps:
         tgt = list(mono)
         tgt[us_i] = 0
         tgt[a_i] += 2
@@ -820,14 +821,13 @@ def _line_ext_classes(p: int, g: GeneratorSpec, s_cap: int):
     """Cobar cohomology of one line of the associated graded, the primitive
     Hopf algebra on g alone with trivial coefficients, by build_cobar:
     [(s, internal degree, f, dim)].  Every bar word of internal degree k|g|
-    has filtration weight f = k, and with g^top = 0 a word of s letters has
-    k <= s(top - 1), so k past s_cap(top - 1) has no class at s <= s_cap.
-    Nothing here knows the expected answer."""
+    has filtration weight f = k, and with g^bound = 0 a word of s letters
+    has k <= s(bound - 1), so k past s_cap(bound - 1) has no class at
+    s <= s_cap.  Nothing here knows the expected answer."""
     H = primitive_hopf(p, [g])
     triv = Comodule(H, Presentation(p, []), {})
-    top = 2 if g.kind == EXT else g.bound
     out = []
-    for k in range(s_cap * (top - 1) + 1):
+    for k in range(s_cap * (g.bound - 1) + 1):
         internal = g.degree * k
         row = DegreeWindow(internal.m - s_cap, internal.m, internal.n, internal.n, s_cap)
         for (s, total), dim in ext_dimensions(build_cobar(H, triv, row)).dims().items():

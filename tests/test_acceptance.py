@@ -7,6 +7,8 @@ pass/fail lines.
 import time
 from collections import Counter
 
+import pytest
+
 from spokeseq import hfp, hopf
 from spokeseq.algebra import (
     EXT,
@@ -112,6 +114,18 @@ def test_criterion_3_convergence():
         ok = ok and good
     elapsed = time.monotonic() - start
     report(3, "last-page totals equal direct Ext", ok, elapsed, 300)
+
+
+@pytest.mark.parametrize("p, n", ((5, 1), (5, 2), (7, 1), (7, 2)))
+def test_criterion_3_convergence_at_larger_primes(p, n):
+    # the verdict runs at p = 3, 5 and 7; each prime's last page must
+    # converge to the direct Ext on the same window
+    start = time.monotonic()
+    good, failures = einfty_vs_ext(p, n, PAGE_WINDOW)
+    if not good:
+        print(f"  first mismatches: {failures[:3]}")
+    elapsed = time.monotonic() - start
+    report(3, f"last-page totals equal direct Ext p={p} n={n}", good, elapsed, 30)
 
 
 def test_criterion_4_ep_negative_pattern():

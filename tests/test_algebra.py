@@ -62,6 +62,21 @@ def test_kind_parity_enforced():
         GeneratorSpec("bad", D(0, 0), POLY)
 
 
+def test_exterior_generators_have_bound_two():
+    # x^2 = 0 bounds an exterior generator exactly like a truncated one
+    assert GeneratorSpec("x", D(1, -1), EXT).bound == 2
+    assert GeneratorSpec("x", D(1, -1), EXT, 2) == GeneratorSpec("x", D(1, -1), EXT)
+    for kind, bound in ((EXT, 3), (EXT, 1), (POLY, 2), (INV, 2), (TRUNC, 0)):
+        with pytest.raises(ConfigError):
+            GeneratorSpec("g", D(1 if kind == EXT else 2, 0), kind, bound)
+    ring = thh_ring()
+    us = ring.monomial(us=1)
+    assert ring.mul_monomials(us, us) == (None, 0)
+    for bad in ((0, 0, 0, 2, 0), (-1, 0, 0, 0, 0)):  # us^2, a^-1
+        with pytest.raises(ConfigError):
+            ring.check_monomial(bad)
+
+
 def test_monomials_point_ring():
     ring = point_ring()
     assert [ring.format_monomial(m) for m in monomials_in_degree(ring, D(2, -2))] == ["ul"]

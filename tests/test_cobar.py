@@ -1,4 +1,5 @@
 from functools import cache
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -17,7 +18,6 @@ from spokeseq.algebra import (
 )
 from spokeseq.cobar import (
     DualOperators,
-    _gamma_bar_candidates,
     build_cobar,
     build_resolution_complex,
     ext0_primitives,
@@ -28,7 +28,12 @@ from spokeseq.cobar import (
     stabilize_over_n,
     validate_dsquare,
 )
-from spokeseq.errors import BookkeepingError, CompositionError, ConfigError
+from spokeseq.errors import (
+    BookkeepingError,
+    CompositionError,
+    ConfigError,
+    WindowIncompleteError,
+)
 from spokeseq.fp import SparseMatFp
 from spokeseq.grading import DegreeWindow, SpokeDegree
 from spokeseq.hopf import (
@@ -36,6 +41,7 @@ from spokeseq.hopf import (
     TensorContext,
     base_comodule,
     geometric_algebroid,
+    primitive_hopf,
     truncated_hopf,
 )
 
@@ -628,13 +634,33 @@ def test_builders_build_exactly_the_read_set(build, p, n, window):
     assert cx.diffs.read == reads
 
 
+def bar_letters_oracle(H, max_m):
+    """Every non-unit coideal monomial, over exponent ranges read off the
+    kinds: 0..1 for an exterior generator, below the bound for a truncated
+    one, and up to m = max_m alone for a polynomial one.  No word is
+    dropped for its m: one past the window reaches no slice (the oracle's
+    modules have m >= 0 wherever a coideal generator is polynomial), so the
+    slices show whether build_cobar's cap dropped a letter it needed."""
+    ranges = []
+    for g in H.total.generators:
+        if g.name in H.base.names:
+            ranges.append(range(1))
+        elif g.kind == EXT:
+            ranges.append(range(2))
+        elif g.kind == TRUNC:
+            ranges.append(range(g.bound))
+        else:
+            ranges.append(range(max_m // g.degree.m + 1))
+    return [word for word in product(*ranges) if any(word)]
+
+
 def enumerate_slice_oracle(H, comodule, window, internal, s):
     """The recursive bar-word enumeration of one cobar slice, from scratch
     for every slice: the reference for build_cobar's shared suffixes."""
     M = comodule.module
     max_m = max((d + D(t, 0)).m for d in window.degrees() for t in range(window.s_max + 1))
     by_degree = {}
-    for mono in _gamma_bar_candidates(H, max_m):
+    for mono in bar_letters_oracle(H, max_m):
         by_degree.setdefault(H.total.degree_of(mono), []).append(mono)
     bar_degrees = sorted(by_degree, key=lambda d: (d.m, d.n))
     min_bar_m = min((d.m for d in bar_degrees), default=0)
@@ -659,6 +685,25 @@ def enumerate_slice_oracle(H, comodule, window, internal, s):
     rec(s, internal)
     out.sort()
     return out
+
+
+def test_polynomial_letters_past_negative_m_are_refused():
+    # over F_3[u^+-1] the slice C^1 at 0+0@ holds u^-k (x) y^k for every
+    # k >= 1, so no cap at the window's largest m lists its letters
+    y = GeneratorSpec("y", D(2, 0), POLY)
+    H = primitive_hopf(3, [y])
+    module = Presentation(3, [GeneratorSpec("u", D(2, 0), INV)])
+    unit = H.total.unit_monomial()
+    M = Comodule(H, module, {"u": {(module.monomial(u=1), unit): 1}})
+    for window in ("0:0:0:0", "0:6:0:0"):
+        with pytest.raises(WindowIncompleteError, match="coideal generator y"):
+            build_cobar(H, M, DegreeWindow.parse(window, 1))
+    # a letter of negative m does the same over F_3: the slice C^3 at 2+0@
+    # holds x|x|y^2, whose letter y^2 has m = 4
+    H = primitive_hopf(3, [y, GeneratorSpec("x", D(-1, 0), EXT)])
+    trivial = Comodule(H, Presentation(3, []), {})
+    with pytest.raises(WindowIncompleteError, match="coideal generator y"):
+        build_cobar(H, trivial, DegreeWindow.parse("0:0:0:0", 2))
 
 
 def geometric_base(p):

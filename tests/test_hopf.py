@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import io
 import itertools
 from contextlib import redirect_stderr, redirect_stdout
@@ -87,6 +88,29 @@ def test_descent_axioms_p5_small_window():
     H = descent_algebroid(5)
     report = check_axioms(H, DegreeWindow(-4, 4, -5, 5, s_max=6), comodule=base_comodule(H))
     assert report.ok, report.format()
+
+
+def test_dropped_algebroids_leave_no_cyclic_garbage():
+    # a tensor context holds the algebroid's base, total ring and eta_R, not
+    # the algebroid that caches it, so a dropped algebroid is freed at once
+    # instead of waiting for a full collection in some later computation
+    window = DegreeWindow(-2, 2, -2, 2, s_max=2)
+
+    def check_both():
+        H, M = truncated_hopf(3, 1)
+        assert check_axioms(H, window, M).ok
+        G = descent_algebroid(3)
+        assert check_axioms(G, window, base_comodule(G)).ok
+
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        check_both()
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_corrupted_right_unit_caught():

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from spokeseq import charts, hopf, mayss
 from spokeseq.algebra import TRUNC, GeneratorSpec, Monomial, Presentation, monomials_in_degree
 from spokeseq.cli import main
-from spokeseq.errors import BookkeepingError, WindowError
+from spokeseq.errors import BookkeepingError, ConfigError, WindowError
 from spokeseq.fp import Subspace
 from spokeseq.grading import DegreeWindow, SpokeDegree, TriDegree
 from spokeseq.hopf import truncated_hopf
@@ -940,3 +940,14 @@ def test_segal_formats_no_monomial(monkeypatch):
     monkeypatch.setattr(Presentation, "format_monomial", refuse)
     report = segal_pipeline(3, 2, DegreeWindow(-1, 0, -2, 2, s_max=2))
     assert report.survivor_tables
+
+
+@pytest.mark.parametrize("units", ({"beta": 3}, {"beta_prime": 0}))
+def test_pages_refuse_a_non_unit_beta(units):
+    # beta = 0 mod p would drop the d_1 and d_(p-1) terms it scales, and
+    # the verdict would read the missing differentials as survivors
+    window = DegreeWindow(-1, 0, -2, 2, s_max=2)
+    with pytest.raises(ConfigError, match="must be a unit in F_3"):
+        compute_pages(3, 2, window, **units)
+    with pytest.raises(ConfigError, match="must be a unit in F_3"):
+        segal_pipeline(3, 2, window, **units)

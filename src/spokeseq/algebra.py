@@ -323,21 +323,22 @@ class GradedMap:
     def _generator_power(self, name: str, e: int) -> Element:
         """The e-th power (e != 0) of a generator's image by repeated
         squaring; a negative power squares the one inverse of the image."""
-        key = (name, e)
-        cached = self._pow_cache.get(key)
-        if cached is not None:
-            return cached
-        if e == 1:
-            out = self.images[name]
-        elif e == -1:
-            out = invert(self.images[name])
-        else:
-            sign = 1 if e > 0 else -1
-            half = self._generator_power(name, sign * (abs(e) // 2))
-            out = half * half
+        cache = self._pow_cache
+        sign = 1 if e > 0 else -1
+        if (name, sign) not in cache:
+            image = self.images[name]
+            cache[(name, sign)] = image if sign > 0 else invert(image)
+        # halve down to a cached power, then square back up
+        halvings = []
+        while (name, e) not in cache:
+            halvings.append(e)
+            e = sign * (abs(e) // 2)
+        out = cache[(name, e)]
+        for e in reversed(halvings):
+            out = out * out
             if e & 1:
-                out = out * self._generator_power(name, sign)
-        self._pow_cache[key] = out
+                out = out * cache[(name, sign)]
+            cache[(name, e)] = out
         return out
 
     def apply_monomial(self, mono: Monomial) -> Element:
@@ -379,8 +380,8 @@ def monomials_in_degree(pres: Presentation, degree: SpokeDegree) -> tuple[Monomi
 
     The analysis (classification, validation, the functional, the loop
     order and the leaf determinant) runs once per presentation, on its
-    first call, and is kept on ``pres``.  Per degree only the recursion and
-    the leaf solves run, so a module of the shape F_p[a, ul^{+-1}]<us>
+    first call, and is kept on ``pres``.  Per degree only the frontier loop
+    and the leaf solves run, so a module of the shape F_p[a, ul^{+-1}]<us>
     costs O(output) per degree.
 
     A presentation outside those shapes raises WindowIncompleteError rather
@@ -404,9 +405,10 @@ def _plan(pres: Presentation) -> Callable[[int, int], tuple[Monomial, ...]]:
     """Check that the shape of ``pres`` enumerates completely, and return
     the function that lists the monomials of degree m + n@, sorted.
 
-    That function loops over the exponent range of every generator with a
-    bound, then over every free polynomial generator but the last, and
-    solves the rest at a leaf.
+    That function extends a frontier of partial exponent vectors by one
+    generator per step: every generator with a bound, over its exponent
+    range, then every free polynomial generator but the last.  One leaf
+    solve per frontier entry fills in the rest.
 
     * Bound.  A looped free generator g has a functional L that is positive
       on g and nonnegative on every free generator looped after it, so the
@@ -489,10 +491,24 @@ def _plan(pres: Presentation) -> Callable[[int, int], tuple[Monomial, ...]]:
     n_leaf = len(leaf)
 
     def enumerate_degree(m: int, n: int) -> tuple[Monomial, ...]:
+        # each partial is (exponents so far, the degree still to fill)
+        frontier = [((0,) * len(deg), m, n)]
+        for i, rng, gm, gn in finite_steps:
+            frontier = [
+                (exps[:i] + (e,) + exps[i + 1 :], rm - e * gm, rn - e * gn)
+                for exps, rm, rn in frontier
+                for e in rng
+                if not (can_prune_m and rm - e * gm < 0)
+            ]
+        for i, gm, gn, lm, ln, lg in free_steps:
+            # lg > 0, so a budget below 0 gives an empty range
+            frontier = [
+                (exps[:i] + (e,) + exps[i + 1 :], rm - e * gm, rn - e * gn)
+                for exps, rm, rn in frontier
+                for e in range((lm * rm + ln * rn) // lg + 1)
+            ]
         results: list[Monomial] = []
-        exps = [0] * len(deg)
-
-        def solve_leaf(rm: int, rn: int) -> None:
+        for exps, rm, rn in frontier:
             # x u + y v = r
             if n_leaf == 2:
                 x, y = (rm * vn - rn * vm) // det, (um * rn - un * rm) // det
@@ -501,44 +517,13 @@ def _plan(pres: Presentation) -> Callable[[int, int], tuple[Monomial, ...]]:
             else:
                 x = y = 0
             if x * um + y * vm != rm or x * un + y * vn != rn:
-                return
+                continue
             if last is not None and x < 0:
-                return
+                continue
+            mono = list(exps)
             for i, e in zip(leaf, (x, y)):
-                exps[i] = e
-            results.append(tuple(exps))
-            for i in leaf:
-                exps[i] = 0
-
-        def enum_free(idx: int, rm: int, rn: int) -> None:
-            if idx == len(free_steps):
-                solve_leaf(rm, rn)
-                return
-            i, gm, gn, lm, ln, lg = free_steps[idx]
-            # lg > 0, so a budget below 0 gives an empty range
-            for e in range((lm * rm + ln * rn) // lg + 1):
-                exps[i] = e
-                enum_free(idx + 1, rm - e * gm, rn - e * gn)
-            exps[i] = 0
-
-        def enum_finite(idx: int, rm: int, rn: int) -> None:
-            if can_prune_m and rm < 0:
-                return
-            if idx == len(finite_steps):
-                enum_free(0, rm, rn)
-                return
-            i, rng, gm, gn = finite_steps[idx]
-            for e in rng:
-                if can_prune_m and gm > 0 and rm - e * gm < 0:
-                    break
-                exps[i] = e
-                enum_finite(idx + 1, rm - e * gm, rn - e * gn)
-            exps[i] = 0
-
-        enum_finite(0, m, n)
-        # the recursive closures hold their own cells; emptying the cells
-        # breaks those cycles, so the closures die with this call
-        del enum_free, enum_finite
+                mono[i] = e
+            results.append(tuple(mono))
         results.sort()
         return tuple(results)
 

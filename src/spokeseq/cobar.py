@@ -169,45 +169,48 @@ def build_cobar(H: HopfAlgebroid, comodule: Comodule, window: DegreeWindow) -> C
     their source and target slices (``ext_reads``).
 
     A slice (m, n, s) is every (module monomial, bar word of s non-unit
-    letters) of total degree m + n@, sorted.  The words are enumerated once
-    per (letters left, remaining m, remaining n) suffix, shared by every
-    slice of the build that reaches it.
+    letters) of total degree m + n@, sorted.  The bar words are enumerated
+    once per build, by (m, n) lane, one letter more per step up to the top
+    slice read; each slice pairs the words of each lane with the module
+    monomials of the degree left over.
     """
     M = comodule.module
     total = H.total
     reads = ext_reads(window)
+    slice_keys = _slice_keys(reads)
     max_m = max(m for m, _, _ in reads)
 
     # when every module monomial has m >= 0 (no inverted generators with
-    # negative m reach), bar words cannot overspend the m budget: this
-    # prunes the suffixes and caps the polynomial letters
+    # negative m reach), bar words cannot overspend the m budget: this caps
+    # the polynomial letters and, when no letter has negative m either,
+    # prunes every word past max_m
     m_nonneg = all(g.kind != INV and g.degree.m >= 0 for g in M.generators)
     by_lane: dict[tuple[int, int], list[Monomial]] = {}
     for mono in _gamma_bar_candidates(H, max_m, m_nonneg):
         d = total.degree_of(mono)
         by_lane.setdefault((d.m, d.n), []).append(mono)
-    bar_lanes = sorted(by_lane)
-    min_bar_m = min((bm for bm, _ in bar_lanes), default=0)
+    prune = m_nonneg and all(bm >= 0 for bm, _ in by_lane)
+    # words[s]: the bar words of s letters, by (m, n) lane
+    words: list[dict[tuple[int, int], list[tuple[Monomial, ...]]]] = [{(0, 0): [()]}]
+    for _ in range(max(s for _, _, s in slice_keys)):
+        longer: dict[tuple[int, int], list[tuple[Monomial, ...]]] = {}
+        for (wm, wn), ws in words[-1].items():
+            for (bm, bn), bs in by_lane.items():
+                if prune and wm + bm > max_m:
+                    continue
+                lane = longer.setdefault((wm + bm, wn + bn), [])
+                lane.extend([w + (b,) for w in ws for b in bs])
+        words.append(longer)
 
-    @cache
-    def suffixes(letters: int, m: int, n: int) -> list[BasisIndex]:
-        """Every (module monomial, bar word of ``letters`` letters) of total
-        degree m + n@, unsorted; the cache's own list."""
-        if not letters:
-            return [(m_mono, ()) for m_mono in monomials_in_degree(M, D(m, n))]
-        out = []
-        for bm, bn in bar_lanes:
-            if m_nonneg and m - bm - (letters - 1) * min_bar_m < 0:
-                continue
-            tails = suffixes(letters - 1, m - bm, n - bn)
-            for b in by_lane[(bm, bn)]:
-                out.extend([(m_mono, (b,) + word) for m_mono, word in tails])
-        return out
-
-    bases = {(m, n, s): sorted(suffixes(s, m, n)) for m, n, s in _slice_keys(reads)}
-    # suffixes calls itself through its closure, a reference cycle: empty
-    # the cache now, or its lists wait for the next full collection
-    suffixes.cache_clear()
+    bases = {
+        (m, n, s): sorted(
+            (m_mono, word)
+            for (wm, wn), ws in words[s].items()
+            for m_mono in monomials_in_degree(M, D(m - wm, n - wn))
+            for word in ws
+        )
+        for m, n, s in slice_keys
+    }
 
     diffs = {}
     p = H.p
@@ -434,22 +437,18 @@ class ResolutionGens:
         return "*".join(parts) if parts else "1"
 
     def enumerate(self, s_cap: int) -> list[GenState]:
-        states: list[GenState] = []
-
-        def rec(i: int, acc: list, s_used: int):
-            if i == len(self.strands):
-                states.append(tuple(acc))
-                return
-            period = len(self.strands[i].folds)
-            for j in range((s_cap - s_used) // period + 1):
-                for r in range(min(period, s_cap - s_used - period * j + 1)):
-                    acc.append((r, j))
-                    rec(i + 1, acc, s_used + r + period * j)
-                    acc.pop()
-
-        rec(0, [], 0)
-        states.sort(key=lambda st: (self.s_of(st), st))
-        return states
+        # (s, state) pairs, one strand more per step
+        states: list[tuple[int, GenState]] = [(0, ())]
+        for st in self.strands:
+            period = len(st.folds)
+            states = [
+                (s + r + period * j, state + ((r, j),))
+                for s, state in states
+                for j in range((s_cap - s) // period + 1)
+                for r in range(min(period, s_cap - s - period * j + 1))
+            ]
+        states.sort()
+        return [state for _, state in states]
 
     def moves(self, state: GenState) -> list[tuple[Monomial, GenState, int, int]]:
         """(pi, new state, fold, sign) per strand, each one step up its line;
@@ -667,8 +666,8 @@ def build_resolution_complex(
                         raise BookkeepingError(
                             f"resolution image leaves slice at {D(m, n)}, s={s}"
                         )
-                    col[row] = (col.get(row, 0) + sign * c) % p
-            columns.append({k: v for k, v in col.items() if v})
+                    col[row] = col.get(row, 0) + sign * c
+            columns.append(col)
         diffs[(m, n, s)] = SparseMatFp.from_columns(columns, len(dst), p)
 
     cx = ResolutionComplex(H, comodule, window, gens, bases, diffs)

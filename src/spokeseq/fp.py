@@ -48,7 +48,10 @@ def inv_mod(a: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class SparseMatFp:
-    """rows x cols matrix over F_p, stored as {(row, col): value}, values in 1..p-1."""
+    """rows x cols matrix over F_p, stored as {(row, col): value}, values in 1..p-1.
+
+    ``__post_init__`` is the one place that reduces entries mod p and drops
+    zeros, so a constructor passes its raw entries through."""
 
     rows: int
     cols: int
@@ -76,12 +79,7 @@ class SparseMatFp:
         columns: Sequence[Mapping[int, int]], rows: int, p: int
     ) -> "SparseMatFp":
         """Columns given as {row: value}; matches how differentials are built."""
-        entries = {
-            (i, j): v % p
-            for j, col in enumerate(columns)
-            for i, v in col.items()
-            if v % p
-        }
+        entries = {(i, j): v for j, col in enumerate(columns) for i, v in col.items()}
         return SparseMatFp(rows, len(columns), p, entries)
 
     # -- basic ops ---------------------------------------------------------

@@ -124,16 +124,21 @@ def negative_basis_in_degree(d: SpokeDegree) -> list[NegClass]:
 
 def basis_in_degree(p: int, variant: HfpVariant, d: SpokeDegree) -> list[str]:
     """Complete basis labels of the variant in one degree."""
-    if variant == HfpVariant.SPOKE_SUSPENSION:
-        shifted = d - D(0, 1)
-        main = [f"{lab}*1s" for lab in basis_in_degree(p, HfpVariant.FULL, shifted)]
-        tilde = []
-        # F_p[ul^{+-1}]{1t_i}: degree j*(2,-2) + (0,1)
-        if d.m % 2 == 0 and d.n == 1 - d.m:
-            j = d.m // 2
-            ul_part = "" if j == 0 else ("ul*" if j == 1 else f"ul^{j}*")
-            tilde = [f"{ul_part}1t{i}" for i in range(1, p - 1)]
-        return main + tilde
+    if variant != HfpVariant.SPOKE_SUSPENSION:
+        return _presented_basis(p, variant, d)
+    main = [f"{lab}*1s" for lab in _presented_basis(p, HfpVariant.FULL, d - D(0, 1))]
+    tilde = []
+    # F_p[ul^{+-1}]{1t_i}: degree j*(2,-2) + (0,1)
+    if d.m % 2 == 0 and d.n == 1 - d.m:
+        j = d.m // 2
+        ul_part = "" if j == 0 else ("ul*" if j == 1 else f"ul^{j}*")
+        tilde = [f"{ul_part}1t{i}" for i in range(1, p - 1)]
+    return main + tilde
+
+
+def _presented_basis(p: int, variant: HfpVariant, d: SpokeDegree) -> list[str]:
+    """Basis labels of a variant with a presentation: its monomials, and for
+    the full variant the negative classes too."""
     pres = variant_presentation(p, variant)
     labels = [pres.format_monomial(m) for m in monomials_in_degree(pres, d)]
     if variant == HfpVariant.FULL:

@@ -646,21 +646,21 @@ def m_k_oracle(p: int, k: int) -> int:
     }
 
     def gamma_of(mono: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        cached = poly_cache.get(mono)
-        if cached is not None:
-            return cached
-        first = next(i for i, e in enumerate(mono) if e)
-        smaller = list(mono)
-        smaller[first] -= 1
-        out: dict[tuple[int, ...], int] = {}
-        for pm, c in gamma_of(tuple(smaller)).items():
-            for var in linear[first]:
-                new = list(pm)
-                new[var] += 1
-                new = tuple(new)
-                out[new] = out.get(new, 0) + c
-        out = {m: c % p for m, c in out.items() if c % p}
-        poly_cache[mono] = out
+        # walk down, one factor y_first at a time, to a cached monomial
+        steps = []
+        while mono not in poly_cache:
+            first = next(i for i, e in enumerate(mono) if e)
+            steps.append((mono, first))
+            mono = mono[:first] + (mono[first] - 1,) + mono[first + 1 :]
+        out = poly_cache[mono]
+        # then multiply back up, caching each product
+        for mono, first in reversed(steps):
+            up: dict[tuple[int, ...], int] = {}
+            for pm, c in out.items():
+                for var in linear[first]:
+                    new = pm[:var] + (pm[var] + 1,) + pm[var + 1 :]
+                    up[new] = up.get(new, 0) + c
+            out = poly_cache[mono] = {m: c % p for m, c in up.items() if c % p}
         return out
 
     # columns of N = gamma_Sym - I, as (row, value) pairs

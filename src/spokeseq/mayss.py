@@ -177,27 +177,21 @@ def e1_monomials(
     s_deg, f_deg = e1.s_deg, e1.f_deg
     s_cap = window.s_max
 
-    # (monomial, m, n) of every generator part within the s budget, by (s, f);
+    # (monomial, m, n, s, f) of every generator part within the s budget;
     # a bounded (exterior) generator takes exponents below its bound
-    gen_parts: dict[tuple[int, int], list[tuple[Monomial, int, int]]] = {}
-    part_pos = (e1.z_pos, *e1.x_pos, *e1.xp_pos)
-    acc_mono = [0] * len(pres)
-
-    def rec(t, acc_m, acc_n, acc_s, acc_f):
-        if t == len(part_pos):
-            gen_parts.setdefault((acc_s, acc_f), []).append((tuple(acc_mono), acc_m, acc_n))
-            return
-        i = part_pos[t]
+    partials = [((0,) * len(pres), 0, 0, 0, 0)]
+    for i in (e1.z_pos, *e1.x_pos, *e1.xp_pos):
         d, ds, df = pres.degrees[i], s_deg[i], f_deg[i]
         top = s_cap if pres.bounds[i] is None else pres.bounds[i] - 1
-        j = 0
-        while j <= top and acc_s + ds * j <= s_cap:
-            acc_mono[i] = j
-            rec(t + 1, acc_m + d.m * j, acc_n + d.n * j, acc_s + ds * j, acc_f + df * j)
-            j += 1
-        acc_mono[i] = 0
-
-    rec(0, 0, 0, 0, 0)
+        partials = [
+            (mono[:i] + (j,) + mono[i + 1 :], pm + d.m * j, pn + d.n * j, ps + ds * j, pf + df * j)
+            for mono, pm, pn, ps, pf in partials
+            for j in range(top + 1)
+            if ps + ds * j <= s_cap
+        ]
+    gen_parts: dict[tuple[int, int], list[tuple[Monomial, int, int]]] = {}
+    for mono, pm, pn, ps, pf in partials:
+        gen_parts.setdefault((ps, pf), []).append((mono, pm, pn))
 
     a_i, ul_i, us_i = e1.a_pos, e1.ul_pos, e1.us_pos
     n_min, n_max = window.n_min, window.n_max
@@ -718,18 +712,12 @@ def compute_pages(
     says so."""
     e1 = may_e1(p, n, beta, beta_prime)
     page1 = page_one(e1, replace(window, s_max=window.s_max + 2))
-    pages = {1: page1}
-    if disable_d1:
-        # negative control: run the same machinery with a zero differential
-        pages[2] = turn_page(page1, lambda _e1, _mono: {}, 2)
-    else:
-        pages[2] = turn_page(page1, d1_monomial, 2)
-    current = pages[2]
-    for r in range(2, p - 1):
-        nxt = copy_page(current, r + 1)
-        pages[r + 1] = nxt
-        current = nxt
-    pages[p] = turn_page(current, d_pminus1_monomial, p)
+    # negative control: run the same machinery with a zero differential
+    d1 = (lambda _e1, _mono: {}) if disable_d1 else d1_monomial
+    pages = {1: page1, 2: turn_page(page1, d1, 2)}
+    for r in range(3, p):
+        pages[r] = copy_page(pages[r - 1], r)
+    pages[p] = turn_page(pages[p - 1], d_pminus1_monomial, p)
     return pages
 
 

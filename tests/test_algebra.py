@@ -472,9 +472,9 @@ def test_one_plan_serves_every_degree(pres, degrees):
 
 
 def test_enumerating_fresh_degrees_leaves_no_cyclic_garbage():
-    # the per-degree recursion is a set of closures that call themselves;
-    # left as reference cycles they would wait for the cycle collector, and
-    # a full collection would land in some later, unrelated computation
+    # a degree's enumeration is one frontier loop and leaves no reference
+    # cycle; a cycle would wait for the cycle collector, and a full
+    # collection would land in some later, unrelated computation
     pres = thh_ring()
     monomials_in_degree(pres, D(0, 0))  # builds and keeps the plan
     was_enabled = gc.isenabled()

@@ -1,3 +1,4 @@
+import gc
 import io
 import os
 import subprocess
@@ -195,6 +196,35 @@ def test_byte_identical_on_repeat():
         first = run_cli(args)
         assert first[0] == 0
         assert run_cli(args) == first
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        "segal --p 3 --n-max 3 --window -6:1:-8:8 --s-max 4",
+        "ext --p 3 --n 2 --window -10:6:-12:12 --s-max 4",
+        "ext --route cobar --p 3 --n 2 --window -1:0:-1:0 --s-max 2",
+        "ext --route resolution --p 3 --n 2 --window -1:0:-1:0 --s-max 2",
+        "mk --p 5 --k-max 6",
+        "may --p 3 --n 1 --window -2:1:-2:2 --svg",
+        "check --preset truncated --p 5 --n 2",
+    ],
+)
+def test_a_repeated_query_leaves_no_cyclic_garbage(query, tmp_path):
+    # every enumeration is a loop, not a closure that calls itself, so a
+    # query leaves no reference cycles behind: the cycle collector has
+    # nothing to find, and no full collection lands in a later query
+    args = query.split() + (["--out", str(tmp_path)] if "--svg" in query else [])
+    assert run_cli(args)[0] == 0  # the first run builds the parser and caches
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_cli(args)[0] == 0
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # the settings each subcommand reads, so the flags it must accept

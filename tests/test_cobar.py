@@ -656,7 +656,7 @@ def bar_letters_oracle(H, max_m):
 
 def enumerate_slice_oracle(H, comodule, window, internal, s):
     """The recursive bar-word enumeration of one cobar slice, from scratch
-    for every slice: the reference for build_cobar's shared suffixes."""
+    for every slice: the reference for build_cobar's words by lane."""
     M = comodule.module
     max_m = max((d + D(t, 0)).m for d in window.degrees() for t in range(window.s_max + 1))
     by_degree = {}
@@ -711,6 +711,13 @@ def geometric_base(p):
     return H, base_comodule(H)
 
 
+def exterior_with_a_negative_letter(p):
+    # x has m = -1, so a bar word can pass the window's largest m and come
+    # back below it: z|x lies in a slice that its prefix z overshoots
+    H = primitive_hopf(p, [GeneratorSpec("x", D(-1, 0), EXT), GeneratorSpec("z", D(3, 0), EXT)])
+    return H, trivial_comodule(H)
+
+
 @pytest.mark.parametrize(
     "algebra, args, window",
     [
@@ -718,6 +725,7 @@ def geometric_base(p):
         (truncated, (3, 1), DegreeWindow(-2, 2, -3, 3, s_max=2)),
         (truncated, (5, 1), DegreeWindow(-2, 1, -2, 2, s_max=2)),
         (geometric_base, (3,), DegreeWindow(0, 4, 0, 0, s_max=2)),
+        (exterior_with_a_negative_letter, (3,), DegreeWindow(-2, 1, 0, 0, s_max=2)),
     ],
 )
 def test_cobar_slices_match_recursive_oracle(algebra, args, window):

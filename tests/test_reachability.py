@@ -263,3 +263,28 @@ def test_engine_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _callee(call: ast.Call) -> str | None:
+    """The name a call reaches by: f(...), self.f(...) or cls.f(...)."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return func.attr if func.value.id in ("self", "cls") else None
+    return None
+
+
+def test_no_function_calls_itself():
+    # every enumeration is a plain loop; a nested function that called
+    # itself would hold itself in its closure cell, a reference cycle per call
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            _callee(call) == node.name for call in ast.walk(node) if isinstance(call, ast.Call)
+        )
+    ]
+    assert found == []

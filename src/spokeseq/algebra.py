@@ -8,15 +8,20 @@ combinations of monomials.  Exterior generators sit in odd integer degree
 monomials only counts transpositions of exterior factors.
 
 ``Element`` works over any ring of hashable monomial keys that provides
-``p``, ``degree_of``, ``unit_monomial``, ``is_unit_monomial``,
+``p``, ``lanes_of``, ``unit_monomial``, ``is_unit_monomial``,
 ``unit_inverse``, ``mul_monomials`` and ``format_monomial``: a
 ``Presentation``, or a tensor power (``hopf.TensorContext``) whose keys are
-tuples of slot monomials.
+tuples of slot monomials.  ``lanes_of`` gives a key's degree as the integer
+pair (m, n), so the homogeneity check on every term compares int pairs; a
+``Presentation`` memoises it per monomial, a tensor power adds up its
+slots' lanes.  Only a ``Presentation`` also has ``degree_of``, the same
+degree as a ``SpokeDegree``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Callable, Mapping, Sequence
 
 from .errors import (
@@ -90,6 +95,11 @@ class Presentation:
         self.kinds = tuple(g.kind for g in self.generators)
         self.bounds = tuple(g.bound for g in self.generators)
         self._ext = tuple(i for i, g in enumerate(self.generators) if g.kind == EXT)
+        self._bounded = tuple((i, b) for i, b in enumerate(self.bounds) if b)
+        # the integer (m, n) lanes of each generator degree, and lanes_of
+        # answers per monomial
+        self._degree_lanes = tuple((d.m, d.n) for d in self.degrees)
+        self._lanes_memo: dict[Monomial, tuple[int, int]] = {}
         # monomials_in_degree answers per (m, n), and the enumeration plan
         # (see _plan) that its first certified call builds
         self._monomial_memo: dict[tuple[int, int], tuple[Monomial, ...]] = {}
@@ -121,13 +131,20 @@ class Presentation:
             if g.kind != INV and (e < 0 or g.bound and e >= g.bound):
                 raise ConfigError(f"{g.kind} {g.name} exponent {e} not in [0,{g.bound})")
 
+    def lanes_of(self, mono: Monomial) -> tuple[int, int]:
+        """The degree of a monomial as the integer pair (m, n), memoised."""
+        lanes = self._lanes_memo.get(mono)
+        if lanes is None:
+            m = n = 0
+            for e, (dm, dn) in zip(mono, self._degree_lanes):
+                if e:
+                    m += e * dm
+                    n += e * dn
+            lanes = self._lanes_memo[mono] = (m, n)
+        return lanes
+
     def degree_of(self, mono: Monomial) -> SpokeDegree:
-        m = n = 0
-        for e, d in zip(mono, self.degrees):
-            if e:
-                m += e * d.m
-                n += e * d.n
-        return SpokeDegree(m, n)
+        return SpokeDegree(*self.lanes_of(mono))
 
     def parity_of(self, mono: Monomial) -> int:
         return sum(mono[i] for i in self._ext) & 1
@@ -142,21 +159,21 @@ class Presentation:
 
     def mul_monomials(self, a: Monomial, b: Monomial) -> tuple[Monomial | None, int]:
         """(product, sign); product None when it vanishes (an exponent reaches
-        its generator's bound: an ext square, a trunc overflow)."""
-        out = []
-        for ea, eb, bound in zip(a, b, self.bounds):
-            e = ea + eb
-            if bound and e >= bound:
+        its generator's bound: an ext square, a trunc overflow).
+
+        The sign counts the exterior pairs that change order, a factor of a
+        after a factor of b, in one pass over the exterior generators."""
+        out = tuple(map(add, a, b))
+        for i, bound in self._bounded:
+            if out[i] >= bound:
                 return None, 0
-            out.append(e)
-        sign = 1
-        ext_a = [i for i in self._ext if a[i]]
-        ext_b = [i for i in self._ext if b[i]]
-        for i in ext_a:
-            for j in ext_b:
-                if i > j:
-                    sign = -sign
-        return tuple(out), sign
+        inversions = seen_b = 0  # seen_b: exterior factors of b so far
+        for i in self._ext:
+            if a[i]:
+                inversions += seen_b
+            if b[i]:
+                seen_b += 1
+        return out, -1 if inversions & 1 else 1
 
     def format_monomial(self, mono: Monomial) -> str:
         parts = []
@@ -184,21 +201,25 @@ class Element:
         self.ring = ring
         self.degree = None
         self.coeffs = {}
+        p = ring.p
+        lanes_of = ring.lanes_of
         clean = {}
-        degree: SpokeDegree | None = None
+        lanes: tuple[int, int] | None = None
         for mono, c in coeffs.items():
-            c %= ring.p
+            c %= p
             if not c:
                 continue
-            d = ring.degree_of(mono)
-            if degree is None:
-                degree = d
-            elif d != degree:
+            d = lanes_of(mono)
+            if lanes is None:
+                lanes = d
+            elif d != lanes:
                 raise HomogeneityError(
-                    f"mixing degrees {degree} and {d} in one element"
+                    f"mixing degrees {SpokeDegree(*lanes)} and {SpokeDegree(*d)} "
+                    "in one element"
                 )
             clean[mono] = c
-        self.degree = degree
+        if lanes is not None:
+            self.degree = SpokeDegree(*lanes)
         self.coeffs = dict(sorted(clean.items()))
 
     # -- constructors ------------------------------------------------------
@@ -318,7 +339,10 @@ class GradedMap:
                     f"image of {name} has degree {got}, generator has {want}"
                 )
         self._pow_cache: dict[tuple[str, int], Element] = {}
-        self._mono_cache: dict[Monomial, Element] = {}
+        # apply_monomial answers per monomial, and every prefix it passes
+        self._mono_cache: dict[Monomial, Element] = {
+            source.unit_monomial(): Element.one(target)
+        }
 
     def _generator_power(self, name: str, e: int) -> Element:
         """The e-th power (e != 0) of a generator's image by repeated
@@ -342,21 +366,32 @@ class GradedMap:
         return out
 
     def apply_monomial(self, mono: Monomial) -> Element:
-        cached = self._mono_cache.get(mono)
-        if cached is not None:
-            return cached
-        out = Element.one(self.target)
-        for name, e in zip(self.source.names, mono):
-            if e:
-                out = out * self._generator_power(name, e)
-        self._mono_cache[mono] = out
+        """The image one * g1^e1 * g2^e2 * ..., multiplied in generator order.
+
+        A new monomial walks down to a cached prefix, dropping its last
+        generator each step, then multiplies back up by that generator's
+        power, caching each product."""
+        cache = self._mono_cache
+        out = cache.get(mono)
+        if out is not None:
+            return out
+        steps = []
+        while mono not in cache:
+            last = max(i for i, e in enumerate(mono) if e)
+            steps.append((mono, last))
+            mono = mono[:last] + (0,) + mono[last + 1 :]
+        out = cache[mono]
+        names = self.source.names
+        for mono, last in reversed(steps):
+            out = cache[mono] = out * self._generator_power(names[last], mono[last])
         return out
 
     def apply(self, elt: Element) -> Element:
-        out = Element.zero(self.target)
+        acc: dict = {}
         for mono, c in elt.coeffs.items():
-            out = out + self.apply_monomial(mono).scale(c)
-        return out
+            for key, c2 in self.apply_monomial(mono).coeffs.items():
+                acc[key] = acc.get(key, 0) + c * c2
+        return Element(self.target, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -78,9 +78,11 @@ class TensorContext:
                 if name in pres.index:
                     pos[name] = pres.index[name]
             self._base_positions.append(pos)
-        # per slot, the integer (m, n) lanes of its generator degrees
-        self._degree_lanes = tuple(
-            tuple((d.m, d.n) for d in pres.degrees) for pres in self.slots
+        self._slot_lanes = tuple(pres.lanes_of for pres in self.slots)
+        # the slots whose presentation has exterior generators, the only
+        # ones a Koszul sign reads
+        self._odd_slots = tuple(
+            (i, pres) for i, pres in enumerate(self.slots) if EXT in pres.kinds
         )
 
     def push_left(self, slot: int, base_mono: Monomial) -> Element:
@@ -95,15 +97,14 @@ class TensorContext:
 
     # -- ring interface of algebra.Element ----------------------------------
 
-    def degree_of(self, key: TensorKey) -> SpokeDegree:
-        """The sum of the slot degrees, added up in integer lanes."""
+    def lanes_of(self, key: TensorKey) -> tuple[int, int]:
+        """The sum of the slot degrees, as the integer pair (m, n)."""
         m = n = 0
-        for lanes, mono in zip(self._degree_lanes, key):
-            for e, (dm, dn) in zip(mono, lanes):
-                if e:
-                    m += e * dm
-                    n += e * dn
-        return D(m, n)
+        for slot_lanes_of, mono in zip(self._slot_lanes, key):
+            dm, dn = slot_lanes_of(mono)
+            m += dm
+            n += dn
+        return m, n
 
     def unit_monomial(self) -> TensorKey:
         return tuple(pres.unit_monomial() for pres in self.slots)
@@ -117,19 +118,19 @@ class TensorContext:
     def mul_monomials(self, ka: TensorKey, kb: TensorKey) -> tuple[TensorKey | None, int]:
         """Slot-wise product, with the sign of moving each factor of kb left
         past the later factors of ka; None when a slot product vanishes."""
-        sign = 1
-        parity_a = 0  # parity of ka's factors after the current slot
-        for pres, ma, mb in zip(reversed(self.slots), reversed(ka), reversed(kb)):
-            if parity_a and pres.parity_of(mb):
-                sign = -sign
-            parity_a ^= pres.parity_of(ma)
         parts = []
+        sign = 1
         for pres, ma, mb in zip(self.slots, ka, kb):
             prod, s = pres.mul_monomials(ma, mb)
             if prod is None:
                 return None, 0
             sign *= s
             parts.append(prod)
+        parity_b = 0  # parity of kb's factors before the current slot
+        for i, pres in self._odd_slots:
+            if parity_b and pres.parity_of(ka[i]):
+                sign = -sign
+            parity_b ^= pres.parity_of(kb[i])
         return tuple(parts), sign
 
     def format_monomial(self, key: TensorKey) -> str:

@@ -43,6 +43,8 @@ D = SpokeDegree
 SEGAL_WINDOW = DegreeWindow(-12, 2, -14, 14, s_max=6)
 PAGE_WINDOW = DegreeWindow(-10, 6, -12, 12, s_max=6)
 STANDARD_WINDOW = DegreeWindow(-6, 6, -8, 8, s_max=6)
+# twice the headline window in each direction
+WIDE_SEGAL_WINDOW = DegreeWindow(-24, 4, -28, 28, s_max=6)
 
 
 def report(criterion, name, ok, elapsed=None, budget=None):
@@ -56,7 +58,7 @@ def report(criterion, name, ok, elapsed=None, budget=None):
         assert elapsed < budget, f"criterion {criterion} exceeded {budget}s ({elapsed:.1f}s)"
 
 
-def segal_headline(p, stable_n=2):
+def segal_headline(p, stable_n=2, n_max=3, window=SEGAL_WINDOW):
     """The stated command line at prime p, end to end: (ok, elapsed).  The
     survivor tables must stabilize at height ``stable_n``."""
     import io
@@ -67,7 +69,9 @@ def segal_headline(p, stable_n=2):
     start = time.monotonic()
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = main(["segal", "--p", str(p), "--n-max", "3", "--window", "-12:2:-14:14"])
+        code = main(
+            ["segal", "--p", str(p), "--n-max", str(n_max), "--window", window.format()]
+        )
     elapsed = time.monotonic() - start
     out = buf.getvalue()
     ok = code == 0 and "verdict: true" in out and f"stabilized at n={stable_n}" in out
@@ -81,7 +85,7 @@ def segal_headline(p, stable_n=2):
     }
     expected = {
         f"neg {TriDegree(D(0, nn), 0, 0).format()}": 1
-        for nn in range(SEGAL_WINDOW.n_min, 0)
+        for nn in range(window.n_min, 0)
     }
     expected[f"pos {TriDegree(D(0, 0), 0, 0).format()}"] = 1
     return ok and final == expected, elapsed
@@ -90,6 +94,14 @@ def segal_headline(p, stable_n=2):
 def test_criterion_1_segal_verdict():
     ok, elapsed = segal_headline(3)
     report(1, "completeness verdict p=3", ok, elapsed, 60)
+
+
+@pytest.mark.parametrize("p, n_max, stable_n", ((3, 4, 3), (5, 3, 2), (7, 3, 2)))
+def test_criterion_1_segal_verdict_wide_window(p, n_max, stable_n):
+    # the verdict on twice the window: at p = 3 the survivor tables first
+    # agree at n = 3, so the run needs n = 4 to see them stabilize
+    ok, elapsed = segal_headline(p, stable_n, n_max=n_max, window=WIDE_SEGAL_WINDOW)
+    report(1, f"completeness verdict p={p} on {WIDE_SEGAL_WINDOW.format()}", ok, elapsed, 60)
 
 
 def test_criterion_2_e1_closed_form():
@@ -107,7 +119,7 @@ def test_criterion_2_e1_closed_form():
 def test_criterion_3_convergence():
     start = time.monotonic()
     ok = True
-    for n in (1, 2):
+    for n in (1, 2, 3):
         good, failures = einfty_vs_ext(3, n, PAGE_WINDOW)
         if not good:
             print(f"  n={n} first mismatches: {failures[:3]}")

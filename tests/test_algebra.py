@@ -135,6 +135,60 @@ def test_multiply_associative_and_graded_commutative(ma, mb, mc):
     assert x * y == (y * x).scale(sign)
 
 
+def sign_ring(p=3):
+    """Four exterior generators among polynomial, invertible and truncated
+    ones, so a product reorders up to six exterior pairs."""
+    return Presentation(
+        p,
+        [
+            GeneratorSpec("x1", D(1, 0), EXT),
+            GeneratorSpec("y", D(2, -2), POLY),
+            GeneratorSpec("x2", D(1, -1), EXT),
+            GeneratorSpec("w", D(0, 2), INV),
+            GeneratorSpec("x3", D(3, 1), EXT),
+            GeneratorSpec("t", D(2, 4), TRUNC, 3),
+            GeneratorSpec("x4", D(-1, 2), EXT),
+        ],
+    )
+
+
+@st.composite
+def sign_ring_monomial(draw):
+    ring = sign_ring()
+    return tuple(
+        draw(st.integers(0, 1)) if g.kind == EXT
+        else draw(st.integers(0, g.bound - 1)) if g.kind == TRUNC
+        else draw(st.integers(-3 if g.kind == INV else 0, 4))
+        for g in ring.generators
+    )
+
+
+def _pairwise_product(ring, a, b):
+    """The product of two monomials with its sign from the pairwise loop:
+    one transposition per exterior factor of a after one of b."""
+    out = []
+    for ea, eb, bound in zip(a, b, ring.bounds):
+        e = ea + eb
+        if bound and e >= bound:
+            return None, 0
+        out.append(e)
+    sign = 1
+    ext = [i for i, kind in enumerate(ring.kinds) if kind == EXT]
+    ext_a = [i for i in ext if a[i]]
+    ext_b = [i for i in ext if b[i]]
+    for i in ext_a:
+        for j in ext_b:
+            if i > j:
+                sign = -sign
+    return tuple(out), sign
+
+
+@given(sign_ring_monomial(), sign_ring_monomial())
+def test_one_pass_sign_matches_pairwise_loop(a, b):
+    ring = sign_ring()
+    assert ring.mul_monomials(a, b) == _pairwise_product(ring, a, b)
+
+
 def test_homogeneity_enforced():
     ring = point_ring()
     with pytest.raises(HomogeneityError):

@@ -16,6 +16,7 @@ from spokeseq.algebra import (
     Element,
     GeneratorSpec,
     Presentation,
+    invert,
     monomials_in_degree,
 )
 from spokeseq.errors import BookkeepingError, ConfigError, HomogeneityError
@@ -363,7 +364,33 @@ def test_tensor_degree_is_sum_of_slot_degrees(case):
     want = D(0, 0)
     for pres, mono in zip(ctx.slots, key):
         want = want + pres.degree_of(mono)
-    assert ctx.degree_of(key) == want
+    assert ctx.lanes_of(key) == (want.m, want.n)
+
+
+def _reversed_slot_product(ctx, ka, kb):
+    """The product of two tensor keys with the Koszul sign read walking the
+    slots backwards, keeping the parity of ka's factors after each slot."""
+    sign = 1
+    parity_a = 0
+    for pres, ma, mb in zip(reversed(ctx.slots), reversed(ka), reversed(kb)):
+        if parity_a and pres.parity_of(mb):
+            sign = -sign
+        parity_a ^= pres.parity_of(ma)
+    parts = []
+    for pres, ma, mb in zip(ctx.slots, ka, kb):
+        prod, s = pres.mul_monomials(ma, mb)
+        if prod is None:
+            return None, 0
+        sign *= s
+        parts.append(prod)
+    return tuple(parts), sign
+
+
+@given(tensor_keys(), st.data())
+def test_forward_slot_sign_matches_reversed_slot_loop(case, data):
+    ctx, ka = case
+    kb = tuple(tuple(_exponent(data.draw, g) for g in pres.generators) for pres in ctx.slots)
+    assert ctx.mul_monomials(ka, kb) == _reversed_slot_product(ctx, ka, kb)
 
 
 def test_mixed_degree_tensor_element_rejected():
@@ -373,8 +400,55 @@ def test_mixed_degree_tensor_element_rejected():
     ul, a2us = M.module.monomial(ul=1), M.module.monomial(a=2, us=1)
     # ul (x) 1 and a^2 us (x) mu both sit in 2-2@
     assert Element(ctx, {(ul, unit): 1, (a2us, mu): 1}).degree == D(2, -2)
-    with pytest.raises(HomogeneityError):
+    # the message names both degrees
+    with pytest.raises(HomogeneityError, match="] mixing degrees 2-2@ and 1-3@ in one element$"):
         Element(ctx, {(ul, unit): 1, (a2us, unit): 1})
+
+
+def _image_from_scratch(gmap, mono):
+    """one * g1^e1 * g2^e2 * ..., each power |e| factors of the generator's
+    image, or of its inverse when e < 0."""
+    out = Element.one(gmap.target)
+    for name, e in zip(gmap.source.names, mono):
+        if e:
+            factor = gmap.images[name] if e > 0 else invert(gmap.images[name])
+            for _ in range(abs(e)):
+                out = out * factor
+    return out
+
+
+def _exponent_box(pres):
+    """Every monomial over a few exponents per generator: negative ones for
+    an invertible generator, the top one for a truncated generator."""
+    choices = []
+    for g in pres.generators:
+        if g.kind == EXT:
+            choices.append((0, 1))
+        elif g.kind == TRUNC:
+            choices.append(sorted({0, 1, 2, pres.p, g.bound - 1} & set(range(g.bound))))
+        elif g.kind == INV:
+            choices.append((-3, -1, 0, 2))
+        else:
+            choices.append((0, 1, 3))
+    return list(itertools.product(*choices))
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (5, 1), (5, 2)])
+def test_prefix_cached_images_match_products_from_scratch(p, n):
+    # each order runs on fresh maps; both meet cached prefixes, ascending
+    # mostly shorter ones first, descending mostly walking down to them
+    for reverse in (False, True):
+        H, M = truncated_hopf(p, n)
+        descent = descent_algebroid(p)
+        maps = {
+            "delta": H.delta,
+            "psi": M.psi,
+            "eta_R": descent.eta_R,
+            "descent delta": descent.delta,
+        }
+        for name, gmap in maps.items():
+            for mono in sorted(_exponent_box(gmap.source), reverse=reverse):
+                assert gmap.apply_monomial(mono) == _image_from_scratch(gmap, mono), (name, mono)
 
 
 def test_weyl_order():

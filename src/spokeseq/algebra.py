@@ -11,18 +11,16 @@ monomials only counts transpositions of exterior factors.
 ``p``, ``lanes_of``, ``unit_monomial``, ``is_unit_monomial``,
 ``unit_inverse``, ``mul_monomials`` and ``format_monomial``: a
 ``Presentation``, or a tensor power (``hopf.TensorContext``) whose keys are
-tuples of slot monomials.  ``lanes_of`` gives a key's degree as the integer
-pair (m, n), so the homogeneity check on every term compares int pairs; a
-``Presentation`` memoises it per monomial, a tensor power adds up its
-slots' lanes.  Only a ``Presentation`` also has ``degree_of``, the same
-degree as a ``SpokeDegree``.
+tuples of slot monomials.  ``lanes_of`` gives a key's degree as a pair
+(m, n), so the homogeneity check on every term compares int pairs: a
+``Presentation`` memoises the ``SpokeDegree`` of each monomial, a tensor
+power adds up its slots' lanes into a plain pair of ints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     ConfigError,
@@ -40,8 +38,14 @@ EXT = "ext"
 TRUNC = "trunc"
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class _GeneratorSpec(NamedTuple):
+    name: str
+    degree: SpokeDegree
+    kind: str
+    bound: int | None  # x^bound = 0: trunc, and 2 for ext
+
+
+class GeneratorSpec(_GeneratorSpec):
     """One generator: its name, degree and kind, and ``bound`` when x^bound = 0.
 
     The bound is the one exponent range every enumeration reads: a
@@ -51,34 +55,27 @@ class GeneratorSpec:
     invertibility and the resolution strands.
     """
 
-    name: str
-    degree: SpokeDegree
-    kind: str
-    bound: int | None = None  # x^bound = 0: trunc, and 2 for ext
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (POLY, INV, EXT, TRUNC):
-            raise ConfigError(f"unknown generator kind {self.kind!r}")
-        if self.kind == EXT and self.bound is None:
-            object.__setattr__(self, "bound", 2)
-        if self.kind == TRUNC and (self.bound is None or self.bound < 1):
-            raise ConfigError(f"truncated generator {self.name} needs bound >= 1")
-        if self.kind != TRUNC and self.bound != (2 if self.kind == EXT else None):
+    def __new__(cls, name: str, degree: SpokeDegree, kind: str, bound: int | None = None):
+        if kind not in (POLY, INV, EXT, TRUNC):
+            raise ConfigError(f"unknown generator kind {kind!r}")
+        if kind == EXT and bound is None:
+            bound = 2
+        if kind == TRUNC and (bound is None or bound < 1):
+            raise ConfigError(f"truncated generator {name} needs bound >= 1")
+        if kind != TRUNC and bound != (2 if kind == EXT else None):
+            raise ConfigError(f"generator {name}: bound only valid for trunc, and 2 for ext")
+        odd = degree.koszul_parity == 1
+        if kind == EXT and not odd:
+            raise ConfigError(f"exterior generator {name} must have odd parity, degree {degree}")
+        if kind != EXT and odd:
             raise ConfigError(
-                f"generator {self.name}: bound only valid for trunc, and 2 for ext"
+                f"generator {name} of kind {kind} must have even parity, degree {degree}"
             )
-        odd = self.degree.koszul_parity == 1
-        if self.kind == EXT and not odd:
-            raise ConfigError(
-                f"exterior generator {self.name} must have odd parity, degree {self.degree}"
-            )
-        if self.kind != EXT and odd:
-            raise ConfigError(
-                f"generator {self.name} of kind {self.kind} must have even parity, "
-                f"degree {self.degree}"
-            )
-        if self.degree == SpokeDegree(0, 0):
-            raise ConfigError(f"generator {self.name} may not sit in degree 0+0@")
+        if degree == SpokeDegree(0, 0):
+            raise ConfigError(f"generator {name} may not sit in degree 0+0@")
+        return super().__new__(cls, name, degree, kind, bound)
 
 
 class Presentation:
@@ -96,10 +93,8 @@ class Presentation:
         self.bounds = tuple(g.bound for g in self.generators)
         self._ext = tuple(i for i, g in enumerate(self.generators) if g.kind == EXT)
         self._bounded = tuple((i, b) for i, b in enumerate(self.bounds) if b)
-        # the integer (m, n) lanes of each generator degree, and lanes_of
-        # answers per monomial
-        self._degree_lanes = tuple((d.m, d.n) for d in self.degrees)
-        self._lanes_memo: dict[Monomial, tuple[int, int]] = {}
+        # lanes_of answers per monomial
+        self._lanes_memo: dict[Monomial, SpokeDegree] = {}
         # monomials_in_degree answers per (m, n), and the enumeration plan
         # (see _plan) that its first certified call builds
         self._monomial_memo: dict[tuple[int, int], tuple[Monomial, ...]] = {}
@@ -131,20 +126,17 @@ class Presentation:
             if g.kind != INV and (e < 0 or g.bound and e >= g.bound):
                 raise ConfigError(f"{g.kind} {g.name} exponent {e} not in [0,{g.bound})")
 
-    def lanes_of(self, mono: Monomial) -> tuple[int, int]:
-        """The degree of a monomial as the integer pair (m, n), memoised."""
+    def lanes_of(self, mono: Monomial) -> SpokeDegree:
+        """The degree of a monomial, memoised per monomial."""
         lanes = self._lanes_memo.get(mono)
         if lanes is None:
             m = n = 0
-            for e, (dm, dn) in zip(mono, self._degree_lanes):
+            for e, (dm, dn) in zip(mono, self.degrees):
                 if e:
                     m += e * dm
                     n += e * dn
-            lanes = self._lanes_memo[mono] = (m, n)
+            lanes = self._lanes_memo[mono] = SpokeDegree(m, n)
         return lanes
-
-    def degree_of(self, mono: Monomial) -> SpokeDegree:
-        return SpokeDegree(*self.lanes_of(mono))
 
     def parity_of(self, mono: Monomial) -> int:
         return sum(mono[i] for i in self._ext) & 1
@@ -461,8 +453,7 @@ def _plan(pres: Presentation) -> Callable[[int, int], tuple[Monomial, ...]]:
     bounded = [i for i, g in enumerate(pres.generators) if g.bound is not None]
     inv = [i for i, kind in enumerate(pres.kinds) if kind == INV]
     free_poly = [i for i, kind in enumerate(pres.kinds) if kind == POLY]
-    # the enumeration reads generator degrees as plain ints
-    deg = [(d.m, d.n) for d in pres.degrees]
+    deg = pres.degrees
 
     if len(inv) > 2:
         raise WindowIncompleteError("more than two invertible generators")

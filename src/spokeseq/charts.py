@@ -9,8 +9,6 @@ drawn classes that mayss.turn_page recorded when it turned the page.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .grading import DegreeWindow, SpokeDegree, TriDegree
 
 CELL = 28  # pixels per lattice step
@@ -18,19 +16,21 @@ MARGIN = 46
 DOT = 3
 
 
-@dataclass
 class ChartDoc:
-    title: str
-    window: DegreeWindow
-    dots: list[tuple[TriDegree, str]] = field(default_factory=list)
-    arrows: list[tuple[TriDegree, TriDegree, int]] = field(default_factory=list)
+    __slots__ = ("title", "window", "dots", "arrows")
+
+    def __init__(self, title: str, window: DegreeWindow):
+        self.title = title
+        self.window = window
+        self.dots: list[tuple[TriDegree, str]] = []
+        self.arrows: list[tuple[TriDegree, TriDegree, int]] = []
 
 
 def chart_from_dimension_table(
     title: str, window: DegreeWindow, table: dict[SpokeDegree, list[str]]
 ) -> ChartDoc:
     doc = ChartDoc(title, window)
-    for d in sorted(table, key=lambda d: (d.m, d.n)):
+    for d in sorted(table):
         for label in table[d]:
             doc.dots.append((TriDegree(d, 0, 0), label))
     return doc
@@ -97,11 +97,10 @@ def render_svg(doc: ChartDoc) -> str:
             f'<text x="{MARGIN - 26}" y="{y + 3}" font-size="9" text-anchor="middle">{n}@</text>'
         )
     # group dots per lattice point for offsets
-    per_point: dict[tuple[int, int], int] = {}
+    per_point: dict[SpokeDegree, int] = {}
     for tri, label in doc.dots:
-        key = (tri.total.m, tri.total.n)
-        i = per_point.get(key, 0)
-        per_point[key] = i + 1
+        i = per_point.get(tri.total, 0)
+        per_point[tri.total] = i + 1
         x, y = _xy(doc, tri.total)
         dx = (i % 3) * (2 * DOT + 1) - (2 * DOT + 1)
         dy = (i // 3) * (2 * DOT + 1)

@@ -19,7 +19,7 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import charts, cobar, hfp, hopf, mayss
 from .errors import ConfigError, EngineError, WindowError
@@ -35,8 +35,7 @@ EXIT_INTERNAL = 4
 STANDARD_WINDOW = "-6:6:-8:8"
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """One run's settings; those its subcommand does not accept keep their
     defaults."""
 

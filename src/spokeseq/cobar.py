@@ -45,11 +45,10 @@ degree is total + (s, 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from operator import add, mul, sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import fp
 from .algebra import EXT, INV, POLY, TRUNC, Monomial, monomials_in_degree
@@ -143,17 +142,25 @@ def _gamma_bar_candidates(H: HopfAlgebroid, max_m: int, m_nonneg: bool) -> list[
     ]
 
 
-@dataclass
 class CobarComplex:
     """Per internal degree, the ladder C^0 -> C^1 -> ... with differentials."""
 
+    __slots__ = ("hopf", "comodule", "window", "bases", "diffs")
     route = "cobar"
 
-    hopf: HopfAlgebroid
-    comodule: Comodule
-    window: DegreeWindow
-    bases: dict[SliceKey, list[BasisIndex]]
-    diffs: dict[SliceKey, SparseMatFp]
+    def __init__(
+        self,
+        hopf: HopfAlgebroid,
+        comodule: Comodule,
+        window: DegreeWindow,
+        bases: dict[SliceKey, list[BasisIndex]],
+        diffs: dict[SliceKey, SparseMatFp],
+    ):
+        self.hopf = hopf
+        self.comodule = comodule
+        self.window = window
+        self.bases = bases
+        self.diffs = diffs
 
     def basis_label(self, key: SliceKey, i: int) -> str:
         m_mono, word = self.bases[key][i]
@@ -187,8 +194,7 @@ def build_cobar(H: HopfAlgebroid, comodule: Comodule, window: DegreeWindow) -> C
     m_nonneg = all(g.kind != INV and g.degree.m >= 0 for g in M.generators)
     by_lane: dict[tuple[int, int], list[Monomial]] = {}
     for mono in _gamma_bar_candidates(H, max_m, m_nonneg):
-        d = total.degree_of(mono)
-        by_lane.setdefault((d.m, d.n), []).append(mono)
+        by_lane.setdefault(total.lanes_of(mono), []).append(mono)
     prune = m_nonneg and all(bm >= 0 for bm, _ in by_lane)
     # words[s]: the bar words of s letters, by (m, n) lane
     words: list[dict[tuple[int, int], list[tuple[Monomial, ...]]]] = [{(0, 0): [()]}]
@@ -268,10 +274,9 @@ def validate_dsquare(cx: CobarComplex | ResolutionComplex) -> None:
         )
 
 
-@dataclass
-class ExtTable:
+class ExtTable(NamedTuple):
     """(s, total degree) -> (dimension, representative labels), for the
-    nonzero dimensions only."""
+    nonzero dimensions only.  Tables compare by their entries."""
 
     entries: dict[tuple[int, SpokeDegree], tuple[int, tuple[str, ...]]]
 
@@ -283,8 +288,7 @@ class ExtTable:
 
     def format(self) -> str:
         lines = []
-        for (s, total) in sorted(self.entries, key=lambda k: (k[0], k[1].m, k[1].n)):
-            dim, labels = self.entries[(s, total)]
+        for (s, total), (dim, labels) in sorted(self.entries.items()):
             lines.append(f"{s} | {total.format()} | {dim} | {' '.join(labels)}")
         return "\n".join(lines) + "\n"
 
@@ -378,8 +382,7 @@ def ext0_primitives(comodule: Comodule, degrees: Sequence[SpokeDegree]) -> dict[
 # dual-algebra resolution route
 
 
-@dataclass(frozen=True)
-class Strand:
+class Strand(NamedTuple):
     """One periodic line of the free resolution over the dual algebra.
 
     A step up the line applies the extraction operator for pi folds[r]
@@ -417,9 +420,11 @@ class Strand:
 GenState = tuple
 
 
-@dataclass
 class ResolutionGens:
-    strands: tuple[Strand, ...]
+    __slots__ = ("strands",)
+
+    def __init__(self, strands: tuple[Strand, ...]):
+        self.strands = strands
 
     def s_of(self, state: GenState) -> int:
         return sum(st.state_s(c) for st, c in zip(self.strands, state))
@@ -577,18 +582,27 @@ class DualOperators:
         return current
 
 
-@dataclass
 class ResolutionComplex:
     """Cochain complex Hom(resolution, M): one comodule slot per generator."""
 
+    __slots__ = ("hopf", "comodule", "window", "gens", "bases", "diffs")
     route = "resolution"
 
-    hopf: HopfAlgebroid
-    comodule: Comodule
-    window: DegreeWindow
-    gens: ResolutionGens
-    bases: dict[SliceKey, list[tuple[Monomial, GenState]]]
-    diffs: dict[SliceKey, SparseMatFp]
+    def __init__(
+        self,
+        hopf: HopfAlgebroid,
+        comodule: Comodule,
+        window: DegreeWindow,
+        gens: ResolutionGens,
+        bases: dict[SliceKey, list[tuple[Monomial, GenState]]],
+        diffs: dict[SliceKey, SparseMatFp],
+    ):
+        self.hopf = hopf
+        self.comodule = comodule
+        self.window = window
+        self.gens = gens
+        self.bases = bases
+        self.diffs = diffs
 
     def basis_label(self, key: SliceKey, i: int) -> str:
         m_mono, state = self.bases[key][i]

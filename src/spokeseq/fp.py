@@ -9,9 +9,8 @@ order, of row order and of how the elimination proceeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BookkeepingError, CompositionError, ConfigError
 
@@ -46,27 +45,30 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a % p, p - 2, p)
 
 
-@dataclass(frozen=True)
-class SparseMatFp:
-    """rows x cols matrix over F_p, stored as {(row, col): value}, values in 1..p-1.
-
-    ``__post_init__`` is the one place that reduces entries mod p and drops
-    zeros, so a constructor passes its raw entries through."""
-
+class _SparseMatFp(NamedTuple):
     rows: int
     cols: int
     p: int
-    entries: Mapping[tuple[int, int], int] = field(default_factory=dict)
+    entries: Mapping[tuple[int, int], int]
 
-    def __post_init__(self):
+
+class SparseMatFp(_SparseMatFp):
+    """rows x cols matrix over F_p, stored as {(row, col): value}, values in 1..p-1.
+
+    ``__new__`` is the one place that reduces entries mod p and drops
+    zeros, so a constructor passes its raw entries through."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, p: int, entries: Mapping[tuple[int, int], int]):
         clean: dict[tuple[int, int], int] = {}
-        for (i, j), v in self.entries.items():
-            if not (0 <= i < self.rows and 0 <= j < self.cols):
-                raise BookkeepingError(f"entry ({i},{j}) out of range {self.rows}x{self.cols}")
-            v %= self.p
+        for (i, j), v in entries.items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise BookkeepingError(f"entry ({i},{j}) out of range {rows}x{cols}")
+            v %= p
             if v:
                 clean[(i, j)] = v
-        object.__setattr__(self, "entries", dict(sorted(clean.items())))
+        return super().__new__(cls, rows, cols, p, dict(sorted(clean.items())))
 
     # -- constructors ------------------------------------------------------
 

@@ -12,7 +12,7 @@ integers, e.g. ``2-2@`` for (2, -2); tri-degrees print as ``m+n@|s|f``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError, WindowError
 
@@ -20,9 +20,12 @@ _DEGREE_RE = re.compile(r"^([+-]?\d+)([+-]\d+)@$")
 _WINDOW_PART_RE = re.compile(r"[+-]?[0-9]+")
 
 
-@dataclass(frozen=True, order=True)
-class SpokeDegree:
-    """Element m + n@ of the free rank-2 grading group."""
+class SpokeDegree(NamedTuple):
+    """Element m + n@ of the free rank-2 grading group.
+
+    A tuple (m, n): hashing, equality and the (m, n) order are the tuple's.
+    Addition, subtraction and scaling are componentwise, not the tuple's
+    concatenation and repetition."""
 
     m: int
     n: int
@@ -69,8 +72,7 @@ class SpokeDegree:
         return self.format()
 
 
-@dataclass(frozen=True, order=True)
-class TriDegree:
+class TriDegree(NamedTuple):
     """(total degree, cohomological degree s, filtration f).
 
     The internal degree is total + (s, 0); differentials of every complex in
@@ -94,23 +96,25 @@ class TriDegree:
         return TriDegree(SpokeDegree.parse(parts[0]), int(parts[1]), int(parts[2]))
 
 
-@dataclass(frozen=True)
-class DegreeWindow:
-    """Rectangle of total degrees plus a cohomological cap."""
-
+class _DegreeWindow(NamedTuple):
     m_min: int
     m_max: int
     n_min: int
     n_max: int
     s_max: int
 
-    def __post_init__(self):
-        if self.m_min > self.m_max or self.n_min > self.n_max:
-            raise WindowError(
-                f"empty window m:[{self.m_min},{self.m_max}] n:[{self.n_min},{self.n_max}]"
-            )
-        if self.s_max < 0:
-            raise WindowError(f"negative s_max {self.s_max}")
+
+class DegreeWindow(_DegreeWindow):
+    """Rectangle of total degrees plus a cohomological cap."""
+
+    __slots__ = ()
+
+    def __new__(cls, m_min: int, m_max: int, n_min: int, n_max: int, s_max: int):
+        if m_min > m_max or n_min > n_max:
+            raise WindowError(f"empty window m:[{m_min},{m_max}] n:[{n_min},{n_max}]")
+        if s_max < 0:
+            raise WindowError(f"negative s_max {s_max}")
+        return super().__new__(cls, m_min, m_max, n_min, n_max, s_max)
 
     def contains(self, d: SpokeDegree) -> bool:
         return self.m_min <= d.m <= self.m_max and self.n_min <= d.n <= self.n_max

@@ -13,9 +13,9 @@ divides x, else 0.  Products of two negative-cone classes are set to zero
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from typing import NamedTuple
 
 from .algebra import EXT, INV, POLY, GeneratorSpec, Monomial, Presentation, monomials_in_degree
 from .errors import ConfigError
@@ -59,8 +59,7 @@ def variant_presentation(p: int, variant: HfpVariant) -> Presentation:
     raise ConfigError(f"unknown variant {variant}")
 
 
-@dataclass(frozen=True, order=True)
-class PosClass:
+class PosClass(NamedTuple):
     """Monomial a^i * ul^j * us^eps of the positive cone."""
 
     a: int
@@ -72,17 +71,22 @@ class PosClass:
         return D(0, -1) * self.a + D(2, -2) * self.ul + D(1, -1) * self.us
 
 
-@dataclass(frozen=True, order=True)
-class NegClass:
-    """S^-1 * us^eps * ul^-j * a^-k with eps in {0,1}, j, k >= 1."""
-
+class _NegClass(NamedTuple):
     eps: int
     j: int
     k: int
 
-    def __post_init__(self):
-        if self.eps not in (0, 1) or self.j < 1 or self.k < 1:
+
+class NegClass(_NegClass):
+    """S^-1 * us^eps * ul^-j * a^-k with eps in {0,1}, j, k >= 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, eps: int, j: int, k: int):
+        self = super().__new__(cls, eps, j, k)
+        if eps not in (0, 1) or j < 1 or k < 1:
             raise ConfigError(f"bad negative-cone label {self!r}")
+        return self
 
     @property
     def degree(self) -> SpokeDegree:

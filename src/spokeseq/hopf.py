@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from . import fp
@@ -70,14 +69,14 @@ class TensorContext:
         self.total = total
         self.eta_R = eta_R
         self.p = slots[0].p
-        # positions of base generators inside each slot presentation
-        self._base_positions = []
-        for pres in self.slots:
-            pos = {}
-            for name in base.names:
-                if name in pres.index:
-                    pos[name] = pres.index[name]
-            self._base_positions.append(pos)
+        # per slot, (base index, slot index) of each base generator the
+        # slot's presentation has
+        self._base_pairs = tuple(
+            tuple(
+                (bi, pres.index[name]) for bi, name in enumerate(base.names) if name in pres.index
+            )
+            for pres in self.slots
+        )
         self._slot_lanes = tuple(pres.lanes_of for pres in self.slots)
         # the slots whose presentation has exterior generators, the only
         # ones a Koszul sign reads
@@ -142,18 +141,14 @@ class TensorContext:
 
     def _split_base(self, slot: int, mono: Monomial):
         """Split slot monomial into (base monomial, residue) or None if pure."""
-        positions = self._base_positions[slot]
+        pairs = self._base_pairs[slot]
+        if not any(mono[idx] for _, idx in pairs):
+            return None
         base_exps = [0] * len(self.base)
         residue = list(mono)
-        found = False
-        for bi, name in enumerate(self.base.names):
-            idx = positions.get(name)
-            if idx is not None and mono[idx]:
-                base_exps[bi] = mono[idx]
-                residue[idx] = 0
-                found = True
-        if not found:
-            return None
+        for bi, idx in pairs:
+            base_exps[bi] = mono[idx]
+            residue[idx] = 0
         return tuple(base_exps), tuple(residue)
 
     def normalize(self, raw: Mapping[TensorKey, int]) -> Mapping[TensorKey, int]:
@@ -194,23 +189,44 @@ class TensorContext:
         return Element(self, self.normalize(raw))
 
 
-@dataclass
 class HopfAlgebroid:
     """(A, G) with structure maps; A = F_p (no generators) for Hopf algebras."""
 
-    p: int
-    base: Presentation
-    total: Presentation
-    eta_R_images: Mapping[str, Element]
-    epsilon_images: Mapping[str, Element]
-    delta_images: Mapping[str, Mapping[TensorKey, int]] = field(repr=False)
+    __slots__ = (
+        "p",
+        "base",
+        "total",
+        "eta_R_images",
+        "epsilon_images",
+        "delta_images",
+        "eta_L",
+        "eta_R",
+        "epsilon",
+        "_tensor_cache",
+        "tensor_square",
+        "delta",
+    )
 
-    def __post_init__(self):
-        if self.total.names[: len(self.base)] != self.base.names:
+    def __init__(
+        self,
+        p: int,
+        base: Presentation,
+        total: Presentation,
+        eta_R_images: Mapping[str, Element],
+        epsilon_images: Mapping[str, Element],
+        delta_images: Mapping[str, Mapping[TensorKey, int]],
+    ):
+        if total.names[: len(base)] != base.names:
             raise ConfigError("base generators must be a name-prefix of the total ring")
-        for bn in self.base.names:
-            if self.base.generator(bn).degree != self.total.generator(bn).degree:
+        for bn in base.names:
+            if base.generator(bn).degree != total.generator(bn).degree:
                 raise ConfigError(f"generator {bn} changes degree between base and total")
+        self.p = p
+        self.base = base
+        self.total = total
+        self.eta_R_images = eta_R_images
+        self.epsilon_images = epsilon_images
+        self.delta_images = delta_images
         self.eta_L = GradedMap(
             self.base,
             self.total,
@@ -255,24 +271,26 @@ def _translate_monomial(src: Presentation, mono: Monomial, dst: Presentation) ->
     return tuple(exps)
 
 
-@dataclass
 class Comodule:
     """Comodule algebra (M, psi) over a Hopf algebroid.
 
     psi_images are raw {tensor key: coeff} dicts over slots (M, G).
     """
 
-    algebroid: HopfAlgebroid
-    module: Presentation
-    psi_images: Mapping[str, Mapping[TensorKey, int]] = field(repr=False)
+    __slots__ = ("algebroid", "module", "psi_images", "tensor", "psi")
 
-    def __post_init__(self):
-        H = self.algebroid
-        self.tensor = H.tensor_power_of([self.module, H.total])
-        images = {
-            name: self.tensor.element(raw) for name, raw in self.psi_images.items()
-        }
-        self.psi = GradedMap(self.module, self.tensor, images)
+    def __init__(
+        self,
+        algebroid: HopfAlgebroid,
+        module: Presentation,
+        psi_images: Mapping[str, Mapping[TensorKey, int]],
+    ):
+        self.algebroid = algebroid
+        self.module = module
+        self.psi_images = psi_images
+        self.tensor = algebroid.tensor_power_of([module, algebroid.total])
+        images = {name: self.tensor.element(raw) for name, raw in psi_images.items()}
+        self.psi = GradedMap(module, self.tensor, images)
 
 
 # ---------------------------------------------------------------------------
@@ -505,20 +523,24 @@ def base_comodule(H: HopfAlgebroid) -> Comodule:
 # axiom checker
 
 
-@dataclass
 class AxiomCheck:
-    name: str
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
+    __slots__ = ("name", "checked", "failures")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.checked = 0
+        self.failures: list[str] = []
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-@dataclass
 class AxiomReport:
-    checks: list[AxiomCheck]
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list[AxiomCheck]):
+        self.checks = checks
 
     @property
     def ok(self) -> bool:

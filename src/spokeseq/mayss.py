@@ -50,7 +50,6 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
 from typing import TypeVar
 
 from . import fp
@@ -84,7 +83,6 @@ D = SpokeDegree
 # first page
 
 
-@dataclass
 class MayE1:
     """Closed-form first page presentation plus (s, f) bookkeeping.
 
@@ -93,31 +91,47 @@ class MayE1:
     monomial differentials look nothing up by name.
     """
 
-    p: int
-    n: int
-    beta: int
-    beta_prime: int
-    pres: Presentation
-    s_deg: tuple[int, ...]
-    f_deg: tuple[int, ...]
-    a_pos: int = field(init=False, repr=False)
-    ul_pos: int = field(init=False, repr=False)
-    us_pos: int = field(init=False, repr=False)
-    z_pos: int = field(init=False, repr=False)
-    x_pos: tuple[int, ...] = field(init=False, repr=False)
-    xp_pos: tuple[int, ...] = field(init=False, repr=False)
-    p_pows: tuple[int, ...] = field(init=False, repr=False)
-    beta_pows: tuple[int, ...] = field(init=False, repr=False)
+    __slots__ = (
+        "p",
+        "n",
+        "beta",
+        "beta_prime",
+        "pres",
+        "s_deg",
+        "f_deg",
+        "a_pos",
+        "ul_pos",
+        "us_pos",
+        "z_pos",
+        "x_pos",
+        "xp_pos",
+        "p_pows",
+        "beta_pows",
+    )
 
-    def __post_init__(self):
-        idx = self.pres.index
-        self.a_pos, self.ul_pos, self.us_pos, self.z_pos = (
-            idx["a"], idx["ul"], idx["us"], idx["z"]
-        )
-        self.x_pos = tuple(idx[f"x{t}"] for t in range(self.n))
-        self.xp_pos = tuple(idx[f"xp{t}"] for t in range(self.n))
-        self.p_pows = tuple(self.p**t for t in range(self.n + 1))
-        self.beta_pows = tuple(pow(self.beta, q, self.p) for q in self.p_pows[:-1])
+    def __init__(
+        self,
+        p: int,
+        n: int,
+        beta: int,
+        beta_prime: int,
+        pres: Presentation,
+        s_deg: tuple[int, ...],
+        f_deg: tuple[int, ...],
+    ):
+        self.p = p
+        self.n = n
+        self.beta = beta
+        self.beta_prime = beta_prime
+        self.pres = pres
+        self.s_deg = s_deg
+        self.f_deg = f_deg
+        idx = pres.index
+        self.a_pos, self.ul_pos, self.us_pos, self.z_pos = idx["a"], idx["ul"], idx["us"], idx["z"]
+        self.x_pos = tuple(idx[f"x{t}"] for t in range(n))
+        self.xp_pos = tuple(idx[f"xp{t}"] for t in range(n))
+        self.p_pows = tuple(p**t for t in range(n + 1))
+        self.beta_pows = tuple(pow(beta, q, p) for q in self.p_pows[:-1])
 
 
 def may_e1(p: int, n: int, beta: int = 1, beta_prime: int = 1) -> MayE1:
@@ -197,6 +211,8 @@ def e1_monomials(
     n_min, n_max = window.n_min, window.n_max
     out: dict[TriDegree, tuple[list[Monomial], int]] = {}
     for m in range(window.m_min, window.m_max + 1):
+        # the total degree of each row, top first, for the columns of every (s, f)
+        rows = [D(m, nn) for nn in range(n_max, n_min - 1, -1)]
         for (s, f), parts in gen_parts.items():
             # a-free monomials by row; the top row also takes those above it
             free_rows: dict[int, list[Monomial]] = {}
@@ -216,13 +232,13 @@ def e1_monomials(
                 continue
             head: list[Monomial] = []
             offset = 0  # rows from the head above
-            for nn in range(max(free_rows), n_min - 1, -1):
+            for total in rows[n_max - max(free_rows) :]:
                 offset += 1
-                free = free_rows.get(nn)
+                free = free_rows.get(total.n)
                 if free:
                     head = sorted(free) + _times_a(head, offset)
                     offset = 0
-                out[TriDegree(D(m, nn), s, f)] = (head, offset)
+                out[TriDegree(total, s, f)] = (head, offset)
     return out
 
 
@@ -335,7 +351,6 @@ def d1_monomial_reference(e1: MayE1, mono: Monomial) -> dict[Monomial, int]:
 # pages
 
 
-@dataclass(eq=False, slots=True)
 class PageCell:
     """One tri-degree of a page, in the coordinates of a first-page list.
 
@@ -361,16 +376,40 @@ class PageCell:
     them.
     """
 
-    tri: TriDegree
-    base: list[Monomial]
-    shift: int
-    index: dict[Monomial, int]
-    reps: Subspace
-    dead: Subspace
-    pres: Presentation
-    shared: bool = False
-    _labels: tuple[str, ...] | None = None
-    _views: dict[int, PageCell] | None = None
+    __slots__ = (
+        "tri",
+        "base",
+        "shift",
+        "index",
+        "reps",
+        "dead",
+        "pres",
+        "shared",
+        "_labels",
+        "_views",
+    )
+
+    def __init__(
+        self,
+        tri: TriDegree,
+        base: list[Monomial],
+        shift: int,
+        index: dict[Monomial, int],
+        reps: Subspace,
+        dead: Subspace,
+        pres: Presentation,
+        shared: bool = False,
+    ):
+        self.tri = tri
+        self.base = base
+        self.shift = shift
+        self.index = index
+        self.reps = reps
+        self.dead = dead
+        self.pres = pres
+        self.shared = shared
+        self._labels: tuple[str, ...] | None = None
+        self._views: dict[int, PageCell] | None = None
 
     @property
     def dim(self) -> int:
@@ -459,7 +498,6 @@ def _head_rows(col: Column, *others: Column | None) -> list[int]:
     return sorted(rows)
 
 
-@dataclass
 class SSPage:
     """Page r: its head cells in a-columns, the m-range not yet eroded by the
     window edge, and the differential that produced the page.
@@ -473,12 +511,21 @@ class SSPage:
     both are built on first read.  A copied page shares the columns of the
     page it copies, so its cells are the same head and view objects."""
 
-    r: int
-    e1: MayE1
-    window: DegreeWindow
-    columns: dict[ColumnKey, Column]
-    reliable_m: tuple[int, int]
-    arrow_runs: list[tuple[PageCell, int, PageCell, int, int]]
+    def __init__(
+        self,
+        r: int,
+        e1: MayE1,
+        window: DegreeWindow,
+        columns: dict[ColumnKey, Column],
+        reliable_m: tuple[int, int],
+        arrow_runs: list[tuple[PageCell, int, PageCell, int, int]],
+    ):
+        self.r = r
+        self.e1 = e1
+        self.window = window
+        self.columns = columns
+        self.reliable_m = reliable_m
+        self.arrow_runs = arrow_runs
 
     def runs(self) -> Iterator[tuple[ColumnKey, int, int, PageCell]]:
         """(column key, first row, end row, head) of every run of cells:
@@ -496,7 +543,7 @@ class SSPage:
         for _, first, end, head in self.runs():
             cells.append(head)
             cells.extend(head.translate(steps) for steps in range(1, end - first))
-        cells.sort(key=lambda c: (c.tri.total.m, c.tri.total.n, c.tri.s, c.tri.f))
+        cells.sort(key=lambda c: c.tri)
         return {cell.tri: cell for cell in cells}
 
     @functools.cached_property
@@ -711,7 +758,8 @@ def compute_pages(
     The pages are computed two s-rows above window.s_max, and their window
     says so."""
     e1 = may_e1(p, n, beta, beta_prime)
-    page1 = page_one(e1, replace(window, s_max=window.s_max + 2))
+    taller = DegreeWindow(window.m_min, window.m_max, window.n_min, window.n_max, window.s_max + 2)
+    page1 = page_one(e1, taller)
     # negative control: run the same machinery with a zero differential
     d1 = (lambda _e1, _mono: {}) if disable_d1 else d1_monomial
     pages = {1: page1, 2: turn_page(page1, d1, 2)}
@@ -873,9 +921,7 @@ def e1_vs_associated_graded(p: int, n: int, window: DegreeWindow) -> tuple[bool,
                 oracle[tri] = oracle.get(tri, 0) + mult
 
     failures = []
-    for tri in sorted(
-        set(closed) | set(oracle), key=lambda t: (t.total.m, t.total.n, t.s, t.f)
-    ):
+    for tri in sorted(set(closed) | set(oracle)):
         a, b = closed.get(tri, 0), oracle.get(tri, 0)
         if a != b:
             failures.append(f"{tri.format()}: closed form {a}, graded cobar {b}")
@@ -897,7 +943,9 @@ def einfty_vs_ext(
     Ext table of the truncated Hopf algebra, on the full requested window
     (pages are computed on an m-expanded window so every requested cell is
     reliable)."""
-    expanded = replace(window, m_min=window.m_min - 2, m_max=window.m_max + 2)
+    expanded = DegreeWindow(
+        window.m_min - 2, window.m_max + 2, window.n_min, window.n_max, window.s_max
+    )
     pages = compute_pages(p, n, expanded, beta, beta_prime)
     last = pages[p]
     H, M = truncated_hopf(p, n, beta, beta_prime)
@@ -911,7 +959,7 @@ def einfty_vs_ext(
 
     failures = []
     keys = set(page_totals) | set(table.dims())
-    for key in sorted(keys, key=lambda k: (k[0], k[1].m, k[1].n)):
+    for key in sorted(keys):
         a = page_totals.get(key, 0)
         b = table.dim(*key)
         if a != b:
@@ -1020,15 +1068,34 @@ def a_shift_rank(page: SSPage, tri: TriDegree, steps: int) -> int | None:
     return Subspace(vecs, cell.reps.dim, page.e1.p).rank
 
 
-@dataclass
 class SegalReport:
-    window: DegreeWindow
-    pattern_ok: dict[int, bool]
-    survivor_tables: dict[int, dict[str, int]]
-    stabilized_at: int | None
-    verdict: bool
-    reliable_m: tuple[int, int]
-    notes: list[str] = field(default_factory=list)
+    __slots__ = (
+        "window",
+        "pattern_ok",
+        "survivor_tables",
+        "stabilized_at",
+        "verdict",
+        "reliable_m",
+        "notes",
+    )
+
+    def __init__(
+        self,
+        window: DegreeWindow,
+        pattern_ok: dict[int, bool],
+        survivor_tables: dict[int, dict[str, int]],
+        stabilized_at: int | None,
+        verdict: bool,
+        reliable_m: tuple[int, int],
+        notes: list[str],
+    ):
+        self.window = window
+        self.pattern_ok = pattern_ok
+        self.survivor_tables = survivor_tables
+        self.stabilized_at = stabilized_at
+        self.verdict = verdict
+        self.reliable_m = reliable_m
+        self.notes = notes
 
     @property
     def stabilized(self) -> bool:
@@ -1097,7 +1164,7 @@ def survivor_table(last: SSPage, s_cap: int) -> tuple[dict[str, int], bool, list
             if free_pattern_dim(p, n, tri):
                 table[f"neg {tri.format()}"] = head.dim
     if short:
-        tri = min(short, key=lambda t: (t.total.m, t.total.n, t.s, t.f))
+        tri = min(short)
         raise WindowError(
             f"window too small: a-tower from {tri.format()} needs "
             f"{tri.total.virtual_dim + 1} steps"
@@ -1134,7 +1201,9 @@ def segal_pipeline(
         )
     if not window.contains(D(0, 0)):
         raise WindowError("window must contain 0+0@, where the a-line of survivors starts")
-    expanded = replace(window, m_min=window.m_min - 2, m_max=window.m_max + 2)
+    expanded = DegreeWindow(
+        window.m_min - 2, window.m_max + 2, window.n_min, window.n_max, window.s_max
+    )
     pattern_ok: dict[int, bool] = {}
     pattern_failures: dict[int, list[str]] = {}
     tables: dict[int, dict[str, int]] = {}

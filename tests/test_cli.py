@@ -418,6 +418,22 @@ def test_console_entry_point():
     assert "formula | oracle" in proc.stdout
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every run pays for its imports: the value types are NamedTuples and
+    # plain classes, so start-up compiles no dataclass and loads no inspect
+    src = os.path.dirname(os.path.dirname(spokeseq.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, spokeseq.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_report_round_trip():
     from spokeseq.cli import parse_report
 

@@ -661,7 +661,7 @@ def enumerate_slice_oracle(H, comodule, window, internal, s):
     max_m = max((d + D(t, 0)).m for d in window.degrees() for t in range(window.s_max + 1))
     by_degree = {}
     for mono in bar_letters_oracle(H, max_m):
-        by_degree.setdefault(H.total.degree_of(mono), []).append(mono)
+        by_degree.setdefault(H.total.lanes_of(mono), []).append(mono)
     bar_degrees = sorted(by_degree, key=lambda d: (d.m, d.n))
     min_bar_m = min((d.m for d in bar_degrees), default=0)
     m_nonneg = all(g.kind != INV and g.degree.m >= 0 for g in M.generators)

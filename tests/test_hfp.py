@@ -59,7 +59,9 @@ def test_full_dimension_is_pos_plus_neg(m, n):
 def test_multiply_fraction_rule():
     a = PosClass(1, 0, 0)
     theta_over_a = NegClass(eps=1, j=1, k=2)  # theta/a
-    assert hfp.multiply_full(a, theta_over_a) == THETA
+    # a NamedTuple equals any tuple of the same items, so the class is checked too
+    product = hfp.multiply_full(a, theta_over_a)
+    assert type(product) is NegClass and product == THETA
     # ul^2 * (theta/ul) = 0: ul does not divide further
     theta_over_ul = NegClass(eps=1, j=2, k=1)
     assert hfp.multiply_full(PosClass(0, 2, 0), theta_over_ul) is None
@@ -71,7 +73,7 @@ def test_multiply_positive():
     us = PosClass(0, 0, 1)
     assert hfp.multiply_full(us, us) is None
     kappa = hfp.multiply_full(PosClass(1, 0, 0), us)
-    assert kappa == PosClass(a=1, ul=0, us=1)
+    assert type(kappa) is PosClass and kappa == PosClass(a=1, ul=0, us=1)
     assert kappa.degree == D(1, -2)  # 1 - lambda
 
 

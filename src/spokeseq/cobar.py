@@ -23,11 +23,13 @@ Both builders build exactly the differentials in ext_reads(window), the
 ones the homology pass ext_dimensions reads, and the source and target
 slices of each: homology at s reads C^(s-1) -> C^s -> C^(s+1) at one
 internal degree, so slices run to window.s_max + 1 only where a column of
-the window reads them.  They check d o d = 0 on every composable pair built
-with validate_dsquare, and ext_dimensions always labels each class by a
-representative; resolution_ext_table is "build, then ext_dimensions".  The
-two routes share no construction code, so their agreement is a cross-check
-of the Ext tables.
+the window reads them.  Both return the one complex type, ExtComplex, with
+a function that labels one basis element; making an ExtComplex checks
+d o d = 0 on every composable pair (validate_dsquare), so no complex goes
+unchecked.  ext_dimensions is the one homology pass: it labels each class
+by a representative, and resolution_ext_table is "build, then
+ext_dimensions".  The two routes share no construction code, so their
+agreement is a cross-check of the Ext tables.
 
 Both builders read each column's terms as plain {key: coeff} dicts and look
 every nonzero, non-degenerate term up in the target slice's index.  That
@@ -48,7 +50,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 from operator import add, mul, sub
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import fp
 from .algebra import EXT, INV, POLY, TRUNC, Monomial, monomials_in_degree
@@ -98,6 +100,47 @@ def _slice_keys(reads: list[SliceKey]) -> list[SliceKey]:
 
 
 # ---------------------------------------------------------------------------
+# the complex, checked where it is made
+
+
+class ExtComplex:
+    """One route's ladders C^0 -> C^1 -> ... per internal degree: the slice
+    bases and the differentials, keyed by (m, n, s).  ``label`` formats one
+    basis element and ``route`` names the route in messages.  Making one
+    checks d o d = 0 (``validate_dsquare``)."""
+
+    __slots__ = ("route", "p", "window", "bases", "diffs", "label")
+
+    def __init__(
+        self, route: str, p: int, window: DegreeWindow, bases: dict, diffs: dict, label: Callable
+    ):
+        self.route = route
+        self.p = p
+        self.window = window
+        self.bases = bases
+        self.diffs = diffs
+        self.label = label
+        validate_dsquare(self)
+
+
+def validate_dsquare(cx: ExtComplex) -> None:
+    """Full d o d = 0 check on every composable pair of built differentials.
+
+    A pair of matrix objects that several slices share is composed once.
+    """
+    checked: set[tuple[int, int]] = set()
+    for (m, n, s), d_low in cx.diffs.items():
+        d_high = cx.diffs.get((m, n, s + 1))
+        pair = (id(d_low), id(d_high))
+        if d_high is None or pair in checked:
+            continue
+        checked.add(pair)
+        fp.check_zero_composite(
+            d_low, d_high, f"{cx.route} d^2 != 0 at internal {D(m, n)}, s={s}"
+        )
+
+
+# ---------------------------------------------------------------------------
 # bar-word enumeration
 
 
@@ -142,36 +185,7 @@ def _gamma_bar_candidates(H: HopfAlgebroid, max_m: int, m_nonneg: bool) -> list[
     ]
 
 
-class CobarComplex:
-    """Per internal degree, the ladder C^0 -> C^1 -> ... with differentials."""
-
-    __slots__ = ("hopf", "comodule", "window", "bases", "diffs")
-    route = "cobar"
-
-    def __init__(
-        self,
-        hopf: HopfAlgebroid,
-        comodule: Comodule,
-        window: DegreeWindow,
-        bases: dict[SliceKey, list[BasisIndex]],
-        diffs: dict[SliceKey, SparseMatFp],
-    ):
-        self.hopf = hopf
-        self.comodule = comodule
-        self.window = window
-        self.bases = bases
-        self.diffs = diffs
-
-    def basis_label(self, key: SliceKey, i: int) -> str:
-        m_mono, word = self.bases[key][i]
-        m_label = self.comodule.module.format_monomial(m_mono)
-        if not word:
-            return m_label
-        inner = "|".join(self.hopf.total.format_monomial(b) for b in word)
-        return f"{m_label}[{inner}]"
-
-
-def build_cobar(H: HopfAlgebroid, comodule: Comodule, window: DegreeWindow) -> CobarComplex:
+def build_cobar(H: HopfAlgebroid, comodule: Comodule, window: DegreeWindow) -> ExtComplex:
     """Enumerate the differentials ext_dimensions reads on the window, and
     their source and target slices (``ext_reads``).
 
@@ -252,26 +266,12 @@ def build_cobar(H: HopfAlgebroid, comodule: Comodule, window: DegreeWindow) -> C
             columns.append(col)
         diffs[(m, n, s)] = SparseMatFp.from_columns(columns, len(dst), p)
 
-    complex_ = CobarComplex(H, comodule, window, bases, diffs)
-    validate_dsquare(complex_)
-    return complex_
+    def label(index: BasisIndex) -> str:
+        m_mono, word = index
+        inner = "|".join(total.format_monomial(b) for b in word)
+        return M.format_monomial(m_mono) + (f"[{inner}]" if word else "")
 
-
-def validate_dsquare(cx: CobarComplex | ResolutionComplex) -> None:
-    """Full d o d = 0 check on every composable pair of built differentials.
-
-    A pair of matrix objects that several slices share is composed once.
-    """
-    checked: set[tuple[int, int]] = set()
-    for (m, n, s), d_low in cx.diffs.items():
-        d_high = cx.diffs.get((m, n, s + 1))
-        pair = (id(d_low), id(d_high))
-        if d_high is None or pair in checked:
-            continue
-        checked.add(pair)
-        fp.check_zero_composite(
-            d_low, d_high, f"{cx.route} d^2 != 0 at internal {D(m, n)}, s={s}"
-        )
+    return ExtComplex("cobar", p, window, bases, diffs, label)
 
 
 class ExtTable(NamedTuple):
@@ -293,7 +293,7 @@ class ExtTable(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def ext_dimensions(cx: CobarComplex | ResolutionComplex) -> ExtTable:
+def ext_dimensions(cx: ExtComplex) -> ExtTable:
     """Cohomology of either route's ladders, reported per (s, total degree).
 
     A representative is labelled by the least basis label in its support.
@@ -306,7 +306,7 @@ def ext_dimensions(cx: CobarComplex | ResolutionComplex) -> ExtTable:
     stay per slice, since the least label is not shift-invariant (``a^10``
     sorts before ``a^9``).
     """
-    p = cx.hopf.p
+    p = cx.p
     Homology = tuple[int, list[fp.Vector]]
     by_content: dict[tuple, Homology] = {}
     # every differential stays in cx.diffs for the whole pass, so its id
@@ -340,9 +340,9 @@ def ext_dimensions(cx: CobarComplex | ResolutionComplex) -> ExtTable:
                 by_object[objects] = by_content[pair]
             dim, reps = by_object[objects]
             if dim:
+                basis, label = cx.bases[out_key], cx.label
                 labels = tuple(
-                    min(cx.basis_label(out_key, i) for i, c in enumerate(vec) if c)
-                    for vec in reps
+                    min(label(basis[i]) for i, c in enumerate(vec) if c) for vec in reps
                 )
                 col.append(((out_key[2], total), (dim, labels)))
         return col
@@ -582,42 +582,9 @@ class DualOperators:
         return current
 
 
-class ResolutionComplex:
-    """Cochain complex Hom(resolution, M): one comodule slot per generator."""
-
-    __slots__ = ("hopf", "comodule", "window", "gens", "bases", "diffs")
-    route = "resolution"
-
-    def __init__(
-        self,
-        hopf: HopfAlgebroid,
-        comodule: Comodule,
-        window: DegreeWindow,
-        gens: ResolutionGens,
-        bases: dict[SliceKey, list[tuple[Monomial, GenState]]],
-        diffs: dict[SliceKey, SparseMatFp],
-    ):
-        self.hopf = hopf
-        self.comodule = comodule
-        self.window = window
-        self.gens = gens
-        self.bases = bases
-        self.diffs = diffs
-
-    def basis_label(self, key: SliceKey, i: int) -> str:
-        m_mono, state = self.bases[key][i]
-        m_label = self.comodule.module.format_monomial(m_mono)
-        g_label = self.gens.label_of(state)
-        if g_label == "1":
-            return m_label
-        if m_label == "1":
-            return g_label
-        return f"{m_label}*{g_label}"
-
-
 def build_resolution_complex(
     H: HopfAlgebroid, comodule: Comodule, window: DegreeWindow
-) -> ResolutionComplex:
+) -> ExtComplex:
     gens = resolution_strands(H)
     M = comodule.module
     ops = DualOperators(comodule)
@@ -684,9 +651,12 @@ def build_resolution_complex(
             columns.append(col)
         diffs[(m, n, s)] = SparseMatFp.from_columns(columns, len(dst), p)
 
-    cx = ResolutionComplex(H, comodule, window, gens, bases, diffs)
-    validate_dsquare(cx)
-    return cx
+    def label(index: tuple[Monomial, GenState]) -> str:
+        m_mono, state = index
+        parts = (M.format_monomial(m_mono), gens.label_of(state))
+        return "*".join(part for part in parts if part != "1") or "1"
+
+    return ExtComplex("resolution", p, window, bases, diffs, label)
 
 
 def resolution_ext_table(

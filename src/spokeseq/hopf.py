@@ -111,6 +111,9 @@ class TensorContext:
     def is_unit_monomial(self, key: TensorKey) -> bool:
         return all(pres.is_unit_monomial(m) for pres, m in zip(self.slots, key))
 
+    def is_nilpotent_monomial(self, key: TensorKey) -> bool:
+        return any(pres.is_nilpotent_monomial(m) for pres, m in zip(self.slots, key))
+
     def unit_inverse(self, key: TensorKey) -> TensorKey:
         return tuple(pres.unit_inverse(m) for pres, m in zip(self.slots, key))
 

@@ -65,6 +65,7 @@ from .algebra import (
     monomials_in_degree,
 )
 from .cobar import (
+    ExtComplex,
     build_cobar,
     check_stabilization_heights,
     ext_dimensions,
@@ -979,10 +980,11 @@ def e0_direct_weighted_ext(
     certifies its Kuenneth assembly.
 
     A bar word weighs the sum of its letters' e0_weight; the differential
-    must preserve it, entry by entry, or the split is meaningless."""
+    must preserve it, entry by entry, or the split is meaningless.  Each
+    weight f is then its own ExtComplex, the blocks of the built one on the
+    words of weight f, and ext_dimensions reads its homology."""
     He0 = e0_hopf(p, n)
-    triv = Comodule(He0, Presentation(p, []), {})
-    cx = build_cobar(He0, triv, window)
+    cx = build_cobar(He0, Comodule(He0, Presentation(p, []), {}), window)
     weights = {
         key: [sum(e0_weight(He0.total, b) for b in word) for _, word in basis]
         for key, basis in cx.bases.items()
@@ -991,30 +993,18 @@ def e0_direct_weighted_ext(
         src_w, dst_w = weights[(m, n, s)], weights[(m, n, s + 1)]
         for i, j in mat.entries:
             if dst_w[i] != src_w[j]:
-                raise BookkeepingError(
-                    f"filtration weight not preserved at {D(m, n)}, s={s}"
-                )
+                raise BookkeepingError(f"filtration weight not preserved at {D(m, n)}, s={s}")
     out: dict[tuple[int, SpokeDegree, int], int] = {}
-
-    def ids(key: tuple[int, int, int], f: int) -> list[int]:
-        return [i for i, w in enumerate(weights[key]) if w == f]
-
-    for total in window.degrees():
-        for s in range(window.s_max + 1):
-            m, n = total.m + s, total.n
-            slice_weights = weights[(m, n, s)]
-            if not slice_weights:
-                continue
-            for f in sorted(set(slice_weights)):
-                cols = ids((m, n, s), f)
-                sub_out = _block(cx.diffs[(m, n, s)], ids((m, n, s + 1), f), cols)
-                if s == 0:
-                    sub_in = SparseMatFp.zero(len(cols), 0, p)
-                else:
-                    sub_in = _block(cx.diffs[(m, n, s - 1)], cols, ids((m, n, s - 1), f))
-                dim, _ = fp.quotient_dimension(sub_in, sub_out)
-                if dim:
-                    out[(s, total + D(s, 0), f)] = dim
+    for f in sorted({w for ws in weights.values() for w in ws}):
+        keep = {key: [i for i, w in enumerate(ws) if w == f] for key, ws in weights.items()}
+        bases = {key: [cx.bases[key][i] for i in ids] for key, ids in keep.items()}
+        diffs = {
+            (m, n, s): _block(mat, keep[(m, n, s + 1)], keep[(m, n, s)])
+            for (m, n, s), mat in cx.diffs.items()
+        }
+        block = ExtComplex(f"e0 weight {f}", p, window, bases, diffs, cx.label)
+        for (s, total), dim in ext_dimensions(block).dims().items():
+            out[(s, total + D(s, 0), f)] = dim
     return out
 
 

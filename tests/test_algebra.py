@@ -223,6 +223,33 @@ def test_geometric_series_inverse():
         GradedMap(source, ring, {"ul": no_unit})
 
 
+def test_graded_map_refuses_a_non_nilpotent_rest():
+    # ul -> ul + a^6 Nm with Nm polynomial: a^6 Nm is not nilpotent, so the
+    # image has no inverse and the binomial series for ul^-1 never ends.
+    # The map is refused when it is built, naming the generator; with Nm
+    # truncated (the geometric-series test above) the same image is a unit.
+    ring = Presentation(
+        3,
+        [
+            GeneratorSpec("a", D(0, -1), POLY),
+            GeneratorSpec("ul", D(2, -2), INV),
+            GeneratorSpec("Nm", D(2, 4), POLY),
+        ],
+    )
+    source = Presentation(3, [GeneratorSpec("ul", D(2, -2), INV)])
+    image = Element.generator(ring, "ul") + Element.from_monomial(ring, ring.monomial(a=6, Nm=1))
+    with pytest.raises(
+        InvertibilityError,
+        match=r"^\[E_INVERTIBLE\] image of invertible generator ul has a non-unit term with no "
+        "truncated or exterior factor",
+    ):
+        GradedMap(source, ring, {"ul": image})
+    assert not ring.is_nilpotent_monomial(ring.monomial(a=6, Nm=1))
+    assert not ring.is_nilpotent_monomial(ring.monomial(ul=-2))
+    point = point_ring()
+    assert point.is_nilpotent_monomial(point.monomial(a=1, us=1))
+
+
 def test_graded_map_homogeneity_check():
     ring = thh_ring()
     base = point_ring()

@@ -1,9 +1,8 @@
 from functools import cache
 from itertools import product
-from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spokeseq import cli, cobar, fp
 from spokeseq.algebra import (
@@ -18,6 +17,7 @@ from spokeseq.algebra import (
 )
 from spokeseq.cobar import (
     DualOperators,
+    ExtComplex,
     build_cobar,
     build_resolution_complex,
     ext0_primitives,
@@ -367,17 +367,17 @@ def test_fold_keeps_generators_with_nontrivial_coaction():
                     assert ops.apply_fold(strand.pi, mono, fold) == want, (strand.label, mono)
 
 
-def unshared_differential(cx, ops, m, n, s):
+def unshared_differential(gens, cx, ops, m, n, s):
     """The differential out of one slice, rebuilt column by column from
     apply_fold as an unshared builder would: the oracle of the a-column
     sharing in build_resolution_complex."""
-    p = cx.hopf.p
+    p = cx.p
     dst = cx.bases[(m, n, s + 1)]
     dst_index = {idx: i for i, idx in enumerate(dst)}
     columns = []
     for m_mono, state in cx.bases[(m, n, s)]:
         col = {}
-        for pi, new_state, fold, sign in cx.gens.moves(state):
+        for pi, new_state, fold, sign in gens.moves(state):
             for mono, c in ops.apply_fold(pi, m_mono, fold).items():
                 row = dst_index[(mono, new_state)]
                 col[row] = (col.get(row, 0) + sign * c) % p
@@ -390,11 +390,11 @@ def unshared_differential(cx, ops, m, n, s):
 def test_shared_differentials_match_unshared_oracle(p, n):
     H, M = truncated(p, n)
     cx = build_resolution_complex(H, M, DegreeWindow(-4, 2, -2 * p, 4, s_max=3))
-    ops = DualOperators(M)
+    ops, gens = DualOperators(M), resolution_strands(H)
     distinct = {id(d) for d in cx.diffs.values()}
     assert len(distinct) < len(cx.diffs)  # the window holds translates
     for k, d in cx.diffs.items():
-        assert d == unshared_differential(cx, ops, *k), k
+        assert d == unshared_differential(gens, cx, ops, *k), k
 
 
 @pytest.mark.parametrize("p", (3, 5))
@@ -419,7 +419,7 @@ def test_slice_bases_match_per_state_oracle(p, n):
     H, M = truncated(p, n)
     window = DegreeWindow(-10, 6, -12, 12, s_max=4)
     cx = build_resolution_complex(H, M, window)
-    gens = cx.gens
+    gens = resolution_strands(H)
     states = gens.enumerate(window.s_max + 1)
     for (m, n, s), basis in cx.bases.items():
         want = [
@@ -475,9 +475,9 @@ def test_validate_dsquare_composes_every_distinct_pair(monkeypatch):
 def tiny_ext_cases(draw):
     """A prime, a height and a window inside -2:2:-2:2 with s_max <= 2; at
     p = 5, n = 2 s_max stays <= 1, since one cobar slice at s = 3 there
-    already takes seconds."""
-    p = draw(st.sampled_from((3, 5)))
-    n = draw(st.sampled_from((1, 2)))
+    already takes seconds, and p = 7 takes n = 1 only, for the same reason."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    n = 1 if p == 7 else draw(st.sampled_from((1, 2)))
     m_lo, m_hi = sorted(draw(st.lists(st.integers(-2, 2), min_size=2, max_size=2)))
     n_lo, n_hi = sorted(draw(st.lists(st.integers(-2, 2), min_size=2, max_size=2)))
     s_max = draw(st.integers(0, 1 if (p, n) == (5, 2) else 2))
@@ -486,6 +486,8 @@ def tiny_ext_cases(draw):
 
 @settings(max_examples=15, deadline=None)
 @given(tiny_ext_cases())
+@example((5, 1, DegreeWindow(-2, 2, -2, 2, s_max=2)))
+@example((7, 1, DegreeWindow(-2, 2, -2, 2, s_max=2)))
 def test_resolution_matches_cobar_on_tiny_windows(case):
     """The shared resolution slices against the literal cobar route, which
     shares nothing."""
@@ -525,6 +527,22 @@ def test_validate_dsquare_names_route(build, route):
     _corrupt_one_entry(cx)
     with pytest.raises(CompositionError, match=rf"^\[E_DSQUARE\] {route} d\^2 != 0"):
         validate_dsquare(cx)
+
+
+def test_ext_complex_checks_dsquare_where_it_is_made():
+    # a hand-built ladder C^0 -> C^1 -> C^2 at internal degree 1-1@ whose
+    # composite is [1]: making the complex refuses it, naming the route and
+    # the internal degree; the same ladder with a zero bottom map is made
+    d = SparseMatFp(1, 1, 3, {(0, 0): 1})
+    window = DegreeWindow(1, 1, -1, -1, s_max=0)
+    bases = {(1, -1, s): ["x"] for s in range(3)}
+    with pytest.raises(
+        CompositionError, match=r"^\[E_DSQUARE\] hand d\^2 != 0 at internal 1-1@, s=0$"
+    ):
+        ExtComplex("hand", 3, window, bases, {(1, -1, 0): d, (1, -1, 1): d}, str)
+    zero = SparseMatFp.zero(1, 1, 3)
+    cx = ExtComplex("hand", 3, window, bases, {(1, -1, 0): zero, (1, -1, 1): d}, str)
+    assert ext_dimensions(cx).entries == {(0, D(1, -1)): (1, ("x",))}
 
 
 def _with_extra_a(mono, module):
@@ -770,18 +788,12 @@ def test_equal_pairs_are_reduced_once(monkeypatch):
     assert table.dims() == resolution_ext_table(H, M, window).dims()
 
 
-class TwoColumnStub:
+def two_column_complex(first, second):
     """Two total degrees of one row, s = 0 only, with hand-made d_out."""
-
-    route = "stub"
-
-    def __init__(self, first, second):
-        self.hopf = SimpleNamespace(p=3)
-        self.window = DegreeWindow(0, 1, 0, 0, s_max=0)
-        self.diffs = {(0, 0, 0): first, (1, 0, 0): second}
-
-    def basis_label(self, key, i):
-        return f"x{i}"
+    window = DegreeWindow(0, 1, 0, 0, s_max=0)
+    bases = {(0, 0, 0): ["x0", "x1"], (1, 0, 0): ["x0", "x1"]}
+    diffs = {(0, 0, 0): first, (1, 0, 0): second}
+    return ExtComplex("stub", 3, window, bases, diffs, str)
 
 
 def test_pairs_of_one_shape_and_entry_count_are_told_apart():
@@ -790,7 +802,7 @@ def test_pairs_of_one_shape_and_entry_count_are_told_apart():
     # memo keyed on shape alone hands the second column the first's class
     first = SparseMatFp(1, 2, 3, {(0, 0): 1})
     second = SparseMatFp(1, 2, 3, {(0, 1): 1})
-    table = ext_dimensions(TwoColumnStub(first, second))
+    table = ext_dimensions(two_column_complex(first, second))
     assert table.entries == {(0, D(0, 0)): (1, ("x1",)), (0, D(1, 0)): (1, ("x0",))}
 
 

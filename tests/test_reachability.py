@@ -58,7 +58,6 @@ KEPT = {
     "mayss._line_ext_classes": CLOSED_FORM,
     # its Kuenneth assembly against the weighted cobar of the associated graded
     "mayss.e0_direct_weighted_ext": KUENNETH,
-    "mayss.e0_direct_weighted_ext.ids": KUENNETH,
     "mayss._block": KUENNETH,
     # the filtration weights against base-p digit sums
     "mayss.associated_graded_check": GRADED_DIMS,

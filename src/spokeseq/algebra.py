@@ -367,11 +367,12 @@ class GradedMap:
         return out
 
     def apply_monomial(self, mono: Monomial) -> Element:
-        """The image one * g1^e1 * g2^e2 * ..., multiplied in generator order.
+        """The image g1^e1 * g2^e2 * ..., multiplied in generator order.
 
         A new monomial walks down to a cached prefix, dropping its last
         generator each step, then multiplies back up by that generator's
-        power, caching each product."""
+        power, caching each product.  Up from the unit prefix the product is
+        the power itself, shared with its cache (no Element is ever changed)."""
         cache = self._mono_cache
         out = cache.get(mono)
         if out is not None:
@@ -381,10 +382,11 @@ class GradedMap:
             last = max(i for i, e in enumerate(mono) if e)
             steps.append((mono, last))
             mono = mono[:last] + (0,) + mono[last + 1 :]
-        out = cache[mono]
+        out = cache[mono] if any(mono) else None
         names = self.source.names
         for mono, last in reversed(steps):
-            out = cache[mono] = out * self._generator_power(names[last], mono[last])
+            power = self._generator_power(names[last], mono[last])
+            out = cache[mono] = power if out is None else out * power
         return out
 
     def apply(self, elt: Element) -> Element:

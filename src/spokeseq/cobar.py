@@ -58,7 +58,7 @@ from .concurrency import deterministic_map
 from .errors import BookkeepingError, ConfigError, WindowIncompleteError
 from .fp import SparseMatFp
 from .grading import DegreeWindow, SpokeDegree
-from .hopf import Comodule, HopfAlgebroid, TensorKey, truncated_hopf
+from .hopf import Comodule, HopfAlgebroid, TensorKey, splice_at, truncated_hopf
 
 D = SpokeDegree
 
@@ -242,17 +242,10 @@ def build_cobar(H: HopfAlgebroid, comodule: Comodule, window: DegreeWindow) -> E
         ctx = H.tensor_power_of((M,) + (total,) * (s + 1))
         columns: list[dict[int, int]] = []
         for (m_mono, word) in src:
+            # the alternating faces: psi at slot 0, Delta at each bar letter
             raw: dict[TensorKey, int] = {}
-            psi = comodule.psi.apply_monomial(m_mono)
-            for key, c in psi.coeffs.items():
-                new_key = (key[0], key[1]) + word
-                raw[new_key] = raw.get(new_key, 0) + c
-            for i, b in enumerate(word, start=1):
-                sign = -1 if i % 2 else 1
-                image = H.delta.apply_monomial(b)
-                for key, c in image.coeffs.items():
-                    new_key = (m_mono,) + word[: i - 1] + (key[0], key[1]) + word[i:]
-                    raw[new_key] = raw.get(new_key, 0) + sign * c
+            for i in range(s + 1):
+                splice_at(raw, H.delta if i else comodule.psi, (m_mono,) + word, i, (-1) ** i)
             col: dict[int, int] = {}
             for key, c in ctx.normalize(raw).items():
                 if not c % p or unit in key[1:]:

@@ -297,62 +297,44 @@ class Comodule:
 
 
 # ---------------------------------------------------------------------------
-# slot operations used by axiom checks and the cobar complex
+# slot operations of the axiom checks and the cobar complex (counit: 2-tensors only)
 
 
-def apply_coproduct_at(
-    H: HopfAlgebroid, elt: Element, slot: int, coaction: GradedMap | None = None
-) -> Element:
-    """Insert Delta (or a comodule coaction at slot 0) at the given slot."""
+def splice_at(raw: dict[TensorKey, int], gmap: GradedMap, key: TensorKey, slot: int, c: int):
+    """Add c * key, with gmap applied at the given slot, into raw {key: coeff}."""
+    head, tail = key[:slot], key[slot + 1 :]
+    for ikey, c2 in gmap.apply_monomial(key[slot]).coeffs.items():
+        new_key = head + ikey + tail
+        raw[new_key] = raw.get(new_key, 0) + c * c2
+
+
+def apply_coproduct_at(H: HopfAlgebroid, elt: Element, slot: int, gmap: GradedMap) -> Element:
+    """Insert gmap (Delta, or a comodule's psi at slot 0) at the given slot."""
     ctx = elt.ring
-    gmap = coaction if coaction is not None else H.delta
-    out_slots = ctx.slots[:slot] + gmap.target.slots + ctx.slots[slot + 1 :]
-    out_ctx = H.tensor_power_of(out_slots)
+    out_ctx = H.tensor_power_of(ctx.slots[:slot] + gmap.target.slots + ctx.slots[slot + 1 :])
     raw: dict[TensorKey, int] = {}
     for key, c in elt.coeffs.items():
-        image = gmap.apply_monomial(key[slot])
-        for ikey, c2 in image.coeffs.items():
-            new_key = key[:slot] + ikey + key[slot + 1 :]
-            raw[new_key] = raw.get(new_key, 0) + c * c2
+        splice_at(raw, gmap, key, slot, c)
     return out_ctx.element(raw)
 
 
 def apply_counit_at(H: HopfAlgebroid, elt: Element, slot: int) -> Element:
-    """Contract the given slot with epsilon, multiplying into a neighbour."""
+    """Contract slot 0 or slot 1 of a 2-tensor with epsilon, into an element
+    of the kept slot's own presentation: a (x) g -> eta_L(eps(a)) * g at
+    slot 0, and g (x) a -> g * (right action of eps(a)) at slot 1."""
     ctx = elt.ring
-    out_slots = ctx.slots[:slot] + ctx.slots[slot + 1 :]
-    out_ctx = H.tensor_power_of(out_slots)
-    raw: dict[TensorKey, int] = {}
+    kept = ctx.slots[1 - slot]
+    mul = kept.mul_monomials
+    raw: dict[Monomial, int] = {}
     for key, c in elt.coeffs.items():
-        scalar = H.epsilon.apply_monomial(key[slot])
-        if slot == 0:
-            # (eps (x) id): a (x) g -> eta_L(a) * g
-            target_pres = ctx.slots[1]
-            for amono, c2 in scalar.coeffs.items():
-                incl = _translate_monomial(H.base, amono, target_pres)
-                prod, sign = target_pres.mul_monomials(incl, key[1])
-                if prod is None:
-                    continue
-                new_key = (prod,) + key[2:]
-                raw[new_key] = raw.get(new_key, 0) + c * c2 * sign
-        else:
-            # (id (x) eps): g (x) a -> g * (right action of a)
-            target_pres = ctx.slots[slot - 1]
-            for amono, c2 in scalar.coeffs.items():
-                img = ctx.push_left(slot - 1, amono)
-                for tmono, c3 in img.coeffs.items():
-                    prod, sign = target_pres.mul_monomials(key[slot - 1], tmono)
-                    if prod is None:
-                        continue
-                    new_key = key[: slot - 1] + (prod,) + key[slot + 1 :]
-                    raw[new_key] = raw.get(new_key, 0) + c * c2 * c3 * sign
-    return out_ctx.element(raw)
-
-
-def tensor_to_element(elt: Element) -> Element:
-    """Collapse an arity-1 tensor to a plain ring element."""
-    pres = elt.ring.slots[0]
-    return Element(pres, {key[0]: c for key, c in elt.coeffs.items()})
+        g = key[1 - slot]
+        for amono, c2 in H.epsilon.apply_monomial(key[slot]).coeffs.items():
+            factor = ctx.push_left(0, amono) if slot else H.eta_L.apply_monomial(amono)
+            for tmono, c3 in factor.coeffs.items():
+                prod, sign = mul(g, tmono) if slot else mul(tmono, g)
+                if prod is not None:
+                    raw[prod] = raw.get(prod, 0) + c * c2 * c3 * sign
+    return Element(kept, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -584,19 +566,19 @@ def check_axioms(H: HopfAlgebroid, window: DegreeWindow, comodule: Comodule) -> 
         for mono in monomials_in_degree(H.total, d):
             g = Element.from_monomial(H.total, mono)
             dg = H.delta.apply(g)
-            left = tensor_to_element(apply_counit_at(H, dg, 0))
-            right = tensor_to_element(apply_counit_at(H, dg, 1))
+            left = apply_counit_at(H, dg, 0)
+            right = apply_counit_at(H, dg, 1)
             verdict(counit_cop, left == g and right == g, "counit", H.total, mono)
-            dl = apply_coproduct_at(H, dg, 0)
-            dr = apply_coproduct_at(H, dg, 1)
+            dl = apply_coproduct_at(H, dg, 0, H.delta)
+            dr = apply_coproduct_at(H, dg, 1, H.delta)
             verdict(coassoc, dl.coeffs == dr.coeffs, "coassoc", H.total, mono)
         for mono in monomials_in_degree(M, d):
             x = Element.from_monomial(M, mono)
             px = comodule.psi.apply(x)
-            back = tensor_to_element(apply_counit_at(H, px, 1))
+            back = apply_counit_at(H, px, 1)
             verdict(com_counit, back == x, "counit", M, mono)
-            left = apply_coproduct_at(H, px, 0, coaction=comodule.psi)
-            right = apply_coproduct_at(H, px, 1)
+            left = apply_coproduct_at(H, px, 0, comodule.psi)
+            right = apply_coproduct_at(H, px, 1, H.delta)
             verdict(com_coassoc, left.coeffs == right.coeffs, "coassoc", M, mono)
         return verdicts
 

@@ -780,16 +780,12 @@ def may_filtration_weight(H: HopfAlgebroid, mono: Monomial, cap: int = 64) -> in
     projection to the coideal in every slot)."""
     if not any(mono):
         return 0
-    elt = H.tensor_power_of((H.total,)).element({(mono,): 1})
+    elt = H.delta.apply_monomial(mono)
     for s in range(1, cap + 1):
-        elt = apply_coproduct_at(H, elt, len(elt.ring.slots) - 1)
-        reduced = {
-            key: c
-            for key, c in elt.coeffs.items()
-            if all(any(slot_mono) for slot_mono in key)
-        }
-        if not reduced:
+        # elt is the (s+1)-fold coproduct; the reduced part keeps keys with no unit slot
+        if not any(all(map(any, key)) for key in elt.coeffs):
             return s
+        elt = apply_coproduct_at(H, elt, s, H.delta)
     raise BookkeepingError(f"filtration of {H.total.format_monomial(mono)} exceeds {cap}")
 
 

@@ -201,6 +201,36 @@ def test_corrupted_right_unit_fails_the_counit_of_units():
     )
 
 
+def test_corrupted_counit_fails_the_left_contraction():
+    # negative control: eps(ul) = 2 ul is homogeneous, but Delta(ul) =
+    # ul (x) 1 contracts on the left to eta_L(eps(ul)) * 1 = 2 ul, and
+    # eps o eta_L(ul) = 2 ul too; Delta and the base comodule are untouched
+    H = descent_algebroid(3)
+    ul = Element.generator(H.base, "ul")
+    bad = HopfAlgebroid(
+        H.p, H.base, H.total, H.eta_R_images, {**H.epsilon_images, "ul": ul.scale(2)},
+        H.delta_images,
+    )
+    M = base_comodule(bad)
+    report = check_axioms(bad, DegreeWindow(-2, 2, -2, 2, s_max=6), M)
+    assert report.format() == (
+        "counit-of-units | checked 6 | FAIL (eps o eta on ul)\n"
+        "counit-coproduct | checked 18 | FAIL (counit on ul)\n"
+        "coassociativity | checked 18 | pass\n"
+        "comodule-counit | checked 6 | pass\n"
+        "comodule-coassociativity | checked 6 | pass\n"
+    )
+    # each contraction lands in the kept slot's own presentation
+    g = Element.generator(bad.total, "ul")
+    dg = bad.delta.apply(g)
+    left, right = (hopf.apply_counit_at(bad, dg, slot) for slot in (0, 1))
+    assert left.ring is right.ring is bad.total
+    assert (left, right) == (g.scale(2), g)
+    back = hopf.apply_counit_at(bad, M.psi.apply(ul), 1)
+    assert back.ring is M.module
+    assert back == ul
+
+
 def geometric_with_coassociativity_broken(p):
     """The geometric algebroid with Delta(yb) = 1 (x) yb + u (x) u, where
     u = xb - x: u is primitive and eps(u) = 0, so the counit still holds,
@@ -460,6 +490,19 @@ def test_prefix_cached_images_match_products_from_scratch(p, n):
         for name, gmap in maps.items():
             for mono in sorted(_exponent_box(gmap.source), reverse=reverse):
                 assert gmap.apply_monomial(mono) == _image_from_scratch(gmap, mono), (name, mono)
+
+
+def test_a_lone_generator_power_is_its_cached_power():
+    # up from the unit prefix, a fresh map hands back the generator power
+    # itself, not the product one * power
+    H, M = truncated_hopf(3, 2)
+    for gmap, mono, name, e in [
+        (M.psi, M.module.monomial(ul=-4), "ul", -4),
+        (H.delta, H.total.monomial(Nm=5), "Nm", 5),
+    ]:
+        image = gmap.apply_monomial(mono)
+        assert image is gmap._generator_power(name, e)
+        assert image == _image_from_scratch(gmap, mono)
 
 
 @settings(max_examples=60, deadline=None)

@@ -50,7 +50,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 from operator import add, mul, sub
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from . import fp
 from .algebra import EXT, INV, POLY, TRUNC, Monomial, monomials_in_degree
@@ -345,32 +345,6 @@ def ext_dimensions(cx: ExtComplex) -> ExtTable:
     return ExtTable(entries)
 
 
-def ext0_primitives(comodule: Comodule, degrees: Sequence[SpokeDegree]) -> dict[SpokeDegree, int]:
-    """Direct primitive count {m : psi(m) = m (x) 1} per degree."""
-    M = comodule.module
-    p = M.p
-    out: dict[SpokeDegree, int] = {}
-    for d in degrees:
-        monos = monomials_in_degree(M, d)
-        if not monos:
-            continue
-        columns = []
-        row_index: dict = {}
-        for mono in monos:
-            img = comodule.psi.apply_monomial(mono)
-            col = {}
-            for key, c in img.coeffs.items():
-                if not any(key[1]) and key[0] == mono:
-                    c = c - 1  # subtract m (x) 1
-                if c % p:
-                    row = row_index.setdefault(key, len(row_index))
-                    col[row] = c % p
-            columns.append(col)
-        mat = SparseMatFp.from_columns(columns, max(len(row_index), 1), p)
-        out[d] = len(fp.kernel_basis(mat))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # dual-algebra resolution route
 
@@ -658,19 +632,12 @@ def resolution_ext_table(
     return ext_dimensions(build_resolution_complex(H, comodule, window))
 
 
-def check_stabilization_heights(n_max: int) -> None:
-    """Stabilization compares consecutive truncation heights 1..n_max, so
-    it needs at least two of them."""
-    if n_max < 2:
-        raise ConfigError("stabilization needs n_max >= 2")
-
-
 def stabilize_over_n(
     p: int, window: DegreeWindow, n_max: int, beta: int = 1, beta_prime: int = 1
 ):
     """Ext tables over increasing truncation height until two consecutive
     heights agree on the window; returns (table, n, stabilized flag)."""
-    check_stabilization_heights(n_max)
+    fp.check_stabilization_heights(n_max)
     tables = {}
     for n in range(1, n_max + 1):
         H, M = truncated_hopf(p, n, beta, beta_prime)

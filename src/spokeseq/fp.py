@@ -33,6 +33,13 @@ def check_odd_prime(p: int) -> None:
         raise ConfigError(f"p must be an odd prime, got {p}")
 
 
+def check_stabilization_heights(n_max: int) -> None:
+    """Stabilization compares consecutive truncation heights 1..n_max, so
+    it needs at least two of them."""
+    if n_max < 2:
+        raise ConfigError("stabilization needs n_max >= 2")
+
+
 def check_unit(p: int, value: int, label: str) -> int:
     """value mod p, which must be a unit in F_p."""
     value %= p

@@ -25,7 +25,8 @@ The pages are the filtration spectral sequence of the small resolution
 complex (one comodule slot per z^k x_E xp'^J generator), whose differential
 only has components of filtration shift 1 and p-1; differentials of every
 other page vanish identically in this model, and the cross-check against
-the direct Ext computation certifies convergence.  Dimension bookkeeping
+the direct Ext computation (crosscheck.einfty_vs_ext) certifies
+convergence.  Dimension bookkeeping
 failures raise instead of passing silently.
 
 Multiplication by a moves (m, n) to (m, n-1) and keeps s and f, so the
@@ -53,29 +54,11 @@ from collections.abc import Iterable, Iterator
 from typing import TypeVar
 
 from . import fp
-from .algebra import (
-    EXT,
-    INV,
-    POLY,
-    Element,
-    GeneratorSpec,
-    Monomial,
-    Presentation,
-    TRUNC,
-    monomials_in_degree,
-)
-from .cobar import (
-    ExtComplex,
-    build_cobar,
-    check_stabilization_heights,
-    ext_dimensions,
-    resolution_ext_table,
-)
+from .algebra import EXT, INV, POLY, GeneratorSpec, Monomial, Presentation
 from .errors import BookkeepingError, ConfigError, WindowError
-from .fp import SparseMatFp, Subspace, Vector, check_odd_prime, check_unit, quotient_basis
+from .fp import Subspace, Vector, check_odd_prime, check_unit, quotient_basis
 from .grading import DegreeWindow, SpokeDegree, TriDegree
 from .hfp import positive_cone
-from .hopf import Comodule, HopfAlgebroid, apply_coproduct_at, primitive_hopf, truncated_hopf
 
 D = SpokeDegree
 
@@ -243,12 +226,6 @@ def e1_monomials(
     return out
 
 
-def _digit(l: int, p: int, t: int) -> int:
-    """p-adic digit of an arbitrary integer (negative l has the repeating
-    expansion; Python's floor-mod gives exactly that)."""
-    return (l % p ** (t + 1)) // p**t
-
-
 def d1_monomial(e1: MayE1, mono: Monomial) -> dict[Monomial, int]:
     """Page-1 differential on a monomial, as a dict of target monomials."""
     p = e1.p
@@ -311,41 +288,6 @@ def d_pminus1_monomial(e1: MayE1, mono: Monomial) -> dict[Monomial, int]:
             out[tuple(tgt)] = -sign % p  # Wilson: (p-1)! = -1
         sign = -sign
     return out
-
-
-def d1_monomial_reference(e1: MayE1, mono: Monomial) -> dict[Monomial, int]:
-    """Leibniz rule evaluated with generic signed element products; the
-    oracle for d1_monomial's hand-rolled signs."""
-    p, n = e1.p, e1.n
-    pres = e1.pres
-    total = Element.zero(pres)
-    for pos, name in enumerate(pres.names):
-        e = mono[pos]
-        if not e:
-            continue
-        if name == "us":  # exterior, so e = 1
-            image = Element.from_monomial(pres, pres.monomial(a=2, z=1)).scale(e1.beta_prime)
-        elif name == "ul":
-            image = Element.zero(pres)
-            for t in range(n):
-                digit = _digit(e, p, t)
-                if digit:
-                    target = pres.monomial(
-                        **{"ul": e - p**t, "a": 2 * p ** (t + 1), f"x{t}": 1}
-                    )
-                    image = image + Element.from_monomial(pres, target).scale(
-                        digit * pow(e1.beta, p**t, p)
-                    )
-        else:
-            continue
-        # d(left * g^e * right) picks up the sign of left's exterior part
-        left_exps = mono[:pos] + (0,) * (len(mono) - pos)
-        right_exps = (0,) * (pos + 1) + mono[pos + 1 :]
-        left = Element.from_monomial(pres, left_exps)
-        right = Element.from_monomial(pres, right_exps)
-        sign = -1 if pres.parity_of(left_exps) else 1
-        total = total + (left * image * right).scale(sign)
-    return dict(total.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -771,240 +713,6 @@ def compute_pages(
 
 
 # ---------------------------------------------------------------------------
-# the filtration on the Hopf algebra itself
-
-
-def may_filtration_weight(H: HopfAlgebroid, mono: Monomial, cap: int = 64) -> int:
-    """Smallest s with the (s+1)-fold reduced coproduct of the monomial zero,
-    computed from the definition (kernel of iterated coproducts followed by
-    projection to the coideal in every slot)."""
-    if not any(mono):
-        return 0
-    elt = H.delta.apply_monomial(mono)
-    for s in range(1, cap + 1):
-        # elt is the (s+1)-fold coproduct; the reduced part keeps keys with no unit slot
-        if not any(all(map(any, key)) for key in elt.coeffs):
-            return s
-        elt = apply_coproduct_at(H, elt, s, H.delta)
-    raise BookkeepingError(f"filtration of {H.total.format_monomial(mono)} exceeds {cap}")
-
-
-def digit_sum(k: int, p: int) -> int:
-    total = 0
-    while k:
-        total += k % p
-        k //= p
-    return total
-
-
-def e0_hopf(p: int, n: int) -> HopfAlgebroid:
-    """Associated graded of the coideal filtration: the tensor product of the
-    digit Hopf algebras, one height-one truncated line per p-power digit of
-    the norm class plus the exterior line."""
-    check_odd_prime(p)
-    return primitive_hopf(
-        p,
-        [
-            *(
-                GeneratorSpec(f"nu{t}", D(2 * p**t, 2 * (p - 1) * p**t), TRUNC, p)
-                for t in range(n)
-            ),
-            GeneratorSpec("mu", D(1, 1), EXT),
-        ],
-    )
-
-
-def e0_weight(pres: Presentation, mono: Monomial) -> int:
-    return sum(mono)
-
-
-def associated_graded_check(p: int, n: int, degrees) -> tuple[bool, list[str]]:
-    """Weights on the truncated Hopf algebra match base-p digit sums, and the
-    per-(degree, weight) dimensions match the associated-graded presentation."""
-    H, _ = truncated_hopf(p, n)
-    He0 = e0_hopf(p, n)
-    failures = []
-    for d in degrees:
-        histogram: dict[int, int] = {}
-        for mono in monomials_in_degree(H.total, d):
-            w = may_filtration_weight(H, mono)
-            k = mono[H.total.index["Nm"]]
-            eps = mono[H.total.index["mu"]]
-            expected = digit_sum(k, p) + eps
-            if w != expected:
-                failures.append(
-                    f"weight({H.total.format_monomial(mono)}) = {w}, digit rule {expected}"
-                )
-            histogram[w] = histogram.get(w, 0) + 1
-        e0_hist: dict[int, int] = {}
-        for mono in monomials_in_degree(He0.total, d):
-            w = e0_weight(He0.total, mono)
-            e0_hist[w] = e0_hist.get(w, 0) + 1
-        if histogram != e0_hist:
-            failures.append(f"graded dims at {d}: {histogram} vs {e0_hist}")
-    return not failures, failures
-
-
-# ---------------------------------------------------------------------------
-# first page vs the associated-graded cohomology (the closed-form check),
-# one build_cobar per line of e0_hopf
-
-
-def _line_ext_classes(p: int, g: GeneratorSpec, s_cap: int):
-    """Cobar cohomology of one line of the associated graded, the primitive
-    Hopf algebra on g alone with trivial coefficients, by build_cobar:
-    [(s, internal degree, f, dim)].  Every bar word of internal degree k|g|
-    has filtration weight f = k, and with g^bound = 0 a word of s letters
-    has k <= s(bound - 1), so k past s_cap(bound - 1) has no class at
-    s <= s_cap.  Nothing here knows the expected answer."""
-    H = primitive_hopf(p, [g])
-    triv = Comodule(H, Presentation(p, []), {})
-    out = []
-    for k in range(s_cap * (g.bound - 1) + 1):
-        internal = g.degree * k
-        row = DegreeWindow(internal.m - s_cap, internal.m, internal.n, internal.n, s_cap)
-        for (s, total), dim in ext_dimensions(build_cobar(H, triv, row)).dims().items():
-            if total + D(s, 0) == internal:
-                out.append((s, internal, k, dim))
-    return out
-
-
-def _block(mat: SparseMatFp, row_ids, col_ids) -> SparseMatFp:
-    """The submatrix on the given rows and columns, in the given order."""
-    rmap = {i: k for k, i in enumerate(row_ids)}
-    cmap = {j: k for k, j in enumerate(col_ids)}
-    entries = {
-        (rmap[i], cmap[j]): v
-        for (i, j), v in mat.entries.items()
-        if i in rmap and j in cmap
-    }
-    return SparseMatFp(len(row_ids), len(col_ids), mat.p, entries)
-
-
-def associated_graded_ext_classes(p: int, n: int, s_cap: int):
-    """Cohomology classes of the associated-graded Hopf algebra with trivial
-    coefficients, assembled from its lines, one per generator of e0_hopf,
-    by the Kuenneth tensor decomposition: {(s, internal degree, f): dim}."""
-    factors = [_line_ext_classes(p, g, s_cap) for g in e0_hopf(p, n).total.generators]
-    acc: dict[tuple[int, SpokeDegree, int], int] = {(0, D(0, 0), 0): 1}
-    for fac in factors:
-        nxt: dict[tuple[int, SpokeDegree, int], int] = {}
-        for (s0, d0, f0), c0 in acc.items():
-            for (s1, d1, f1, c1) in fac:
-                if s0 + s1 > s_cap:
-                    continue
-                key = (s0 + s1, d0 + d1, f0 + f1)
-                nxt[key] = nxt.get(key, 0) + c0 * c1
-        acc = nxt
-    return acc
-
-
-def e1_vs_associated_graded(p: int, n: int, window: DegreeWindow) -> tuple[bool, list[str]]:
-    """Closed-form first-page monomial counts against the cohomology of the
-    associated graded, convolved with the coefficient module, tri-degree by
-    tri-degree over the window."""
-    table = e1_monomials(may_e1(p, n), window)
-    closed = {tri: len(base) for tri, (base, _) in table.items()}
-    graded = associated_graded_ext_classes(p, n, window.s_max)
-
-    # coefficient module F_p[a, ul^{+-1}]<us> has one monomial in every
-    # degree of virtual dimension <= 0 and none elsewhere
-    oracle: dict[TriDegree, int] = {}
-    for total in window.degrees():
-        for (s, gdeg, f), mult in graded.items():
-            rem = total + D(s, 0) - gdeg
-            if rem.virtual_dim <= 0:
-                tri = TriDegree(total, s, f)
-                oracle[tri] = oracle.get(tri, 0) + mult
-
-    failures = []
-    for tri in sorted(set(closed) | set(oracle)):
-        a, b = closed.get(tri, 0), oracle.get(tri, 0)
-        if a != b:
-            failures.append(f"{tri.format()}: closed form {a}, graded cobar {b}")
-    return not failures, failures
-
-
-# ---------------------------------------------------------------------------
-# convergence: last page totals vs the direct Ext computation
-
-
-def einfty_vs_ext(
-    p: int,
-    n: int,
-    window: DegreeWindow,
-    beta: int = 1,
-    beta_prime: int = 1,
-) -> tuple[bool, list[str]]:
-    """Total last-page dimensions per (s, total degree) against the direct
-    Ext table of the truncated Hopf algebra, on the full requested window
-    (pages are computed on an m-expanded window so every requested cell is
-    reliable)."""
-    expanded = DegreeWindow(
-        window.m_min - 2, window.m_max + 2, window.n_min, window.n_max, window.s_max
-    )
-    pages = compute_pages(p, n, expanded, beta, beta_prime)
-    last = pages[p]
-    H, M = truncated_hopf(p, n, beta, beta_prime)
-    table = resolution_ext_table(H, M, window)
-
-    page_totals: dict[tuple[int, SpokeDegree], int] = {}
-    for tri, cell in last.cells.items():
-        if cell.dim and window.contains(tri.total) and tri.s <= window.s_max:
-            key = (tri.s, tri.total)
-            page_totals[key] = page_totals.get(key, 0) + cell.dim
-
-    failures = []
-    keys = set(page_totals) | set(table.dims())
-    for key in sorted(keys):
-        a = page_totals.get(key, 0)
-        b = table.dim(*key)
-        if a != b:
-            failures.append(
-                f"s={key[0]} {key[1].format()}: pages {a}, ext {b}"
-            )
-    return not failures, failures
-
-
-def e0_direct_weighted_ext(
-    p: int, n: int, window: DegreeWindow
-) -> dict[tuple[int, SpokeDegree, int], int]:
-    """Small-window cross-check: the full multi-line cobar of the associated
-    graded with trivial coefficients, homology split by filtration weight.
-    Exponential in s, so only for modest windows.  associated_graded_ext_classes
-    runs the same build_cobar on one line at a time, so their agreement
-    certifies its Kuenneth assembly.
-
-    A bar word weighs the sum of its letters' e0_weight; the differential
-    must preserve it, entry by entry, or the split is meaningless.  Each
-    weight f is then its own ExtComplex, the blocks of the built one on the
-    words of weight f, and ext_dimensions reads its homology."""
-    He0 = e0_hopf(p, n)
-    cx = build_cobar(He0, Comodule(He0, Presentation(p, []), {}), window)
-    weights = {
-        key: [sum(e0_weight(He0.total, b) for b in word) for _, word in basis]
-        for key, basis in cx.bases.items()
-    }
-    for (m, n, s), mat in cx.diffs.items():
-        src_w, dst_w = weights[(m, n, s)], weights[(m, n, s + 1)]
-        for i, j in mat.entries:
-            if dst_w[i] != src_w[j]:
-                raise BookkeepingError(f"filtration weight not preserved at {D(m, n)}, s={s}")
-    out: dict[tuple[int, SpokeDegree, int], int] = {}
-    for f in sorted({w for ws in weights.values() for w in ws}):
-        keep = {key: [i for i, w in enumerate(ws) if w == f] for key, ws in weights.items()}
-        bases = {key: [cx.bases[key][i] for i in ids] for key, ids in keep.items()}
-        diffs = {
-            (m, n, s): _block(mat, keep[(m, n, s + 1)], keep[(m, n, s)])
-            for (m, n, s), mat in cx.diffs.items()
-        }
-        block = ExtComplex(f"e0 weight {f}", p, window, bases, diffs, cx.label)
-        for (s, total), dim in ext_dimensions(block).dims().items():
-            out[(s, total + D(s, 0), f)] = dim
-    return out
-
-
-# ---------------------------------------------------------------------------
 # a-towers, the free pattern in negative virtual degrees, and the verdict
 
 
@@ -1031,11 +739,7 @@ def a_shift_rank(page: SSPage, tri: TriDegree, steps: int) -> int | None:
     height = page.window.n_max - page.window.n_min + 1
     if col is None or not 0 <= k < height:
         return 0
-    cell = None
-    for row, head in col.items():
-        if row > k:
-            break
-        cell = head  # the head of the run that holds row k
+    cell = _values_at(col, [k])[0]  # the head of the run that holds row k
     if cell is None or not cell.dim:
         return 0
     vecs = cell.reps.rows
@@ -1180,7 +884,7 @@ def segal_pipeline(
     over the height, and the Borel-completeness verdict: survivors are one
     a-power line in integer degree 0 and cohomological degree 0."""
     check_odd_prime(p)
-    check_stabilization_heights(n_max)
+    fp.check_stabilization_heights(n_max)
     if window.n_min + window.m_max > -1:
         raise WindowError(
             "window too small to decide survivors: need n_min + m_max <= -1"

@@ -19,6 +19,7 @@ from spokeseq.algebra import (
     monomials_in_degree,
 )
 from spokeseq.cobar import resolution_ext_table
+from spokeseq.crosscheck import e1_vs_associated_graded, einfty_vs_ext
 from spokeseq.grading import DegreeWindow, SpokeDegree, TriDegree
 from spokeseq.hfp import HfpVariant, NegClass
 from spokeseq.hopf import (
@@ -28,13 +29,7 @@ from spokeseq.hopf import (
     descent_algebroid,
     truncated_hopf,
 )
-from spokeseq.mayss import (
-    compute_pages,
-    e1_vs_associated_graded,
-    einfty_vs_ext,
-    free_pattern_dim,
-    segal_pipeline,
-)
+from spokeseq.mayss import compute_pages, free_pattern_dim, segal_pipeline
 
 from sparse_helpers import identity
 
@@ -138,6 +133,31 @@ def test_criterion_3_convergence_at_larger_primes(p, n):
         print(f"  first mismatches: {failures[:3]}")
     elapsed = time.monotonic() - start
     report(3, f"last-page totals equal direct Ext p={p} n={n}", good, elapsed, 30)
+
+
+@pytest.mark.parametrize(
+    "p, n, window",
+    (
+        (3, 2, SEGAL_WINDOW),
+        (5, 2, SEGAL_WINDOW),
+        (7, 1, SEGAL_WINDOW),
+        (3, 3, WIDE_SEGAL_WINDOW),
+        (5, 2, WIDE_SEGAL_WINDOW),
+        (7, 2, WIDE_SEGAL_WINDOW),
+    ),
+    ids=lambda value: value.format() if isinstance(value, DegreeWindow) else None,
+)
+def test_criterion_3_convergence_on_the_verdict_windows(p, n, window):
+    # the verdict reads the last page on its own windows, at the heights
+    # where its survivor tables stabilize; there the last page must converge
+    # to the direct Ext too
+    start = time.monotonic()
+    good, failures = einfty_vs_ext(p, n, window)
+    if not good:
+        print(f"  first mismatches: {failures[:3]}")
+    elapsed = time.monotonic() - start
+    name = f"last-page totals equal direct Ext p={p} n={n} on {window.format()}"
+    report(3, name, good, elapsed, 30)
 
 
 def test_criterion_4_ep_negative_pattern():

@@ -418,12 +418,12 @@ def test_console_entry_point():
     assert "formula | oracle" in proc.stdout
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # every run pays for its imports: the value types are NamedTuples and
-    # plain classes, so start-up compiles no dataclass and loads no inspect
+def loaded_in_a_fresh_interpreter(module, names):
+    """The ``names``, sorted, that ``import module`` loads in a new
+    interpreter, so modules this process loaded do not count."""
     src = os.path.dirname(os.path.dirname(spokeseq.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import sys, spokeseq.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    probe = f"import sys, {module}; print(*sorted({set(names)!r} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -431,7 +431,21 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout.split()
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every run pays for its imports: the value types are NamedTuples and
+    # plain classes, so start-up compiles no dataclass and loads no inspect
+    assert loaded_in_a_fresh_interpreter("spokeseq.cli", ["dataclasses", "inspect"]) == []
+
+
+def test_import_graph_keeps_the_engine_apart_from_its_cross_checks():
+    # the page engine imports neither Ext route it is checked against, and
+    # no command loads the cross-checks
+    routes = ["spokeseq.cobar", "spokeseq.hopf"]
+    assert loaded_in_a_fresh_interpreter("spokeseq.mayss", routes) == []
+    assert loaded_in_a_fresh_interpreter("spokeseq.cli", ["spokeseq.crosscheck"]) == []
 
 
 def test_report_round_trip():

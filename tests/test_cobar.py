@@ -20,7 +20,6 @@ from spokeseq.cobar import (
     ExtComplex,
     build_cobar,
     build_resolution_complex,
-    ext0_primitives,
     ext_dimensions,
     ext_reads,
     resolution_ext_table,
@@ -28,6 +27,7 @@ from spokeseq.cobar import (
     stabilize_over_n,
     validate_dsquare,
 )
+from spokeseq.crosscheck import ext0_primitives
 from spokeseq.errors import (
     BookkeepingError,
     CompositionError,

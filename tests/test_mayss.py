@@ -6,9 +6,19 @@ from contextlib import redirect_stdout
 import pytest
 from hypothesis import given, strategies as st
 
-from spokeseq import charts, hopf, mayss
+from spokeseq import charts, crosscheck, hopf, mayss
 from spokeseq.algebra import TRUNC, GeneratorSpec, Monomial, Presentation, monomials_in_degree
 from spokeseq.cli import main
+from spokeseq.crosscheck import (
+    associated_graded_check,
+    associated_graded_ext_classes,
+    d1_monomial_reference,
+    digit_sum,
+    e0_direct_weighted_ext,
+    e1_vs_associated_graded,
+    einfty_vs_ext,
+    may_filtration_weight,
+)
 from spokeseq.errors import BookkeepingError, ConfigError, WindowError
 from spokeseq.fp import Subspace
 from spokeseq.grading import DegreeWindow, SpokeDegree, TriDegree
@@ -16,19 +26,11 @@ from spokeseq.hopf import truncated_hopf
 from spokeseq.mayss import (
     _times_a,
     a_shift_rank,
-    associated_graded_check,
-    associated_graded_ext_classes,
     compute_pages,
     d1_monomial,
-    d1_monomial_reference,
     d_pminus1_monomial,
-    digit_sum,
-    e0_direct_weighted_ext,
     e1_monomials,
-    e1_vs_associated_graded,
-    einfty_vs_ext,
     may_e1,
-    may_filtration_weight,
     page_one,
     segal_pipeline,
     turn_page,
@@ -739,7 +741,7 @@ def test_e0_weight_preservation_is_checked(monkeypatch):
     # the sum of squared exponents is not one (nu0^2 -> 2 nu0|nu0)
     window = DegreeWindow(0, 4, 0, 8, s_max=1)
     assert e0_direct_weighted_ext(3, 1, window)
-    monkeypatch.setattr(mayss, "e0_weight", lambda pres, mono: sum(e * e for e in mono))
+    monkeypatch.setattr(crosscheck, "e0_weight", lambda mono: sum(e * e for e in mono))
     with pytest.raises(BookkeepingError, match="filtration weight not preserved"):
         e0_direct_weighted_ext(3, 1, window)
 

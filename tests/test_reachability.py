@@ -50,26 +50,28 @@ FRACTIONS = "test_hfp::test_multiply_fraction_rule"
 
 KEPT = {
     # the digit rule d1_monomial against the Leibniz rule
-    "mayss.d1_monomial_reference": LEIBNIZ,
-    "mayss._digit": LEIBNIZ,
+    "crosscheck.d1_monomial_reference": LEIBNIZ,
+    "crosscheck._digit": LEIBNIZ,
     # the closed-form E_1 against the cohomology of the associated graded
-    "mayss.e1_vs_associated_graded": CLOSED_FORM,
-    "mayss.associated_graded_ext_classes": CLOSED_FORM,
-    "mayss._line_ext_classes": CLOSED_FORM,
+    "crosscheck.e1_vs_associated_graded": CLOSED_FORM,
+    "crosscheck.associated_graded_ext_classes": CLOSED_FORM,
+    "crosscheck._line_ext_classes": CLOSED_FORM,
     # its Kuenneth assembly against the weighted cobar of the associated graded
-    "mayss.e0_direct_weighted_ext": KUENNETH,
-    "mayss._block": KUENNETH,
+    "crosscheck.e0_direct_weighted_ext": KUENNETH,
+    "crosscheck._block": KUENNETH,
     # the filtration weights against base-p digit sums
-    "mayss.associated_graded_check": GRADED_DIMS,
-    "mayss.e0_hopf": GRADED_DIMS,
-    "mayss.e0_weight": GRADED_DIMS,
-    "mayss.may_filtration_weight": WEIGHTS,
-    "mayss.digit_sum": WEIGHTS,
-    # the last page against the direct Ext table
-    "mayss.einfty_vs_ext": CONVERGENCE,
+    "crosscheck.associated_graded_check": GRADED_DIMS,
+    "crosscheck.e0_hopf": GRADED_DIMS,
+    "crosscheck.e0_weight": GRADED_DIMS,
+    "crosscheck.may_filtration_weight": WEIGHTS,
+    "crosscheck.digit_sum": WEIGHTS,
+    # the last page against the direct Ext table; the closed-form check
+    # lists its disagreements the same way
+    "crosscheck.einfty_vs_ext": CONVERGENCE,
+    "crosscheck._mismatches": CONVERGENCE,
     "cobar.ExtTable.dim": CONVERGENCE,
     # Ext^0 against a direct count of primitives
-    "cobar.ext0_primitives": "test_cobar::test_ext0_equals_primitives",
+    "crosscheck.ext0_primitives": "test_cobar::test_ext0_equals_primitives",
     # the point ring's products and a-torsion orders against its labels
     "hfp.multiply_full": FRACTIONS,
     "hfp.NegClass.as_theta_fraction": FRACTIONS,
